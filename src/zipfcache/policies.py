@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, deque
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -216,36 +215,26 @@ class LFUCache(_SingleArea):
 
 
 class _KernelEntry:
-    __slots__ = ("theta", "last_modified", "size", "admitted_at", "seq")
+    __slots__ = ("theta", "last_modified", "size", "admitted_at", "seq", "slot")
 
-    def __init__(self, theta, last_modified, size, admitted_at, seq):
+    def __init__(self, theta, last_modified, size, admitted_at, seq, slot):
         self.theta = theta
         self.last_modified = last_modified
         self.size = size
         self.admitted_at = admitted_at
         self.seq = seq
+        self.slot = slot
 
 
 class _Stats:
-    """Per-document request history at day granularity plus counters."""
+    """Per-document request counts at day granularity."""
 
-    __slots__ = ("days", "total", "first_seen", "last_seen", "mod_count")
+    __slots__ = ("days", "total", "last_seen")
 
-    def __init__(self, now: float):
+    def __init__(self):
         self.days: deque = deque()  # [day_index, count] pairs
         self.total = 0
-        self.first_seen = now
-        self.last_seen = now
-        self.mod_count = 0
-
-    def add(self, now: float) -> None:
-        day = int(now // DAY)
-        if self.days and self.days[-1][0] == day:
-            self.days[-1][1] += 1
-        else:
-            self.days.append([day, 1])
-        self.total += 1
-        self.last_seen = now
+        self.last_seen = 0.0
 
     def window_total(self, now: float, retention: float) -> int:
         cutoff = int((now - retention) // DAY)
@@ -277,6 +266,12 @@ class ZBSCache:
     fetched or last refreshed; in byte mode the metric is divided by the
     document size, favouring small popular documents per byte.  Ties
     evict the oldest admission first.
+
+    The kernel index is one slot per kernel document holding its fetch
+    time lm and its weight w = 1/theta (1/(theta * size) in byte mode),
+    so C = (now - lm) * w.  C ages with `now` and no static order holds
+    it, but `now` is fixed within one eviction round: the round scores
+    every slot once and takes each victim by argmax over those scores.
     """
 
     def __init__(
@@ -303,35 +298,30 @@ class ZBSCache:
         self.over_limit = False
         self._seq = 0
         self._start: float | None = None
-        # Bucket index for the object metric: per-theta min-heaps ordered
-        # by (last_modified, admitted_at, seq) plus a dense head array so
-        # victim search is one vectorised scan over thetas.
-        self._heaps: dict[int, list] = {}
-        self._head_lm = np.full(1024, math.inf)
-        self._inv_theta = np.empty(1024)
-        self._inv_theta[0] = 1.0
-        self._inv_theta[1:] = 1.0 / np.arange(1, 1024)
-        self._max_theta = 0
-        # Slot index for the byte metric: per-entry last_modified and
-        # 1/(theta*size) weights in parallel arrays, victim by argmax of
-        # (now - lm) * w.  Freed slots carry lm = inf so they score -inf.
-        self._slot: dict[str, int] = {}
+        # Slot i holds lm and w of document _slot_obj[i]; a free slot holds
+        # None and lm = inf, so it scores -inf.  _c is the score buffer.
         self._slot_obj: list = []
-        self._arr_lm = np.full(1024, math.inf)
-        self._arr_w = np.ones(1024)
         self._free: list[int] = []
-        self._used = 0
+        self._lm = np.full(1024, math.inf)
+        self._w = np.ones(1024)
+        self._c = np.empty(1024)
 
     # -- statistics ---------------------------------------------------
 
-    def _note_request(self, obj: str, now: float) -> _Stats:
-        if self._start is None:
-            self._start = now
+    def _note_request(self, obj: str, now: float) -> None:
         st = self.stats.get(obj)
         if st is None:
-            st = self.stats[obj] = _Stats(now)
-        st.add(now)
-        return st
+            if self._start is None:
+                self._start = now
+            st = self.stats[obj] = _Stats()
+        day = int(now // DAY)
+        days = st.days
+        if days and days[-1][0] == day:
+            days[-1][1] += 1
+        else:
+            days.append([day, 1])
+        st.total += 1
+        st.last_seen = now
 
     def on_expire_stats(self, now: float) -> None:
         if self._start is None or now - self._start <= self.retention:
@@ -345,81 +335,29 @@ class ZBSCache:
         for obj in drop:
             del self.stats[obj]
 
-    # -- theta bucket maintenance -------------------------------------
+    # -- kernel index -------------------------------------------------
 
-    def _grow(self, theta: int) -> None:
-        size = len(self._head_lm)
-        new_size = size
-        while theta >= new_size:
-            new_size *= 2
-        head = np.full(new_size, math.inf)
-        head[:size] = self._head_lm
-        inv = np.empty(new_size)
-        inv[:size] = self._inv_theta
-        inv[size:] = 1.0 / np.arange(size, new_size)
-        self._head_lm = head
-        self._inv_theta = inv
+    def _index(self, entry: _KernelEntry) -> None:
+        i = entry.slot
+        self._lm[i] = entry.last_modified
+        self._w[i] = 1.0 / (entry.theta * entry.size if self.byte_metric else entry.theta)
 
-    def _bucket_add(self, theta: int, entry: _KernelEntry, obj: str) -> None:
-        if theta >= len(self._head_lm):
-            self._grow(theta)
-        heappush(
-            self._heaps.setdefault(theta, []),
-            (entry.last_modified, entry.admitted_at, entry.seq, obj),
-        )
-        if entry.last_modified < self._head_lm[theta]:
-            self._head_lm[theta] = entry.last_modified
-        if theta > self._max_theta:
-            self._max_theta = theta
-
-    def _refresh_head(self, theta: int) -> None:
-        heap = self._heaps.get(theta)
-        kernel = self.kernel
-        while heap:
-            lm, _, seq, obj = heap[0]
-            e = kernel.get(obj)
-            if e is not None and e.theta == theta and e.last_modified == lm and e.seq == seq:
-                self._head_lm[theta] = lm
-                return
-            heappop(heap)
-        if heap is not None and not heap:
-            del self._heaps[theta]
-        self._head_lm[theta] = math.inf
-
-    def _bucket_remove(self, theta: int, old_lm: float) -> None:
-        # Lazy removal: only rebuild the head when the departing entry
-        # could have been it.
-        if old_lm <= self._head_lm[theta]:
-            self._refresh_head(theta)
-
-    # -- byte-metric slot maintenance ----------------------------------
-
-    def _slot_alloc(self, obj: str, entry: _KernelEntry) -> None:
+    def _take_slot(self, obj: str) -> int:
         if self._free:
             i = self._free.pop()
             self._slot_obj[i] = obj
-        else:
-            i = self._used
-            self._used += 1
-            if i >= len(self._arr_lm):
-                n = len(self._arr_lm)
-                self._arr_lm = np.concatenate([self._arr_lm, np.full(n, math.inf)])
-                self._arr_w = np.concatenate([self._arr_w, np.ones(n)])
-            self._slot_obj.append(obj)
-        self._slot[obj] = i
-        self._arr_lm[i] = entry.last_modified
-        self._arr_w[i] = 1.0 / (entry.theta * entry.size)
+            return i
+        i = len(self._slot_obj)
+        self._slot_obj.append(obj)
+        if i == len(self._lm):
+            self._lm = np.concatenate([self._lm, np.full(i, math.inf)])
+            self._w = np.concatenate([self._w, np.ones(i)])
+            self._c = np.empty(2 * i)
+        return i
 
-    def _slot_update(self, obj: str, entry: _KernelEntry) -> None:
-        i = self._slot[obj]
-        self._arr_lm[i] = entry.last_modified
-        self._arr_w[i] = 1.0 / (entry.theta * entry.size)
-
-    def _slot_release(self, obj: str) -> None:
-        i = self._slot.pop(obj)
+    def _release_slot(self, i: int) -> None:
         self._slot_obj[i] = None
-        self._arr_lm[i] = math.inf
-        self._arr_w[i] = 1.0
+        self._lm[i] = math.inf
         self._free.append(i)
 
     # -- placement ----------------------------------------------------
@@ -427,13 +365,11 @@ class ZBSCache:
     def _admit_kernel(self, obj: str, size: int, now: float, theta: int,
                       last_modified: float, admitted_at: float) -> None:
         self._seq += 1
-        entry = _KernelEntry(theta, last_modified, size, admitted_at, self._seq)
+        entry = _KernelEntry(theta, last_modified, size, admitted_at, self._seq,
+                             self._take_slot(obj))
         self.kernel[obj] = entry
+        self._index(entry)
         self.kernel_bytes += size
-        if self.byte_metric:
-            self._slot_alloc(obj, entry)
-        else:
-            self._bucket_add(theta, entry, obj)
         if self.kernel_bytes > self.kern_cap:
             self.over_limit = True
 
@@ -462,13 +398,8 @@ class ZBSCache:
         self._note_request(obj, now)
         entry = self.kernel.get(obj)
         if entry is not None:
-            theta = entry.theta
-            entry.theta = theta + 1
-            if self.byte_metric:
-                self._slot_update(obj, entry)
-            else:
-                self._bucket_remove(theta, entry.last_modified)
-                self._bucket_add(theta + 1, entry, obj)
+            entry.theta += 1
+            self._index(entry)
             return
         acc = self.accessory.pop(obj, None)
         if acc is None:
@@ -484,21 +415,14 @@ class ZBSCache:
         self._admit_kernel(obj, size, now, 2, admitted_at, admitted_at)
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        st = self._note_request(obj, now)
-        st.mod_count += 1
+        self._note_request(obj, now)
         entry = self.kernel.get(obj)
         if entry is not None:
-            old_theta = entry.theta
-            old_lm = entry.last_modified
             self.kernel_bytes += size - entry.size
             entry.size = size
             entry.theta = 1
             entry.last_modified = now
-            if self.byte_metric:
-                self._slot_update(obj, entry)
-            else:
-                self._bucket_remove(old_theta, old_lm)
-                self._bucket_add(1, entry, obj)
+            self._index(entry)
         else:
             acc = self.accessory.pop(obj, None)
             if acc is None:
@@ -512,10 +436,7 @@ class ZBSCache:
         entry = self.kernel.pop(obj, None)
         if entry is not None:
             self.kernel_bytes -= entry.size
-            if self.byte_metric:
-                self._slot_release(obj)
-            else:
-                self._bucket_remove(entry.theta, entry.last_modified)
+            self._release_slot(entry.slot)
             return
         acc = self.accessory.pop(obj, None)
         if acc is not None:
@@ -526,51 +447,38 @@ class ZBSCache:
     def metric(self, obj: str, now: float) -> float:
         """Staleness metric C of a kernel-resident document."""
         e = self.kernel[obj]
-        c = (now - e.last_modified) / e.theta
-        return c / e.size if self.byte_metric else c
+        return float((now - e.last_modified) * self._w[e.slot])
 
-    def _kernel_victim(self, now: float) -> str:
-        if self.byte_metric:
-            # Highest metric wins; earlier admission (then sequence) on ties.
-            used = self._used
-            if used == 0:
-                raise EvictionInfeasible("kernel index empty but space still needed")
-            c = (now - self._arr_lm[:used]) * self._arr_w[:used]
-            best = float(c.max())
+    def _evict_kernel(self, now: float, victims: list[str]) -> None:
+        n = len(self._slot_obj)
+        c = self._c[:n]
+        np.subtract(now, self._lm[:n], out=c)
+        c *= self._w[:n]
+        kernel = self.kernel
+        slot_obj = self._slot_obj
+        i = int(c.argmax())
+        while self.kernel_bytes > self.kern_cap:
+            best = c.item(i)
             if best == -math.inf:
-                raise EvictionInfeasible("kernel index empty but space still needed")
-            tied = np.flatnonzero(c == best)
-            if len(tied) == 1:
-                return self._slot_obj[int(tied[0])]
-            kernel = self.kernel
-            return min((self._slot_obj[int(i)] for i in tied),
-                       key=lambda o: (kernel[o].admitted_at, kernel[o].seq))
-        # Head timestamps are maintained lazily and can only understate the
-        # true head (overstating C), so a bucket whose head survives
-        # revalidation at the argmax is the genuine global maximum.
-        top = self._max_theta + 1
-        inv = self._inv_theta[:top]
-        while True:
-            c = (now - self._head_lm[:top]) * inv
-            best = int(np.argmax(c))
-            best_c = c[best]
-            if best_c == -math.inf:
-                raise EvictionInfeasible("kernel index empty but space still needed")
-            before = self._head_lm[best]
-            self._refresh_head(best)
-            if self._head_lm[best] == before:
-                break
-        tied = np.flatnonzero(c == best_c)
-        if len(tied) == 1:
-            return self._heaps[best][0][3]
-        choices = []
-        for theta in tied:
-            theta = int(theta)
-            self._refresh_head(theta)
-            if (now - self._head_lm[theta]) * self._inv_theta[theta] == best_c:
-                lm, admitted_at, seq, obj = self._heaps[theta][0]
-                choices.append((admitted_at, seq, obj))
-        return min(choices)[2]
+                raise EvictionInfeasible("kernel empty but space still needed")
+            c[i] = -math.inf
+            # The next argmax is the next victim, unless it ties with this
+            # one; then the earliest admission (then sequence) goes first.
+            j = int(c.argmax())
+            if c.item(j) == best:
+                tied = np.flatnonzero(c == best).tolist()
+                tied.append(i)
+                victim = min(tied, key=lambda s: (kernel[slot_obj[s]].admitted_at,
+                                                  kernel[slot_obj[s]].seq))
+                tied.remove(victim)
+                c[i] = best
+                c[victim] = -math.inf
+                i, j = victim, tied[0]
+            obj = slot_obj[i]
+            self.kernel_bytes -= kernel.pop(obj).size
+            self._release_slot(i)
+            victims.append(obj)
+            i = j
 
     def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
         victims: list[str] = []
@@ -580,17 +488,8 @@ class ZBSCache:
             victims.append(obj)
         if self.accessory_bytes > self.peak_accessory_bytes:
             self.peak_accessory_bytes = self.accessory_bytes
-        while self.kernel_bytes > self.kern_cap:
-            if not self.kernel:
-                raise EvictionInfeasible("kernel empty but space still needed")
-            obj = self._kernel_victim(now)
-            entry = self.kernel.pop(obj)
-            self.kernel_bytes -= entry.size
-            if self.byte_metric:
-                self._slot_release(obj)
-            else:
-                self._bucket_remove(entry.theta, entry.last_modified)
-            victims.append(obj)
+        if self.kernel_bytes > self.kern_cap:
+            self._evict_kernel(now, victims)
         self.over_limit = False
         return victims
 
@@ -613,6 +512,6 @@ def make_policy(config) -> object:
             capacity,
             accessory_fraction=config.accessory_fraction,
             retention=retention,
-            byte_metric=pid == "zbs-byte" or config.byte_metric_mode,
+            byte_metric=pid == "zbs-byte",
         )
     raise ValueError(f"unknown policy {pid!r}; valid ids: {', '.join(POLICY_IDS)}")

@@ -3,7 +3,8 @@
 The engine owns residency, freshness and byte accounting; replacement
 decisions live in policy objects (see `policies`).  Semantics:
 
-* Events must be time-ordered; zero service and fetch latency.
+* Events must be time-ordered with finite timestamps; zero service and
+  fetch latency.
 * A request to a fresh resident copy is a hit.  A request to a stale
   resident copy is a miss that immediately refetches the document in
   place (counted in `stale_refetches` and `demand_bytes`).
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,7 +60,6 @@ class CacheConfig:
     policy_id: str = "lru"
     accessory_fraction: float = 0.10
     stats_retention_seconds: float | None = None
-    byte_metric_mode: bool = False
     object_count_mode: bool = False
     prefetch: PrefetchConfig | None = None
 
@@ -175,15 +176,18 @@ class _Engine:
         resident = self.resident
         req_counts = self.req_counts
         layer = self.layer
-        last_t = -math.inf
-        next_tick = math.inf
+        inf = math.inf
+        last_t = -sys.float_info.max  # the least finite time, so -inf is out of range
+        next_tick = inf
         for ev in events:
             now = ev.timestamp
-            if now < last_t:
+            if not last_t <= now < inf:
+                if not math.isfinite(now):
+                    raise SimulationError(f"non-finite timestamp {now!r}")
                 raise SimulationError(
                     f"trace not time-ordered: {now!r} after {last_t!r}"
                 )
-            if last_t == -math.inf:
+            if next_tick == inf:
                 next_tick = now + DAY_SECONDS
                 if layer is not None:
                     layer.note_start(now)

@@ -14,6 +14,7 @@ kind is R (request) or M (modification), cacheable is 0 or 1.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -307,7 +308,8 @@ def write_trace_file(events: Iterable[TraceEvent], path) -> None:
 def parse_trace_file(path) -> list[TraceEvent]:
     """Parse a native-format trace; errors carry the offending line number."""
     events: list[TraceEvent] = []
-    last_t = -math.inf
+    inf = math.inf
+    last_t = -sys.float_info.max  # the least finite time, so -inf is out of range
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
@@ -336,7 +338,11 @@ def parse_trace_file(path) -> list[TraceEvent]:
                 raise TraceFormatError(f"{path}:{lineno}: size must be > 0")
             if flag not in (0, 1):
                 raise TraceFormatError(f"{path}:{lineno}: cacheable must be 0 or 1")
-            if ts < last_t:
+            if not last_t <= ts < inf:
+                if not math.isfinite(ts):
+                    raise TraceFormatError(
+                        f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
+                    )
                 raise TraceFormatError(
                     f"{path}:{lineno}: timestamp {ts!r} out of order"
                 )
@@ -359,14 +365,15 @@ def parse_proxy_log(path) -> ProxyLogResult:
     client, code/status, bytes, method, URL, ...  GET lines with a 2xx or
     3xx status become request events keyed by URL; the cacheable flag is
     set for statuses 200/203/206/300/301/410.  Unparseable lines are
-    counted and skipped, other lines are counted as filtered.  Events are
+    counted and skipped, other lines are counted as filtered; a line with a
+    non-finite timestamp is an error.  Events are
     re-sorted by timestamp since real logs are ordered by completion time.
     """
     events: list[TraceEvent] = []
     skipped = 0
     filtered = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if len(parts) < 7:
                 if line.strip():
@@ -379,6 +386,10 @@ def parse_proxy_log(path) -> ProxyLogResult:
             except (ValueError, IndexError):
                 skipped += 1
                 continue
+            if not math.isfinite(ts):
+                raise TraceFormatError(
+                    f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
+                )
             method, url = parts[5], parts[6]
             if method != "GET" or not (200 <= status < 400):
                 filtered += 1

@@ -296,6 +296,18 @@ def test_simulate_missing_trace_exit_3(tmp_path):
     assert main(["simulate", "-t", str(tmp_path / "nope.csv")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("squid", [False, True])
+def test_non_finite_timestamp_exit_3(tmp_path, squid):
+    if squid:
+        path = tmp_path / "access.log"
+        path.write_text("nan 5 c TCP_MISS/200 400 GET http://a/x -\n")
+    else:
+        path = tmp_path / "t.csv"
+        path.write_text(f"{TRACE_HEADER}\n0.0,R,a,100,1\ninf,R,a,100,1\n")
+    flag = "--squid" if squid else "-t"
+    assert main(["simulate", flag, str(path), "--capacity", "1KB"]) == EXIT_IO
+
+
 def test_simulate_domain_error_exit_4(small_trace):
     assert main(["simulate", "-t", str(small_trace), "--capacity", "0"]) == EXIT_DOMAIN
     assert (

@@ -178,7 +178,7 @@ def test_theta_divides_staleness():
     p.on_hit("x", 6.0)  # theta 3 shields the older fetch
     _kernel_doc(p, "z", 7.0, 10.0)
     assert p.choose_victims(0, 12.0) == ["y"]
-    # second round exercises the lazily refreshed bucket heads
+    # second round ranks a kernel whose entries changed theta since the first
     p.on_hit("z", 15.0)
     _kernel_doc(p, "w", 16.0, 20.0)
     assert p.choose_victims(0, 21.0) == ["x"]
@@ -219,7 +219,18 @@ def test_byte_metric_divides_by_size():
     # big and w now tie at 0.010 (z scores 0.0075); earlier admission wins
     _kernel_doc(p, "z", 4.0, 5.0, size=400)
     assert p.choose_victims(0, 11.0) == ["big"]
-    assert sorted(p._slot) == sorted(p.kernel)
+    _assert_index_consistent(p)
+
+
+def _assert_index_consistent(p):
+    """Every kernel entry owns one slot that maps back to it; free slots
+    hold no document."""
+    slots = [e.slot for e in p.kernel.values()]
+    assert len(set(slots)) == len(slots)
+    assert all(p._slot_obj[e.slot] == obj for obj, e in p.kernel.items())
+    assert set(p._free).isdisjoint(slots)
+    assert all(p._slot_obj[i] is None for i in p._free)
+    assert len(slots) + len(p._free) == len(p._slot_obj)
 
 
 # -------------------------------------------------------------- whole runs
@@ -231,25 +242,26 @@ def test_zbs_invariants_after_seeded_run():
         mean_doc_size=1_000.0, size_spread=1.0, mu_p=1e-4, mu_u=1e-5, seed=31,
     )
     events = generate_trace(spec)
-    config = CacheConfig(capacity_bytes=40_000, policy_id="zbs")
-    eng = _Engine(config)
-    report = eng.run(events)
-    p = eng.policy
+    for policy_id in ("zbs", "zbs-byte"):
+        eng = _Engine(CacheConfig(capacity_bytes=40_000, policy_id=policy_id))
+        report = eng.run(events)
+        p = eng.policy
 
-    assert report.hits > 0 and report.evictions > 0
-    assert p.kernel_bytes == sum(e.size for e in p.kernel.values())
-    assert p.accessory_bytes == sum(s for s, _ in p.accessory.values())
-    assert p.kernel_bytes <= p.kern_cap
-    assert p.accessory_bytes <= p.acc_cap
-    assert p.peak_accessory_bytes <= p.acc_cap
-    assert set(eng.resident) == set(p.kernel) | set(p.accessory)
-    assert eng.occupancy == p.kernel_bytes + p.accessory_bytes
-    assert all(e.theta >= 1 for e in p.kernel.values())
+        assert report.hits > 0 and report.evictions > 0
+        assert p.kernel_bytes == sum(e.size for e in p.kernel.values())
+        assert p.accessory_bytes == sum(s for s, _ in p.accessory.values())
+        assert p.kernel_bytes <= p.kern_cap
+        assert p.accessory_bytes <= p.acc_cap
+        assert p.peak_accessory_bytes <= p.acc_cap
+        assert set(eng.resident) == set(p.kernel) | set(p.accessory)
+        assert eng.occupancy == p.kernel_bytes + p.accessory_bytes
+        assert all(e.theta >= 1 for e in p.kernel.values())
+        _assert_index_consistent(p)
 
-    last_t = events[-1].timestamp
-    for obj in p.accessory:
-        # a second in-window request would have promoted the document
-        assert p.stats[obj].window_total(last_t, p.retention) == 1
+        last_t = events[-1].timestamp
+        for obj in p.accessory:
+            # a second in-window request would have promoted the document
+            assert p.stats[obj].window_total(last_t, p.retention) == 1
 
 
 def test_zbs_deterministic_under_ties():
@@ -291,6 +303,5 @@ def test_make_policy_dispatch():
     assert isinstance(zbs, ZBSCache) and not zbs.byte_metric
     assert zbs.retention == MAX_RETENTION
     assert make_policy(CacheConfig(policy_id="zbs-byte")).byte_metric
-    assert make_policy(CacheConfig(policy_id="zbs", byte_metric_mode=True)).byte_metric
     with pytest.raises(ValueError):
         make_policy(CacheConfig(policy_id="arc"))

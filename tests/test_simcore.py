@@ -115,6 +115,13 @@ def test_unsorted_trace_rejected():
         simulate([_req(5, "a"), _req(4, "b")], _lru())
 
 
+@pytest.mark.parametrize("stamps", [(0, math.nan), (0, math.inf), (-math.inf,)])
+def test_non_finite_timestamp_rejected(stamps):
+    events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
+    with pytest.raises(SimulationError, match="non-finite"):
+        simulate(events, _lru())
+
+
 # ------------------------------------------------------------- whole traces
 
 

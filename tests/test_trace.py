@@ -254,6 +254,16 @@ def test_parse_rejects_time_going_backwards(tmp_path):
         parse_trace_file(p)
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("lineno", [2, 3])
+def test_parse_rejects_non_finite_timestamp(tmp_path, stamp, lineno):
+    p = tmp_path / "t.csv"
+    rows = ["0.0,R,a,100,1", f"{stamp},R,b,100,1"][3 - lineno:]
+    _write_lines(p, [trace.TRACE_HEADER, *rows])
+    with pytest.raises(TraceFormatError, match=f":{lineno}: timestamp must be finite"):
+        parse_trace_file(p)
+
+
 def test_parse_skips_blank_lines(tmp_path):
     p = tmp_path / "t.csv"
     _write_lines(p, [trace.TRACE_HEADER, "0.0,R,a,100,1", "", "1.0,M,a,50,1"])
@@ -283,3 +293,12 @@ def test_parse_proxy_log(tmp_path):
     assert [e.cacheable for e in result.events] == [False, True, True]
     assert result.events[2].size_bytes == 1  # zero-byte reply clamped
     assert all(e.kind == REQUEST for e in result.events)
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf"])
+def test_parse_proxy_log_rejects_non_finite_timestamp(tmp_path, stamp):
+    p = tmp_path / "access.log"
+    _write_lines(p, ["100.0 5 c TCP_MISS/200 400 GET http://a/x -",
+                     f"{stamp} 5 c TCP_MISS/200 400 GET http://a/y -"])
+    with pytest.raises(TraceFormatError, match=":2: timestamp must be finite"):
+        parse_proxy_log(p)
