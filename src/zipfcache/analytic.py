@@ -30,7 +30,6 @@ __all__ = [
     "TrafficModel",
     "SpecialPoints",
     "PartSizes",
-    "RenewalModel",
     "RequestVolume",
     "AlphaEstimates",
     "HitBounds",
@@ -172,30 +171,6 @@ class PartSizes:
     s_u: float
     t_eff: float | None = None
     t_u: float | None = None
-
-
-@dataclass(frozen=True)
-class RenewalModel:
-    """Popularity exponents and rates of a cache subject to document updates.
-
-    alpha_r is the depressed exponent measured on a cache whose documents
-    are being modified at rates mu_p (popular) and mu_u (unpopular);
-    delta_h is the hit-ratio loss attributed to those modifications.
-    """
-
-    alpha: float
-    alpha_r: float
-    delta_h: float
-    mu_p: float
-    mu_u: float
-    t_st: float | None = None
-    t_ch: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_alpha(self.alpha_r)
-        if self.alpha_r > self.alpha:
-            raise DomainError("alpha_r cannot exceed alpha")
 
 
 #: Measured operating point of a regional proxy used as a reference for

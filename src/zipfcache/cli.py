@@ -16,10 +16,10 @@ import re
 import sys
 from importlib import resources
 
-from . import analytic, prefetch, simcore, trace
+from . import analytic, simcore, trace
 from .analytic import DAY, DomainError
 from .policies import POLICY_IDS
-from .prefetch import SCHEME_IDS
+from .simcore import SCHEME_IDS
 
 __all__ = ["main"]
 
@@ -247,12 +247,7 @@ def cmd_simulate(args) -> int:
     sizes = args.sweep if args.sweep else [args.capacity]
     runs = []
     for size in sizes:
-        config = _run_config(args, size)
-        if args.prefetch:
-            report = prefetch.simulate_with_prefetch(events, config)
-        else:
-            report = simcore.simulate(events, config)
-        flat = report.to_dict()
+        flat = simcore.simulate(events, _run_config(args, size)).to_dict()
         flat["config"] = {
             **meta,
             "policy": args.policy,

@@ -9,19 +9,23 @@ origin's expense:
 * ``lifetime``   fetch a stale document once its copy age exceeds the
   mean observed interval between its modifications.
 
-The first two are threshold filters re-evaluated whenever the document
-changes; the lifetime rule can trigger without an observed change, so it
-is additionally evaluated once per simulated day.  Prefetched bytes are
-reported separately from demand bytes so the added bandwidth is
-measurable against the hit-ratio gain.
+The first two are threshold filters re-evaluated whenever a resident
+document changes.  The lifetime rule fires only on the engine's daily
+ticks: at a modification the copy's age is zero and cannot exceed the
+interval.  The layer keeps an index of the resident copies it saw go
+stale, and a tick evaluates the rule on those alone, in the order the
+engine admitted them.  Prefetched bytes are reported separately from
+demand bytes so the added bandwidth is measurable against the hit-ratio
+gain.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
-from .simcore import CacheConfig, SimReport, simulate
+from .simcore import SCHEME_IDS, CacheConfig, PrefetchConfig, SimReport, simulate
 
 __all__ = [
     "SCHEME_IDS",
@@ -34,8 +38,6 @@ __all__ = [
     "PrefetchLayer",
     "simulate_with_prefetch",
 ]
-
-SCHEME_IDS = ("goodfetch", "api", "lifetime")
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,34 @@ class ObjectPrefetchStats:
             raise ValueError(f"mod_count must be >= 0, got {self.mod_count!r}")
 
 
+def _good_fetch(p_i: float, l_i: float, a_rate: float) -> float:
+    exponent = a_rate * l_i
+    if exponent == 0.0:
+        return 0.0
+    if p_i >= 1.0:
+        return 1.0
+    return -math.expm1(exponent * math.log1p(-p_i))
+
+
+def _api(p_i: float, l_i: float, a_rate: float) -> float:
+    return a_rate * p_i * l_i
+
+
+def _lifetime_due(now: float, install_time: float, mod_count: int,
+                  last_modified: float) -> bool:
+    t_p = (now - install_time) / mod_count
+    return (now - last_modified) > t_p
+
+
 def good_fetch_probability(stats: ObjectPrefetchStats) -> float:
     """Probability the document is requested before its next change,
     1 - (1 - p_i)^(a l_i) for a l_i request opportunities per lifetime."""
-    exponent = stats.a_rate * stats.l_i
-    if exponent == 0.0:
-        return 0.0
-    if stats.p_i >= 1.0:
-        return 1.0
-    return -math.expm1(exponent * math.log1p(-stats.p_i))
+    return _good_fetch(stats.p_i, stats.l_i, stats.a_rate)
 
 
 def api_value(stats: ObjectPrefetchStats) -> float:
     """Expected requests per lifetime, a * p_i * l_i."""
-    return stats.a_rate * stats.p_i * stats.l_i
+    return _api(stats.p_i, stats.l_i, stats.a_rate)
 
 
 def freshness_factor(stats: ObjectPrefetchStats) -> float:
@@ -91,7 +107,8 @@ def freshness_factor(stats: ObjectPrefetchStats) -> float:
     return apl / (apl + 1.0)
 
 
-_SCORERS = {"goodfetch": good_fetch_probability, "api": api_value}
+# The threshold schemes' scores on plain floats (p_i, l_i, a_rate).
+_SCORERS = {"goodfetch": _good_fetch, "api": _api}
 
 
 def select_prefetch_set(
@@ -107,7 +124,7 @@ def select_prefetch_set(
         raise ValueError(
             f"unknown scheme {scheme!r}; threshold schemes: goodfetch, api"
         ) from None
-    picked = [(score(st), st.object_id) for st in stats_list]
+    picked = [(score(st.p_i, st.l_i, st.a_rate), st.object_id) for st in stats_list]
     picked = [(s, obj) for s, obj in picked if s > threshold]
     picked.sort(key=lambda t: (-t[0], t[1]))
     return [obj for _, obj in picked]
@@ -125,8 +142,7 @@ def lifetime_threshold(stats: ObjectPrefetchStats, now: float) -> bool:
         raise ValueError("now precedes install_time")
     if stats.mod_count == 0:
         return False
-    t_p = (now - stats.install_time) / stats.mod_count
-    return (now - stats.last_modified) > t_p
+    return _lifetime_due(now, stats.install_time, stats.mod_count, stats.last_modified)
 
 
 class PrefetchLayer:
@@ -135,7 +151,14 @@ class PrefetchLayer:
     Estimates the scoring inputs from the run itself: p_i from the
     engine's per-document request counters, a from the aggregate request
     count over elapsed time, and l_i as the mean observed time between
-    modifications since the trace start.
+    modifications since the trace start.  The inputs are plain floats
+    computed per event; no `ObjectPrefetchStats` is built.
+
+    For `lifetime`, `stale` indexes the documents whose resident copy the
+    layer saw go stale.  A copy turns stale only through a modification
+    the engine reports here, so every stale resident copy is indexed; an
+    indexed document that was since evicted, refetched or re-admitted
+    fresh is dropped at the next tick.
     """
 
     def __init__(self, scheme: str, threshold: float = -math.inf):
@@ -143,13 +166,17 @@ class PrefetchLayer:
             raise ValueError(
                 f"unknown scheme {scheme!r}; valid ids: {', '.join(SCHEME_IDS)}"
             )
+        if math.isnan(threshold):
+            raise ValueError("prefetch threshold must not be NaN")
         self.scheme = scheme
         self.threshold = threshold
+        self.score = _SCORERS.get(scheme)  # None for lifetime
         self.engine = None
         self.start: float | None = None
         self.mod_counts: dict[str, int] = {}
         self.last_mod: dict[str, float] = {}
         self.cur_size: dict[str, int] = {}
+        self.stale: dict[str, None] = {}
 
     def attach(self, engine) -> None:
         self.engine = engine
@@ -158,50 +185,51 @@ class PrefetchLayer:
         if self.start is None:
             self.start = t
 
-    def stats_for(self, obj: str, now: float) -> ObjectPrefetchStats | None:
-        """Current estimates for one document; None while inestimable."""
-        start = self.start
-        if start is None or now <= start:
-            return None
-        mods = self.mod_counts.get(obj, 0)
-        if mods == 0:
-            return None
-        elapsed = now - start
-        total = self.engine.cacheable_requests
-        return ObjectPrefetchStats(
-            object_id=obj,
-            p_i=self.engine.req_counts.get(obj, 0) / total if total else 0.0,
-            l_i=elapsed / mods,
-            a_rate=total / elapsed,
-            mod_count=mods,
-            install_time=start,
-            last_modified=self.last_mod[obj],
-        )
-
     def on_modification(self, obj: str, size: int, now: float, resident: bool) -> bool:
-        self.mod_counts[obj] = self.mod_counts.get(obj, 0) + 1
+        mods = self.mod_counts.get(obj, 0) + 1
+        self.mod_counts[obj] = mods
         self.last_mod[obj] = now
         self.cur_size[obj] = size
         if not resident:
             return False
-        st = self.stats_for(obj, now)
-        if st is None:
+        score = self.score
+        if score is None:
+            # lifetime: the copy's age is now - last_mod = 0.0 here, which
+            # never exceeds the positive interval (now - start) / mods, so
+            # the rule can only fire on a daily tick.
+            self.stale[obj] = None
             return False
-        if self.scheme == "lifetime":
-            return lifetime_threshold(st, now)
-        return _SCORERS[self.scheme](st) > self.threshold
+        start = self.start
+        if now <= start:
+            return False
+        elapsed = now - start
+        engine = self.engine
+        total = engine.cacheable_requests
+        p_i = engine.req_counts.get(obj, 0) / total if total else 0.0
+        return score(p_i, elapsed / mods, total / elapsed) > self.threshold
 
     def tick_refetches(self, now: float) -> list[tuple[str, int]]:
-        if self.scheme != "lifetime":
+        """Stale resident copies the lifetime rule fetches at `now`, in the
+        engine's admission order."""
+        if not self.stale:
             return []
-        out = []
-        for obj, entry in self.engine.resident.items():
-            if entry[1]:  # still fresh
-                continue
-            st = self.stats_for(obj, now)
-            if st is not None and lifetime_threshold(st, now):
-                out.append((obj, self.cur_size[obj]))
-        return out
+        resident = self.engine.resident
+        start = self.start
+        mod_counts = self.mod_counts
+        last_mod = self.last_mod
+        keep: dict[str, None] = {}
+        picks = []
+        for obj in self.stale:
+            entry = resident.get(obj)
+            if entry is None or entry[1]:
+                continue  # evicted, refetched or re-admitted fresh
+            keep[obj] = None
+            if _lifetime_due(now, start, mod_counts[obj], last_mod[obj]):
+                picks.append((entry[2], obj))
+        self.stale = keep
+        picks.sort()
+        cur_size = self.cur_size
+        return [(obj, cur_size[obj]) for _, obj in picks]
 
 
 def simulate_with_prefetch(
@@ -210,13 +238,10 @@ def simulate_with_prefetch(
     scheme: str | None = None,
     threshold: float | None = None,
 ) -> SimReport:
-    """simcore.simulate with a prefetch layer built from the arguments,
+    """simcore.simulate with the prefetch scheme and threshold given here,
     falling back to `config.prefetch` for unspecified ones."""
-    pf = config.prefetch
-    if scheme is None:
-        if pf is None:
-            raise ValueError("no prefetch scheme given in arguments or config")
-        scheme = pf.scheme
-    if threshold is None:
-        threshold = pf.threshold if pf is not None else -math.inf
-    return simulate(events, config, PrefetchLayer(scheme, threshold))
+    if scheme is None and config.prefetch is None:
+        raise ValueError("no prefetch scheme given in arguments or config")
+    given = {k: v for k, v in (("scheme", scheme), ("threshold", threshold)) if v is not None}
+    pf = dataclasses.replace(config.prefetch or PrefetchConfig(scheme), **given)
+    return simulate(events, dataclasses.replace(config, prefetch=pf))

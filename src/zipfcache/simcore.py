@@ -41,6 +41,9 @@ __all__ = [
 
 DAY_SECONDS = 86400.0
 
+# Prefetch schemes; see `prefetch`, which implements them.
+SCHEME_IDS = ("goodfetch", "api", "lifetime")
+
 
 class SimulationError(RuntimeError):
     """The simulation cannot continue (bad input stream or policy state)."""
@@ -48,7 +51,10 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrefetchConfig:
-    """Prefetch scheme selection; see `prefetch` for scheme semantics."""
+    """Prefetch scheme selection; see `prefetch` for scheme semantics.
+
+    `simulate` builds the prefetch layer from it.
+    """
 
     scheme: str
     threshold: float = float("-inf")
@@ -81,6 +87,15 @@ class CacheConfig:
                 f"unknown policy {self.policy_id!r}; valid ids: "
                 + ", ".join(policies.POLICY_IDS)
             )
+        pf = self.prefetch
+        if pf is not None:
+            if pf.scheme not in SCHEME_IDS:
+                raise DomainError(
+                    f"unknown prefetch scheme {pf.scheme!r}; valid ids: "
+                    + ", ".join(SCHEME_IDS)
+                )
+            if math.isnan(pf.threshold):
+                raise DomainError("prefetch threshold must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -116,8 +131,14 @@ class _Engine:
         self.capacity = config.capacity_bytes
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
+        if prefetch_layer is None and config.prefetch is not None:
+            from .prefetch import PrefetchLayer  # prefetch imports this module
+
+            prefetch_layer = PrefetchLayer(config.prefetch.scheme, config.prefetch.threshold)
         self.layer = prefetch_layer
-        self.resident: dict[str, list] = {}  # object_id -> [acct_size, fresh]
+        # object_id -> [acct_size, fresh, admitted]; `admitted` is the request
+        # count at admission, unique and increasing in the dict's order.
+        self.resident: dict[str, list] = {}
         self.req_counts: dict[str, int] = {}
         self.occupancy = 0
         self.requests = 0
@@ -224,7 +245,7 @@ class _Engine:
                     self.demand_bytes += size
                     acct = 1 if self.count_mode else size
                     if policy.on_miss_admit(obj, acct, now):
-                        resident[obj] = [acct, True]
+                        resident[obj] = [acct, True, self.requests]
                         self.occupancy += acct
                         if self.occupancy > self.capacity or policy.over_limit:
                             self._drain(now)
@@ -267,6 +288,7 @@ def simulate(
 ) -> SimReport:
     """Replay a trace against one cache configuration.
 
+    `prefetch_layer` defaults to a layer built from `config.prefetch`.
     Identical inputs produce identical reports; there is no hidden clock
     or nondeterministic state.
     """

@@ -110,6 +110,7 @@ def test_parse_size_units():
         ["simulate", "--capacity", "10QB"],
         ["predict"],  # --alpha is required
         ["frobnicate"],
+        ["simulate", "--prefetch", "bogus"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -314,6 +315,13 @@ def test_simulate_domain_error_exit_4(small_trace):
         main(["simulate", "-t", str(small_trace), "--retention-days", "10"])
         == EXIT_DOMAIN
     )
+
+
+def test_simulate_nan_threshold_exit_4(small_trace, capsys):
+    rc = main(["simulate", "-t", str(small_trace), "--prefetch", "goodfetch",
+               "--threshold", "nan"])
+    assert rc == EXIT_DOMAIN
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_single_report_to_file(small_trace, tmp_path):

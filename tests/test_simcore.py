@@ -5,7 +5,14 @@ import math
 import pytest
 
 from zipfcache.analytic import DomainError
-from zipfcache.simcore import CacheConfig, SimulationError, simulate, sweep_sizes
+from zipfcache.prefetch import PrefetchLayer
+from zipfcache.simcore import (
+    CacheConfig,
+    PrefetchConfig,
+    SimulationError,
+    simulate,
+    sweep_sizes,
+)
 from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
 
 
@@ -181,6 +188,34 @@ def test_config_validation():
         dict(accessory_fraction=0.0),
         dict(stats_retention_seconds=10 * 86400.0),
         dict(stats_retention_seconds=200 * 86400.0),
+        dict(prefetch=PrefetchConfig("bogus")),
+        dict(prefetch=PrefetchConfig("goodfetch", math.nan)),
     ):
         with pytest.raises(DomainError):
             simulate([], CacheConfig(**bad))
+
+
+# --------------------------------------------------------- prefetch config
+
+
+def _one_stale_copy():
+    return [_req(0, "a"), _mod(1, "a", 120), _req(2, "a", 120)]
+
+
+def test_simulate_builds_prefetch_layer_from_config():
+    cfg = _lru(prefetch=PrefetchConfig("goodfetch"))
+    report = simulate(_one_stale_copy(), cfg)
+    assert report.prefetch_fetches == 1 and report.prefetch_bytes == 120
+    assert report.hits == 1 and report.stale_refetches == 0
+    assert report == simulate(_one_stale_copy(), _lru(), PrefetchLayer("goodfetch"))
+    # an explicitly passed layer wins over the configured one
+    explicit = simulate(_one_stale_copy(), cfg, PrefetchLayer("goodfetch", math.inf))
+    assert explicit.prefetch_fetches == 0 and explicit.stale_refetches == 1
+
+
+def test_sweep_sizes_builds_prefetch_layer_from_config():
+    cfg = _lru(prefetch=PrefetchConfig("goodfetch"))
+    results = sweep_sizes(_one_stale_copy(), cfg, [150, 1000])
+    for size, report in results:
+        assert report.prefetch_fetches == 1
+        assert report == simulate(_one_stale_copy(), _lru(size), PrefetchLayer("goodfetch"))
