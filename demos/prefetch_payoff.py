@@ -4,11 +4,8 @@ hit ratio gained versus origin bytes spent.
 Run with: python3 demos/prefetch_payoff.py
 """
 
-import math
-
 from zipfcache.analytic import DAY
-from zipfcache.prefetch import simulate_with_prefetch
-from zipfcache.simcore import CacheConfig, simulate
+from zipfcache.simcore import CacheConfig, PrefetchConfig, simulate
 from zipfcache.trace import SyntheticSpec, generate_trace
 
 spec = SyntheticSpec(
@@ -34,13 +31,13 @@ print(f"demand-only baseline: H={plain.hit_ratio:.4f}, "
 print()
 print(f"{'scheme':>18} {'H':>8} {'prefetches':>11} {'extra MB':>9} {'extra %':>8}")
 runs = [
-    ("goodfetch all", "goodfetch", -math.inf),
-    ("goodfetch > 0.6", "goodfetch", 0.6),
-    ("api value > 5", "api", 5.0),
-    ("lifetime rule", "lifetime", None),
+    ("goodfetch all", PrefetchConfig("goodfetch")),
+    ("goodfetch > 0.6", PrefetchConfig("goodfetch", 0.6)),
+    ("api value > 5", PrefetchConfig("api", 5.0)),
+    ("lifetime rule", PrefetchConfig("lifetime")),
 ]
-for label, scheme, threshold in runs:
-    report = simulate_with_prefetch(events, config, scheme, threshold)
+for label, pf in runs:
+    report = simulate(events, CacheConfig(policy_id="lru", prefetch=pf))
     extra_bytes = report.demand_bytes + report.prefetch_bytes - plain.demand_bytes
     extra = extra_bytes / plain.demand_bytes
     print(f"{label:>18} {report.hit_ratio:>8.4f} {report.prefetch_fetches:>11} "

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import re
@@ -90,27 +91,32 @@ def _load_events(args):
         return trace.parse_trace_file(sample), {"input": "bundled-sample"}
 
 
-def _emit(report: dict, args) -> None:
-    """Write one report as JSON or two-column CSV to -o or stdout."""
-    if args.format == "csv":
-        rows = []
-        for key, value in report.items():
-            if isinstance(value, dict):
-                rows.extend((f"{key}.{k}", v) for k, v in value.items())
-            else:
-                rows.append((key, value))
-        if args.output:
-            with open(args.output, "w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
-        else:
-            csv.writer(sys.stdout).writerows(rows)
+def _emit(report, args) -> None:
+    """Write one report, or a sweep's list of reports, to -o or stdout as
+    JSON or as CSV: two-column metric rows, or one row per capacity."""
+    if args.format == "json":
+        text = json.dumps(report, indent=2) + "\n"
     else:
-        text = json.dumps(report, indent=2)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
+        if isinstance(report, list):
+            keys = [k for k in report[0] if k != "config"]
+            rows = [["capacity_bytes", *keys]]
+            rows += ([int(r["config"]["capacity_bytes"]), *(r[k] for k in keys)]
+                     for r in report)
         else:
-            print(text)
+            rows = []
+            for key, value in report.items():
+                if isinstance(value, dict):
+                    rows.extend((f"{key}.{k}", v) for k, v in value.items())
+                else:
+                    rows.append((key, value))
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue()
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_generate(args) -> int:
@@ -244,9 +250,8 @@ def _run_config(args, capacity: float) -> simcore.CacheConfig:
 
 def cmd_simulate(args) -> int:
     events, meta = _load_events(args)
-    sizes = args.sweep if args.sweep else [args.capacity]
     runs = []
-    for size in sizes:
+    for size in args.sweep or [args.capacity]:
         flat = simcore.simulate(events, _run_config(args, size)).to_dict()
         flat["config"] = {
             **meta,
@@ -261,38 +266,14 @@ def cmd_simulate(args) -> int:
             if args.prefetch and math.isfinite(args.threshold)
             else None,
         }
-        runs.append((size, flat))
+        runs.append(flat)
 
     if args.plot_data:
         with open(args.plot_data, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for size, flat in runs:
-                writer.writerow([int(size), flat["hit_ratio"]])
-
-    if args.sweep:
-        if args.format == "csv":
-            keys = [k for k in runs[0][1] if k != "config"]
-            if args.output:
-                fh = open(args.output, "w", newline="")
-            else:
-                fh = sys.stdout
-            try:
-                writer = csv.writer(fh)
-                writer.writerow(["capacity_bytes", *keys])
-                for size, flat in runs:
-                    writer.writerow([int(size), *(flat[k] for k in keys)])
-            finally:
-                if args.output:
-                    fh.close()
-        else:
-            text = json.dumps([flat for _, flat in runs], indent=2)
-            if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(text + "\n")
-            else:
-                print(text)
-    else:
-        _emit(runs[0][1], args)
+            csv.writer(fh).writerows(
+                [int(flat["config"]["capacity_bytes"]), flat["hit_ratio"]] for flat in runs
+            )
+    _emit(runs if args.sweep else runs[0], args)
     return EXIT_OK
 
 
@@ -301,10 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "csv"), default="json",
         help="report format (default json)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=0,
-        help="random seed; consumed by generate, accepted elsewhere (default 0)",
     )
     common.add_argument(
         "-o", "--output", metavar="PATH", default=None,
@@ -341,6 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probability a request is cacheable (default 1)")
     g.add_argument("--even-arrivals", action="store_true",
                    help="evenly spaced arrivals instead of Poisson")
+    g.add_argument("--seed", type=int, default=0,
+                   help="random seed (default 0)")
     g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("analyze", parents=[common],

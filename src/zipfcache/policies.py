@@ -12,9 +12,9 @@ The engine calls choose_victims whenever total occupancy exceeds
 capacity or the policy has flagged `over_limit`; the returned objects
 are gone and the policy must already have forgotten them.  A refetch of
 a stale copy is delivered through on_modification_fetched and counts as
-one access to the object.  Policies also expose `kernel_bytes` and
-`accessory_bytes` for occupancy reporting (single-area policies report
-everything as kernel).
+one access to the object.  Policies expose `accessory_bytes`; the
+engine reports its occupancy net of `accessory_bytes` as kernel
+occupancy.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "FIFOCache",
     "ZBSCache",
     "make_policy",
-    "stats_retention_for",
 ]
 
 DAY = 86400.0
@@ -46,104 +45,65 @@ class EvictionInfeasible(RuntimeError):
     """The policy cannot free the requested space."""
 
 
-def stats_retention_for(capacity_bytes: float, nu_int: float) -> float:
-    """Statistics retention span max(30 d, 10 * capacity / bandwidth), capped
-    at half a year.  `nu_int` is the demand bandwidth in bytes per second."""
-    if nu_int <= 0:
-        raise ValueError(f"nu_int must be > 0, got {nu_int!r}")
-    return min(max(MIN_RETENTION, 10.0 * capacity_bytes / nu_int), MAX_RETENTION)
-
-
 class _SingleArea:
-    """Shared bookkeeping for the one-area baseline policies."""
+    """Shared skeleton of the one-area baseline policies.
+
+    `entries` maps each resident document to its size, next victim
+    first.  The engine's occupancy is the only byte total.
+    """
 
     over_limit = False  # single-area policies only overflow engine capacity
+    accessory_bytes = 0
 
     def __init__(self, capacity: float):
         self.capacity = capacity
-        self.total = 0
+        self.entries: OrderedDict[str, int] = OrderedDict()
 
-    @property
-    def kernel_bytes(self) -> float:
-        return self.total
+    def on_hit(self, obj: str, now: float) -> None:
+        pass
 
-    accessory_bytes = 0
+    def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
+        if size > self.capacity:
+            return False
+        self.entries[obj] = size
+        return True
+
+    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
+        self.entries[obj] = size
+
+    def _pop_victim(self) -> tuple[str, int]:
+        return self.entries.popitem(last=False)
+
+    def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
+        victims: list[str] = []
+        while bytes_needed > 0:
+            if not self.entries:
+                raise EvictionInfeasible("cache empty but space still needed")
+            obj, size = self._pop_victim()
+            bytes_needed -= size
+            victims.append(obj)
+        return victims
+
+    def force_forget(self, obj: str) -> None:
+        del self.entries[obj]
 
     def on_expire_stats(self, now: float) -> None:
         pass
 
 
-class LRUCache(_SingleArea):
-    """Evict the least recently used document."""
-
-    def __init__(self, capacity: float):
-        super().__init__(capacity)
-        self.entries: OrderedDict[str, int] = OrderedDict()
-
-    def on_hit(self, obj: str, now: float) -> None:
-        self.entries.move_to_end(obj)
-
-    def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
-        if size > self.capacity:
-            return False
-        self.entries[obj] = size
-        self.total += size
-        return True
-
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        self.total += size - self.entries[obj]
-        self.entries[obj] = size
-        self.entries.move_to_end(obj)
-
-    def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
-        victims: list[str] = []
-        while bytes_needed > 0:
-            if not self.entries:
-                raise EvictionInfeasible("LRU cache empty but space still needed")
-            obj, size = self.entries.popitem(last=False)
-            self.total -= size
-            bytes_needed -= size
-            victims.append(obj)
-        return victims
-
-    def force_forget(self, obj: str) -> None:
-        self.total -= self.entries.pop(obj)
-
-
 class FIFOCache(_SingleArea):
     """Evict in admission order; requests never refresh position."""
 
-    def __init__(self, capacity: float):
-        super().__init__(capacity)
-        self.entries: OrderedDict[str, int] = OrderedDict()
+
+class LRUCache(_SingleArea):
+    """Evict the least recently used document."""
 
     def on_hit(self, obj: str, now: float) -> None:
-        pass
-
-    def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
-        if size > self.capacity:
-            return False
-        self.entries[obj] = size
-        self.total += size
-        return True
+        self.entries.move_to_end(obj)
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        self.total += size - self.entries[obj]
         self.entries[obj] = size
-
-    def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
-        victims: list[str] = []
-        while bytes_needed > 0:
-            if not self.entries:
-                raise EvictionInfeasible("FIFO cache empty but space still needed")
-            obj, size = self.entries.popitem(last=False)
-            self.total -= size
-            bytes_needed -= size
-            victims.append(obj)
-        return victims
-
-    def force_forget(self, obj: str) -> None:
-        self.total -= self.entries.pop(obj)
+        self.entries.move_to_end(obj)
 
 
 class LFUCache(_SingleArea):
@@ -179,39 +139,27 @@ class LFUCache(_SingleArea):
         self.entries[obj] = [size, 1]
         self.buckets.setdefault(1, OrderedDict())[obj] = None
         self.min_freq = 1
-        self.total += size
         return True
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        entry = self.entries[obj]
-        self.total += size - entry[0]
-        entry[0] = size
+        self.entries[obj][0] = size
         self._bump(obj)
 
-    def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
-        victims: list[str] = []
-        while bytes_needed > 0:
-            if not self.entries:
-                raise EvictionInfeasible("LFU cache empty but space still needed")
-            while self.min_freq not in self.buckets:
-                self.min_freq += 1
-            bucket = self.buckets[self.min_freq]
-            obj, _ = bucket.popitem(last=False)
-            if not bucket:
-                del self.buckets[self.min_freq]
-            size = self.entries.pop(obj)[0]
-            self.total -= size
-            bytes_needed -= size
-            victims.append(obj)
-        return victims
+    def _pop_victim(self) -> tuple[str, int]:
+        while self.min_freq not in self.buckets:
+            self.min_freq += 1
+        bucket = self.buckets[self.min_freq]
+        obj, _ = bucket.popitem(last=False)
+        if not bucket:
+            del self.buckets[self.min_freq]
+        return obj, self.entries.pop(obj)[0]
 
     def force_forget(self, obj: str) -> None:
-        size, freq = self.entries.pop(obj)
+        freq = self.entries.pop(obj)[1]
         bucket = self.buckets[freq]
         del bucket[obj]
         if not bucket:
             del self.buckets[freq]
-        self.total -= size
 
 
 class _KernelEntry:

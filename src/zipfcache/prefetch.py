@@ -21,11 +21,10 @@ gain.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
-from .simcore import SCHEME_IDS, CacheConfig, PrefetchConfig, SimReport, simulate
+from .simcore import SCHEME_IDS
 
 __all__ = [
     "SCHEME_IDS",
@@ -36,7 +35,6 @@ __all__ = [
     "select_prefetch_set",
     "lifetime_threshold",
     "PrefetchLayer",
-    "simulate_with_prefetch",
 ]
 
 
@@ -231,17 +229,3 @@ class PrefetchLayer:
         cur_size = self.cur_size
         return [(obj, cur_size[obj]) for _, obj in picks]
 
-
-def simulate_with_prefetch(
-    events,
-    config: CacheConfig,
-    scheme: str | None = None,
-    threshold: float | None = None,
-) -> SimReport:
-    """simcore.simulate with the prefetch scheme and threshold given here,
-    falling back to `config.prefetch` for unspecified ones."""
-    if scheme is None and config.prefetch is None:
-        raise ValueError("no prefetch scheme given in arguments or config")
-    given = {k: v for k, v in (("scheme", scheme), ("threshold", threshold)) if v is not None}
-    pf = dataclasses.replace(config.prefetch or PrefetchConfig(scheme), **given)
-    return simulate(events, dataclasses.replace(config, prefetch=pf))

@@ -53,7 +53,8 @@ class SimulationError(RuntimeError):
 class PrefetchConfig:
     """Prefetch scheme selection; see `prefetch` for scheme semantics.
 
-    `simulate` builds the prefetch layer from it.
+    `threshold` filters the goodfetch and api scores; lifetime takes
+    none.  `simulate` builds the prefetch layer from it.
     """
 
     scheme: str
@@ -77,7 +78,7 @@ class CacheConfig:
                 f"accessory_fraction must be in (0, 0.10], got {self.accessory_fraction!r}"
             )
         if self.stats_retention_seconds is not None:
-            lo, hi = 30 * DAY_SECONDS, 183 * DAY_SECONDS
+            lo, hi = policies.MIN_RETENTION, policies.MAX_RETENTION
             if not (lo <= self.stats_retention_seconds <= hi):
                 raise DomainError(
                     f"stats retention must be within [{lo:g}, {hi:g}] seconds"
@@ -96,6 +97,8 @@ class CacheConfig:
                 )
             if math.isnan(pf.threshold):
                 raise DomainError("prefetch threshold must not be NaN")
+            if pf.scheme == "lifetime" and pf.threshold != -math.inf:
+                raise DomainError("the lifetime scheme takes no threshold")
 
 
 @dataclass(frozen=True)
@@ -276,7 +279,7 @@ class _Engine:
             prefetch_fetches=self.prefetch_fetches,
             demand_bytes=self.demand_bytes,
             prefetch_bytes=self.prefetch_bytes,
-            kernel_occupancy_bytes=int(self.policy.kernel_bytes),
+            kernel_occupancy_bytes=int(self.occupancy - self.policy.accessory_bytes),
             accessory_occupancy_bytes=int(self.policy.accessory_bytes),
         )
 

@@ -16,12 +16,8 @@ from zipfcache import analytic
 from zipfcache.analytic import DAY, ZipfLaw, special_points
 from zipfcache.cli import main
 from zipfcache.policies import ZBSCache
-from zipfcache.prefetch import (
-    ObjectPrefetchStats,
-    lifetime_threshold,
-    simulate_with_prefetch,
-)
-from zipfcache.simcore import CacheConfig, _Engine, simulate, sweep_sizes
+from zipfcache.prefetch import ObjectPrefetchStats, lifetime_threshold
+from zipfcache.simcore import CacheConfig, PrefetchConfig, _Engine, simulate, sweep_sizes
 from zipfcache.trace import (
     REQUEST,
     SyntheticSpec,
@@ -210,8 +206,9 @@ def test_zbs_behavior(capsys, renewal_events):
 
 def test_prefetch_dominance_and_cost(capsys, renewal_events, renewal_unbounded):
     plain = renewal_unbounded
-    pf = simulate_with_prefetch(
-        renewal_events, CacheConfig(policy_id="lru"), "goodfetch", -math.inf
+    pf = simulate(
+        renewal_events,
+        CacheConfig(policy_id="lru", prefetch=PrefetchConfig("goodfetch", -math.inf)),
     )
     extra = (pf.demand_bytes + pf.prefetch_bytes - plain.demand_bytes) / plain.demand_bytes
     ref = analytic.REFERENCE_OPERATING_POINT

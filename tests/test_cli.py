@@ -111,6 +111,7 @@ def test_parse_size_units():
         ["predict"],  # --alpha is required
         ["frobnicate"],
         ["simulate", "--prefetch", "bogus"],
+        ["simulate", "--seed", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -313,6 +314,12 @@ def test_simulate_domain_error_exit_4(small_trace):
     assert main(["simulate", "-t", str(small_trace), "--capacity", "0"]) == EXIT_DOMAIN
     assert (
         main(["simulate", "-t", str(small_trace), "--retention-days", "10"])
+        == EXIT_DOMAIN
+    )
+    # lifetime has no score to filter; a threshold would be echoed unused
+    assert (
+        main(["simulate", "-t", str(small_trace), "--prefetch", "lifetime",
+              "--threshold", "1e9"])
         == EXIT_DOMAIN
     )
 

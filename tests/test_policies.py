@@ -14,7 +14,6 @@ from zipfcache.policies import (
     LRUCache,
     ZBSCache,
     make_policy,
-    stats_retention_for,
 )
 from zipfcache.simcore import CacheConfig, _Engine, simulate
 from zipfcache.trace import REQUEST, SyntheticSpec, TraceEvent, generate_trace
@@ -58,7 +57,7 @@ def test_lru_choose_victims_batch():
     for i, obj in enumerate("abcd"):
         lru.on_miss_admit(obj, 100, float(i))
     assert lru.choose_victims(250, 5.0) == ["a", "b", "c"]
-    assert lru.total == 100
+    assert list(lru.entries.items()) == [("d", 100)]
     with pytest.raises(EvictionInfeasible):
         LRUCache(1000).choose_victims(10, 0.0)
 
@@ -285,14 +284,6 @@ def test_expire_stats_drops_only_idle_nonresident():
 
 
 # ----------------------------------------------------------- configuration
-
-
-def test_stats_retention_for_clamps():
-    assert stats_retention_for(1e6, 1e6) == MIN_RETENTION
-    assert stats_retention_for(1e12, 1.0) == MAX_RETENTION
-    assert stats_retention_for(1e9, 1e3) == pytest.approx(1e7)
-    with pytest.raises(ValueError):
-        stats_retention_for(1e9, 0.0)
 
 
 def test_make_policy_dispatch():

@@ -13,7 +13,6 @@ from zipfcache.prefetch import (
     good_fetch_probability,
     lifetime_threshold,
     select_prefetch_set,
-    simulate_with_prefetch,
 )
 from zipfcache.simcore import CacheConfig, PrefetchConfig, simulate
 from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
@@ -113,6 +112,11 @@ def test_stats_validation():
 # ------------------------------------------------------- engine integration
 
 
+def _lru_with(scheme, threshold=-math.inf):
+    """An unbounded lru cache under the given prefetch scheme."""
+    return CacheConfig(policy_id="lru", prefetch=PrefetchConfig(scheme, threshold))
+
+
 def _events_single_doc():
     return [
         TraceEvent(0.0, REQUEST, "a", 100),
@@ -125,9 +129,7 @@ def _events_single_doc():
 
 
 def test_goodfetch_layer_single_doc_walk():
-    report = simulate_with_prefetch(
-        _events_single_doc(), CacheConfig(policy_id="lru"), "goodfetch", -math.inf
-    )
+    report = simulate(_events_single_doc(), _lru_with("goodfetch", -math.inf))
     assert report.requests == 4
     assert report.hits == 3  # every request after the first finds a fresh copy
     assert report.stale_refetches == 0
@@ -150,7 +152,7 @@ def test_infinite_threshold_is_a_no_op_layer():
     )
     events = generate_trace(spec)
     cfg = CacheConfig(policy_id="lru")
-    assert simulate_with_prefetch(events, cfg, "goodfetch", math.inf) == simulate(events, cfg)
+    assert simulate(events, _lru_with("goodfetch", math.inf)) == simulate(events, cfg)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -162,7 +164,7 @@ def test_prefetch_all_converts_stale_misses_to_hits(seed):
     events = generate_trace(spec)
     cfg = CacheConfig(policy_id="lru")
     plain = simulate(events, cfg)
-    pf = simulate_with_prefetch(events, cfg, "goodfetch", -math.inf)
+    pf = simulate(events, _lru_with("goodfetch", -math.inf))
     assert pf.stale_refetches == 0
     assert pf.hits == plain.hits + plain.stale_refetches
     # constant sizes make the bandwidth ledger exact
@@ -177,7 +179,7 @@ def test_lifetime_rule_fires_on_daily_tick():
         TraceEvent(2 * DAY, MODIFICATION, "a", 120),
         TraceEvent(5.5 * DAY, REQUEST, "a", 120),
     ]
-    report = simulate_with_prefetch(events, CacheConfig(policy_id="lru"), "lifetime")
+    report = simulate(events, _lru_with("lifetime"))
     # mean interval 5d/2 = 2.5 d; copy age 3 d crosses it at the day-5 tick
     # (day 4 compares 2 d against 2 d and must not fetch)
     assert report.prefetch_fetches == 1
@@ -190,12 +192,5 @@ def test_lifetime_rule_fires_on_daily_tick():
 
 
 def test_config_carries_prefetch_settings():
-    events = _events_single_doc()
-    cfg = CacheConfig(policy_id="lru", prefetch=PrefetchConfig("goodfetch"))
-    assert simulate_with_prefetch(events, cfg) == simulate_with_prefetch(
-        events, CacheConfig(policy_id="lru"), "goodfetch", -math.inf
-    )
-    with pytest.raises(ValueError, match="no prefetch scheme"):
-        simulate_with_prefetch(events, CacheConfig(policy_id="lru"))
     with pytest.raises(ValueError, match="unknown scheme"):
         PrefetchLayer("bogus")

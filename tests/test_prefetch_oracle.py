@@ -236,10 +236,14 @@ def _checked(engine, events, prefetched):
         occupancy = engine.occupancy
         assert occupancy == sum(entry[0] for entry in engine.resident.values())
         assert occupancy <= engine.capacity
-        assert policy.kernel_bytes + policy.accessory_bytes == occupancy
-        if policy_id.startswith("zbs"):  # and each area within its own cap
+        if policy_id.startswith("zbs"):  # the areas add up, each within its cap
+            assert policy.kernel_bytes + policy.accessory_bytes == occupancy
             assert policy.kernel_bytes <= policy.kern_cap
             assert policy.accessory_bytes <= policy.acc_cap
+        else:  # the policy holds exactly the resident documents at their sizes
+            held = {obj: e[0] if isinstance(e, list) else e  # lfu keeps [size, freq]
+                    for obj, e in policy.entries.items()}
+            assert held == {obj: entry[0] for obj, entry in engine.resident.items()}
         assert engine.prefetch_bytes == sum(prefetched)
         assert engine.prefetch_fetches == len(prefetched)
 

@@ -190,6 +190,7 @@ def test_config_validation():
         dict(stats_retention_seconds=200 * 86400.0),
         dict(prefetch=PrefetchConfig("bogus")),
         dict(prefetch=PrefetchConfig("goodfetch", math.nan)),
+        dict(prefetch=PrefetchConfig("lifetime", 0.5)),
     ):
         with pytest.raises(DomainError):
             simulate([], CacheConfig(**bad))
