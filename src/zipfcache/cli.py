@@ -241,7 +241,7 @@ def _run_config(args, capacity: float) -> simcore.CacheConfig:
         policy_id=args.policy,
         accessory_fraction=args.accessory_fraction,
         stats_retention_seconds=args.retention_days * DAY
-        if args.retention_days
+        if args.retention_days is not None
         else None,
         object_count_mode=args.count_mode,
         prefetch=pf,
@@ -249,6 +249,16 @@ def _run_config(args, capacity: float) -> simcore.CacheConfig:
 
 
 def cmd_simulate(args) -> int:
+    # A setting the run would ignore is refused rather than echoed as used.
+    if not args.prefetch and args.threshold != -math.inf:
+        raise DomainError("--threshold has no effect without --prefetch")
+    if args.policy not in ("zbs", "zbs-byte"):
+        for flag, value in (("--accessory-fraction", args.accessory_fraction),
+                            ("--retention-days", args.retention_days)):
+            if value is not None:
+                raise DomainError(f"{flag} has no effect with --policy {args.policy}")
+    if args.accessory_fraction is None:
+        args.accessory_fraction = simcore.CacheConfig.accessory_fraction
     events, meta = _load_events(args)
     runs = []
     for size in args.sweep or [args.capacity]:
@@ -278,11 +288,12 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    report = argparse.ArgumentParser(add_help=False)  # every command but generate
+    report.add_argument(
         "--format", choices=("json", "csv"), default="json",
         help="report format (default json)",
     )
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "-o", "--output", metavar="PATH", default=None,
         help="output path (default: trace.csv for generate, stdout otherwise)",
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random seed (default 0)")
     g.set_defaults(func=cmd_generate)
 
-    a = sub.add_parser("analyze", parents=[common],
+    a = sub.add_parser("analyze", parents=[report, common],
                        help="popularity and lifetime statistics of a trace")
     a.add_argument("trace", nargs="?", default=None,
                    help="native trace path (default: bundled sample)")
@@ -334,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="measured hit ratio; enables alpha_r and delta_h")
     a.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("predict", parents=[common],
+    p = sub.add_parser("predict", parents=[report, common],
                        help="closed-form hit-ratio and sizing predictions")
     p.add_argument("--alpha", type=float, required=True,
                    help="popularity exponent")
@@ -366,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total request count for the counting hit bound")
     p.set_defaults(func=cmd_predict)
 
-    s = sub.add_parser("simulate", parents=[common],
+    s = sub.add_parser("simulate", parents=[report, common],
                        help="replay a trace against a cache policy")
     s.add_argument("-t", "--trace", default=None,
                    help="native trace path (default: bundled sample)")
@@ -384,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="layer a prefetching scheme over the cache")
     s.add_argument("--threshold", type=float, default=-math.inf,
                    help="prefetch selection threshold (default: select all)")
-    s.add_argument("--accessory-fraction", type=float, default=0.10,
+    s.add_argument("--accessory-fraction", type=float, default=None,
                    help="accessory share of capacity for zbs (default 0.10)")
     s.add_argument("--retention-days", type=float, default=None,
                    help="request-statistics retention for zbs, 30..183 days")

@@ -20,7 +20,7 @@ occupancy.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 
 import numpy as np
 
@@ -174,24 +174,6 @@ class _KernelEntry:
         self.slot = slot
 
 
-class _Stats:
-    """Per-document request counts at day granularity."""
-
-    __slots__ = ("days", "total", "last_seen")
-
-    def __init__(self):
-        self.days: deque = deque()  # [day_index, count] pairs
-        self.total = 0
-        self.last_seen = 0.0
-
-    def window_total(self, now: float, retention: float) -> int:
-        cutoff = int((now - retention) // DAY)
-        days = self.days
-        while days and days[0][0] < cutoff:
-            self.total -= days.popleft()[1]
-        return self.total
-
-
 class ZBSCache:
     """Two-area policy driven by long-horizon Zipf request statistics.
 
@@ -220,6 +202,20 @@ class ZBSCache:
     so C = (now - lm) * w.  C ages with `now` and no static order holds
     it, but `now` is fixed within one eviction round: the round scores
     every slot once and takes each victim by argmax over those scores.
+
+    The management record of a document is one flat list of ints,
+    stats[obj] = [total, day, count, day, count, ...]: its requests per
+    day (day = floor(t / 86400), ascending) and their total.  A request
+    adds to the last pair, or appends a pair on a new day, and
+    last_seen[obj] keeps its time.  The window count drops the pairs
+    before the day holding now - retention, and only when admission reads
+    it.  A daily tick drops the records whose last request is older than
+    the retention and whose document is in neither area.  It finds them
+    through _by_day, which lists documents by the day of their last
+    request, and visits only the days up to the cutoff's; the records it
+    keeps there (seen at or after the cutoff, or held by a resident
+    document) move to the cutoff day's bucket, which every later tick
+    visits, until they expire.
     """
 
     def __init__(
@@ -239,7 +235,9 @@ class ZBSCache:
         self.byte_metric = byte_metric
         self.kernel: dict[str, _KernelEntry] = {}
         self.accessory: OrderedDict[str, list] = OrderedDict()  # [size, admitted_at]
-        self.stats: dict[str, _Stats] = {}
+        self.stats: dict[str, list[int]] = {}
+        self.last_seen: dict[str, float] = {}
+        self._by_day: dict[int, list[str]] = {}
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         self.peak_accessory_bytes = 0
@@ -256,32 +254,52 @@ class ZBSCache:
 
     # -- statistics ---------------------------------------------------
 
-    def _note_request(self, obj: str, now: float) -> None:
-        st = self.stats.get(obj)
-        if st is None:
-            if self._start is None:
-                self._start = now
-            st = self.stats[obj] = _Stats()
+    def _note_request(self, obj: str, rec: list | None, now: float) -> list:
+        """Count a request of `obj` at `now` in its record `rec` (None: no
+        record yet) and return the record."""
         day = int(now // DAY)
-        days = st.days
-        if days and days[-1][0] == day:
-            days[-1][1] += 1
+        if rec is not None and rec[-2] == day:
+            rec[0] += 1
+            rec[-1] += 1
         else:
-            days.append([day, 1])
-        st.total += 1
-        st.last_seen = now
+            if rec is None:
+                if self._start is None:
+                    self._start = now
+                rec = self.stats[obj] = [1, day, 1]
+            else:
+                rec[0] += 1
+                rec.append(day)
+                rec.append(1)
+            bucket = self._by_day.get(day)
+            if bucket is None:
+                bucket = self._by_day[day] = []
+            bucket.append(obj)
+        self.last_seen[obj] = now
+        return rec
 
     def on_expire_stats(self, now: float) -> None:
         if self._start is None or now - self._start <= self.retention:
             return
         cutoff = now - self.retention
-        drop = [
-            obj
-            for obj, st in self.stats.items()
-            if st.last_seen < cutoff and obj not in self.kernel and obj not in self.accessory
-        ]
-        for obj in drop:
-            del self.stats[obj]
+        # A record seen before the cutoff has its last request on this day
+        # or earlier, so it sits in one of the buckets visited here.
+        last_day = int(cutoff // DAY)
+        by_day = self._by_day
+        stats, last_seen = self.stats, self.last_seen
+        kernel, accessory = self.kernel, self.accessory
+        retained = []
+        for day in [d for d in by_day if d <= last_day]:
+            for obj in by_day.pop(day):
+                rec = stats.get(obj)
+                if rec is None or rec[-2] > day:
+                    continue  # dropped, or requested again on a later day
+                if last_seen[obj] >= cutoff or obj in kernel or obj in accessory:
+                    retained.append(obj)  # may expire at a later tick
+                else:
+                    del stats[obj]
+                    del last_seen[obj]
+        if retained:
+            by_day[last_day] = retained  # every later tick visits it again
 
     # -- kernel index -------------------------------------------------
 
@@ -322,9 +340,17 @@ class ZBSCache:
             self.over_limit = True
 
     def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
-        st = self.stats.get(obj)
-        prior = st.window_total(now, self.retention) if st is not None else 0
-        self._note_request(obj, now)
+        rec = self._note_request(obj, self.stats.get(obj), now)
+        # Requests on days before the one holding now - retention leave the
+        # window; this request's day is always inside it.
+        cutoff = int((now - self.retention) // DAY)
+        if rec[1] < cutoff:
+            i = 1
+            while rec[i] < cutoff:
+                rec[0] -= rec[i + 1]
+                i += 2
+            del rec[1:i]
+        prior = rec[0] - 1
         if prior >= 1:
             if size > self.kern_cap:
                 return False
@@ -343,11 +369,12 @@ class ZBSCache:
         return True
 
     def on_hit(self, obj: str, now: float) -> None:
-        self._note_request(obj, now)
+        self._note_request(obj, self.stats[obj], now)
         entry = self.kernel.get(obj)
         if entry is not None:
             entry.theta += 1
-            self._index(entry)
+            self._w[entry.slot] = 1.0 / (
+                entry.theta * entry.size if self.byte_metric else entry.theta)
             return
         acc = self.accessory.pop(obj, None)
         if acc is None:
@@ -363,7 +390,7 @@ class ZBSCache:
         self._admit_kernel(obj, size, now, 2, admitted_at, admitted_at)
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        self._note_request(obj, now)
+        self._note_request(obj, self.stats[obj], now)
         entry = self.kernel.get(obj)
         if entry is not None:
             self.kernel_bytes += size - entry.size

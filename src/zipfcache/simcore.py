@@ -196,6 +196,13 @@ class _Engine:
             self._drain(now)
 
     def run(self, events: Iterable[TraceEvent]) -> SimReport:
+        try:
+            return self._replay(events)
+        finally:
+            if self.layer is not None:
+                self.layer.attach(None)  # no engine <-> layer cycle outlives the run
+
+    def _replay(self, events: Iterable[TraceEvent]) -> SimReport:
         policy = self.policy
         resident = self.resident
         req_counts = self.req_counts
@@ -217,6 +224,13 @@ class _Engine:
                     layer.note_start(now)
             last_t = now
             while now >= next_tick:
+                if layer is None or not layer.stale:
+                    # No event and no prefetch changes residency until
+                    # `now`, and expiry is monotone in time: one tick at the
+                    # last boundary does the work of every tick in the gap.
+                    skip = (now - next_tick) // DAY_SECONDS
+                    if skip:
+                        next_tick += skip * DAY_SECONDS
                 policy.on_expire_stats(next_tick)
                 if layer is not None:
                     for obj, size in layer.tick_refetches(next_tick):

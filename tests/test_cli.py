@@ -112,6 +112,7 @@ def test_parse_size_units():
         ["frobnicate"],
         ["simulate", "--prefetch", "bogus"],
         ["simulate", "--seed", "1"],
+        ["generate", "--format", "csv"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -310,18 +311,36 @@ def test_non_finite_timestamp_exit_3(tmp_path, squid):
     assert main(["simulate", flag, str(path), "--capacity", "1KB"]) == EXIT_IO
 
 
-def test_simulate_domain_error_exit_4(small_trace):
+def test_simulate_domain_error_exit_4(small_trace, capsys):
     assert main(["simulate", "-t", str(small_trace), "--capacity", "0"]) == EXIT_DOMAIN
-    assert (
-        main(["simulate", "-t", str(small_trace), "--retention-days", "10"])
-        == EXIT_DOMAIN
-    )
+    for days in ("10", "0"):
+        assert (
+            main(["simulate", "-t", str(small_trace), "--retention-days", days])
+            == EXIT_DOMAIN
+        )
     # lifetime has no score to filter; a threshold would be echoed unused
     assert (
         main(["simulate", "-t", str(small_trace), "--prefetch", "lifetime",
               "--threshold", "1e9"])
         == EXIT_DOMAIN
     )
+    # so would a threshold without a scheme, or a zbs setting under another policy
+    for argv in (["--threshold", "0.5"], ["--policy", "zbs", "--threshold", "0.5"],
+                 ["--policy", "lru", "--retention-days", "60"],
+                 ["--policy", "fifo", "--accessory-fraction", "0.05"],
+                 ["--policy", "lfu", "--accessory-fraction", "0.1"]):
+        capsys.readouterr()
+        assert main(["simulate", "-t", str(small_trace), *argv]) == EXIT_DOMAIN
+        assert "has no effect" in capsys.readouterr().err
+
+
+def test_simulate_zbs_settings_echoed(small_trace, capsys):
+    argv = ["simulate", "-t", str(small_trace), "--capacity", "100KB"]
+    cfg = _run_json(capsys, [*argv, "--policy", "lru"])["config"]
+    assert (cfg["accessory_fraction"], cfg["stats_retention_days"]) == (0.1, None)
+    cfg = _run_json(capsys, [*argv, "--policy", "zbs-byte", "--retention-days", "60",
+                             "--accessory-fraction", "0.05"])["config"]
+    assert (cfg["accessory_fraction"], cfg["stats_retention_days"]) == (0.05, 60.0)
 
 
 def test_simulate_nan_threshold_exit_4(small_trace, capsys):

@@ -235,9 +235,18 @@ def _assert_index_consistent(p):
 # -------------------------------------------------------------- whole runs
 
 
+def _window_count(p, obj, now):
+    """Requests of `obj` on days from the one holding now - retention on."""
+    rec = p.stats[obj]
+    cutoff = (now - p.retention) // DAY
+    return sum(count for day, count in zip(rec[1::2], rec[2::2]) if day >= cutoff)
+
+
 def test_zbs_invariants_after_seeded_run():
+    # 3000 documents for 30000 requests: rare documents still arrive at the
+    # end and sit in the accessory area, once requested
     spec = SyntheticSpec(
-        n_objects=300, alpha=0.7, request_rate=0.5, duration=60_000.0,
+        n_objects=3000, alpha=0.7, request_rate=0.5, duration=60_000.0,
         mean_doc_size=1_000.0, size_spread=1.0, mu_p=1e-4, mu_u=1e-5, seed=31,
     )
     events = generate_trace(spec)
@@ -258,9 +267,15 @@ def test_zbs_invariants_after_seeded_run():
         _assert_index_consistent(p)
 
         last_t = events[-1].timestamp
+        assert p.accessory
         for obj in p.accessory:
             # a second in-window request would have promoted the document
-            assert p.stats[obj].window_total(last_t, p.retention) == 1
+            assert _window_count(p, obj, last_t) == 1
+        for obj, rec in p.stats.items():
+            days = rec[1::2]
+            assert days == sorted(set(days))
+            assert rec[0] == sum(rec[2::2])
+            assert days[-1] == p.last_seen[obj] // DAY
 
 
 def test_zbs_deterministic_under_ties():
@@ -281,6 +296,51 @@ def test_expire_stats_drops_only_idle_nonresident():
     p.on_expire_stats(35 * DAY)
     assert "gone" not in p.stats
     assert "held" in p.stats  # still resident in the accessory area
+
+
+def test_held_record_expires_once_evicted():
+    p = ZBSCache(1000, retention=MIN_RETENTION)
+    p.on_miss_admit("held", 10, 0.0)
+    p.on_expire_stats(35 * DAY)
+    assert "held" in p.stats
+    p.force_forget("held")
+    p.on_expire_stats(36 * DAY)
+    assert "held" not in p.stats and "held" not in p.last_seen
+    # back without its old record: a first request again
+    p.on_miss_admit("held", 10, 37 * DAY)
+    assert "held" in p.accessory
+
+
+def test_record_of_one_day_stays_flat():
+    p = ZBSCache(1000)
+    p.on_miss_admit("a", 10, 100.0)
+    for i in range(1, 10_000):
+        p.on_hit("a", 100.0 + i)
+    assert p.stats["a"] == [10_000, 0, 10_000]
+    p.on_hit("a", DAY)
+    assert p.stats["a"] == [10_001, 0, 10_000, 1, 1]
+
+
+class _NoIteration(dict):
+    def _fail(self, *args):
+        raise AssertionError("the statistics table was iterated")
+
+    __iter__ = keys = values = items = _fail
+
+
+def test_expiry_tick_does_not_iterate_statistics():
+    p = ZBSCache(1000, retention=MIN_RETENTION)
+    p.on_miss_admit("d0", 10, 0.0)  # stays resident
+    for i in range(1, 50):
+        p.on_miss_admit(f"d{i}", 10, i * DAY)
+        p.force_forget(f"d{i}")
+    p.stats = _NoIteration(p.stats)
+    p.on_expire_stats(10 * DAY)  # inside the first retention span
+    p.on_expire_stats(31 * DAY)  # only d0 is past its cutoff, and resident
+    assert len(p.stats) == 50
+    p.force_forget("d0")
+    p.on_expire_stats(40.5 * DAY)  # seen before day 10.5 and not resident
+    assert len(p.stats) == 39 and "d10" not in p.stats and "d11" in p.stats
 
 
 # ----------------------------------------------------------- configuration

@@ -34,6 +34,10 @@ class RefPrefetchLayer:
         self.scheme, self.threshold = scheme, threshold
         self.start = None
         self.mod_counts, self.last_mod, self.cur_size = {}, {}, {}
+        # lifetime: copies gone stale while resident since the last tick, and
+        # those still stale and resident at it; the engine walks each tick
+        # while there is one
+        self.stale = set()
 
     def attach(self, engine):
         self.engine = engine
@@ -62,6 +66,8 @@ class RefPrefetchLayer:
         self.mod_counts[obj] = self.mod_counts.get(obj, 0) + 1
         self.last_mod[obj] = now
         self.cur_size[obj] = size
+        if resident and self.scheme == "lifetime":
+            self.stale.add(obj)
         stats = self.stats_for(obj, now) if resident else None
         if stats is None:
             return False
@@ -72,8 +78,10 @@ class RefPrefetchLayer:
     def tick_refetches(self, now):
         if self.scheme != "lifetime":
             return []
+        resident = self.engine.resident
+        self.stale = {obj for obj, entry in resident.items() if not entry[1]}
         out = []
-        for obj, entry in self.engine.resident.items():
+        for obj, entry in resident.items():
             if entry[1]:
                 continue
             stats = self.stats_for(obj, now)

@@ -1,15 +1,20 @@
 """Engine semantics: residency, freshness, byte accounting, capacity."""
 
+import gc
 import math
+import time
+import weakref
 
 import pytest
 
 from zipfcache.analytic import DomainError
+from zipfcache.policies import DAY, POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import (
     CacheConfig,
     PrefetchConfig,
     SimulationError,
+    _Engine,
     simulate,
     sweep_sizes,
 )
@@ -127,6 +132,54 @@ def test_non_finite_timestamp_rejected(stamps):
     events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
     with pytest.raises(SimulationError, match="non-finite"):
         simulate(events, _lru())
+
+
+@pytest.mark.parametrize("scheme", [None, "goodfetch"])
+@pytest.mark.parametrize("policy_id", POLICY_IDS)
+def test_large_time_gap_finishes(policy_id, scheme):
+    # about 1.2e10 simulated days lie between the two requests
+    config = CacheConfig(capacity_bytes=1000, policy_id=policy_id,
+                         prefetch=PrefetchConfig(scheme) if scheme else None)
+    start = time.perf_counter()
+    report = simulate([_req(0.0, "a"), _req(1e15, "b")], config)
+    assert time.perf_counter() - start < 1.0
+    assert report.requests == 2 and report.hits == 0
+
+
+def _ticks(events, scheme=None):
+    """Times of the expiry ticks the engine gives a zbs policy."""
+    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs",
+                              prefetch=PrefetchConfig(scheme) if scheme else None))
+    ticks = []
+    expire = eng.policy.on_expire_stats
+    eng.policy.on_expire_stats = lambda now: (ticks.append(now), expire(now))
+    eng.run(events)
+    return ticks
+
+
+def test_daily_clock_jumps_over_empty_days():
+    t0 = 0.25
+    events = [_req(t0, "a"), _mod(t0 + 0.5 * DAY, "a"),
+              _req(t0 + 4.5 * DAY, "b"), _req(t0 + 5.5 * DAY, "b")]
+    # one tick for the four boundaries in the gap, then the next in step
+    assert _ticks(events) == [t0 + 4 * DAY, t0 + 5 * DAY]
+    assert _ticks(events, "goodfetch") == [t0 + 4 * DAY, t0 + 5 * DAY]
+    # a stale copy the lifetime rule may refetch keeps the daily walk
+    assert _ticks(events, "lifetime") == [t0 + k * DAY for k in range(1, 6)]
+
+
+def test_finished_run_leaves_no_reference_cycle():
+    gc.disable()
+    try:
+        eng = _Engine(_lru(prefetch=PrefetchConfig("goodfetch")))
+        layer = eng.layer
+        eng.run(_one_stale_copy())
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+        assert layer.engine is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------- whole traces

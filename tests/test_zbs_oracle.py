@@ -4,7 +4,8 @@
 finds each kernel victim by scanning the whole kernel for the largest
 staleness metric, earlier admission (then admission sequence) first on
 ties.  The optimized policy must choose the same victims in the same
-order and produce the same `SimReport` on every generated trace.
+order, produce the same `SimReport` and end with request records for the
+same documents on every generated trace.
 """
 
 import pytest
@@ -118,7 +119,8 @@ def _recording(policy, log):
 
 
 def _replay_both(events, config):
-    """(report, victim log) of ZBSCache and of RefZBS on one trace."""
+    """(report, victim log, documents with a record) of ZBSCache and of
+    RefZBS on one trace."""
     out = []
     for reference in (False, True):
         eng = _Engine(config)
@@ -127,24 +129,55 @@ def _replay_both(events, config):
                                 eng.policy.byte_metric, config.accessory_fraction)
         log = []
         _recording(eng.policy, log)
-        out.append((eng.run(events), log))
+        report = eng.run(events)
+        out.append((report, log, set(eng.policy.seen if reference else eng.policy.stats)))
     return out
 
 
 @st.composite
-def traces(draw, gap, sizes, min_span=0.0):
-    """Time-ordered events over a handful of documents; `gap(rnd)` draws
-    the time between two events."""
+def traces(draw, gap, sizes, min_span=0.0, start=0.0):
+    """Time-ordered events over a handful of documents from `start` on;
+    `gap(rnd)` draws the time between two events."""
     rnd = draw(st.randoms(use_true_random=False))
     n_docs = rnd.choice((2, 5, 10, 20))
-    events, t = [], 0.0
+    events, t = [], start
     for _ in range(rnd.randint(20, 120)):
         t += gap(rnd)
         kind = MODIFICATION if rnd.random() < 0.25 else REQUEST
         events.append(TraceEvent(t, kind, f"d{rnd.randrange(n_docs)}",
                                  rnd.choice(sizes), rnd.random() < 0.9))
-    if t < min_span:
-        events.append(TraceEvent(min_span, REQUEST, "d0", sizes[0]))
+    if t < start + min_span:
+        events.append(TraceEvent(start + min_span, REQUEST, "d0", sizes[0]))
+    return events
+
+
+@st.composite
+def held_traces(draw):
+    """Early documents that stay resident past their cutoff while one
+    document keeps the clock going, then, from about the retention on, a
+    dense burst of new documents that evicts them.  Early documents come
+    back in the burst, some on the day of their old cutoff, where the
+    window count still sees a record that no tick has dropped.
+    The events come from a seeded `Random`, which draws far faster than
+    Hypothesis' own data."""
+    rnd = draw(st.randoms(use_true_random=True))
+    events = []
+
+    def add(t, obj):
+        kind = MODIFICATION if rnd.random() < 0.1 else REQUEST
+        events.append(TraceEvent(t, kind, obj, rnd.choice(SIZES[:3])))
+
+    n_early = rnd.randint(2, 6)
+    for t in sorted(rnd.uniform(0.0, 2 * DAY) for _ in range(3 * n_early)):
+        add(t, f"e{rnd.randrange(n_early)}")
+    t, burst = 2 * DAY, MIN_RETENTION + rnd.uniform(-1.0, 1.0) * DAY
+    while t < burst:
+        t += rnd.uniform(0.2, 1.5) * DAY
+        add(t, "clock")
+    for _ in range(rnd.randint(10, 80)):
+        t += rnd.uniform(0.0, 0.15 * DAY)
+        early = rnd.random() < 0.3
+        add(t, f"e{rnd.randrange(n_early)}" if early else f"n{rnd.randrange(12)}")
     return events
 
 
@@ -160,6 +193,15 @@ CASES = {  # name -> (trace, capacity, retention)
     "past-retention": (traces(lambda r: r.randint(0, 4) * DAY + 0.5, SIZES,
                               min_span=MIN_RETENTION + 2 * DAY),
                        CAPACITIES, MIN_RETENTION),
+    # day numbers near 19,700 (epoch seconds) and below zero
+    "epoch-times": (traces(lambda r: r.uniform(0.0, 1.5 * DAY), SIZES,
+                           min_span=MIN_RETENTION + 2 * DAY, start=1.7e9),
+                    CAPACITIES, MIN_RETENTION),
+    "negative-times": (traces(lambda r: r.uniform(0.0, 1.5 * DAY), SIZES,
+                              min_span=MIN_RETENTION + 2 * DAY, start=-45.3 * DAY),
+                       CAPACITIES, MIN_RETENTION),
+    # records held past their cutoff by residency, dropped after eviction
+    "held-past-cutoff": (held_traces(), st.sampled_from([300, 600, 1000]), MIN_RETENTION),
 }
 
 
@@ -172,9 +214,12 @@ def test_zbs_matches_reference(policy_id, case):
     def check(events, capacity):
         config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
                              stats_retention_seconds=retention)
-        (report, victims), (ref_report, ref_victims) = _replay_both(events, config)
+        (report, victims, records), (ref_report, ref_victims, ref_records) = \
+            _replay_both(events, config)
         assert victims == ref_victims
         assert report == ref_report
+        # a record kept a tick too long may change no report, only memory
+        assert records == ref_records
 
     check()
 
