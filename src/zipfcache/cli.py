@@ -141,7 +141,7 @@ def cmd_generate(args) -> int:
     events = trace.generate_trace(spec)
     out = args.output or "trace.csv"
     trace.write_trace_file(events, out)
-    n_req = sum(1 for e in events if e.kind == trace.REQUEST)
+    n_req = int((events.kind == 0).sum())
     print(f"events {len(events)} ({n_req} requests, {len(events) - n_req} modifications)")
     try:
         hist = trace.popularity_histogram(events)

@@ -21,12 +21,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .analytic import DomainError
-from .trace import REQUEST, TraceEvent
+from .trace import REQUEST, Trace, TraceEvent
 from . import policies
 
 __all__ = [
@@ -197,32 +198,27 @@ class _Engine:
 
     def run(self, events: Iterable[TraceEvent]) -> SimReport:
         try:
-            return self._replay(events)
+            return self._replay(Trace.from_events(events))
         finally:
             if self.layer is not None:
                 self.layer.attach(None)  # no engine <-> layer cycle outlives the run
 
-    def _replay(self, events: Iterable[TraceEvent]) -> SimReport:
+    def _replay(self, trace: Trace) -> SimReport:
         policy = self.policy
         resident = self.resident
         req_counts = self.req_counts
         layer = self.layer
-        inf = math.inf
-        last_t = -sys.float_info.max  # the least finite time, so -inf is out of range
-        next_tick = inf
-        for ev in events:
-            now = ev.timestamp
-            if not last_t <= now < inf:
-                if not math.isfinite(now):
-                    raise SimulationError(f"non-finite timestamp {now!r}")
-                raise SimulationError(
-                    f"trace not time-ordered: {now!r} after {last_t!r}"
-                )
-            if next_tick == inf:
-                next_tick = now + DAY_SECONDS
-                if layer is not None:
-                    layer.note_start(now)
-            last_t = now
+        # The events before the first one at a non-finite or decreasing
+        # time replay; that one then raises.
+        t = trace.t
+        bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
+        end = int(bad[0]) if len(bad) else len(t)
+        next_tick = math.inf
+        if end:
+            next_tick = float(t[0]) + DAY_SECONDS
+            if layer is not None:
+                layer.note_start(float(t[0]))
+        for now, kind, obj, size, cacheable in trace[:end].rows():
             while now >= next_tick:
                 if layer is None or not layer.stale:
                     # No event and no prefetch changes residency until
@@ -233,17 +229,23 @@ class _Engine:
                         next_tick += skip * DAY_SECONDS
                 policy.on_expire_stats(next_tick)
                 if layer is not None:
-                    for obj, size in layer.tick_refetches(next_tick):
-                        if obj in resident:
-                            self._refetch(obj, size, now=next_tick, prefetch=True)
-                next_tick += DAY_SECONDS
+                    for due, due_size in layer.tick_refetches(next_tick):
+                        if due in resident:
+                            self._refetch(due, due_size, now=next_tick, prefetch=True)
+                following = next_tick + DAY_SECONDS
+                if following == next_tick:
+                    # Beyond about 1.2e21 s a day is under half a float
+                    # step: the clock would tick in place for ever.
+                    raise SimulationError(
+                        f"timestamp {now!r} is outside the daily clock's range "
+                        "(|t| below about 1e21 s)"
+                    )
+                next_tick = following
 
-            obj = ev.object_id
-            size = ev.size_bytes
-            if ev.kind == REQUEST:
+            if kind == REQUEST:
                 self.requests += 1
                 self.requested_bytes += size
-                if not ev.cacheable:
+                if not cacheable:
                     self.demand_bytes += size
                     continue
                 self.cacheable_requests += 1
@@ -274,6 +276,13 @@ class _Engine:
                     obj, size, now, resident=entry is not None
                 ):
                     self._refetch(obj, size, now, prefetch=True)
+        if end < len(t):
+            now = float(t[end])
+            if not math.isfinite(now):
+                raise SimulationError(f"non-finite timestamp {now!r}")
+            raise SimulationError(
+                f"trace not time-ordered: {now!r} after {float(t[end - 1])!r}"
+            )
         return self._report()
 
     def _report(self) -> SimReport:
@@ -306,6 +315,8 @@ def simulate(
     """Replay a trace against one cache configuration.
 
     `prefetch_layer` defaults to a layer built from `config.prefetch`.
+    `events` is a `Trace`, or any iterable of `TraceEvent`, which is
+    converted to one first.
     Identical inputs produce identical reports; there is no hidden clock
     or nondeterministic state.
     """
@@ -318,6 +329,7 @@ def sweep_sizes(
     sizes: Sequence[float],
 ) -> list[tuple[float, SimReport]]:
     """Run the same trace at several capacities; one engine per size."""
+    events = Trace.from_events(events)
     out = []
     for size in sizes:
         cfg = dataclasses.replace(config, capacity_bytes=size)

@@ -2,8 +2,18 @@
 
 A trace is a time-ordered stream of events.  Requests carry the size the
 origin would serve at that moment; modification events mark an origin-side
-change and carry the document's new size.  The native file format is CSV
-with a fixed header line:
+change and carry the document's new size.
+
+In memory a trace is one `Trace`: five NumPy columns, one entry per
+event, plus a table of the object ids in order of first appearance.
+Every producer here (`generate_trace`, `parse_trace_file`,
+`parse_proxy_log`) returns one, and every consumer (`popularity_histogram`,
+`lifetime_stats`, `write_trace_file`, the replay engine) reads its columns.
+A `Trace` is also a read-only sequence of `TraceEvent` rows, boxed on
+demand; `Trace.from_events` turns any iterable of `TraceEvent` into one,
+and the consumers do so for a caller that passes a plain list.
+
+The native file format is CSV with a fixed header line:
 
     #zipfcache-trace-v1
     timestamp_s,kind,object_id,size_bytes,cacheable
@@ -15,9 +25,10 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, starmap
+from typing import Iterable
 
 import numpy as np
 
@@ -29,6 +40,7 @@ __all__ = [
     "TRACE_HEADER",
     "TraceFormatError",
     "TraceEvent",
+    "Trace",
     "SyntheticSpec",
     "PopularityHistogram",
     "LifetimeStats",
@@ -45,8 +57,18 @@ REQUEST = "R"
 MODIFICATION = "M"
 TRACE_HEADER = "#zipfcache-trace-v1"
 
+# The event kind of each code of the `Trace.kind` column.
+_KIND_NAMES = np.array([REQUEST, MODIFICATION], dtype=object)
+
 # Squid-style access log statuses that yield a cacheable copy on a GET.
 CACHEABLE_STATUSES = frozenset({200, 203, 206, 300, 301, 410})
+
+# Events boxed or handed to the engine per chunk of column values.
+_ROWS_PER_CHUNK = 1 << 13
+# Bytes of native-format text parsed at a time; bounds the transient
+# strings of a parse to a few MB whatever the file size.
+_PARSE_CHUNK_BYTES = 1 << 18
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class TraceFormatError(ValueError):
@@ -60,6 +82,115 @@ class TraceEvent:
     object_id: str
     size_bytes: int
     cacheable: bool = True
+
+
+class _Intern(dict):
+    """Object id -> code, numbering new ids in order of first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self)
+        return code
+
+
+class Trace(Sequence):
+    """A time-ordered event stream held as columns.
+
+    t          float64  timestamp, s
+    kind       int8     0 request, 1 modification
+    obj        int32    index into `ids`
+    size       int64    size_bytes
+    cacheable  bool
+
+    `ids` lists the object ids; the producers in this module number them
+    in order of first appearance.  The columns are read-only.  Indexing
+    boxes one `TraceEvent`, a slice is a `Trace` sharing the id table,
+    iteration boxes events a chunk at a time, and `==` compares the event
+    streams (against a `Trace` or a list of `TraceEvent`).
+    """
+
+    __slots__ = ("t", "kind", "obj", "size", "cacheable", "ids")
+
+    def __init__(self, t, kind, obj, size, cacheable, ids: list[str]):
+        self.t = np.asarray(t, dtype=np.float64)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.obj = np.asarray(obj, dtype=np.int32)
+        self.size = np.asarray(size, dtype=np.int64)
+        self.cacheable = np.asarray(cacheable, dtype=bool)
+        self.ids = ids
+        n = len(self.t)
+        for col in (self.t, self.kind, self.obj, self.size, self.cacheable):
+            if col.shape != (n,):
+                raise ValueError("trace columns must be 1-D and of equal length")
+            col.flags.writeable = False
+
+    @classmethod
+    def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
+        """The events as a `Trace`; a `Trace` is returned as it is."""
+        if isinstance(events, Trace):
+            return events
+        codes = {REQUEST: 0, MODIFICATION: 1}
+        table = _Intern()
+        t, kind, obj, size, cacheable = [], [], [], [], []
+        for e in events:
+            try:
+                kind.append(codes[e.kind])
+            except KeyError:
+                raise ValueError(
+                    f"event kind must be {REQUEST!r} or {MODIFICATION!r}, got {e.kind!r}"
+                ) from None
+            t.append(e.timestamp)
+            obj.append(table[e.object_id])
+            size.append(e.size_bytes)
+            cacheable.append(e.cacheable)
+        return cls(t, kind, obj, size, cacheable, list(table))
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self.t[index], self.kind[index], self.obj[index],
+                         self.size[index], self.cacheable[index], self.ids)
+        return TraceEvent(float(self.t[index]), _KIND_NAMES[self.kind[index]],
+                          self.ids[self.obj[index]], int(self.size[index]),
+                          bool(self.cacheable[index]))
+
+    def chunks(self):
+        """Yield the events a chunk at a time, each chunk an iterator of
+        plain-value rows (timestamp, kind, object_id, size_bytes, cacheable)."""
+        ids = np.array(self.ids, dtype=object)
+        for lo in range(0, len(self), _ROWS_PER_CHUNK):
+            part = slice(lo, lo + _ROWS_PER_CHUNK)
+            yield zip(
+                self.t[part].tolist(),
+                _KIND_NAMES[self.kind[part]].tolist(),
+                ids[self.obj[part]].tolist(),
+                self.size[part].tolist(),
+                self.cacheable[part].tolist(),
+            )
+
+    def rows(self):
+        """Iterate the rows of `chunks` one after another."""
+        return chain.from_iterable(self.chunks())
+
+    def __iter__(self):
+        return starmap(TraceEvent, self.rows())
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return len(self) == len(other) and all(
+                np.array_equal(a, b) for a, b in (
+                    (self.t, other.t), (self.kind, other.kind), (self.size, other.size),
+                    (self.cacheable, other.cacheable),
+                    (np.array(self.ids, dtype=object)[self.obj],
+                     np.array(other.ids, dtype=object)[other.obj]),
+                )
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -134,7 +265,7 @@ def _draw_sizes(rng: np.random.Generator, n: int, mean: float, spread: float):
     return np.maximum(1, np.rint(sizes)).astype(np.int64)
 
 
-def generate_trace(spec: SyntheticSpec) -> list[TraceEvent]:
+def generate_trace(spec: SyntheticSpec) -> Trace:
     """Generate a time-ordered synthetic trace from the spec.
 
     Draw order is fixed (request count, arrival times, ranks, cacheable
@@ -178,34 +309,45 @@ def generate_trace(spec: SyntheticSpec) -> list[TraceEvent]:
             mod_sizes = _draw_sizes(rng, total, spec.mean_doc_size, spec.size_spread)
 
     # Merge the two streams chronologically; requests sort before
-    # modifications on (vanishingly rare) equal timestamps.
-    times = np.concatenate([req_times, mod_times])
-    kinds = np.concatenate([np.zeros(n_req, np.int8), np.ones(len(mod_times), np.int8)])
-    ranks = np.concatenate([req_ranks, mod_ranks])
-    order = np.lexsort((ranks, kinds, times))
+    # modifications on (vanishingly rare) equal timestamps.  Each temporary
+    # of one entry per event is dropped once used, which keeps the peak
+    # near three times the finished columns.
+    n_mod = len(mod_times)
+    t = np.concatenate([req_times, mod_times])
+    kind = np.concatenate([np.zeros(n_req, np.int8), np.ones(n_mod, np.int8)])
+    rank = np.concatenate([req_ranks, mod_ranks])
+    del req_times, mod_times, req_ranks, mod_ranks
+    order = np.lexsort((rank, kind, t))
+    t, kind, rank = t[order], kind[order], rank[order]
+    cacheable = np.concatenate([cacheable, np.ones(n_mod, dtype=bool)])[order]
 
-    current = sizes.copy()
-    names = [f"d{r + 1}" for r in range(n)]
-    events: list[TraceEvent] = []
-    append = events.append
-    n_req_total = n_req
-    for idx in order:
-        rank = int(ranks[idx])
-        if kinds[idx] == 0:
-            append(
-                TraceEvent(
-                    float(times[idx]),
-                    REQUEST,
-                    names[rank],
-                    int(current[rank]),
-                    bool(cacheable[idx]),
-                )
-            )
-        else:
-            new_size = int(mod_sizes[idx - n_req_total])
-            current[rank] = new_size
-            append(TraceEvent(float(times[idx]), MODIFICATION, names[rank], new_size))
-    return events
+    # A modification carries its own size; a request carries the size of
+    # its document's latest modification before it, or the initial size.
+    is_mod = kind.astype(bool)
+    size = sizes[rank]
+    size[is_mod] = mod_sizes[order[is_mod] - n_req]
+    del order, sizes, mod_sizes
+    if n_mod:
+        # Within each rank, in time order, every event takes the size of
+        # the last modification at or before it, else the rank's first event.
+        by_rank = np.argsort(rank, kind="stable")
+        grouped = rank[by_rank]
+        anchor = is_mod[by_rank]
+        anchor[:1] = True
+        anchor[1:] |= grouped[1:] != grouped[:-1]
+        del grouped
+        anchor = np.maximum.accumulate(np.where(anchor, np.arange(len(anchor)), 0))
+        size[by_rank] = size[by_rank[anchor]]
+        del by_rank, anchor
+
+    # Number the documents in order of first appearance.
+    first = np.full(n, len(rank))
+    np.minimum.at(first, rank, np.arange(len(rank)))
+    appear = np.argsort(first)[: np.count_nonzero(first < len(rank))]
+    code = np.empty(n, dtype=np.int32)
+    code[appear] = np.arange(len(appear), dtype=np.int32)
+    ids = [f"d{r}" for r in (appear + 1).tolist()]
+    return Trace(t, kind, code[rank], size, cacheable, ids)
 
 
 @dataclass
@@ -238,11 +380,14 @@ def popularity_histogram(events: Iterable[TraceEvent]) -> PopularityHistogram:
     Only request events contribute; ties are broken by object id so the
     ordering is reproducible.
     """
-    counter = Counter(e.object_id for e in events if e.kind == REQUEST)
-    items = sorted(counter.items(), key=lambda kv: (-kv[1], kv[0]))
-    ids = [k for k, _ in items]
-    counts = np.array([v for _, v in items], dtype=np.int64)
-    return PopularityHistogram(counts=counts, object_ids=ids)
+    trace = Trace.from_events(events)
+    ids = trace.ids
+    counts = np.bincount(trace.obj[trace.kind == 0], minlength=len(ids))
+    by_id = np.array(sorted(np.flatnonzero(counts).tolist(), key=ids.__getitem__),
+                     dtype=np.int64)
+    order = by_id[np.argsort(-counts[by_id], kind="stable")]
+    return PopularityHistogram(counts=counts[order].astype(np.int64),
+                               object_ids=[ids[i] for i in order.tolist()])
 
 
 @dataclass(frozen=True)
@@ -262,13 +407,18 @@ class LifetimeStats:
 
 
 def lifetime_stats(
-    events: Sequence[TraceEvent], window_seconds: float | None = None
+    events: Iterable[TraceEvent], window_seconds: float | None = None
 ) -> LifetimeStats:
-    """Windowed lifetime statistics of the request stream."""
-    if not events:
+    """Windowed lifetime statistics of the request stream.
+
+    The spans are averaged in the order of the requests that define them
+    (first requests for t_u, second requests for t_eff).
+    """
+    trace = Trace.from_events(events)
+    if not len(trace):
         return LifetimeStats(None, None, 0, 0)
-    t0 = events[0].timestamp
-    span = events[-1].timestamp - t0
+    t0 = float(trace.t[0])
+    span = float(trace.t[-1]) - t0
     if window_seconds is None:
         window_seconds = span
     elif window_seconds > span:
@@ -277,38 +427,135 @@ def lifetime_stats(
         )
     w_end = t0 + window_seconds
 
-    first: dict[str, float] = {}
-    second: dict[str, float] = {}
-    for e in events:
-        if e.kind != REQUEST or e.timestamp > w_end:
-            continue
-        if e.object_id not in first:
-            first[e.object_id] = e.timestamp
-        elif e.object_id not in second:
-            second[e.object_id] = e.timestamp
-
-    once_spans = [w_end - t for o, t in first.items() if o not in second]
-    gap_spans = [t2 - first[o] for o, t2 in second.items()]
-    t_u = float(np.mean(once_spans)) if once_spans else None
-    t_eff = float(np.mean(gap_spans)) if gap_spans else None
+    picked = np.flatnonzero((trace.kind == 0) & (trace.t <= w_end))
+    t = trace.t[picked]
+    obj = trace.obj[picked]
+    # Requests grouped by document, each group in time order.
+    by_obj = np.argsort(obj, kind="stable")
+    grouped = obj[by_obj]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    repeats = np.diff(starts, append=len(grouped)) >= 2
+    first = by_obj[starts]
+    once = np.sort(first[~repeats])
+    second = by_obj[starts[repeats] + 1]
+    by_second = np.argsort(second)
+    once_spans = w_end - t[once]
+    gap_spans = t[second[by_second]] - t[first[repeats][by_second]]
+    t_u = float(np.mean(once_spans)) if len(once_spans) else None
+    t_eff = float(np.mean(gap_spans)) if len(gap_spans) else None
     return LifetimeStats(t_u, t_eff, len(once_spans), len(gap_spans))
 
 
+def _unwritable_id(trace: Trace) -> str | None:
+    """The first object id in use that the native format cannot hold."""
+    used = np.bincount(trace.obj, minlength=len(trace.ids)).nonzero()[0]
+    for i in used.tolist():
+        oid = trace.ids[i]
+        if "," in oid or "\n" in oid or "\r" in oid or not oid.isascii():
+            return oid
+    return None
+
+
 def write_trace_file(events: Iterable[TraceEvent], path) -> None:
-    """Write events in the native format; identical events give identical bytes."""
+    """Write events in the native format; identical events give identical bytes.
+
+    An object id holding a comma, a line break or a non-ASCII character
+    could not be read back, so it is refused before the file is opened.
+    """
+    trace = Trace.from_events(events)
+    bad = _unwritable_id(trace)
+    if bad is not None:
+        raise TraceFormatError(
+            f"object id {bad!r} cannot be written: the native format allows "
+            "no comma, line break or non-ASCII character in an id"
+        )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for e in events:
-            fh.write(
-                f"{e.timestamp!r},{e.kind},{e.object_id},{e.size_bytes},"
-                f"{1 if e.cacheable else 0}\n"
-            )
+        for rows in trace.chunks():
+            fh.write("".join([f"{t!r},{kind},{obj},{size},{1 if cacheable else 0}\n"
+                              for t, kind, obj, size, cacheable in rows]))
 
 
-def parse_trace_file(path) -> list[TraceEvent]:
-    """Parse a native-format trace; errors carry the offending line number."""
-    events: list[TraceEvent] = []
+def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
+    """Raise the error of the first bad line among `lines`, numbered from
+    `lineno`, exactly as a line-by-line parse meets it."""
     inf = math.inf
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise TraceFormatError(f"{path}:{lineno}: expected 5 fields")
+        try:
+            ts = float(parts[0])
+            size = int(parts[3])
+            flag = int(parts[4])
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
+        kind = parts[1]
+        if kind not in (REQUEST, MODIFICATION):
+            raise TraceFormatError(
+                f"{path}:{lineno}: kind must be R or M, got {kind!r}"
+            )
+        if size <= 0:
+            raise TraceFormatError(f"{path}:{lineno}: size must be > 0")
+        if flag not in (0, 1):
+            raise TraceFormatError(f"{path}:{lineno}: cacheable must be 0 or 1")
+        if not last_t <= ts < inf:
+            if not math.isfinite(ts):
+                raise TraceFormatError(
+                    f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
+                )
+            raise TraceFormatError(
+                f"{path}:{lineno}: timestamp {ts!r} out of order"
+            )
+        if size > _INT64_MAX:
+            raise TraceFormatError(f"{path}:{lineno}: size must be < 2**63")
+        last_t = ts
+    raise RuntimeError(f"{path}: the lines up to {lineno} failed the bulk check, "
+                       "yet none of them fails on its own")
+
+
+def _parse_rows(rows: list[str], table: _Intern, last_t: float):
+    """Columns (t, kind, obj, size, cacheable) of stripped, non-blank
+    native-format rows, or None if any row is malformed or out of order."""
+    n = len(rows)
+    # Every row's last field, and no other, ends in a newline, so the
+    # fields align in fives exactly when each row has five.
+    fields = ("\n,".join(rows) + "\n").split(",")
+    flags = fields[4::5]
+    if len(fields) != 5 * n or "".join(flags).count("\n") != n:
+        return None
+    kinds = fields[1::5]
+    if not {REQUEST, MODIFICATION}.issuperset(kinds):
+        return None
+    try:
+        t = np.fromiter(map(float, fields[0::5]), np.float64, n)
+        size = np.fromiter(map(int, fields[3::5]), np.int64, n)
+        flag_of = {s: int(s) for s in set(flags)}  # a few distinct spellings
+    except (ValueError, OverflowError):
+        return None
+    if not (
+        size.min() > 0 and all(v in (0, 1) for v in flag_of.values())
+        and np.isfinite(t).all() and t[0] >= last_t and (t[1:] >= t[:-1]).all()
+    ):
+        return None
+    kind = np.frombuffer("".join(kinds).encode("ascii"), np.uint8) == ord(MODIFICATION)
+    obj = np.fromiter(map(table.__getitem__, fields[2::5]), np.int32, n)
+    cacheable = np.fromiter(map(flag_of.__getitem__, flags), bool, n)
+    return t, kind, obj, size, cacheable
+
+
+def parse_trace_file(path) -> Trace:
+    """Parse a native-format trace; errors carry the offending line number.
+
+    The file is read a bounded chunk of lines at a time and each chunk is
+    checked in bulk; a chunk that fails is rescanned line by line for the
+    first error.
+    """
+    table = _Intern()
+    chunks = []
     last_t = -sys.float_info.max  # the least finite time, so -inf is out of range
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
@@ -316,44 +563,24 @@ def parse_trace_file(path) -> list[TraceEvent]:
             raise TraceFormatError(
                 f"{path}:1: expected header {TRACE_HEADER!r}, got {header!r}"
             )
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise TraceFormatError(f"{path}:{lineno}: expected 5 fields")
-            try:
-                ts = float(parts[0])
-                size = int(parts[3])
-                flag = int(parts[4])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
-            kind = parts[1]
-            if kind not in (REQUEST, MODIFICATION):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: kind must be R or M, got {kind!r}"
-                )
-            if size <= 0:
-                raise TraceFormatError(f"{path}:{lineno}: size must be > 0")
-            if flag not in (0, 1):
-                raise TraceFormatError(f"{path}:{lineno}: cacheable must be 0 or 1")
-            if not last_t <= ts < inf:
-                if not math.isfinite(ts):
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
-                    )
-                raise TraceFormatError(
-                    f"{path}:{lineno}: timestamp {ts!r} out of order"
-                )
-            last_t = ts
-            events.append(TraceEvent(ts, kind, parts[2], size, bool(flag)))
-    return events
+        lineno = 2
+        while lines := fh.readlines(_PARSE_CHUNK_BYTES):
+            rows = list(filter(None, map(str.strip, lines)))
+            if rows:
+                columns = _parse_rows(rows, table, last_t)
+                if columns is None:
+                    _raise_first_error(path, lines, lineno, last_t)
+                last_t = float(columns[0][-1])
+                chunks.append(columns)
+            lineno += len(lines)
+    if not chunks:
+        return Trace([], [], [], [], [], [])
+    return Trace(*(np.concatenate(col) for col in zip(*chunks)), ids=list(table))
 
 
 @dataclass(frozen=True)
 class ProxyLogResult:
-    events: list[TraceEvent]
+    events: Trace
     skipped: int  # unparseable lines
     filtered: int  # parseable lines that are not GET 2xx/3xx
 
@@ -366,15 +593,22 @@ def parse_proxy_log(path) -> ProxyLogResult:
     3xx status become request events keyed by URL; the cacheable flag is
     set for statuses 200/203/206/300/301/410.  Unparseable lines are
     counted and skipped, other lines are counted as filtered; a line with a
-    non-finite timestamp is an error.  Events are
-    re-sorted by timestamp since real logs are ordered by completion time.
+    non-finite timestamp is an error.  Events are re-sorted by timestamp,
+    equal timestamps keeping their file order, since real logs are ordered
+    by completion time.
     """
-    events: list[TraceEvent] = []
+    times: list[float] = []
+    urls: list[str] = []
+    sizes: list[int] = []
+    statuses: list[int] = []
     skipped = 0
     filtered = 0
+    add_time, add_url, add_size, add_status = (
+        times.append, urls.append, sizes.append, statuses.append)
+    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
+            parts = line.split(None, 7)  # the first seven fields, then the rest
             if len(parts) < 7:
                 if line.strip():
                     skipped += 1
@@ -382,20 +616,30 @@ def parse_proxy_log(path) -> ProxyLogResult:
             try:
                 ts = float(parts[0])
                 size = int(parts[4])
-                status = int(parts[3].rsplit("/", 1)[-1])
-            except (ValueError, IndexError):
+                status = int(parts[3].rpartition("/")[2])
+            except ValueError:
                 skipped += 1
                 continue
-            if not math.isfinite(ts):
+            if not isfinite(ts):
                 raise TraceFormatError(
                     f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
                 )
-            method, url = parts[5], parts[6]
-            if method != "GET" or not (200 <= status < 400):
+            if parts[5] != "GET" or not 200 <= status < 400:
                 filtered += 1
                 continue
-            events.append(
-                TraceEvent(ts, REQUEST, url, max(1, size), status in CACHEABLE_STATUSES)
-            )
-    events.sort(key=lambda e: e.timestamp)
-    return ProxyLogResult(events, skipped, filtered)
+            add_time(ts)
+            add_url(parts[6])
+            add_size(max(1, size))
+            add_status(status)
+    t = np.array(times, dtype=np.float64)
+    order = np.argsort(t, kind="stable")
+    try:
+        size = np.array(sizes, dtype=np.int64)[order]
+    except OverflowError:
+        raise TraceFormatError(f"{path}: a size must be < 2**63") from None
+    table = _Intern()
+    obj = np.fromiter(map(table.__getitem__, map(urls.__getitem__, order.tolist())),
+                      np.int32, len(order))
+    cacheable = np.isin(np.array(statuses, dtype=np.int64)[order], list(CACHEABLE_STATUSES))
+    trace = Trace(t[order], np.zeros(len(order), np.int8), obj, size, cacheable, list(table))
+    return ProxyLogResult(trace, skipped, filtered)

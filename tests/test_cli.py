@@ -311,6 +311,13 @@ def test_non_finite_timestamp_exit_3(tmp_path, squid):
     assert main(["simulate", flag, str(path), "--capacity", "1KB"]) == EXIT_IO
 
 
+def test_timestamp_beyond_daily_clock_exit_4(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{TRACE_HEADER}\n0.0,R,a,100,1\n1e22,R,b,100,1\n")
+    assert main(["simulate", "-t", str(path), "--policy", "lru"]) == EXIT_DOMAIN
+    assert "daily clock" in capsys.readouterr().err
+
+
 def test_simulate_domain_error_exit_4(small_trace, capsys):
     assert main(["simulate", "-t", str(small_trace), "--capacity", "0"]) == EXIT_DOMAIN
     for days in ("10", "0"):

@@ -146,6 +146,25 @@ def test_large_time_gap_finishes(policy_id, scheme):
     assert report.requests == 2 and report.hits == 0
 
 
+@pytest.mark.parametrize("stamps", [(0.0, 1e22), (-1e22, 0.0), (1e30,)])
+@pytest.mark.parametrize("policy_id", POLICY_IDS)
+def test_timestamp_beyond_daily_clock_rejected(policy_id, stamps):
+    # there a day is under half a float step, so the clock cannot advance
+    events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
+    start = time.perf_counter()
+    with pytest.raises(SimulationError, match="daily clock"):
+        simulate(events, CacheConfig(capacity_bytes=1000, policy_id=policy_id))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bad_timestamp_raises_after_earlier_events():
+    # the order check still sees the events before the bad one replayed
+    with pytest.raises(SimulationError, match=r"time-ordered: 4\.0 after 5\.0"):
+        simulate([_req(1, "a"), _req(5, "a"), _req(4, "b"), _req(math.nan, "c")], _lru())
+    with pytest.raises(SimulationError, match="non-finite timestamp nan"):
+        simulate([_req(1, "a"), _req(math.nan, "c"), _req(0, "b")], _lru())
+
+
 def _ticks(events, scheme=None):
     """Times of the expiry ticks the engine gives a zbs policy."""
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs",

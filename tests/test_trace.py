@@ -1,6 +1,7 @@
 """Synthetic workload generation, trace measurement and file formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from zipfcache.trace import (
     MODIFICATION,
     REQUEST,
     SyntheticSpec,
+    Trace,
     TraceEvent,
     TraceFormatError,
     generate_trace,
@@ -155,6 +157,57 @@ def test_spec_validation():
     ):
         with pytest.raises(DomainError):
             generate_trace(_small_spec(**bad))
+
+
+# Peak tracemalloc bytes per event of generate_trace(_MEMORY_SPEC) when a
+# trace was a list of TraceEvent objects (130,190 events, 79,973 of them
+# modifications); the columns peak at about 60.
+_LIST_TRACE_PEAK_BYTES_PER_EVENT = 191.5
+_MEMORY_SPEC = SyntheticSpec(
+    n_objects=10_000, alpha=0.8, request_rate=50_000 / (30 * DAY), duration=30 * DAY,
+    mu_p=1 / (2 * DAY), mu_u=1 / (30 * DAY), p_c=0.8, seed=5,
+)
+
+
+def test_generate_peak_memory_per_event():
+    tracemalloc.start()
+    try:
+        events = generate_trace(_MEMORY_SPEC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 130_190
+    assert peak / len(events) < _LIST_TRACE_PEAK_BYTES_PER_EVENT / 2
+
+
+# ------------------------------------------------------------------ Trace
+
+
+def test_trace_is_a_sequence_of_events():
+    rows = [_req(0.5, "a", 10), TraceEvent(1.0, MODIFICATION, "b", 20),
+            TraceEvent(2.0, REQUEST, "a", 30, False)]
+    tr = Trace.from_events(rows)
+    assert len(tr) == 3 and tr.ids == ["a", "b"]
+    assert tr.obj.tolist() == [0, 1, 0] and tr.kind.tolist() == [0, 1, 0]
+    assert tr[1] == rows[1] and tr[-1] == rows[2]
+    assert list(tr) == rows and tr == rows and tr != rows[:2]
+    part = tr[1:]
+    assert isinstance(part, Trace) and part == rows[1:] and tr[::2] == rows[::2]
+    assert Trace.from_events(tr) is tr
+    assert Trace.from_events(iter(rows)) == tr
+    with pytest.raises(IndexError):
+        tr[3]
+    with pytest.raises(ValueError):
+        tr.t[0] = 9.0
+    with pytest.raises(ValueError, match="kind"):
+        Trace.from_events([TraceEvent(0.0, "X", "a", 1)])
+
+
+def test_trace_equality_compares_ids_not_codes():
+    a = Trace.from_events([_req(0, "x"), _req(1, "y")])
+    b = Trace([0.0, 1.0], [0, 0], [1, 0], [100, 100], [True, True], ["y", "x"])
+    assert a == b
+    assert a != Trace([0.0, 1.0], [0, 0], [0, 0], [100, 100], [True, True], ["y", "x"])
 
 
 # ------------------------------------------------------------- measurement
@@ -302,3 +355,20 @@ def test_parse_proxy_log_rejects_non_finite_timestamp(tmp_path, stamp):
                      f"{stamp} 5 c TCP_MISS/200 400 GET http://a/y -"])
     with pytest.raises(TraceFormatError, match=":2: timestamp must be finite"):
         parse_proxy_log(p)
+
+
+@pytest.mark.parametrize("url", ["http://a/x?q=1,2", "http://a/\u00e9t\u00e9"])
+def test_write_refuses_ids_it_cannot_read_back(tmp_path, url):
+    log = tmp_path / "access.log"
+    log.write_text(f"100.0 5 c TCP_MISS/200 500 GET {url} -\n", encoding="utf-8")
+    events = parse_proxy_log(log).events
+    out = tmp_path / "rt.csv"
+    with pytest.raises(TraceFormatError) as info:
+        write_trace_file(events, out)
+    assert str(info.value).startswith(f"object id {url!r} cannot be written")
+    assert not out.exists()
+    for bad in ("a\rb", "a\nb"):
+        with pytest.raises(TraceFormatError, match="cannot be written"):
+            write_trace_file([_req(0.0, "ok"), _req(1.0, bad)], out)
+    write_trace_file(Trace.from_events([_req(0.0, "ok"), _req(1.0, "a,b")])[:1], out)
+    assert parse_trace_file(out) == [_req(0.0, "ok", 100)]
