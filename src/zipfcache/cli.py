@@ -20,7 +20,7 @@ from importlib import resources
 from . import analytic, simcore, trace
 from .analytic import DAY, DomainError
 from .policies import POLICY_IDS
-from .simcore import SCHEME_IDS
+from .prefetch import SCHEME_IDS
 
 __all__ = ["main"]
 

@@ -24,6 +24,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .analytic import DAY
+
 __all__ = [
     "POLICY_IDS",
     "EvictionInfeasible",
@@ -34,7 +36,6 @@ __all__ = [
     "make_policy",
 ]
 
-DAY = 86400.0
 MIN_RETENTION = 30 * DAY
 MAX_RETENTION = 183 * DAY
 
@@ -210,12 +211,13 @@ class ZBSCache:
     last_seen[obj] keeps its time.  The window count drops the pairs
     before the day holding now - retention, and only when admission reads
     it.  A daily tick drops the records whose last request is older than
-    the retention and whose document is in neither area.  It finds them
-    through _by_day, which lists documents by the day of their last
-    request, and visits only the days up to the cutoff's; the records it
-    keeps there (seen at or after the cutoff, or held by a resident
-    document) move to the cutoff day's bucket, which every later tick
-    visits, until they expire.
+    the retention and whose document is in neither area.  A record moves
+    to the end of last_seen on its first request of a day, so last_seen
+    runs in the day order of each document's last request; the tick walks
+    it from the front and stops at the first document requested after the
+    cutoff's day.  The records it keeps (seen at or after the cutoff, or
+    held by a resident document) stay at the front, and every later tick
+    visits them again, until they expire.
     """
 
     def __init__(
@@ -237,7 +239,6 @@ class ZBSCache:
         self.accessory: OrderedDict[str, list] = OrderedDict()  # [size, admitted_at]
         self.stats: dict[str, list[int]] = {}
         self.last_seen: dict[str, float] = {}
-        self._by_day: dict[int, list[str]] = {}
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         self.peak_accessory_bytes = 0
@@ -258,23 +259,20 @@ class ZBSCache:
         """Count a request of `obj` at `now` in its record `rec` (None: no
         record yet) and return the record."""
         day = int(now // DAY)
+        last_seen = self.last_seen
         if rec is not None and rec[-2] == day:
             rec[0] += 1
             rec[-1] += 1
+        elif rec is None:
+            if self._start is None:
+                self._start = now
+            rec = self.stats[obj] = [1, day, 1]
         else:
-            if rec is None:
-                if self._start is None:
-                    self._start = now
-                rec = self.stats[obj] = [1, day, 1]
-            else:
-                rec[0] += 1
-                rec.append(day)
-                rec.append(1)
-            bucket = self._by_day.get(day)
-            if bucket is None:
-                bucket = self._by_day[day] = []
-            bucket.append(obj)
-        self.last_seen[obj] = now
+            rec[0] += 1
+            rec.append(day)
+            rec.append(1)
+            del last_seen[obj]  # to the end: last_seen stays in day order
+        last_seen[obj] = now
         return rec
 
     def on_expire_stats(self, now: float) -> None:
@@ -282,24 +280,18 @@ class ZBSCache:
             return
         cutoff = now - self.retention
         # A record seen before the cutoff has its last request on this day
-        # or earlier, so it sits in one of the buckets visited here.
+        # or earlier, so it lies in front of every later day's records.
         last_day = int(cutoff // DAY)
-        by_day = self._by_day
-        stats, last_seen = self.stats, self.last_seen
         kernel, accessory = self.kernel, self.accessory
-        retained = []
-        for day in [d for d in by_day if d <= last_day]:
-            for obj in by_day.pop(day):
-                rec = stats.get(obj)
-                if rec is None or rec[-2] > day:
-                    continue  # dropped, or requested again on a later day
-                if last_seen[obj] >= cutoff or obj in kernel or obj in accessory:
-                    retained.append(obj)  # may expire at a later tick
-                else:
-                    del stats[obj]
-                    del last_seen[obj]
-        if retained:
-            by_day[last_day] = retained  # every later tick visits it again
+        expired = []
+        for obj, seen in self.last_seen.items():
+            if seen // DAY > last_day:
+                break
+            if seen < cutoff and obj not in kernel and obj not in accessory:
+                expired.append(obj)
+        for obj in expired:
+            del self.stats[obj]
+            del self.last_seen[obj]
 
     # -- kernel index -------------------------------------------------
 

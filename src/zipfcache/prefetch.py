@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .simcore import SCHEME_IDS
+SCHEME_IDS = ("goodfetch", "api", "lifetime")
 
 __all__ = [
     "SCHEME_IDS",
@@ -146,17 +146,20 @@ def lifetime_threshold(stats: ObjectPrefetchStats, now: float) -> bool:
 class PrefetchLayer:
     """Adapter the engine drives at modification events and daily ticks.
 
-    Estimates the scoring inputs from the run itself: p_i from the
-    engine's per-document request counters, a from the aggregate request
-    count over elapsed time, and l_i as the mean observed time between
-    modifications since the trace start.  The inputs are plain floats
-    computed per event; no `ObjectPrefetchStats` is built.
+    Estimates the scoring inputs from the run state the engine passes:
+    p_i from its per-document request counts, a from their total over
+    elapsed time, and l_i as the mean observed time between modifications
+    since the trace start.  The inputs are plain floats computed per
+    event; no `ObjectPrefetchStats` is built.
 
     For `lifetime`, `stale` indexes the documents whose resident copy the
-    layer saw go stale.  A copy turns stale only through a modification
-    the engine reports here, so every stale resident copy is indexed; an
-    indexed document that was since evicted, refetched or re-admitted
-    fresh is dropped at the next tick.
+    layer saw go stale at their second or a later modification.  After
+    only one, at L >= start, the copy's age now - L never exceeds the
+    interval now - start, so the rule cannot fire.  A copy turns stale
+    only through a modification the engine reports here, so every stale
+    resident copy that can come due is indexed; an indexed document that
+    was since evicted, refetched or re-admitted fresh is dropped at the
+    next tick.
     """
 
     def __init__(self, scheme: str, threshold: float = -math.inf):
@@ -169,21 +172,18 @@ class PrefetchLayer:
         self.scheme = scheme
         self.threshold = threshold
         self.score = _SCORERS.get(scheme)  # None for lifetime
-        self.engine = None
         self.start: float | None = None
         self.mod_counts: dict[str, int] = {}
         self.last_mod: dict[str, float] = {}
         self.cur_size: dict[str, int] = {}
         self.stale: dict[str, None] = {}
 
-    def attach(self, engine) -> None:
-        self.engine = engine
-
     def note_start(self, t: float) -> None:
         if self.start is None:
             self.start = t
 
-    def on_modification(self, obj: str, size: int, now: float, resident: bool) -> bool:
+    def on_modification(self, obj: str, size: int, now: float, resident: bool,
+                        req_counts: dict[str, int], total: int) -> bool:
         mods = self.mod_counts.get(obj, 0) + 1
         self.mod_counts[obj] = mods
         self.last_mod[obj] = now
@@ -195,23 +195,21 @@ class PrefetchLayer:
             # lifetime: the copy's age is now - last_mod = 0.0 here, which
             # never exceeds the positive interval (now - start) / mods, so
             # the rule can only fire on a daily tick.
-            self.stale[obj] = None
+            if mods >= 2:
+                self.stale[obj] = None
             return False
         start = self.start
         if now <= start:
             return False
         elapsed = now - start
-        engine = self.engine
-        total = engine.cacheable_requests
-        p_i = engine.req_counts.get(obj, 0) / total if total else 0.0
+        p_i = req_counts.get(obj, 0) / total if total else 0.0
         return score(p_i, elapsed / mods, total / elapsed) > self.threshold
 
-    def tick_refetches(self, now: float) -> list[tuple[str, int]]:
-        """Stale resident copies the lifetime rule fetches at `now`, in the
-        engine's admission order."""
+    def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:
+        """Stale copies in `resident` the lifetime rule fetches at `now`, in
+        the engine's admission order."""
         if not self.stale:
             return []
-        resident = self.engine.resident
         start = self.start
         mod_counts = self.mod_counts
         last_mod = self.last_mod

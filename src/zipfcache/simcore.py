@@ -19,14 +19,15 @@ decisions live in policy objects (see `policies`).  Semantics:
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .analytic import DAY as DAY_SECONDS
 from .analytic import DomainError
+from .prefetch import SCHEME_IDS, PrefetchLayer
 from .trace import REQUEST, Trace, TraceEvent
 from . import policies
 
@@ -39,11 +40,6 @@ __all__ = [
     "simulate",
     "sweep_sizes",
 ]
-
-DAY_SECONDS = 86400.0
-
-# Prefetch schemes; see `prefetch`, which implements them.
-SCHEME_IDS = ("goodfetch", "api", "lifetime")
 
 
 class SimulationError(RuntimeError):
@@ -124,9 +120,6 @@ class SimReport:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 class _Engine:
     def __init__(self, config: CacheConfig, prefetch_layer=None):
@@ -136,8 +129,6 @@ class _Engine:
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
         if prefetch_layer is None and config.prefetch is not None:
-            from .prefetch import PrefetchLayer  # prefetch imports this module
-
             prefetch_layer = PrefetchLayer(config.prefetch.scheme, config.prefetch.threshold)
         self.layer = prefetch_layer
         # object_id -> [acct_size, fresh, admitted]; `admitted` is the request
@@ -155,8 +146,6 @@ class _Engine:
         self.prefetch_fetches = 0
         self.demand_bytes = 0
         self.prefetch_bytes = 0
-        if self.layer is not None:
-            self.layer.attach(self)
 
     def _drain(self, now: float) -> None:
         need = self.occupancy - self.capacity
@@ -197,13 +186,7 @@ class _Engine:
             self._drain(now)
 
     def run(self, events: Iterable[TraceEvent]) -> SimReport:
-        try:
-            return self._replay(Trace.from_events(events))
-        finally:
-            if self.layer is not None:
-                self.layer.attach(None)  # no engine <-> layer cycle outlives the run
-
-    def _replay(self, trace: Trace) -> SimReport:
+        trace = Trace.from_events(events)
         policy = self.policy
         resident = self.resident
         req_counts = self.req_counts
@@ -229,7 +212,7 @@ class _Engine:
                         next_tick += skip * DAY_SECONDS
                 policy.on_expire_stats(next_tick)
                 if layer is not None:
-                    for due, due_size in layer.tick_refetches(next_tick):
+                    for due, due_size in layer.tick_refetches(next_tick, resident):
                         if due in resident:
                             self._refetch(due, due_size, now=next_tick, prefetch=True)
                 following = next_tick + DAY_SECONDS
@@ -273,7 +256,7 @@ class _Engine:
                 if entry is not None:
                     entry[1] = False
                 if layer is not None and layer.on_modification(
-                    obj, size, now, resident=entry is not None
+                    obj, size, now, entry is not None, req_counts, self.cacheable_requests
                 ):
                     self._refetch(obj, size, now, prefetch=True)
         if end < len(t):

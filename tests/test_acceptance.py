@@ -19,8 +19,8 @@ from zipfcache.policies import ZBSCache
 from zipfcache.prefetch import ObjectPrefetchStats, lifetime_threshold
 from zipfcache.simcore import CacheConfig, PrefetchConfig, _Engine, simulate, sweep_sizes
 from zipfcache.trace import (
-    REQUEST,
     SyntheticSpec,
+    Trace,
     generate_trace,
     popularity_histogram,
 )
@@ -39,11 +39,10 @@ def _verdict(capsys, name, ok, detail=""):
 
 
 def _footprint(events):
-    seen = {}
-    for e in events:
-        if e.kind == REQUEST and e.object_id not in seen:
-            seen[e.object_id] = e.size_bytes
-    return sum(seen.values())
+    """Bytes of every requested document at its first request."""
+    req = events.kind == 0  # Trace.kind: 0 request, 1 modification
+    _, first = np.unique(events.obj[req], return_index=True)
+    return int(events.size[req][first].sum())
 
 
 @pytest.fixture(scope="session")
@@ -166,7 +165,9 @@ def test_renewal_accounting(capsys, renewal_events, renewal_unbounded):
     alpha_r = analytic.renewal_alpha_r(
         rep.two_plus_docs, rep.hit_ratio, rep.cacheable_requests
     )
-    twin = [e for e in renewal_events if e.kind == REQUEST]
+    ev = renewal_events
+    req = ev.kind == 0
+    twin = Trace(ev.t[req], ev.kind[req], ev.obj[req], ev.size[req], ev.cacheable[req], ev.ids)
     h_static = simulate(twin, CacheConfig(policy_id="lru")).hit_ratio
     delta_h = h_static - rep.hit_ratio
     ok = alpha_r < alpha_fit and 0.005 <= delta_h <= 0.06

@@ -328,6 +328,29 @@ class _NoIteration(dict):
     __iter__ = keys = values = items = _fail
 
 
+class _CountedWalk(dict):
+    """A dict that counts the entries walks over it yield."""
+
+    yielded = 0
+
+    def _walk(self, entries):
+        for entry in entries:
+            self.yielded += 1
+            yield entry
+
+    def __iter__(self):
+        return self._walk(super().__iter__())
+
+    def keys(self):
+        return self._walk(super().keys())
+
+    def values(self):
+        return self._walk(super().values())
+
+    def items(self):
+        return self._walk(super().items())
+
+
 def test_expiry_tick_does_not_iterate_statistics():
     p = ZBSCache(1000, retention=MIN_RETENTION)
     p.on_miss_admit("d0", 10, 0.0)  # stays resident
@@ -335,12 +358,19 @@ def test_expiry_tick_does_not_iterate_statistics():
         p.on_miss_admit(f"d{i}", 10, i * DAY)
         p.force_forget(f"d{i}")
     p.stats = _NoIteration(p.stats)
+    # A tick may visit the expiring records, the held ones (resident, or
+    # seen on the cutoff's day at or after the cutoff) and one more.
+    p.last_seen = walk = _CountedWalk(p.last_seen)
     p.on_expire_stats(10 * DAY)  # inside the first retention span
+    assert walk.yielded == 0
     p.on_expire_stats(31 * DAY)  # only d0 is past its cutoff, and resident
     assert len(p.stats) == 50
+    assert walk.yielded <= 0 + 2 + 1  # d0 and d1 held
     p.force_forget("d0")
+    walk.yielded = 0
     p.on_expire_stats(40.5 * DAY)  # seen before day 10.5 and not resident
     assert len(p.stats) == 39 and "d10" not in p.stats and "d11" in p.stats
+    assert walk.yielded <= 11 + 0 + 1
 
 
 # ----------------------------------------------------------- configuration

@@ -35,26 +35,22 @@ class RefPrefetchLayer:
         self.start = None
         self.mod_counts, self.last_mod, self.cur_size = {}, {}, {}
         # lifetime: copies gone stale while resident since the last tick, and
-        # those still stale and resident at it; the engine walks each tick
-        # while there is one
+        # those still stale and resident at it, once modified at least twice;
+        # the engine walks each tick while there is one
         self.stale = set()
-
-    def attach(self, engine):
-        self.engine = engine
 
     def note_start(self, t):
         if self.start is None:
             self.start = t
 
-    def stats_for(self, obj, now):
+    def stats_for(self, obj, now, req_counts, total):
         mods = self.mod_counts.get(obj, 0)
         if now <= self.start or mods == 0:
             return None
         elapsed = now - self.start
-        total = self.engine.cacheable_requests
         return ObjectPrefetchStats(
             object_id=obj,
-            p_i=self.engine.req_counts.get(obj, 0) / total if total else 0.0,
+            p_i=req_counts.get(obj, 0) / total if total else 0.0,
             l_i=elapsed / mods,
             a_rate=total / elapsed,
             mod_count=mods,
@@ -62,29 +58,30 @@ class RefPrefetchLayer:
             last_modified=self.last_mod[obj],
         )
 
-    def on_modification(self, obj, size, now, resident):
+    def on_modification(self, obj, size, now, resident, req_counts, total):
         self.mod_counts[obj] = self.mod_counts.get(obj, 0) + 1
         self.last_mod[obj] = now
         self.cur_size[obj] = size
-        if resident and self.scheme == "lifetime":
+        if resident and self.scheme == "lifetime" and self.mod_counts[obj] >= 2:
             self.stale.add(obj)
-        stats = self.stats_for(obj, now) if resident else None
+        stats = self.stats_for(obj, now, req_counts, total) if resident else None
         if stats is None:
             return False
         if self.scheme == "lifetime":
             return lifetime_threshold(stats, now)
         return self.SCORERS[self.scheme](stats) > self.threshold
 
-    def tick_refetches(self, now):
+    def tick_refetches(self, now, resident):
         if self.scheme != "lifetime":
             return []
-        resident = self.engine.resident
-        self.stale = {obj for obj, entry in resident.items() if not entry[1]}
+        self.stale = {obj for obj, entry in resident.items()
+                      if not entry[1] and self.mod_counts[obj] >= 2}
         out = []
         for obj, entry in resident.items():
             if entry[1]:
                 continue
-            stats = self.stats_for(obj, now)
+            # the lifetime rule reads neither request counts nor their total
+            stats = self.stats_for(obj, now, {}, 0)
             if stats is not None and lifetime_threshold(stats, now):
                 out.append((obj, self.cur_size[obj]))
         return out
@@ -93,13 +90,13 @@ class RefPrefetchLayer:
 def _recording(layer, log):
     on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
 
-    def on_mod(obj, size, now, resident):
-        out = on_modification(obj, size, now, resident=resident)
+    def on_mod(obj, size, now, resident, req_counts, total):
+        out = on_modification(obj, size, now, resident, req_counts, total)
         log.append(("modification", now, obj, resident, out))
         return out
 
-    def tick(now):
-        out = tick_refetches(now)
+    def tick(now, resident):
+        out = tick_refetches(now, resident)
         log.append(("tick", now, out))
         return out
 

@@ -134,14 +134,15 @@ def test_non_finite_timestamp_rejected(stamps):
         simulate(events, _lru())
 
 
-@pytest.mark.parametrize("scheme", [None, "goodfetch"])
+@pytest.mark.parametrize("scheme", [None, "goodfetch", "lifetime"])
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_large_time_gap_finishes(policy_id, scheme):
-    # about 1.2e10 simulated days lie between the two requests
+    # about 1.2e10 simulated days lie between the two requests; the copy of
+    # a, modified once, is stale but the lifetime rule can never fetch it
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id,
                          prefetch=PrefetchConfig(scheme) if scheme else None)
     start = time.perf_counter()
-    report = simulate([_req(0.0, "a"), _req(1e15, "b")], config)
+    report = simulate([_req(0.0, "a"), _mod(1.0, "a"), _req(1e15, "b")], config)
     assert time.perf_counter() - start < 1.0
     assert report.requests == 2 and report.hits == 0
 
@@ -183,8 +184,14 @@ def test_daily_clock_jumps_over_empty_days():
     # one tick for the four boundaries in the gap, then the next in step
     assert _ticks(events) == [t0 + 4 * DAY, t0 + 5 * DAY]
     assert _ticks(events, "goodfetch") == [t0 + 4 * DAY, t0 + 5 * DAY]
-    # a stale copy the lifetime rule may refetch keeps the daily walk
-    assert _ticks(events, "lifetime") == [t0 + k * DAY for k in range(1, 6)]
+    # a copy modified once never comes due under the lifetime rule
+    assert _ticks(events, "lifetime") == [t0 + 4 * DAY, t0 + 5 * DAY]
+    # modified twice, it keeps the daily walk until the day-2 tick fetches
+    # it (age 1.5 d > interval 2 d / 2); the day-3 tick drops it from the
+    # index, and the clock jumps again
+    events = [_req(t0, "a"), _mod(t0 + 0.25 * DAY, "a"), _mod(t0 + 0.5 * DAY, "a"),
+              _req(t0 + 9.5 * DAY, "b")]
+    assert _ticks(events, "lifetime") == [t0 + k * DAY for k in (1, 2, 3, 9)]
 
 
 def test_finished_run_leaves_no_reference_cycle():
@@ -196,7 +203,6 @@ def test_finished_run_leaves_no_reference_cycle():
         ref = weakref.ref(eng)
         del eng
         assert ref() is None
-        assert layer.engine is None
     finally:
         gc.enable()
 
