@@ -4,8 +4,6 @@ count to cache sizing numbers.
 Run with: python3 demos/popularity_law.py
 """
 
-import math
-
 from zipfcache.analytic import (
     DAY,
     REFERENCE_OPERATING_POINT,
@@ -27,7 +25,7 @@ print()
 print(f"{'alpha':>6} {'p (unique)':>12} {'m (2-req)':>12} {'A':>10} "
       f"{'H bound':>8} {'tau days':>9}")
 for alpha in (0.6, 0.7, 0.72, 0.8, 0.9):
-    pts = special_points(ZipfLaw(alpha=alpha, a=1.0, k=K))
+    pts = special_points(ZipfLaw(alpha=alpha, k=K))
     a = normalization_constant(alpha, pts.p)
     bound = ideal_hit_bounds(alpha).closed_form
     tau = optimal_tau(1.0 / (186 * DAY), alpha).tau_days
@@ -36,7 +34,7 @@ for alpha in (0.6, 0.7, 0.72, 0.8, 0.9):
 
 print()
 alpha = 0.8
-pts = special_points(ZipfLaw(alpha=alpha, a=1.0, k=K))
+pts = special_points(ZipfLaw(alpha=alpha, k=K))
 print(f"at alpha={alpha}: the closed-form estimate k(1-alpha) = {pts.p_approx:.0f}")
 print(f"overshoots the exact unique-document rank {pts.p:.0f} by "
       f"{abs(pts.p_approx - pts.p) / pts.p:.1%},")

@@ -27,30 +27,22 @@ __all__ = [
     "ModelInconsistencyError",
     "SaturationError",
     "ZipfLaw",
-    "TrafficModel",
     "SpecialPoints",
-    "PartSizes",
-    "RequestVolume",
     "AlphaEstimates",
     "HitBounds",
     "OptimalSizing",
     "REFERENCE_OPERATING_POINT",
-    "docs_requested",
     "normalization_constant",
     "special_points",
     "fit_alpha_three_ways",
     "fit_alpha_loglog",
-    "hit_ratio_integral",
-    "real_hit_ratio",
     "ideal_hit_bounds",
     "hit_scaling",
     "kernel_share",
-    "part_sizes_from_trace",
     "optimal_tau",
     "wolman_hit_ratio",
     "renewal_alpha_r",
     "renewal_delta_h",
-    "renewal_rate",
     "freshness_from_exponents",
     "extra_prefetch_bandwidth",
 ]
@@ -90,55 +82,20 @@ def _check_positive(**values: float) -> None:
 
 @dataclass(frozen=True)
 class ZipfLaw:
-    """Popularity law f(x) = a / x**alpha over document ranks x.
+    """Popularity law f(x) = A / x**alpha over document ranks x.
 
-    ``a`` is the probability of the most popular document and ``k`` the
-    number of cacheable requests the law describes.
+    ``k`` is the number of cacheable requests the law describes; the
+    normaliser A follows from alpha and the unique-document rank p (see
+    `normalization_constant`).
     """
 
     alpha: float
-    a: float
     k: float
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if not (0.0 < self.a <= 1.0):
-            raise DomainError(f"a must be in (0, 1], got {self.a!r}")
         if self.k < 1:
             raise DomainError(f"k must be >= 1, got {self.k!r}")
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    """Aggregate demand seen by the cache over an observation span.
-
-    nu_out        mean bytes per second drawn from origin servers
-    mean_doc_size mean document size, bytes
-    lam           per-client request rate (requests per second)
-    n_clients     client population size
-    duration      observation span, seconds
-    p_c           cacheable fraction of requests
-    """
-
-    nu_out: float
-    mean_doc_size: float
-    lam: float
-    n_clients: int
-    duration: float
-    p_c: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_positive(
-            nu_out=self.nu_out,
-            mean_doc_size=self.mean_doc_size,
-            duration=self.duration,
-        )
-        if self.lam < 0:
-            raise DomainError(f"lam must be >= 0, got {self.lam!r}")
-        if self.n_clients < 0:
-            raise DomainError(f"n_clients must be >= 0, got {self.n_clients!r}")
-        if not (0.0 < self.p_c <= 1.0):
-            raise DomainError(f"p_c must be in (0, 1], got {self.p_c!r}")
 
 
 @dataclass(frozen=True)
@@ -157,22 +114,6 @@ class SpecialPoints:
     p_approx: float
 
 
-@dataclass(frozen=True)
-class PartSizes:
-    """Kernel and accessory part sizes measured in documents.
-
-    s_k    documents requested at least twice (kernel part)
-    s_u    documents requested exactly once (accessory part)
-    t_eff  observed lifetime of documents reaching two requests, seconds
-    t_u    observed lifetime of single-request documents, seconds
-    """
-
-    s_k: float
-    s_u: float
-    t_eff: float | None = None
-    t_u: float | None = None
-
-
 #: Measured operating point of a regional proxy used as a reference for
 #: defaults and tolerance checks: exponent pair, hit ratio, loss and the
 #: modification rates of the popular / unpopular document classes.
@@ -184,13 +125,6 @@ REFERENCE_OPERATING_POINT = {
     "mu_p": 1.0 / (6.2 * DAY),
     "mu_u": 1.0 / (202.0 * DAY),
 }
-
-
-class RequestVolume(NamedTuple):
-    """Total request count estimated two independent ways."""
-
-    from_bandwidth: float
-    from_population: float
 
 
 class AlphaEstimates(NamedTuple):
@@ -225,18 +159,6 @@ class OptimalSizing:
     @property
     def tau_days(self) -> float:
         return self.tau_seconds / DAY
-
-
-def docs_requested(traffic: TrafficModel) -> RequestVolume:
-    """Expected request count over the span, from bandwidth and from clients.
-
-    The bandwidth form divides origin traffic by the mean document size;
-    the population form multiplies the per-client rate by the population.
-    The two agree when lam = nu_out / (n_clients * mean_doc_size).
-    """
-    from_bandwidth = traffic.nu_out * traffic.duration / traffic.mean_doc_size
-    from_population = traffic.lam * traffic.n_clients * traffic.duration
-    return RequestVolume(from_bandwidth, from_population)
 
 
 def normalization_constant(alpha: float, p: float) -> float:
@@ -335,28 +257,6 @@ def fit_alpha_loglog(counts, max_rank: int | None = None) -> float:
     return -float(slope)
 
 
-def hit_ratio_integral(a: float, alpha: float, upper: float) -> float:
-    """Mass of the popularity law over ranks [1, upper].
-
-    Evaluates A * (upper**(1 - alpha) - 1) / (1 - alpha); with the proper
-    normalisation constant this is the ideal hit share of a cache that
-    holds the `upper` most popular documents.
-    """
-    _check_alpha(alpha)
-    _check_positive(a=a)
-    if upper < 1:
-        raise DomainError(f"upper must be >= 1, got {upper!r}")
-    return a * (upper ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
-
-
-def real_hit_ratio(p_c: float, a: float, alpha: float, s_k: float) -> float:
-    """Hit ratio of a cache holding the s_k most popular documents,
-    discounted by the cacheable fraction p_c."""
-    if not (0.0 < p_c <= 1.0):
-        raise DomainError(f"p_c must be in (0, 1], got {p_c!r}")
-    return p_c * hit_ratio_integral(a, alpha, s_k)
-
-
 def ideal_hit_bounds(
     alpha: float,
     p: float | None = None,
@@ -392,9 +292,10 @@ def hit_scaling(h1: float, s1: float, s2: float, alpha: float) -> float:
     SaturationError when the scaled value exceeds 1; the caller decides
     how to clamp.
 
-    The law describes a cache that holds the most popular documents (see
-    `hit_ratio_integral`).  LRU on a cold trace runs steeper, because it
-    also admits documents requested only once.
+    The exponent comes from integrating the popularity law over the top
+    ranks, so the law describes a cache that holds the most popular
+    documents.  LRU on a cold trace runs steeper, because it also admits
+    documents requested only once.
     """
     _check_alpha(alpha)
     _check_positive(h1=h1, s1=s1, s2=s2)
@@ -417,28 +318,6 @@ def kernel_share(t_eff: float, t_u: float, alpha: float) -> float:
     _check_alpha(alpha)
     _check_positive(t_eff=t_eff, t_u=t_u)
     return t_eff / ((2.0 ** (1.0 / alpha) - 1.0) * t_u)
-
-
-def part_sizes_from_trace(
-    m_of_t_eff: float,
-    p_of_t_u: float,
-    m_of_t_u: float,
-    t_eff: float | None = None,
-    t_u: float | None = None,
-) -> PartSizes:
-    """Kernel and accessory sizes from windowed trace counts.
-
-    The kernel holds the documents that reached two requests within their
-    observation window; the accessory size is the count of documents seen
-    exactly once, p(t_u) - m(t_u).
-    """
-    _check_positive(m_of_t_eff=m_of_t_eff, p_of_t_u=p_of_t_u, m_of_t_u=m_of_t_u)
-    s_u = p_of_t_u - m_of_t_u
-    if s_u < 0:
-        raise DomainError(
-            f"negative accessory size: p(t_u)={p_of_t_u!r} < m(t_u)={m_of_t_u!r}"
-        )
-    return PartSizes(s_k=m_of_t_eff, s_u=s_u, t_eff=t_eff, t_u=t_u)
 
 
 def optimal_tau(
@@ -533,26 +412,6 @@ def renewal_delta_h(theta_sum: float, h: float, big_k: float) -> float:
     if theta_sum < 0 or h < 0:
         raise DomainError("theta_sum and h must be >= 0")
     return (theta_sum - h * big_k) / big_k
-
-
-def renewal_rate(
-    i: float, p: float, alpha: float, alpha_r: float, t_st: float
-) -> float:
-    """Modification rate of the rank-i document implied by the exponent drop.
-
-    mu(i) = ((p/i)**alpha - (p/i)**alpha_r) / t_st over a statistics span
-    t_st (seconds).  Decreases with rank and vanishes when the two
-    exponents coincide.
-    """
-    _check_alpha(alpha)
-    _check_alpha(alpha_r)
-    if alpha_r > alpha:
-        raise DomainError("alpha_r cannot exceed alpha")
-    _check_positive(p=p, t_st=t_st)
-    if not (1.0 <= i <= p):
-        raise DomainError(f"rank i must be in [1, p], got {i!r}")
-    ratio = p / i
-    return (ratio ** alpha - ratio ** alpha_r) / t_st
 
 
 def freshness_from_exponents(alpha: float, alpha_r: float) -> float:

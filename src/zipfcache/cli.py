@@ -50,7 +50,10 @@ def parse_size(text: str):
         raise argparse.ArgumentTypeError(
             f"unknown size unit {m.group(2)!r} (use B, KB, MB, GB or TB)"
         ) from None
-    return float(m.group(1)) * mult
+    value = float(m.group(1)) * mult
+    if math.isinf(value):
+        raise argparse.ArgumentTypeError(f"size {text!r} overflows to infinity")
+    return value
 
 
 def parse_size_list(text: str):
@@ -95,7 +98,7 @@ def _emit(report, args) -> None:
     """Write one report, or a sweep's list of reports, to -o or stdout as
     JSON or as CSV: two-column metric rows, or one row per capacity."""
     if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     else:
         if isinstance(report, list):
             keys = [k for k in report[0] if k != "config"]
@@ -153,9 +156,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.window_days is not None and not 0.0 < args.window_days < math.inf:
+        raise DomainError(f"--window-days must be finite and > 0, got {args.window_days}")
+    if args.hit_ratio is not None and not 0.0 < args.hit_ratio <= 1.0:
+        raise DomainError(f"--hit-ratio must be in (0, 1], got {args.hit_ratio}")
     events, meta = _load_events(args)
     hist = trace.popularity_histogram(events)
-    window = args.window_days * DAY if args.window_days else None
+    window = args.window_days * DAY if args.window_days is not None else None
     lives = trace.lifetime_stats(events, window)
 
     k = hist.total_requests
@@ -204,6 +211,8 @@ def cmd_predict(args) -> int:
     if bounds.from_counts is not None:
         report["hit_bound_counts"] = bounds.from_counts
     if args.tch_days is not None:
+        if not 0.0 < args.tch_days < math.inf:
+            raise DomainError(f"--tch-days must be finite and > 0, got {args.tch_days}")
         mu_u = 1.0 / (args.tch_days * DAY)
         sizing = analytic.optimal_tau(
             mu_u, args.alpha, p_c=args.p_c,

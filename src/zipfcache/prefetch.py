@@ -22,53 +22,14 @@ gain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 SCHEME_IDS = ("goodfetch", "api", "lifetime")
 
-__all__ = [
-    "SCHEME_IDS",
-    "ObjectPrefetchStats",
-    "good_fetch_probability",
-    "api_value",
-    "freshness_factor",
-    "select_prefetch_set",
-    "lifetime_threshold",
-    "PrefetchLayer",
-]
-
-
-@dataclass(frozen=True)
-class ObjectPrefetchStats:
-    """Per-document quantities the scoring rules consume.
-
-    p_i is the document's share of all requests, l_i its mean lifetime
-    between modifications in seconds, a_rate the aggregate request
-    arrival rate in requests per second.  install_time is when tracking
-    began (trace start unless earlier history is known) and mod_count
-    the number of modifications observed since then.
-    """
-
-    object_id: str
-    p_i: float
-    l_i: float
-    a_rate: float
-    mod_count: int
-    install_time: float
-    last_modified: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_i <= 1.0:
-            raise ValueError(f"p_i must be within [0, 1], got {self.p_i!r}")
-        if self.l_i <= 0.0:
-            raise ValueError(f"l_i must be > 0, got {self.l_i!r}")
-        if self.a_rate < 0.0:
-            raise ValueError(f"a_rate must be >= 0, got {self.a_rate!r}")
-        if self.mod_count < 0:
-            raise ValueError(f"mod_count must be >= 0, got {self.mod_count!r}")
+__all__ = ["SCHEME_IDS", "PrefetchLayer"]
 
 
 def _good_fetch(p_i: float, l_i: float, a_rate: float) -> float:
+    """Probability of a request before the next change, 1 - (1 - p_i)^(a l_i)."""
     exponent = a_rate * l_i
     if exponent == 0.0:
         return 0.0
@@ -78,69 +39,19 @@ def _good_fetch(p_i: float, l_i: float, a_rate: float) -> float:
 
 
 def _api(p_i: float, l_i: float, a_rate: float) -> float:
+    """Expected requests per lifetime, a p_i l_i."""
     return a_rate * p_i * l_i
 
 
 def _lifetime_due(now: float, install_time: float, mod_count: int,
                   last_modified: float) -> bool:
+    """Copy age strictly above the mean interval between modifications."""
     t_p = (now - install_time) / mod_count
     return (now - last_modified) > t_p
 
 
-def good_fetch_probability(stats: ObjectPrefetchStats) -> float:
-    """Probability the document is requested before its next change,
-    1 - (1 - p_i)^(a l_i) for a l_i request opportunities per lifetime."""
-    return _good_fetch(stats.p_i, stats.l_i, stats.a_rate)
-
-
-def api_value(stats: ObjectPrefetchStats) -> float:
-    """Expected requests per lifetime, a * p_i * l_i."""
-    return _api(stats.p_i, stats.l_i, stats.a_rate)
-
-
-def freshness_factor(stats: ObjectPrefetchStats) -> float:
-    """Fraction of requests that find a prefetched copy fresh,
-    a p_i l_i / (a p_i l_i + 1)."""
-    apl = api_value(stats)
-    return apl / (apl + 1.0)
-
-
 # The threshold schemes' scores on plain floats (p_i, l_i, a_rate).
 _SCORERS = {"goodfetch": _good_fetch, "api": _api}
-
-
-def select_prefetch_set(
-    stats_list: list[ObjectPrefetchStats],
-    scheme: str,
-    threshold: float,
-) -> list[str]:
-    """Object ids whose scheme score strictly exceeds `threshold`,
-    highest score first (ties broken by id for determinism)."""
-    try:
-        score = _SCORERS[scheme]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheme {scheme!r}; threshold schemes: goodfetch, api"
-        ) from None
-    picked = [(score(st.p_i, st.l_i, st.a_rate), st.object_id) for st in stats_list]
-    picked = [(s, obj) for s, obj in picked if s > threshold]
-    picked.sort(key=lambda t: (-t[0], t[1]))
-    return [obj for _, obj in picked]
-
-
-def lifetime_threshold(stats: ObjectPrefetchStats, now: float) -> bool:
-    """Fetch decision of the lifetime rule.
-
-    The copy's age since the last known modification is compared against
-    the mean inter-modification interval (now - install_time)/mod_count;
-    fetch only on strict excess.  With no modification history the
-    document is never prefetched.
-    """
-    if now < stats.install_time:
-        raise ValueError("now precedes install_time")
-    if stats.mod_count == 0:
-        return False
-    return _lifetime_due(now, stats.install_time, stats.mod_count, stats.last_modified)
 
 
 class PrefetchLayer:
@@ -149,8 +60,7 @@ class PrefetchLayer:
     Estimates the scoring inputs from the run state the engine passes:
     p_i from its per-document request counts, a from their total over
     elapsed time, and l_i as the mean observed time between modifications
-    since the trace start.  The inputs are plain floats computed per
-    event; no `ObjectPrefetchStats` is built.
+    since the trace start.
 
     For `lifetime`, `stale` indexes the documents whose resident copy the
     layer saw go stale at their second or a later modification.  After

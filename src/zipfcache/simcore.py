@@ -25,14 +25,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analytic import DAY as DAY_SECONDS
-from .analytic import DomainError
+from .analytic import DAY, DomainError
 from .prefetch import SCHEME_IDS, PrefetchLayer
 from .trace import REQUEST, Trace, TraceEvent
 from . import policies
 
 __all__ = [
-    "DAY_SECONDS",
     "SimulationError",
     "PrefetchConfig",
     "CacheConfig",
@@ -198,7 +196,7 @@ class _Engine:
         end = int(bad[0]) if len(bad) else len(t)
         next_tick = math.inf
         if end:
-            next_tick = float(t[0]) + DAY_SECONDS
+            next_tick = float(t[0]) + DAY
             if layer is not None:
                 layer.note_start(float(t[0]))
         for now, kind, obj, size, cacheable in trace[:end].rows():
@@ -207,15 +205,15 @@ class _Engine:
                     # No event and no prefetch changes residency until
                     # `now`, and expiry is monotone in time: one tick at the
                     # last boundary does the work of every tick in the gap.
-                    skip = (now - next_tick) // DAY_SECONDS
+                    skip = (now - next_tick) // DAY
                     if skip:
-                        next_tick += skip * DAY_SECONDS
+                        next_tick += skip * DAY
                 policy.on_expire_stats(next_tick)
                 if layer is not None:
                     for due, due_size in layer.tick_refetches(next_tick, resident):
                         if due in resident:
                             self._refetch(due, due_size, now=next_tick, prefetch=True)
-                following = next_tick + DAY_SECONDS
+                following = next_tick + DAY
                 if following == next_tick:
                     # Beyond about 1.2e21 s a day is under half a float
                     # step: the clock would tick in place for ever.

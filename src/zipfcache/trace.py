@@ -250,7 +250,7 @@ class SyntheticSpec:
         if expected < 4.0:
             return 0
         try:
-            pts = special_points(ZipfLaw(alpha=self.alpha, a=1.0, k=expected))
+            pts = special_points(ZipfLaw(alpha=self.alpha, k=expected))
         except DomainError:
             return 0
         return min(int(round(pts.m)), self.n_objects)
@@ -355,7 +355,6 @@ class PopularityHistogram:
     """Request counts per document, sorted descending."""
 
     counts: np.ndarray
-    object_ids: list[str]
     total_requests: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -375,19 +374,12 @@ class PopularityHistogram:
 
 
 def popularity_histogram(events: Iterable[TraceEvent]) -> PopularityHistogram:
-    """Per-document request counts in descending order.
-
-    Only request events contribute; ties are broken by object id so the
-    ordering is reproducible.
-    """
+    """Per-document request counts in descending order; only request
+    events contribute."""
     trace = Trace.from_events(events)
-    ids = trace.ids
-    counts = np.bincount(trace.obj[trace.kind == 0], minlength=len(ids))
-    by_id = np.array(sorted(np.flatnonzero(counts).tolist(), key=ids.__getitem__),
-                     dtype=np.int64)
-    order = by_id[np.argsort(-counts[by_id], kind="stable")]
-    return PopularityHistogram(counts=counts[order].astype(np.int64),
-                               object_ids=[ids[i] for i in order.tolist()])
+    counts = np.bincount(trace.obj[trace.kind == 0])
+    counts = np.sort(counts[counts > 0])[::-1]
+    return PopularityHistogram(counts=counts.astype(np.int64))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from zipfcache import analytic
 from zipfcache.analytic import DAY, ZipfLaw, special_points
 from zipfcache.cli import main
 from zipfcache.policies import ZBSCache
-from zipfcache.prefetch import ObjectPrefetchStats, lifetime_threshold
+from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, PrefetchConfig, _Engine, simulate, sweep_sizes
 from zipfcache.trace import (
     SyntheticSpec,
@@ -103,7 +103,7 @@ def test_fundamental_system_consistency(capsys):
     for _ in range(100):
         alpha = rng.uniform(0.5, 0.9)
         k = 10 ** rng.uniform(4, 7)
-        pts = special_points(ZipfLaw(alpha=alpha, a=1.0, k=k))
+        pts = special_points(ZipfLaw(alpha=alpha, k=k))
         a = analytic.normalization_constant(alpha, pts.p)
         at_p = k * a * pts.p ** -alpha
         at_m = k * a * pts.m ** -alpha
@@ -215,11 +215,13 @@ def test_prefetch_dominance_and_cost(capsys, renewal_events, renewal_unbounded):
     ref = analytic.REFERENCE_OPERATING_POINT
     target = 1.0 - analytic.freshness_from_exponents(ref["alpha"], ref["alpha_r"])
 
-    micro = ObjectPrefetchStats(
-        object_id="doc", p_i=0.01, l_i=10 * DAY, a_rate=1.0,
-        mod_count=10, install_time=0.0, last_modified=89 * DAY,
-    )
-    fires = lifetime_threshold(micro, 100 * DAY)  # copy age 11 d, mean 10 d
+    micro = PrefetchLayer("lifetime")
+    micro.note_start(0.0)
+    for day in range(80, 90):  # 10 modifications of the resident copy, the last at 89 d
+        micro.on_modification("doc", 100, day * DAY, True, {"doc": 1}, 1)
+    stale_copy = [100, False, 1]  # size, fresh flag, admission order
+    # copy age 11 d, mean interval 10 d
+    fires = micro.tick_refetches(100 * DAY, {"doc": stale_copy}) == [("doc", 100)]
 
     ok = pf.hit_ratio >= plain.hit_ratio and abs(extra - target) <= 0.03 and fires
     _verdict(

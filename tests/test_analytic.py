@@ -14,40 +14,8 @@ from zipfcache.analytic import (
     DomainError,
     ModelInconsistencyError,
     SaturationError,
-    TrafficModel,
     ZipfLaw,
 )
-
-
-# ---------------------------------------------------------------- volumes
-
-
-def test_docs_requested_bandwidth_form():
-    t = TrafficModel(nu_out=1e6, mean_doc_size=1e4, lam=1.0, n_clients=1, duration=1e3)
-    vol = analytic.docs_requested(t)
-    assert vol.from_bandwidth == pytest.approx(1e5)
-
-
-def test_docs_requested_zero_rate():
-    t = TrafficModel(nu_out=1e6, mean_doc_size=1e4, lam=0.0, n_clients=50, duration=1e3)
-    assert analytic.docs_requested(t).from_population == 0.0
-
-
-def test_docs_requested_forms_agree_when_forced():
-    # lam = nu_out/(N E(C)) makes the two counting forms identical
-    nu, ec, n, t = 2e5, 5e3, 40, 7200.0
-    traffic = TrafficModel(
-        nu_out=nu, mean_doc_size=ec, lam=nu / (n * ec), n_clients=n, duration=t
-    )
-    vol = analytic.docs_requested(traffic)
-    assert vol.from_bandwidth == pytest.approx(vol.from_population)
-
-
-def test_traffic_model_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        TrafficModel(nu_out=0.0, mean_doc_size=1e4, lam=1.0, n_clients=1, duration=10.0)
-    with pytest.raises(DomainError):
-        TrafficModel(nu_out=1e6, mean_doc_size=1e4, lam=1.0, n_clients=1, duration=0.0)
 
 
 # ---------------------------------------------------- normalization constant
@@ -78,7 +46,7 @@ def test_normalization_defining_property():
 
 
 def test_special_points_against_root_oracle():
-    law = ZipfLaw(alpha=0.75, a=1.0, k=1e6)
+    law = ZipfLaw(alpha=0.75, k=1e6)
     pts = analytic.special_points(law)
     p_oracle = brentq(lambda p: p - p**0.75 - 1e6 * 0.25, 1.0, 2e6, xtol=1e-9)
     assert pts.p == pytest.approx(p_oracle, rel=1e-9)
@@ -87,7 +55,7 @@ def test_special_points_against_root_oracle():
 
 
 def test_special_points_closed_form_gap():
-    pts = analytic.special_points(ZipfLaw(alpha=0.75, a=1.0, k=1e6))
+    pts = analytic.special_points(ZipfLaw(alpha=0.75, k=1e6))
     rel = abs(pts.p_approx - pts.p) / pts.p
     assert rel < 0.05
     assert rel <= pts.p ** (0.75 - 1.0) * (1 + 1e-9)
@@ -98,14 +66,14 @@ def test_special_points_ordering_property():
     for _ in range(40):
         alpha = rng.uniform(0.3, 0.95)
         k = 10 ** rng.uniform(3, 7)
-        pts = analytic.special_points(ZipfLaw(alpha=alpha, a=1.0, k=k))
+        pts = analytic.special_points(ZipfLaw(alpha=alpha, k=k))
         assert 1.0 <= pts.m < pts.p < k
 
 
 def test_special_points_rejects_subunit_m():
     # k(1-alpha) small enough pushes the two-request rank below 1
     with pytest.raises(ModelInconsistencyError):
-        analytic.special_points(ZipfLaw(alpha=0.5, a=1.0, k=3.0))
+        analytic.special_points(ZipfLaw(alpha=0.5, k=3.0))
 
 
 # ------------------------------------------------------------- alpha fitting
@@ -144,35 +112,6 @@ def test_fit_alpha_loglog_validation():
 # --------------------------------------------------------- hit ratio pieces
 
 
-def test_hit_ratio_integral_trivials():
-    a = analytic.normalization_constant(0.5, 1e6)
-    assert analytic.hit_ratio_integral(a, 0.5, 1.0) == 0.0
-    assert analytic.hit_ratio_integral(a, 0.5, 1e6) == pytest.approx(1.0)
-
-
-def test_hit_ratio_integral_against_quadrature():
-    a = analytic.normalization_constant(0.5, 1e6)
-    val = analytic.hit_ratio_integral(a, 0.5, 1e4)
-    oracle, _ = quad(lambda x: a * x**-0.5, 1.0, 1e4)
-    assert val == pytest.approx(oracle, rel=1e-9)
-    assert val == pytest.approx(0.0991, abs=5e-4)
-
-
-def test_hit_ratio_integral_monotone():
-    a = analytic.normalization_constant(0.7, 1e5)
-    uppers = np.linspace(1, 1e5, 50)
-    vals = [analytic.hit_ratio_integral(a, 0.7, u) for u in uppers]
-    assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
-    assert vals[-1] <= 1.0 + 1e-12
-
-
-def test_real_hit_ratio():
-    a = analytic.normalization_constant(0.5, 1e6)
-    assert analytic.real_hit_ratio(1.0, a, 0.5, 1e6) == pytest.approx(1.0)
-    assert analytic.real_hit_ratio(0.6, a, 0.5, 1e6) == pytest.approx(0.6)
-    assert analytic.real_hit_ratio(0.6, a, 0.5, 1e4) == pytest.approx(0.0595, abs=5e-4)
-
-
 def test_ideal_hit_bounds_frozen():
     bounds = analytic.ideal_hit_bounds(0.7)
     assert bounds.closed_form == pytest.approx(2 ** (-3 / 7), abs=1e-12)
@@ -206,14 +145,6 @@ def test_kernel_share_frozen():
     assert analytic.kernel_share(1.0, 1.0, 0.7) == pytest.approx(0.591, abs=1e-3)
     assert analytic.kernel_share(1.0, 1.0, 1 / math.log2(3)) == pytest.approx(0.5, rel=1e-12)
     assert analytic.kernel_share(2.0, 1.0, 0.7) == pytest.approx(1.182, abs=2e-3)
-
-
-def test_part_sizes_from_trace():
-    ps = analytic.part_sizes_from_trace(100.0, 500.0, 100.0)
-    assert (ps.s_k, ps.s_u) == (100.0, 400.0)
-    assert analytic.part_sizes_from_trace(10.0, 80.0, 80.0).s_u == 0.0
-    with pytest.raises(DomainError):
-        analytic.part_sizes_from_trace(10.0, 50.0, 80.0)
 
 
 # ------------------------------------------------------------ optimal sizing
@@ -300,27 +231,6 @@ def test_renewal_alpha_r():
 def test_renewal_delta_h():
     assert analytic.renewal_delta_h(3.5e5, 0.35, 1e6) == pytest.approx(0.0, abs=1e-12)
     assert analytic.renewal_delta_h(3.73e5, 0.35, 1e6) == pytest.approx(0.023)
-
-
-def test_renewal_rate_frozen():
-    mu = analytic.renewal_rate(1, 1e5, 0.72, 0.70, 100 * DAY)
-    assert mu * DAY == pytest.approx(8.1879, abs=1e-3)
-    assert analytic.renewal_rate(1e5, 1e5, 0.72, 0.70, 100 * DAY) == 0.0
-    assert analytic.renewal_rate(17, 1e5, 0.72, 0.72, 100 * DAY) == 0.0
-
-
-def test_renewal_rate_monotone_property():
-    rng = np.random.default_rng(55)
-    for _ in range(10):
-        alpha = rng.uniform(0.55, 0.9)
-        alpha_r = alpha - rng.uniform(0.0, 0.04)
-        p = 10 ** rng.uniform(3, 6)
-        ranks = np.linspace(1, p, 40)
-        vals = [analytic.renewal_rate(i, p, alpha, alpha_r, 100 * DAY) for i in ranks]
-        assert all(v >= 0.0 for v in vals)
-        assert all(v2 <= v1 + 1e-18 for v1, v2 in zip(vals, vals[1:]))
-    with pytest.raises(DomainError):
-        analytic.renewal_rate(2e5, 1e5, 0.72, 0.7, 100 * DAY)
 
 
 def test_freshness_from_exponents():

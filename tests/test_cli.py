@@ -113,6 +113,8 @@ def test_parse_size_units():
         ["simulate", "--prefetch", "bogus"],
         ["simulate", "--seed", "1"],
         ["generate", "--format", "csv"],
+        ["simulate", "--capacity", "1e400"],  # overflows to inf, like the text inf
+        ["simulate", "--sweep", "1MB,1e300TB"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -151,6 +153,26 @@ def test_analyze_csv_format(capsys):
     keys = [r[0] for r in rows]
     assert "total_requests" in keys
     assert "config.window_days" in keys  # nested dicts flatten with a dot
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--window-days", "nan"],  # would be written as NaN, which is not JSON
+        ["--window-days", "-1"],  # would give null lifetimes
+        ["--window-days", "0"],  # would run as the full span but echo 0.0
+        ["--window-days", "inf"],
+        ["--hit-ratio", "1.5"],  # would give a negative delta_h
+        ["--hit-ratio", "0"],
+        ["--hit-ratio", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_analyze_bad_setting_exit_4(argv, capsys):
+    assert main(["analyze", *argv]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be" in captured.err
 
 
 def test_analyze_missing_file_exit_3(tmp_path):
@@ -216,6 +238,17 @@ def test_predict_scaling_and_rate_model(capsys):
 def test_predict_domain_error_exit_4(capsys):
     assert main(["predict", "--alpha", "1.5"]) == EXIT_DOMAIN
     assert "error:" in capsys.readouterr().err
+    for days in ("0", "-5", "nan", "inf"):
+        assert main(["predict", "--alpha", "0.8", "--tch-days", days]) == EXIT_DOMAIN
+        assert "error:" in capsys.readouterr().err
+
+
+def test_report_never_holds_nan(capsys):
+    # --p-c is echoed without --tch-days; JSON has no NaN, so the run fails
+    assert main(["predict", "--alpha", "0.8", "--p-c", "nan"]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 # ---------------------------------------------------------------- simulate

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from zipfcache.analytic import DAY
 from zipfcache.policies import EvictionInfeasible
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import DAY_SECONDS as DAY
 from zipfcache.simcore import CacheConfig, _Engine
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 

@@ -5,42 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from zipfcache.prefetch import (
-    ObjectPrefetchStats,
-    PrefetchLayer,
-    api_value,
-    freshness_factor,
-    good_fetch_probability,
-    lifetime_threshold,
-    select_prefetch_set,
-)
+from zipfcache.prefetch import PrefetchLayer, _api, _good_fetch, _lifetime_due
 from zipfcache.simcore import CacheConfig, PrefetchConfig, simulate
 from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
 
 DAY = 86400.0
 
 
-def _stats(p_i=0.01, l_i=1000.0, a_rate=1.0, mods=1, install=0.0, last_mod=0.0, obj="d"):
-    return ObjectPrefetchStats(
-        object_id=obj, p_i=p_i, l_i=l_i, a_rate=a_rate,
-        mod_count=mods, install_time=install, last_modified=last_mod,
-    )
-
-
 # ------------------------------------------------------------------ scoring
 
 
 def test_good_fetch_probability_against_direct_power():
-    st = _stats(p_i=1e-5, l_i=1e5, a_rate=1.0)
-    val = good_fetch_probability(st)
+    val = _good_fetch(1e-5, 1e5, 1.0)
     assert val == pytest.approx(1.0 - (1.0 - 1e-5) ** 1e5, rel=1e-9)
     assert val == pytest.approx(0.632, abs=1e-3)
 
 
 def test_good_fetch_probability_trivials():
-    assert good_fetch_probability(_stats(p_i=0.0)) == 0.0
-    assert good_fetch_probability(_stats(a_rate=0.0)) == 0.0
-    assert good_fetch_probability(_stats(p_i=1.0, l_i=5.0, a_rate=1.0)) == 1.0
+    assert _good_fetch(0.0, 1000.0, 1.0) == 0.0
+    assert _good_fetch(0.01, 1000.0, 0.0) == 0.0
+    assert _good_fetch(1.0, 5.0, 1.0) == 1.0
 
 
 def test_good_fetch_probability_matches_exponential_limit():
@@ -49,64 +33,19 @@ def test_good_fetch_probability_matches_exponential_limit():
     for _ in range(50):
         p = 10 ** rng.uniform(-6, -3)
         al = 10 ** rng.uniform(-1, 3)
-        st = _stats(p_i=p, l_i=al, a_rate=1.0)
-        exact = good_fetch_probability(st)
+        exact = _good_fetch(p, al, 1.0)
         approx = -math.expm1(-al * p)
         assert exact == pytest.approx(approx, rel=0.01)
 
 
 def test_api_value_arithmetic():
-    assert api_value(_stats(p_i=0.01, l_i=50.0, a_rate=2.0)) == pytest.approx(1.0)
-
-
-def test_freshness_factor_values():
-    assert freshness_factor(_stats(p_i=0.01, l_i=50.0, a_rate=2.0)) == pytest.approx(0.5)
-    assert freshness_factor(_stats(p_i=0.09, l_i=100.0, a_rate=1.0)) == pytest.approx(0.9)
-    assert freshness_factor(_stats(p_i=1.0, l_i=1e9, a_rate=10.0)) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_freshness_factor_orders_like_api_value():
-    rng = np.random.default_rng(29)
-    stats = [
-        _stats(p_i=rng.uniform(1e-4, 0.2), l_i=10 ** rng.uniform(1, 5),
-               a_rate=rng.uniform(0.1, 5.0), obj=f"o{i}")
-        for i in range(30)
-    ]
-    by_api = sorted(stats, key=api_value, reverse=True)
-    by_ff = sorted(stats, key=freshness_factor, reverse=True)
-    assert [s.object_id for s in by_api] == [s.object_id for s in by_ff]
-    assert all(0.0 <= freshness_factor(s) < 1.0 for s in stats)
-
-
-def test_select_prefetch_set_filters_and_orders():
-    hot = _stats(p_i=0.5, l_i=100.0, a_rate=1.0, obj="hot")
-    warm = _stats(p_i=0.05, l_i=100.0, a_rate=1.0, obj="warm")
-    cold = _stats(p_i=1e-7, l_i=1.0, a_rate=1.0, obj="cold")
-    assert select_prefetch_set([cold, warm, hot], "api", 1.0) == ["hot", "warm"]
-    assert select_prefetch_set([hot], "api", 50.0) == []  # strict excess only
-    tied = [_stats(p_i=0.1, obj="b"), _stats(p_i=0.1, obj="a")]
-    assert select_prefetch_set(tied, "goodfetch", 0.0) == ["a", "b"]
-    with pytest.raises(ValueError, match="unknown scheme"):
-        select_prefetch_set([hot], "lifetime", 0.0)
+    assert _api(0.01, 50.0, 2.0) == pytest.approx(1.0)
 
 
 def test_lifetime_threshold_rule():
-    st = _stats(mods=10, install=0.0, last_mod=89 * DAY)
-    assert lifetime_threshold(st, 100 * DAY)  # age 11 d > mean interval 10 d
-    st = _stats(mods=10, install=0.0, last_mod=90 * DAY)
-    assert not lifetime_threshold(st, 100 * DAY)  # equality does not fetch
-    assert not lifetime_threshold(_stats(mods=0), 100 * DAY)
-    with pytest.raises(ValueError):
-        lifetime_threshold(_stats(install=50.0), 10.0)
-
-
-def test_stats_validation():
-    for bad in (
-        dict(p_i=1.5), dict(p_i=-0.1), dict(l_i=0.0),
-        dict(a_rate=-1.0), dict(mods=-1),
-    ):
-        with pytest.raises(ValueError):
-            _stats(**bad)
+    # 10 modifications since install at 0: mean interval 10 d at 100 d
+    assert _lifetime_due(100 * DAY, 0.0, 10, 89 * DAY)  # age 11 d > 10 d
+    assert not _lifetime_due(100 * DAY, 0.0, 10, 90 * DAY)  # equality does not fetch
 
 
 # ------------------------------------------------------- engine integration

@@ -1,34 +1,62 @@
 """The prefetch layer against a brute-force reference on small random
 traces, and the engine's ledger after every event under each scheme.
 
-`RefPrefetchLayer` is the plain form of `PrefetchLayer`: it builds an
-`ObjectPrefetchStats` for every decision, scores it with the public
-scorers and, on every daily tick, scans every resident document for a
-stale copy the lifetime rule fetches.  The optimized layer must make the
-same decision at every call, pick the same documents in the same order,
-and produce the same `SimReport` on every trace.
+`RefPrefetchLayer` is the plain form of `PrefetchLayer`: it builds a
+`Stats` record for every decision, scores it with its own copy of the
+three rules and, on every daily tick, scans every resident document for
+a stale copy the lifetime rule fetches.  The optimized layer must make
+the same decision at every call, pick the same documents in the same
+order, and produce the same `SimReport` on every trace.
 """
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zipfcache.prefetch import (
-    ObjectPrefetchStats,
-    PrefetchLayer,
-    api_value,
-    good_fetch_probability,
-    lifetime_threshold,
-)
-from zipfcache.simcore import DAY_SECONDS as DAY
+from zipfcache.analytic import DAY
+from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 
 
+class Stats(NamedTuple):
+    """A document's scoring inputs: its share p_i of all requests, its mean
+    lifetime l_i between modifications and the aggregate request rate, in
+    seconds; tracking began at install_time."""
+
+    p_i: float
+    l_i: float
+    a_rate: float
+    mod_count: int
+    install_time: float
+    last_modified: float
+
+
+def good_fetch(s):
+    """1 - (1 - p_i)^(a l_i), in the same expm1/log1p form as the layer so
+    that rounding cannot move a threshold decision."""
+    n = s.a_rate * s.l_i
+    if n == 0.0:
+        return 0.0
+    if s.p_i == 1.0:  # every request is to this document; log1p(-1) raises
+        return 1.0
+    return -math.expm1(n * math.log1p(-s.p_i))
+
+
+def api(s):
+    return s.a_rate * s.p_i * s.l_i
+
+
+def lifetime_due(s, now):
+    """The copy's age exceeds the mean interval between modifications."""
+    return now - s.last_modified > (now - s.install_time) / s.mod_count
+
+
 class RefPrefetchLayer:
-    SCORERS = {"goodfetch": good_fetch_probability, "api": api_value}
+    SCORERS = {"goodfetch": good_fetch, "api": api}
 
     def __init__(self, scheme, threshold=-math.inf):
         self.scheme, self.threshold = scheme, threshold
@@ -48,8 +76,7 @@ class RefPrefetchLayer:
         if now <= self.start or mods == 0:
             return None
         elapsed = now - self.start
-        return ObjectPrefetchStats(
-            object_id=obj,
+        return Stats(
             p_i=req_counts.get(obj, 0) / total if total else 0.0,
             l_i=elapsed / mods,
             a_rate=total / elapsed,
@@ -68,7 +95,7 @@ class RefPrefetchLayer:
         if stats is None:
             return False
         if self.scheme == "lifetime":
-            return lifetime_threshold(stats, now)
+            return lifetime_due(stats, now)
         return self.SCORERS[self.scheme](stats) > self.threshold
 
     def tick_refetches(self, now, resident):
@@ -82,7 +109,7 @@ class RefPrefetchLayer:
                 continue
             # the lifetime rule reads neither request counts nor their total
             stats = self.stats_for(obj, now, {}, 0)
-            if stats is not None and lifetime_threshold(stats, now):
+            if stats is not None and lifetime_due(stats, now):
                 out.append((obj, self.cur_size[obj]))
         return out
 
