@@ -5,7 +5,8 @@ Run with: python3 demos/prefetch_payoff.py
 """
 
 from zipfcache.analytic import DAY
-from zipfcache.simcore import CacheConfig, PrefetchConfig, simulate
+from zipfcache.prefetch import PrefetchLayer
+from zipfcache.simcore import CacheConfig, simulate
 from zipfcache.trace import SyntheticSpec, generate_trace
 
 spec = SyntheticSpec(
@@ -31,13 +32,14 @@ print(f"demand-only baseline: H={plain.hit_ratio:.4f}, "
 print()
 print(f"{'scheme':>18} {'H':>8} {'prefetches':>11} {'extra MB':>9} {'extra %':>8}")
 runs = [
-    ("goodfetch all", PrefetchConfig("goodfetch")),
-    ("goodfetch > 0.6", PrefetchConfig("goodfetch", 0.6)),
-    ("api value > 5", PrefetchConfig("api", 5.0)),
-    ("lifetime rule", PrefetchConfig("lifetime")),
+    ("goodfetch all", ("goodfetch",)),
+    ("goodfetch > 0.6", ("goodfetch", 0.6)),
+    ("api value > 5", ("api", 5.0)),
+    ("lifetime rule", ("lifetime",)),
 ]
-for label, pf in runs:
-    report = simulate(events, CacheConfig(policy_id="lru", prefetch=pf))
+for label, layer_args in runs:
+    # a layer holds the state of one run, so each run gets a new one
+    report = simulate(events, config, PrefetchLayer(*layer_args))
     extra_bytes = report.demand_bytes + report.prefetch_bytes - plain.demand_bytes
     extra = extra_bytes / plain.demand_bytes
     print(f"{label:>18} {report.hit_ratio:>8.4f} {report.prefetch_fetches:>11} "

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from . import analytic, policies, prefetch, simcore, trace
 from .analytic import ZipfLaw, special_points
-from .simcore import CacheConfig, SimReport, simulate, sweep_sizes
+from .simcore import CacheConfig, SimReport, simulate
 from .trace import SyntheticSpec, generate_trace, parse_trace_file, write_trace_file
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "CacheConfig",
     "SimReport",
     "simulate",
-    "sweep_sizes",
     "SyntheticSpec",
     "generate_trace",
     "parse_trace_file",

@@ -20,7 +20,7 @@ from importlib import resources
 from . import analytic, simcore, trace
 from .analytic import DAY, DomainError
 from .policies import POLICY_IDS
-from .prefetch import SCHEME_IDS
+from .prefetch import SCHEME_IDS, PrefetchLayer
 
 __all__ = ["main"]
 
@@ -123,6 +123,8 @@ def _emit(report, args) -> None:
 
 
 def cmd_generate(args) -> int:
+    if not 0.0 < args.duration_days < math.inf:
+        raise DomainError(f"--duration-days must be finite and > 0, got {args.duration_days}")
     spec = trace.SyntheticSpec(
         n_objects=args.objects,
         alpha=args.alpha,
@@ -235,16 +237,13 @@ def cmd_predict(args) -> int:
         ff = analytic.freshness_from_exponents(args.alpha, args.alpha_r)
         report["freshness_factor"] = ff
         report["extra_bandwidth_fraction"] = analytic.extra_prefetch_bandwidth(ff, 1.0)
+    if not 0.0 < args.p_c <= 1.0:  # optimal_tau checks it only with --tch-days
+        raise DomainError(f"p_c must be in (0, 1], got {args.p_c!r}")
     _emit(report, args)
     return EXIT_OK
 
 
 def _run_config(args, capacity: float) -> simcore.CacheConfig:
-    pf = (
-        simcore.PrefetchConfig(scheme=args.prefetch, threshold=args.threshold)
-        if args.prefetch
-        else None
-    )
     return simcore.CacheConfig(
         capacity_bytes=capacity,
         policy_id=args.policy,
@@ -253,7 +252,6 @@ def _run_config(args, capacity: float) -> simcore.CacheConfig:
         if args.retention_days is not None
         else None,
         object_count_mode=args.count_mode,
-        prefetch=pf,
     )
 
 
@@ -266,12 +264,17 @@ def cmd_simulate(args) -> int:
                             ("--retention-days", args.retention_days)):
             if value is not None:
                 raise DomainError(f"{flag} has no effect with --policy {args.policy}")
+    if args.sweep and args.capacity is not None:
+        raise DomainError("--capacity has no effect with --sweep")
     if args.accessory_fraction is None:
         args.accessory_fraction = simcore.CacheConfig.accessory_fraction
     events, meta = _load_events(args)
     runs = []
-    for size in args.sweep or [args.capacity]:
-        flat = simcore.simulate(events, _run_config(args, size)).to_dict()
+    for size in args.sweep or [5e6 if args.capacity is None else args.capacity]:
+        config = _run_config(args, size)
+        config.validate()  # before the layer, so a bad capacity is named first
+        layer = PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
+        flat = simcore.simulate(events, config, layer).to_dict()
         flat["config"] = {
             **meta,
             "policy": args.policy,
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="read a squid-style proxy access log instead")
     s.add_argument("--policy", choices=POLICY_IDS, default="zbs",
                    help="replacement policy (default zbs)")
-    s.add_argument("--capacity", type=parse_size, default=5e6,
+    s.add_argument("--capacity", type=parse_size, default=None,
                    help="cache capacity (default 5MB)")
     s.add_argument("--sweep", type=parse_size_list, default=None, metavar="S1,S2,...",
                    help="run once per capacity in the comma list")

@@ -69,7 +69,14 @@ class PrefetchLayer:
     only through a modification the engine reports here, so every stale
     resident copy that can come due is indexed; an indexed document that
     was since evicted, refetched or re-admitted fresh is dropped at the
-    next tick.
+    next tick.  With m modifications, the last at L, the rule
+    now - L > (now - start) / m holds in exact arithmetic iff
+    now > (m L - start) / (m - 1): `stale` maps each copy to that time,
+    and `next_due` is at or below the least of them (inf when no copy
+    waits), so the engine can jump its clock to just before it.
+
+    A layer holds the state of one run: pass a new one to each
+    `simulate` call.
     """
 
     def __init__(self, scheme: str, threshold: float = -math.inf):
@@ -79,6 +86,8 @@ class PrefetchLayer:
             )
         if math.isnan(threshold):
             raise ValueError("prefetch threshold must not be NaN")
+        if scheme == "lifetime" and threshold != -math.inf:
+            raise ValueError("the lifetime scheme takes no threshold")
         self.scheme = scheme
         self.threshold = threshold
         self.score = _SCORERS.get(scheme)  # None for lifetime
@@ -86,11 +95,13 @@ class PrefetchLayer:
         self.mod_counts: dict[str, int] = {}
         self.last_mod: dict[str, float] = {}
         self.cur_size: dict[str, int] = {}
-        self.stale: dict[str, None] = {}
+        self.stale: dict[str, float] = {}
+        self.next_due = math.inf
 
     def note_start(self, t: float) -> None:
-        if self.start is None:
-            self.start = t
+        if self.start is not None:
+            raise ValueError("a PrefetchLayer runs once; pass a new one to each simulate call")
+        self.start = t
 
     def on_modification(self, obj: str, size: int, now: float, resident: bool,
                         req_counts: dict[str, int], total: int) -> bool:
@@ -106,7 +117,10 @@ class PrefetchLayer:
             # never exceeds the positive interval (now - start) / mods, so
             # the rule can only fire on a daily tick.
             if mods >= 2:
-                self.stale[obj] = None
+                due = (mods * now - self.start) / (mods - 1)
+                self.stale[obj] = due
+                if due < self.next_due:
+                    self.next_due = due
             return False
         start = self.start
         if now <= start:
@@ -123,16 +137,20 @@ class PrefetchLayer:
         start = self.start
         mod_counts = self.mod_counts
         last_mod = self.last_mod
-        keep: dict[str, None] = {}
+        keep: dict[str, float] = {}
         picks = []
-        for obj in self.stale:
+        next_due = math.inf
+        for obj, due in self.stale.items():
             entry = resident.get(obj)
             if entry is None or entry[1]:
                 continue  # evicted, refetched or re-admitted fresh
-            keep[obj] = None
+            keep[obj] = due
             if _lifetime_due(now, start, mod_counts[obj], last_mod[obj]):
                 picks.append((entry[2], obj))
+            elif due < next_due:
+                next_due = due
         self.stale = keep
+        self.next_due = next_due
         picks.sort()
         cur_size = self.cur_size
         return [(obj, cur_size[obj]) for _, obj in picks]

@@ -21,39 +21,24 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .analytic import DAY, DomainError
-from .prefetch import SCHEME_IDS, PrefetchLayer
 from .trace import REQUEST, Trace, TraceEvent
 from . import policies
 
 __all__ = [
     "SimulationError",
-    "PrefetchConfig",
     "CacheConfig",
     "SimReport",
     "simulate",
-    "sweep_sizes",
 ]
 
 
 class SimulationError(RuntimeError):
     """The simulation cannot continue (bad input stream or policy state)."""
-
-
-@dataclass(frozen=True)
-class PrefetchConfig:
-    """Prefetch scheme selection; see `prefetch` for scheme semantics.
-
-    `threshold` filters the goodfetch and api scores; lifetime takes
-    none.  `simulate` builds the prefetch layer from it.
-    """
-
-    scheme: str
-    threshold: float = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -63,7 +48,6 @@ class CacheConfig:
     accessory_fraction: float = 0.10
     stats_retention_seconds: float | None = None
     object_count_mode: bool = False
-    prefetch: PrefetchConfig | None = None
 
     def validate(self) -> None:
         if not self.capacity_bytes > 0:
@@ -83,17 +67,6 @@ class CacheConfig:
                 f"unknown policy {self.policy_id!r}; valid ids: "
                 + ", ".join(policies.POLICY_IDS)
             )
-        pf = self.prefetch
-        if pf is not None:
-            if pf.scheme not in SCHEME_IDS:
-                raise DomainError(
-                    f"unknown prefetch scheme {pf.scheme!r}; valid ids: "
-                    + ", ".join(SCHEME_IDS)
-                )
-            if math.isnan(pf.threshold):
-                raise DomainError("prefetch threshold must not be NaN")
-            if pf.scheme == "lifetime" and pf.threshold != -math.inf:
-                raise DomainError("the lifetime scheme takes no threshold")
 
 
 @dataclass(frozen=True)
@@ -126,8 +99,6 @@ class _Engine:
         self.capacity = config.capacity_bytes
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
-        if prefetch_layer is None and config.prefetch is not None:
-            prefetch_layer = PrefetchLayer(config.prefetch.scheme, config.prefetch.threshold)
         self.layer = prefetch_layer
         # object_id -> [acct_size, fresh, admitted]; `admitted` is the request
         # count at admission, unique and increasing in the dict's order.
@@ -194,26 +165,35 @@ class _Engine:
         t = trace.t
         bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
         end = int(bad[0]) if len(bad) else len(t)
-        next_tick = math.inf
-        if end:
-            next_tick = float(t[0]) + DAY
-            if layer is not None:
-                layer.note_start(float(t[0]))
+        # Tick k falls at t0 + k days, so a jump lands on the same float as
+        # a walk would.
+        t0 = float(t[0]) if end else 0.0
+        day = 1.0
+        next_tick = t0 + DAY if end else math.inf
+        if end and layer is not None:
+            layer.note_start(t0)
         for now, kind, obj, size, cacheable in trace[:end].rows():
             while now >= next_tick:
-                if layer is None or not layer.stale:
-                    # No event and no prefetch changes residency until
-                    # `now`, and expiry is monotone in time: one tick at the
-                    # last boundary does the work of every tick in the gap.
-                    skip = (now - next_tick) // DAY
-                    if skip:
-                        next_tick += skip * DAY
+                # No event changes residency until `now`, no prefetch does
+                # before the layer's next copy can come due, and expiry is
+                # monotone in time: one tick at the last boundary before
+                # both does the work of every tick in the gap.  The margin
+                # keeps rounding from skipping a due tick; from there the
+                # lifetime rule decides tick by tick.
+                next_due = math.inf if layer is None else layer.next_due
+                edge = now if next_due == math.inf else min(
+                    now, next_due - DAY - 1e-9 * (abs(next_due) + abs(t0)))
+                last = (edge - t0) // DAY
+                if last > day:
+                    day = last
+                    next_tick = t0 + day * DAY
                 policy.on_expire_stats(next_tick)
                 if layer is not None:
                     for due, due_size in layer.tick_refetches(next_tick, resident):
                         if due in resident:
                             self._refetch(due, due_size, now=next_tick, prefetch=True)
-                following = next_tick + DAY
+                day += 1.0
+                following = t0 + day * DAY
                 if following == next_tick:
                     # Beyond about 1.2e21 s a day is under half a float
                     # step: the clock would tick in place for ever.
@@ -295,24 +275,10 @@ def simulate(
 ) -> SimReport:
     """Replay a trace against one cache configuration.
 
-    `prefetch_layer` defaults to a layer built from `config.prefetch`.
-    `events` is a `Trace`, or any iterable of `TraceEvent`, which is
-    converted to one first.
+    `prefetch_layer` is a new `prefetch.PrefetchLayer` for each call, or
+    None.  `events` is a `Trace`, or any iterable of `TraceEvent`, which
+    is converted to one first.
     Identical inputs produce identical reports; there is no hidden clock
     or nondeterministic state.
     """
     return _Engine(config, prefetch_layer).run(events)
-
-
-def sweep_sizes(
-    events: Sequence[TraceEvent],
-    config: CacheConfig,
-    sizes: Sequence[float],
-) -> list[tuple[float, SimReport]]:
-    """Run the same trace at several capacities; one engine per size."""
-    events = Trace.from_events(events)
-    out = []
-    for size in sizes:
-        cfg = dataclasses.replace(config, capacity_bytes=size)
-        out.append((size, simulate(events, cfg)))
-    return out

@@ -7,7 +7,6 @@ the measured numbers.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from zipfcache.analytic import DAY, ZipfLaw, special_points
 from zipfcache.cli import main
 from zipfcache.policies import ZBSCache
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import CacheConfig, PrefetchConfig, _Engine, simulate, sweep_sizes
+from zipfcache.simcore import CacheConfig, _Engine, simulate
 from zipfcache.trace import (
     SyntheticSpec,
     Trace,
@@ -144,8 +143,8 @@ def test_power_law_scaling_exponent(capsys, static_events):
     # H ~ C**(1 - alpha) is the law of a cache holding the most popular
     # documents, so sweep the frequency policy: LRU admits every
     # single-request document and runs steeper at these sizes.
-    runs = sweep_sizes(static_events, CacheConfig(policy_id="lfu"), sizes)
-    ratios = [r.hit_ratio for _, r in runs]
+    ratios = [simulate(static_events, CacheConfig(capacity_bytes=size, policy_id="lfu")).hit_ratio
+              for size in sizes]
     logs = np.log(sizes)
     logh = np.log(ratios)
     slope_mid = float((logh[2] - logh[1]) / (logs[2] - logs[1]))
@@ -207,10 +206,7 @@ def test_zbs_behavior(capsys, renewal_events):
 
 def test_prefetch_dominance_and_cost(capsys, renewal_events, renewal_unbounded):
     plain = renewal_unbounded
-    pf = simulate(
-        renewal_events,
-        CacheConfig(policy_id="lru", prefetch=PrefetchConfig("goodfetch", -math.inf)),
-    )
+    pf = simulate(renewal_events, CacheConfig(policy_id="lru"), PrefetchLayer("goodfetch"))
     extra = (pf.demand_bytes + pf.prefetch_bytes - plain.demand_bytes) / plain.demand_bytes
     ref = analytic.REFERENCE_OPERATING_POINT
     target = 1.0 - analytic.freshness_from_exponents(ref["alpha"], ref["alpha_r"])

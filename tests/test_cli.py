@@ -6,8 +6,9 @@ from importlib import resources
 
 import pytest
 
-from zipfcache import cli
+from zipfcache import cli, simcore
 from zipfcache.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main, parse_size
+from zipfcache.prefetch import PrefetchLayer
 from zipfcache.trace import TRACE_HEADER
 
 
@@ -90,6 +91,15 @@ def test_generate_seed_changes_trace(tmp_path):
     main(["generate", "--objects", "200", "--requests", "3000", "--seed", "1", "-o", str(p1)])
     main(["generate", "--objects", "200", "--requests", "3000", "--seed", "2", "-o", str(p2)])
     assert p1.read_bytes() != p2.read_bytes()
+
+
+@pytest.mark.parametrize("days", ["0", "-1", "nan", "inf"])
+def test_generate_bad_duration_exit_4(days, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    argv = ["generate", "--objects", "100", "--requests", "500", "--duration-days", days]
+    assert main([*argv, "-o", str(out)]) == EXIT_DOMAIN
+    assert "--duration-days must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_size_units():
@@ -241,6 +251,13 @@ def test_predict_domain_error_exit_4(capsys):
     for days in ("0", "-5", "nan", "inf"):
         assert main(["predict", "--alpha", "0.8", "--tch-days", days]) == EXIT_DOMAIN
         assert "error:" in capsys.readouterr().err
+    # --p-c is checked with or without --tch-days
+    for argv in (["--p-c", "5"], ["--p-c", "0"], ["--p-c", "nan", "--format", "csv"],
+                 ["--p-c", "5", "--tch-days", "30"]):
+        assert main(["predict", "--alpha", "0.8", *argv]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "p_c must be in (0, 1]" in captured.err
 
 
 def test_report_never_holds_nan(capsys):
@@ -330,6 +347,9 @@ def test_simulate_threshold_recorded_when_finite(small_trace, capsys):
 
 def test_simulate_missing_trace_exit_3(tmp_path):
     assert main(["simulate", "-t", str(tmp_path / "nope.csv")]) == EXIT_IO
+    # the trace loads before the prefetch layer is built
+    assert main(["simulate", "-t", str(tmp_path / "nope.csv"), "--prefetch", "lifetime",
+                 "--threshold", "0.5"]) == EXIT_IO
 
 
 @pytest.mark.parametrize("squid", [False, True])
@@ -353,6 +373,10 @@ def test_timestamp_beyond_daily_clock_exit_4(tmp_path, capsys):
 
 def test_simulate_domain_error_exit_4(small_trace, capsys):
     assert main(["simulate", "-t", str(small_trace), "--capacity", "0"]) == EXIT_DOMAIN
+    # the configuration is checked before the prefetch layer
+    assert main(["simulate", "-t", str(small_trace), "--capacity", "0", "--prefetch",
+                 "lifetime", "--threshold", "0.5"]) == EXIT_DOMAIN
+    assert "capacity must be > 0" in capsys.readouterr().err
     for days in ("10", "0"):
         assert (
             main(["simulate", "-t", str(small_trace), "--retention-days", days])
@@ -368,10 +392,30 @@ def test_simulate_domain_error_exit_4(small_trace, capsys):
     for argv in (["--threshold", "0.5"], ["--policy", "zbs", "--threshold", "0.5"],
                  ["--policy", "lru", "--retention-days", "60"],
                  ["--policy", "fifo", "--accessory-fraction", "0.05"],
-                 ["--policy", "lfu", "--accessory-fraction", "0.1"]):
+                 ["--policy", "lfu", "--accessory-fraction", "0.1"],
+                 ["--capacity", "1KB", "--sweep", "100KB"]):
         capsys.readouterr()
         assert main(["simulate", "-t", str(small_trace), *argv]) == EXIT_DOMAIN
         assert "has no effect" in capsys.readouterr().err
+
+
+def test_each_simulate_call_gets_a_new_layer(small_trace, monkeypatch, capsys):
+    # the benchmark's tracer reads the layer as simulate's third positional
+    # argument
+    layers = []
+    real = simcore.simulate
+
+    def recording(events, config, *args, **kwargs):
+        assert not kwargs and len(args) == 1
+        assert args[0].start is None  # not yet run
+        layers.append(args[0])
+        return real(events, config, *args)
+
+    monkeypatch.setattr(simcore, "simulate", recording)
+    assert main(["simulate", "-t", str(small_trace), "--policy", "lru",
+                 "--prefetch", "goodfetch", "--sweep", "50KB,100KB"]) == EXIT_OK
+    assert len(layers) == 2 and layers[0] is not layers[1]
+    assert all(isinstance(layer, PrefetchLayer) for layer in layers)
 
 
 def test_simulate_zbs_settings_echoed(small_trace, capsys):

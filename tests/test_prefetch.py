@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zipfcache.prefetch import PrefetchLayer, _api, _good_fetch, _lifetime_due
-from zipfcache.simcore import CacheConfig, PrefetchConfig, simulate
+from zipfcache.simcore import CacheConfig, simulate
 from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
 
 DAY = 86400.0
@@ -52,8 +52,8 @@ def test_lifetime_threshold_rule():
 
 
 def _lru_with(scheme, threshold=-math.inf):
-    """An unbounded lru cache under the given prefetch scheme."""
-    return CacheConfig(policy_id="lru", prefetch=PrefetchConfig(scheme, threshold))
+    """An unbounded lru cache and a new layer of the given prefetch scheme."""
+    return CacheConfig(policy_id="lru"), PrefetchLayer(scheme, threshold)
 
 
 def _events_single_doc():
@@ -68,7 +68,7 @@ def _events_single_doc():
 
 
 def test_goodfetch_layer_single_doc_walk():
-    report = simulate(_events_single_doc(), _lru_with("goodfetch", -math.inf))
+    report = simulate(_events_single_doc(), *_lru_with("goodfetch", -math.inf))
     assert report.requests == 4
     assert report.hits == 3  # every request after the first finds a fresh copy
     assert report.stale_refetches == 0
@@ -91,7 +91,7 @@ def test_infinite_threshold_is_a_no_op_layer():
     )
     events = generate_trace(spec)
     cfg = CacheConfig(policy_id="lru")
-    assert simulate(events, _lru_with("goodfetch", math.inf)) == simulate(events, cfg)
+    assert simulate(events, *_lru_with("goodfetch", math.inf)) == simulate(events, cfg)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -103,7 +103,7 @@ def test_prefetch_all_converts_stale_misses_to_hits(seed):
     events = generate_trace(spec)
     cfg = CacheConfig(policy_id="lru")
     plain = simulate(events, cfg)
-    pf = simulate(events, _lru_with("goodfetch", -math.inf))
+    pf = simulate(events, *_lru_with("goodfetch", -math.inf))
     assert pf.stale_refetches == 0
     assert pf.hits == plain.hits + plain.stale_refetches
     # constant sizes make the bandwidth ledger exact
@@ -118,7 +118,7 @@ def test_lifetime_rule_fires_on_daily_tick():
         TraceEvent(2 * DAY, MODIFICATION, "a", 120),
         TraceEvent(5.5 * DAY, REQUEST, "a", 120),
     ]
-    report = simulate(events, _lru_with("lifetime"))
+    report = simulate(events, *_lru_with("lifetime"))
     # mean interval 5d/2 = 2.5 d; copy age 3 d crosses it at the day-5 tick
     # (day 4 compares 2 d against 2 d and must not fetch)
     assert report.prefetch_fetches == 1
@@ -133,3 +133,29 @@ def test_lifetime_rule_fires_on_daily_tick():
 def test_config_carries_prefetch_settings():
     with pytest.raises(ValueError, match="unknown scheme"):
         PrefetchLayer("bogus")
+    with pytest.raises(ValueError, match="prefetch threshold must not be NaN"):
+        PrefetchLayer("goodfetch", math.nan)
+    with pytest.raises(ValueError, match="the lifetime scheme takes no threshold"):
+        PrefetchLayer("lifetime", 0.5)
+    with pytest.raises(ValueError, match="must not be NaN"):  # NaN is named first
+        PrefetchLayer("lifetime", math.nan)
+
+
+def test_layer_runs_once():
+    # api score at the modification: 2 requests / 10 d x share 1 x 10 d = 2
+    events = [
+        TraceEvent(0.0, REQUEST, "a", 100),
+        TraceEvent(1 * DAY, REQUEST, "a", 100),
+        TraceEvent(10 * DAY, MODIFICATION, "a", 120),
+        TraceEvent(11 * DAY, REQUEST, "a", 120),
+    ]
+    config = CacheConfig(policy_id="lru")
+    layer = PrefetchLayer("api", 1.0)
+    assert simulate(events, config, layer).prefetch_fetches == 1
+    # a second run would start from the first one's counts and report 0
+    with pytest.raises(ValueError, match="runs once"):
+        simulate(events, config, layer)
+    # an empty trace does not start a layer
+    layer = PrefetchLayer("api", 1.0)
+    simulate([], config, layer)
+    assert simulate(events, config, layer).prefetch_fetches == 1

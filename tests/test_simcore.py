@@ -10,14 +10,7 @@ import pytest
 from zipfcache.analytic import DomainError
 from zipfcache.policies import DAY, POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import (
-    CacheConfig,
-    PrefetchConfig,
-    SimulationError,
-    _Engine,
-    simulate,
-    sweep_sizes,
-)
+from zipfcache.simcore import CacheConfig, SimulationError, _Engine, simulate
 from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
 
 
@@ -139,12 +132,33 @@ def test_non_finite_timestamp_rejected(stamps):
 def test_large_time_gap_finishes(policy_id, scheme):
     # about 1.2e10 simulated days lie between the two requests; the copy of
     # a, modified once, is stale but the lifetime rule can never fetch it
-    config = CacheConfig(capacity_bytes=1000, policy_id=policy_id,
-                         prefetch=PrefetchConfig(scheme) if scheme else None)
+    config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     start = time.perf_counter()
-    report = simulate([_req(0.0, "a"), _mod(1.0, "a"), _req(1e15, "b")], config)
+    report = simulate([_req(0.0, "a"), _mod(1.0, "a"), _req(1e15, "b")], config,
+                      PrefetchLayer(scheme) if scheme else None)
     assert time.perf_counter() - start < 1.0
     assert report.requests == 2 and report.hits == 0
+
+
+def _twice_modified(t_mod, t_end):
+    return [_req(0.0, "a"), _mod(t_mod, "a"), _mod(t_mod + 1.0, "a"), _req(t_end, "b")]
+
+
+@pytest.mark.parametrize("policy_id", POLICY_IDS)
+def test_twice_modified_lifetime_copy_skips_to_its_due_day(policy_id):
+    # the copy of a comes due just after 2e9 s; a daily walk from 1e9 s
+    # would take about 11,600 ticks
+    ticks = _ticks(_twice_modified(1e9, 1e14), "lifetime", policy_id)
+    assert len(ticks) < 10
+
+
+@pytest.mark.parametrize("policy_id", POLICY_IDS)
+def test_twice_modified_lifetime_gap_finishes(policy_id):
+    config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
+    start = time.perf_counter()
+    report = simulate(_twice_modified(1e12, 1e15), config, PrefetchLayer("lifetime"))
+    assert time.perf_counter() - start < 1.0
+    assert report.prefetch_fetches == 1
 
 
 @pytest.mark.parametrize("stamps", [(0.0, 1e22), (-1e22, 0.0), (1e30,)])
@@ -166,10 +180,10 @@ def test_bad_timestamp_raises_after_earlier_events():
         simulate([_req(1, "a"), _req(math.nan, "c"), _req(0, "b")], _lru())
 
 
-def _ticks(events, scheme=None):
-    """Times of the expiry ticks the engine gives a zbs policy."""
-    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs",
-                              prefetch=PrefetchConfig(scheme) if scheme else None))
+def _ticks(events, scheme=None, policy_id="zbs"):
+    """Times of the expiry ticks the engine gives a policy."""
+    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id=policy_id),
+                  PrefetchLayer(scheme) if scheme else None)
     ticks = []
     expire = eng.policy.on_expire_stats
     eng.policy.on_expire_stats = lambda now: (ticks.append(now), expire(now))
@@ -186,18 +200,18 @@ def test_daily_clock_jumps_over_empty_days():
     assert _ticks(events, "goodfetch") == [t0 + 4 * DAY, t0 + 5 * DAY]
     # a copy modified once never comes due under the lifetime rule
     assert _ticks(events, "lifetime") == [t0 + 4 * DAY, t0 + 5 * DAY]
-    # modified twice, it keeps the daily walk until the day-2 tick fetches
-    # it (age 1.5 d > interval 2 d / 2); the day-3 tick drops it from the
-    # index, and the clock jumps again
+    # modified twice, it comes due after t0 + 1 d, so the clock walks from
+    # the day-1 tick until the day-2 tick fetches it (age 1.5 d > interval
+    # 2 d / 2); then no copy waits, and the clock jumps again
     events = [_req(t0, "a"), _mod(t0 + 0.25 * DAY, "a"), _mod(t0 + 0.5 * DAY, "a"),
               _req(t0 + 9.5 * DAY, "b")]
-    assert _ticks(events, "lifetime") == [t0 + k * DAY for k in (1, 2, 3, 9)]
+    assert _ticks(events, "lifetime") == [t0 + k * DAY for k in (1, 2, 9)]
 
 
 def test_finished_run_leaves_no_reference_cycle():
     gc.disable()
     try:
-        eng = _Engine(_lru(prefetch=PrefetchConfig("goodfetch")))
+        eng = _Engine(_lru(), PrefetchLayer("goodfetch"))
         layer = eng.layer
         eng.run(_one_stale_copy())
         ref = weakref.ref(eng)
@@ -238,10 +252,8 @@ def test_simulation_is_deterministic(static_trace):
 
 
 def test_sweep_sizes_monotone_in_count_mode(static_trace):
-    cfg = _lru(object_count_mode=True)
-    results = sweep_sizes(static_trace, cfg, [50, 150, 400])
-    assert [s for s, _ in results] == [50, 150, 400]
-    hits = [r.hits for _, r in results]
+    hits = [simulate(static_trace, _lru(size, object_count_mode=True)).hits
+            for size in (50, 150, 400)]
     assert hits == sorted(hits)  # LRU stack property
 
 
@@ -266,35 +278,20 @@ def test_config_validation():
         dict(accessory_fraction=0.0),
         dict(stats_retention_seconds=10 * 86400.0),
         dict(stats_retention_seconds=200 * 86400.0),
-        dict(prefetch=PrefetchConfig("bogus")),
-        dict(prefetch=PrefetchConfig("goodfetch", math.nan)),
-        dict(prefetch=PrefetchConfig("lifetime", 0.5)),
     ):
         with pytest.raises(DomainError):
             simulate([], CacheConfig(**bad))
 
 
-# --------------------------------------------------------- prefetch config
+# ----------------------------------------------------------- prefetch layer
 
 
 def _one_stale_copy():
     return [_req(0, "a"), _mod(1, "a", 120), _req(2, "a", 120)]
 
 
-def test_simulate_builds_prefetch_layer_from_config():
-    cfg = _lru(prefetch=PrefetchConfig("goodfetch"))
-    report = simulate(_one_stale_copy(), cfg)
+def test_simulate_runs_the_layer_it_is_passed():
+    report = simulate(_one_stale_copy(), _lru(), PrefetchLayer("goodfetch"))
     assert report.prefetch_fetches == 1 and report.prefetch_bytes == 120
     assert report.hits == 1 and report.stale_refetches == 0
-    assert report == simulate(_one_stale_copy(), _lru(), PrefetchLayer("goodfetch"))
-    # an explicitly passed layer wins over the configured one
-    explicit = simulate(_one_stale_copy(), cfg, PrefetchLayer("goodfetch", math.inf))
-    assert explicit.prefetch_fetches == 0 and explicit.stale_refetches == 1
 
-
-def test_sweep_sizes_builds_prefetch_layer_from_config():
-    cfg = _lru(prefetch=PrefetchConfig("goodfetch"))
-    results = sweep_sizes(_one_stale_copy(), cfg, [150, 1000])
-    for size, report in results:
-        assert report.prefetch_fetches == 1
-        assert report == simulate(_one_stale_copy(), _lru(size), PrefetchLayer("goodfetch"))
