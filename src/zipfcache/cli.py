@@ -57,7 +57,10 @@ def parse_size(text: str):
 
 
 def parse_size_list(text: str):
-    return [parse_size(part) for part in text.split(",") if part.strip()]
+    sizes = [parse_size(part) for part in text.split(",") if part.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"size list {text!r} names no size")
+    return sizes
 
 
 def alpha_arg(text: str):
@@ -269,12 +272,19 @@ def cmd_simulate(args) -> int:
     if args.accessory_fraction is None:
         args.accessory_fraction = simcore.CacheConfig.accessory_fraction
     events, meta = _load_events(args)
+    sizes = args.sweep or [5e6 if args.capacity is None else args.capacity]
+    configs = [_run_config(args, size) for size in sizes]
+    if args.sweep and args.policy == "lru" and not args.prefetch:
+        reports = simcore.simulate_lru_sweep(events, configs)
+    else:
+        reports = []
+        for config in configs:
+            config.validate()  # before the layer, so a bad capacity is named first
+            layer = PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
+            reports.append(simcore.simulate(events, config, layer))
     runs = []
-    for size in args.sweep or [5e6 if args.capacity is None else args.capacity]:
-        config = _run_config(args, size)
-        config.validate()  # before the layer, so a bad capacity is named first
-        layer = PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
-        flat = simcore.simulate(events, config, layer).to_dict()
+    for size, report in zip(sizes, reports):
+        flat = report.to_dict()
         flat["config"] = {
             **meta,
             "policy": args.policy,
@@ -400,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--capacity", type=parse_size, default=None,
                    help="cache capacity (default 5MB)")
     s.add_argument("--sweep", type=parse_size_list, default=None, metavar="S1,S2,...",
-                   help="run once per capacity in the comma list")
+                   help="one report per capacity in the comma list")
     s.add_argument("--plot-data", metavar="PATH", default=None,
                    help="also write capacity,hit_ratio CSV rows for plotting")
     s.add_argument("--prefetch", choices=SCHEME_IDS, default=None,

@@ -411,11 +411,6 @@ class ZBSCache:
 
     # -- eviction -----------------------------------------------------
 
-    def metric(self, obj: str, now: float) -> float:
-        """Staleness metric C of a kernel-resident document."""
-        e = self.kernel[obj]
-        return float((now - e.last_modified) * self._w[e.slot])
-
     def _evict_kernel(self, now: float, victims: list[str]) -> None:
         n = len(self._slot_obj)
         c = self._c[:n]

@@ -58,9 +58,9 @@ class PrefetchLayer:
     """Adapter the engine drives at modification events and daily ticks.
 
     Estimates the scoring inputs from the run state the engine passes:
-    p_i from its per-document request counts, a from their total over
-    elapsed time, and l_i as the mean observed time between modifications
-    since the trace start.
+    p_i from the document's share of the cacheable requests so far, a
+    from their total over elapsed time, and l_i as the mean observed time
+    between modifications since the trace start.
 
     For `lifetime`, `stale` indexes the documents whose resident copy the
     layer saw go stale at their second or a later modification.  After
@@ -104,7 +104,9 @@ class PrefetchLayer:
         self.start = t
 
     def on_modification(self, obj: str, size: int, now: float, resident: bool,
-                        req_counts: dict[str, int], total: int) -> bool:
+                        requests: int, total: int) -> bool:
+        """Whether to refetch `obj` now; `requests` and `total` count the
+        cacheable requests before this event, of `obj` and of all documents."""
         mods = self.mod_counts.get(obj, 0) + 1
         self.mod_counts[obj] = mods
         self.last_mod[obj] = now
@@ -126,7 +128,7 @@ class PrefetchLayer:
         if now <= start:
             return False
         elapsed = now - start
-        p_i = req_counts.get(obj, 0) / total if total else 0.0
+        p_i = requests / total if total else 0.0
         return score(p_i, elapsed / mods, total / elapsed) > self.threshold
 
     def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:

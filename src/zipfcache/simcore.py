@@ -14,6 +14,17 @@ decisions live in policy objects (see `policies`).  Semantics:
   admitted; cacheable misses are offered to the policy for admission.
 * Capacity is accounted in bytes (set `object_count_mode` to count every
   document as one unit instead).
+
+`simulate` replays the events one at a time and counts only what the
+policy decides (hits, evictions, refetches); the request totals come
+from the trace's columns.  `simulate_lru_sweep` gives the reports of
+many LRU capacities from one pass of stack distances over the columns
+(Mattson et al. 1970): a request hits at capacity C exactly when its
+stack distance is at most C.  That pass is exact only when every
+cacheable request is admitted, each document is requested at one size
+(in byte mode) and the timestamps are in order and well inside the
+daily clock's range; a capacity where it would not be is replayed by
+`simulate` instead.
 """
 
 from __future__ import annotations
@@ -21,12 +32,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .analytic import DAY, DomainError
-from .trace import REQUEST, Trace, TraceEvent
+from .trace import Trace, TraceEvent
 from . import policies
 
 __all__ = [
@@ -34,7 +46,16 @@ __all__ = [
     "CacheConfig",
     "SimReport",
     "simulate",
+    "simulate_lru_sweep",
 ]
+
+# Events handed to the replay loop per chunk of column values.
+_ROWS_PER_CHUNK = 1 << 13
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# Within +-1e18 s a day spans over a hundred float steps, so a replay
+# without a prefetch layer cannot reach the daily clock's range error;
+# beyond it the sweep leaves the verdict to `simulate`.
+_CLOCK_SAFE = 1e18
 
 
 class SimulationError(RuntimeError):
@@ -92,6 +113,106 @@ class SimReport:
         return dataclasses.asdict(self)
 
 
+def _exact_sum(values: np.ndarray) -> int:
+    """The sum of an integer column as a Python int, never wrapped."""
+    n = len(values)
+    if n == 0:
+        return 0
+    if max(-int(values.min()), int(values.max())) <= _INT64_MAX // n:
+        return int(values.sum())
+    return sum(values.tolist())
+
+
+class _Totals(NamedTuple):
+    """The counters of a trace that no policy decides."""
+
+    requests: int
+    requested_bytes: int
+    cacheable_requests: int
+    unique_docs: int
+    two_plus_docs: int
+
+    @classmethod
+    def of(cls, trace: Trace, doc: np.ndarray) -> "_Totals":
+        request = trace.kind == 0
+        per_doc = np.bincount(doc[request & trace.cacheable])
+        return cls(
+            requests=int(np.count_nonzero(request)),
+            requested_bytes=_exact_sum(trace.size[request]),
+            cacheable_requests=int(per_doc.sum()),
+            unique_docs=int(np.count_nonzero(per_doc)),
+            two_plus_docs=int(np.count_nonzero(per_doc >= 2)),
+        )
+
+    def report(self, hits: int, hit_bytes: int, evictions: int, stale_refetches: int,
+               prefetch_fetches: int, prefetch_bytes: int, occupancy: int,
+               accessory_bytes: int) -> SimReport:
+        # Every request is a hit or fetched on demand: a miss, a stale
+        # refetch, or not cacheable.
+        return SimReport(
+            requests=self.requests,
+            cacheable_requests=self.cacheable_requests,
+            hits=hits,
+            hit_ratio=hits / self.requests if self.requests else 0.0,
+            byte_hit_ratio=(
+                hit_bytes / self.requested_bytes if self.requested_bytes else 0.0
+            ),
+            unique_docs=self.unique_docs,
+            two_plus_docs=self.two_plus_docs,
+            evictions=evictions,
+            stale_refetches=stale_refetches,
+            prefetch_fetches=prefetch_fetches,
+            demand_bytes=self.requested_bytes - hit_bytes,
+            prefetch_bytes=prefetch_bytes,
+            kernel_occupancy_bytes=int(occupancy - accessory_bytes),
+            accessory_occupancy_bytes=int(accessory_bytes),
+        )
+
+
+def _doc_codes(trace: Trace) -> np.ndarray:
+    """The `obj` column with one code per distinct object id: the engine
+    keys documents by id, and a `Trace` built by hand may list one twice."""
+    ids = trace.ids
+    if len(set(ids)) == len(ids):
+        return trace.obj
+    _, code = np.unique(np.array(ids, dtype=object), return_inverse=True)
+    return code[trace.obj]
+
+
+def _same_doc_before(doc: np.ndarray, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each event index in `queries`, how many of the event indices in
+    `points` are events of the same document (code in `doc`) before it."""
+    n = len(doc)
+    keys = doc[points].astype(np.int64)
+    keys *= n
+    keys += points
+    keys.sort()
+    base = doc[queries].astype(np.int64)
+    base *= n
+    before = np.searchsorted(keys, base)
+    base += queries
+    counts = np.searchsorted(keys, base)
+    counts -= before
+    return counts
+
+
+def _rows(trace: Trace, end: int):
+    """(timestamp, code, object id, size) of the events before `end`, as
+    plain values a chunk at a time.  The code is 0 for a cacheable
+    request, 1 for a modification and 2 for a request that is not
+    cacheable."""
+    ids = np.array(trace.ids, dtype=object)
+
+    def chunk(lo: int):
+        part = slice(lo, min(lo + _ROWS_PER_CHUNK, end))
+        kind = trace.kind[part]
+        code = kind + 2 * ((kind == 0) & ~trace.cacheable[part])
+        return zip(trace.t[part].tolist(), code.tolist(),
+                   ids[trace.obj[part]].tolist(), trace.size[part].tolist())
+
+    return chain.from_iterable(map(chunk, range(0, end, _ROWS_PER_CHUNK)))
+
+
 class _Engine:
     def __init__(self, config: CacheConfig, prefetch_layer=None):
         config.validate()
@@ -100,20 +221,13 @@ class _Engine:
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
         self.layer = prefetch_layer
-        # object_id -> [acct_size, fresh, admitted]; `admitted` is the request
-        # count at admission, unique and increasing in the dict's order.
+        # object_id -> [acct_size, fresh, admitted]; `admitted` numbers the
+        # admissions, so it is unique and increasing in the dict's order.
         self.resident: dict[str, list] = {}
-        self.req_counts: dict[str, int] = {}
         self.occupancy = 0
-        self.requests = 0
-        self.cacheable_requests = 0
-        self.hits = 0
-        self.hit_bytes = 0
-        self.requested_bytes = 0
         self.evictions = 0
         self.stale_refetches = 0
         self.prefetch_fetches = 0
-        self.demand_bytes = 0
         self.prefetch_bytes = 0
 
     def _drain(self, now: float) -> None:
@@ -150,21 +264,23 @@ class _Engine:
             self.prefetch_bytes += size
         else:
             self.stale_refetches += 1
-            self.demand_bytes += size
         if self.occupancy > self.capacity or self.policy.over_limit:
             self._drain(now)
 
     def run(self, events: Iterable[TraceEvent]) -> SimReport:
         trace = Trace.from_events(events)
         policy = self.policy
+        on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
         resident = self.resident
-        req_counts = self.req_counts
+        capacity = self.capacity
+        count_mode = self.count_mode
         layer = self.layer
         # The events before the first one at a non-finite or decreasing
         # time replay; that one then raises.
         t = trace.t
         bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
         end = int(bad[0]) if len(bad) else len(t)
+        doc = _doc_codes(trace)
         # Tick k falls at t0 + k days, so a jump lands on the same float as
         # a walk would.
         t0 = float(t[0]) if end else 0.0
@@ -172,7 +288,14 @@ class _Engine:
         next_tick = t0 + DAY if end else math.inf
         if end and layer is not None:
             layer.note_start(t0)
-        for now, kind, obj, size, cacheable in trace[:end].rows():
+            # Per modification, the cacheable requests before it: of its
+            # document, and of all documents.
+            counted = np.flatnonzero((trace.kind == 0) & trace.cacheable)
+            mods = np.flatnonzero(trace.kind == 1)
+            seen = zip(_same_doc_before(doc, counted, mods).tolist(),
+                       np.searchsorted(counted, mods).tolist())
+        hits = hit_bytes = admitted = 0
+        for now, code, obj, size in _rows(trace, end):
             while now >= next_tick:
                 # No event changes residency until `now`, no prefetch does
                 # before the layer's next copy can come due, and expiry is
@@ -203,40 +326,34 @@ class _Engine:
                     )
                 next_tick = following
 
-            if kind == REQUEST:
-                self.requests += 1
-                self.requested_bytes += size
-                if not cacheable:
-                    self.demand_bytes += size
-                    continue
-                self.cacheable_requests += 1
-                req_counts[obj] = req_counts.get(obj, 0) + 1
+            if code == 0:  # a cacheable request
                 entry = resident.get(obj)
                 if entry is not None:
                     if entry[1]:
-                        self.hits += 1
-                        self.hit_bytes += size
-                        policy.on_hit(obj, now)
+                        hits += 1
+                        hit_bytes += size
+                        on_hit(obj, now)
                         if policy.over_limit:
                             self._drain(now)
                     else:
                         self._refetch(obj, size, now, prefetch=False)
                 else:
-                    self.demand_bytes += size
-                    acct = 1 if self.count_mode else size
-                    if policy.on_miss_admit(obj, acct, now):
-                        resident[obj] = [acct, True, self.requests]
+                    acct = 1 if count_mode else size
+                    if on_miss_admit(obj, acct, now):
+                        admitted += 1
+                        resident[obj] = [acct, True, admitted]
                         self.occupancy += acct
-                        if self.occupancy > self.capacity or policy.over_limit:
+                        if self.occupancy > capacity or policy.over_limit:
                             self._drain(now)
-            else:  # modification
+            elif code == 1:  # a modification
                 entry = resident.get(obj)
                 if entry is not None:
                     entry[1] = False
-                if layer is not None and layer.on_modification(
-                    obj, size, now, entry is not None, req_counts, self.cacheable_requests
-                ):
-                    self._refetch(obj, size, now, prefetch=True)
+                if layer is not None:
+                    doc_requests, total = next(seen)
+                    if layer.on_modification(obj, size, now, entry is not None,
+                                             doc_requests, total):
+                        self._refetch(obj, size, now, prefetch=True)
         if end < len(t):
             now = float(t[end])
             if not math.isfinite(now):
@@ -244,27 +361,11 @@ class _Engine:
             raise SimulationError(
                 f"trace not time-ordered: {now!r} after {float(t[end - 1])!r}"
             )
-        return self._report()
-
-    def _report(self) -> SimReport:
-        two_plus = sum(1 for v in self.req_counts.values() if v >= 2)
-        return SimReport(
-            requests=self.requests,
-            cacheable_requests=self.cacheable_requests,
-            hits=self.hits,
-            hit_ratio=self.hits / self.requests if self.requests else 0.0,
-            byte_hit_ratio=(
-                self.hit_bytes / self.requested_bytes if self.requested_bytes else 0.0
-            ),
-            unique_docs=len(self.req_counts),
-            two_plus_docs=two_plus,
-            evictions=self.evictions,
-            stale_refetches=self.stale_refetches,
-            prefetch_fetches=self.prefetch_fetches,
-            demand_bytes=self.demand_bytes,
-            prefetch_bytes=self.prefetch_bytes,
-            kernel_occupancy_bytes=int(self.occupancy - self.policy.accessory_bytes),
-            accessory_occupancy_bytes=int(self.policy.accessory_bytes),
+        return _Totals.of(trace, doc).report(
+            hits=hits, hit_bytes=hit_bytes, evictions=self.evictions,
+            stale_refetches=self.stale_refetches, prefetch_fetches=self.prefetch_fetches,
+            prefetch_bytes=self.prefetch_bytes, occupancy=self.occupancy,
+            accessory_bytes=self.policy.accessory_bytes,
         )
 
 
@@ -282,3 +383,172 @@ def simulate(
     or nondeterministic state.
     """
     return _Engine(config, prefetch_layer).run(events)
+
+
+def _dominance_sums(key: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """F[i] = the sum of weight[j] over j < i with key[j] < key[i], for
+    every i whose key no other index shares; keys are >= 0, in an integer
+    dtype that also holds every index.
+
+    A bottom-up merge sort over the index, one level per NumPy pass.  At
+    the level of blocks of s indices, block pair b holds indices
+    [2bs, 2bs + 2s) sorted by key; every index of its right half gains
+    the weights of the left half's smaller keys.  Summed over the levels
+    that counts each j < i exactly once: at the level where i and j first
+    share a block pair.  Only the order and the sums travel from level to
+    level; keys and weights are read through the order.
+    """
+    m = len(key)
+    index = np.arange(m, dtype=key.dtype)
+    sums = np.zeros(m, dtype=np.int64)
+    span = np.int64(int(key.max()) + 1 if m else 1)
+    shift = 0
+    while (1 << shift) < m:
+        pair_key = (index >> (shift + 1)).astype(np.int64)
+        pair_key *= span
+        pair_key += key[index]
+        # Each pair holds two sorted halves, which a stable sort merges.
+        order = np.argsort(pair_key, kind="stable")
+        del pair_key
+        index = index[order]
+        sums = sums[order]
+        del order
+        right = ((index >> shift) & 1) == 1
+        below = weight[index].astype(np.int64)
+        below[right] = 0
+        np.cumsum(below, out=below)  # at a right position: left weights before it
+        # ... less those before its pair
+        step = 2 << shift
+        base = np.r_[0, below[step - 1:m - 1:step]]
+        whole = m - m % step
+        below[:whole].reshape(-1, step)[...] -= base[:whole // step, None]
+        if whole < m:
+            below[whole:] -= base[-1]
+        below *= right
+        sums += below
+        del below, right, base
+        shift += 1
+    out = np.empty(m, dtype=np.int64)
+    out[index] = sums
+    return out
+
+
+class _LRUCurve:
+    """Hits, stale refetches, evictions and occupancy of LRU at any
+    capacity, from the stack distances of one trace.
+
+    With every cacheable request admitted and one size per document, LRU
+    at capacity C holds the longest prefix of the recency stack whose
+    sizes sum to at most C (Mattson et al. 1970).  A request finds its
+    document resident exactly when its stack distance, the size sum of
+    the stack down to it, is at most C, and the copy has stayed resident
+    since the previous request.  It is a hit if no modification came in
+    between and a stale refetch otherwise; every other cacheable request
+    is admitted, and the admissions not resident at the end were evicted.
+    """
+
+    def __init__(self, trace: Trace, count_mode: bool):
+        doc = _doc_codes(trace)
+        self.totals = _Totals.of(trace, doc)
+        self.count_mode = count_mode
+        requests = np.flatnonzero((trace.kind == 0) & trace.cacheable)
+        m = len(requests)
+        # Each request paired with the previous request of its document,
+        # both as positions among the cacheable requests.
+        obj = doc[requests]
+        order = np.argsort(obj, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
+        same = obj[order[1:]] == obj[order[:-1]]
+        del obj
+        later, earlier = order[1:][same], order[:-1][same]
+        mods_before = _same_doc_before(doc, np.flatnonzero(trace.kind == 1), requests)
+        stale = mods_before[later] > mods_before[earlier]
+        del mods_before
+        size = trace.size[requests]
+        del requests
+        self.max_size = int(size.max()) if m else 0
+        self.exact = (
+            (count_mode or np.array_equal(size[later], size[earlier]))
+            and (not m or int(size.min()) >= 0)
+            and _exact_sum(size) <= _INT64_MAX
+        )
+        if not self.exact:
+            return
+        acct = np.ones(m, np.int64) if count_mode else size
+        # The final recency stack, most recent first: each document at its
+        # last request, and the size sum of its prefixes.
+        is_last = np.ones(m, bool)
+        is_last[:-1] = ~same
+        self.stack = np.cumsum(acct[np.sort(order[is_last])[::-1]])
+        del order, same, is_last
+        # The stack distance of request i, whose previous request is p, is
+        # acct[i] plus the acct of each document requested in (p, i), once:
+        # at its first request there, the one j whose own previous request
+        # is before p.  F(i), the acct sum over every j < i with
+        # prev[j] < p, counts those and each j <= p, so the distance is
+        # acct[i] + F(i) - cumsum(acct)[p].  The keys are prev + 1 >= 0.
+        key = np.zeros(m, later.dtype)
+        key[later] = earlier + 1
+        dist = _dominance_sums(key, acct)[later]
+        del key
+        dist += acct[later]
+        dist -= np.cumsum(acct)[earlier]
+        hit_size = size[later]
+        del acct, size, later, earlier
+        # Sorted distances answer each capacity by binary search.
+        self.stale = np.sort(dist[stale])
+        fresh = ~stale
+        dist, hit_size = dist[fresh], hit_size[fresh]
+        by_dist = np.argsort(dist)
+        self.fresh = dist[by_dist]
+        del dist
+        self.fresh_bytes = np.zeros(len(by_dist) + 1, np.int64)
+        np.cumsum(hit_size[by_dist], out=self.fresh_bytes[1:])
+
+    def report(self, capacity: float) -> SimReport | None:
+        """The report at `capacity`, or None where the pass is not exact:
+        on this trace, or at a capacity too small to admit every cacheable
+        request."""
+        if not self.exact or not capacity >= (1 if self.count_mode else self.max_size):
+            return None
+        cap = _INT64_MAX if capacity >= 2.0**63 else math.floor(capacity)
+        hits = int(np.searchsorted(self.fresh, cap, side="right"))
+        stale = int(np.searchsorted(self.stale, cap, side="right"))
+        resident = int(np.searchsorted(self.stack, cap, side="right"))
+        admissions = self.totals.cacheable_requests - hits - stale
+        return self.totals.report(
+            hits=hits, hit_bytes=int(self.fresh_bytes[hits]),
+            evictions=admissions - resident, stale_refetches=stale,
+            prefetch_fetches=0, prefetch_bytes=0,
+            occupancy=int(self.stack[resident - 1]) if resident else 0, accessory_bytes=0,
+        )
+
+
+def simulate_lru_sweep(
+    events: Iterable[TraceEvent],
+    configs: Iterable[CacheConfig],
+) -> list[SimReport]:
+    """`simulate(events, config)` for each LRU config, in order.
+
+    One pass of stack distances gives every capacity at once where it is
+    exact (see `_LRUCurve`): in count mode at a capacity of at least 1,
+    in byte mode at a capacity of at least every cacheable size, with
+    each document requested at one size.  It also needs finite,
+    non-decreasing timestamps within +-1e18 s.  Any other config is
+    replayed by `simulate`, which also raises each error it would.
+    """
+    trace = Trace.from_events(events)
+    curves: dict[bool, _LRUCurve] = {}
+    t = trace.t
+    clock_ok = bool(np.all(np.abs(t) <= _CLOCK_SAFE) and np.all(t[1:] >= t[:-1]))
+    reports = []
+    for config in configs:
+        config.validate()
+        if config.policy_id != "lru":
+            raise DomainError(f"a sweep replays policy 'lru', got {config.policy_id!r}")
+        mode = config.object_count_mode
+        if clock_ok and mode not in curves:
+            curves[mode] = _LRUCurve(trace, mode)
+        curve = curves.get(mode)
+        report = curve.report(config.capacity_bytes) if curve is not None else None
+        reports.append(report if report is not None else simulate(trace, config))
+    return reports

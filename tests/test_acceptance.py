@@ -54,16 +54,6 @@ def static_events():
 
 
 @pytest.fixture(scope="session")
-def renewal_events():
-    spec = SyntheticSpec(
-        n_objects=400_000, alpha=0.72, request_rate=RATE, duration=30 * DAY,
-        mean_doc_size=10_000.0, size_spread=1.0, popular_boundary=5_000,
-        mu_p=1.0 / (6.2 * DAY), mu_u=1.0 / (202.0 * DAY), seed=23,
-    )
-    return generate_trace(spec)
-
-
-@pytest.fixture(scope="session")
 def renewal_unbounded(renewal_events):
     return simulate(renewal_events, CacheConfig(policy_id="lru"))
 

@@ -125,6 +125,8 @@ def test_parse_size_units():
         ["generate", "--format", "csv"],
         ["simulate", "--capacity", "1e400"],  # overflows to inf, like the text inf
         ["simulate", "--sweep", "1MB,1e300TB"],
+        ["simulate", "--sweep", ","],  # a sweep that names no size
+        ["simulate", "--sweep", ",", "--capacity", "1KB"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -324,6 +326,31 @@ def test_simulate_sweep_csv_format(small_trace, capsys):
     assert rows[0][0] == "capacity_bytes"
     assert "hit_ratio" in rows[0]
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("sizes,mode", [(("50KB", "100KB", "200KB"), []),
+                                         (("20", "50", "200"), ["--count-mode"])])
+def test_lru_sweep_emits_the_capacity_runs(small_trace, tmp_path, capsys, monkeypatch,
+                                           sizes, mode):
+    argv = ["simulate", "-t", str(small_trace), "--policy", "lru", *mode]
+    singles = [_run_json(capsys, [*argv, "--capacity", size]) for size in sizes]
+    replays = []
+    real = simcore.simulate
+    monkeypatch.setattr(simcore, "simulate", lambda *a: replays.append(a) or real(*a))
+    sweep = [*argv, "--sweep", ",".join(sizes)]
+    plot = tmp_path / "plot.csv"
+    assert _run_json(capsys, [*sweep, "--plot-data", str(plot)]) == singles
+    assert replays == []  # one pass, no replay
+    assert list(csv.reader(plot.read_text().splitlines())) == [
+        [str(int(r["config"]["capacity_bytes"])), repr(r["hit_ratio"])] for r in singles]
+
+    assert main([*sweep, "--format", "csv"]) == EXIT_OK
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    for size, row in zip(sizes, rows, strict=True):
+        assert main([*argv, "--capacity", size, "--format", "csv"]) == EXIT_OK
+        single = dict(csv.reader(capsys.readouterr().out.splitlines()))
+        assert row[0] == str(int(float(single["config.capacity_bytes"])))
+        assert row[1:] == [single[key] for key in header[1:]]
 
 
 def test_simulate_prefetch_on_bundled_sample(capsys):

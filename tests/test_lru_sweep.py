@@ -1,0 +1,203 @@
+"""The one-pass LRU curve against one replay per capacity.
+
+`simulate_lru_sweep` reads every capacity off one pass of stack
+distances, where `simulate` replays the trace once per capacity.  Their
+reports must agree field for field: from the pass wherever it is exact,
+and from `simulate` itself at every capacity where it is not.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from zipfcache import simcore
+from zipfcache.analytic import DAY
+from zipfcache.simcore import CacheConfig, SimulationError, simulate, simulate_lru_sweep
+from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
+
+
+@st.composite
+def traces(draw, fixed_sizes=True):
+    """Time-ordered events over a few documents with ties, short gaps and
+    gaps of days, uncacheable requests and modifications, drawn from a
+    seeded `Random`.  With `fixed_sizes` every event of a document
+    carries one size; otherwise each event draws its own."""
+    rnd = draw(st.randoms(use_true_random=True))
+    n_docs = rnd.choice((1, 3, 10, 40))
+    mod_share = rnd.choice((0.0, 0.2, 0.5))
+    sizes = {}
+    events, t = [], rnd.choice((0.0, -3e5, 1e9))
+    for _ in range(rnd.randint(0, 150)):
+        t += rnd.choice((0.0, rnd.uniform(0.0, 600.0), rnd.uniform(0.0, 3 * DAY)))
+        doc = f"d{rnd.randrange(n_docs)}"
+        size = rnd.choice((1, 20, 50, 90, 150, 400, 700))
+        if fixed_sizes:
+            size = sizes.setdefault(doc, size)
+        kind = MODIFICATION if rnd.random() < mod_share else REQUEST
+        events.append(TraceEvent(t, kind, doc, size, rnd.random() < 0.85))
+    return events
+
+
+def _byte_capacities(rnd, events):
+    """Capacities the pass is exact at: none below the largest cacheable
+    size, some repeated, in no particular order."""
+    sizes = [e.size_bytes for e in events if e.kind == REQUEST and e.cacheable]
+    low = max(sizes, default=1)
+    pool = [low, low + 0.5, 2 * low, 3 * low + 7, sum(sizes) or low, 1e12, math.inf]
+    caps = [rnd.choice(pool) for _ in range(rnd.randint(1, 6))]
+    return caps + [caps[0]]
+
+
+def _configs(caps, count_mode=False):
+    return [CacheConfig(capacity_bytes=c, policy_id="lru", object_count_mode=count_mode)
+            for c in caps]
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The capacities the sweep hands to `simulate`, in call order."""
+    calls = []
+
+    def counting(events, config, *args):
+        calls.append(config.capacity_bytes)
+        return simulate(events, config, *args)
+
+    monkeypatch.setattr(simcore, "simulate", counting)
+    return calls
+
+
+def _assert_matches_replays(events, configs):
+    reports = simulate_lru_sweep(events, configs)
+    assert [r.to_dict() for r in reports] == [
+        simulate(events, config).to_dict() for config in configs]
+    return reports
+
+
+def test_byte_mode_with_fixed_sizes_is_one_pass(replays):
+    @given(events=traces(), rnd=st.randoms(use_true_random=True))
+    def check(events, rnd):
+        replays.clear()
+        _assert_matches_replays(events, _configs(_byte_capacities(rnd, events)))
+        assert replays == []
+
+    check()
+
+
+def test_count_mode_with_modifications_is_one_pass(replays):
+    @given(events=traces(fixed_sizes=False),
+           caps=st.lists(st.sampled_from([1, 2, 3, 5, 2.5, 12, 40, math.inf]),
+                         min_size=1, max_size=6))
+    def check(events, caps):
+        replays.clear()
+        _assert_matches_replays(events, _configs(caps, count_mode=True))
+        assert replays == []
+
+    check()
+
+
+def _req(t, obj, size=100, cacheable=True):
+    return TraceEvent(t, REQUEST, obj, size, cacheable)
+
+
+def _mod(t, obj, size=100):
+    return TraceEvent(t, MODIFICATION, obj, size)
+
+
+def test_hand_walk_counts_stale_refetches_and_evictions(replays):
+    # stack distances in count mode: a@2 is 2 (b above it), b@4 is 3
+    # (a, c above it), a@5 is 3 (b, c above it); a was modified at 3
+    events = [_req(0, "a"), _req(1, "b"), _req(2, "a"), _mod(3, "a"), _req(3, "c"),
+              _req(4, "b"), _req(5, "a"), _req(6, "x", cacheable=False)]
+    two, three = _assert_matches_replays(events, _configs([2, 3], count_mode=True))
+    assert (two.hits, two.stale_refetches, two.evictions) == (1, 0, 3)
+    assert (three.hits, three.stale_refetches, three.evictions) == (2, 1, 0)
+    assert three.demand_bytes == 700 - 200  # seven requests, two hits
+    assert replays == []
+
+
+def test_document_that_changes_size_is_replayed(replays):
+    # a is requested at 100 bytes, modified to 300 and requested again
+    events = [_req(0, "a", 100), _req(1, "b", 50), _mod(2, "a", 300), _req(3, "a", 300),
+              _req(4, "b", 50)]
+    _assert_matches_replays(events, _configs([350, 1000]))
+    assert replays == [350, 1000]
+    # count mode ignores sizes, so the same trace takes one pass
+    replays.clear()
+    _assert_matches_replays(events, _configs([1, 2], count_mode=True))
+    assert replays == []
+
+
+def test_document_larger_than_a_capacity_is_replayed_at_it(replays):
+    events = [_req(0, "a", 500), _req(1, "b", 100), _req(2, "a", 500), _req(3, "b", 100)]
+    _assert_matches_replays(events, _configs([600, 400, 500]))
+    assert replays == [400]
+
+
+def test_negative_size_is_replayed(replays):
+    # sizes that shrink a stack prefix break the inclusion property
+    events = [_req(0, "a", -50), _req(1, "b", 100), _req(2, "a", -50), _req(3, "b", 100)]
+    _assert_matches_replays(events, _configs([100, 1000]))
+    assert replays == [100, 1000]
+
+
+def test_count_mode_below_one_document_is_replayed(replays):
+    events = [_req(0, "a"), _req(1, "a"), _req(2, "b")]
+    _assert_matches_replays(events, _configs([3, 0.5, 1], count_mode=True))
+    assert replays == [0.5]
+
+
+@pytest.mark.parametrize("second", [4.0, math.nan, math.inf, 1e22])
+def test_bad_timestamps_raise_what_simulate_raises(second, replays):
+    events = [_req(5.0, "a"), _req(second, "b")]
+    with pytest.raises(SimulationError) as expected:
+        simulate(events, CacheConfig(policy_id="lru"))
+    with pytest.raises(SimulationError) as got:
+        simulate_lru_sweep(events, _configs([1000, 2000]))
+    assert str(got.value) == str(expected.value)
+    assert replays == [1000]
+
+
+def test_far_timestamps_are_replayed(replays):
+    # the clock still runs here, but beyond the sweep's margin
+    events = [_req(0.0, "a"), _req(1e19, "a")]
+    _assert_matches_replays(events, _configs([100, 200]))
+    assert replays == [100, 200]
+
+
+def test_configs_are_checked_in_order(replays):
+    with pytest.raises(ValueError, match="capacity must be > 0"):
+        simulate_lru_sweep([_req(0, "a")], _configs([100, 0]))
+    with pytest.raises(ValueError, match="policy 'lru'"):
+        simulate_lru_sweep([_req(0, "a")], [CacheConfig(policy_id="fifo")])
+
+
+def test_an_id_listed_twice_is_one_document(replays):
+    # a hand-built Trace whose id table lists "a" under codes 0 and 2
+    twice = Trace([0.0, 1.0, 2.0, 3.0, 4.0], [0, 0, 1, 0, 0], [0, 1, 0, 2, 1],
+                  [100] * 5, [True] * 5, ["a", "b", "a"])
+    once = Trace.from_events(list(twice))
+    for count_mode, caps in ((False, [100, 200]), (True, [1, 2])):
+        configs = _configs(caps, count_mode)
+        reports = _assert_matches_replays(twice, configs)
+        assert reports == [simulate(once, config) for config in configs]
+    assert reports[1].stale_refetches == 1 and reports[1].unique_docs == 2
+    assert replays == []
+
+
+def test_empty_trace():
+    _assert_matches_replays([], _configs([1, 100]))
+    _assert_matches_replays([], _configs([1, 100], count_mode=True))
+
+
+def test_renewal_fixture_in_count_mode(renewal_events, replays):
+    req = renewal_events.kind == 0
+    docs = len(np.unique(renewal_events.obj[req & renewal_events.cacheable]))
+    caps = [round(f * docs) for f in (0.05, 0.10, 0.20, 0.40)]
+    reports = _assert_matches_replays(renewal_events, _configs(caps, count_mode=True))
+    assert replays == []
+    assert all(r.stale_refetches > 0 for r in reports)
+    hits = [r.hits for r in reports]
+    assert hits == sorted(hits)

@@ -1,5 +1,6 @@
 """The prefetch layer against a brute-force reference on small random
-traces, and the engine's ledger after every event under each scheme.
+traces, and the engine's ledger after every event, with no layer and
+under each scheme.
 
 `RefPrefetchLayer` is the plain form of `PrefetchLayer`: it builds a
 `Stats` record for every decision, scores it with its own copy of the
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from zipfcache.analytic import DAY
 from zipfcache.prefetch import PrefetchLayer
+from zipfcache import simcore
 from zipfcache.simcore import CacheConfig, _Engine
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 
@@ -79,13 +81,13 @@ class RefPrefetchLayer:
         assert self.start is None
         self.start = t
 
-    def stats_for(self, obj, now, req_counts, total):
+    def stats_for(self, obj, now, requests, total):
         mods = self.mod_counts.get(obj, 0)
         if now <= self.start or mods == 0:
             return None
         elapsed = now - self.start
         return Stats(
-            p_i=req_counts.get(obj, 0) / total if total else 0.0,
+            p_i=requests / total if total else 0.0,
             l_i=elapsed / mods,
             a_rate=total / elapsed,
             mod_count=mods,
@@ -93,13 +95,13 @@ class RefPrefetchLayer:
             last_modified=self.last_mod[obj],
         )
 
-    def on_modification(self, obj, size, now, resident, req_counts, total):
+    def on_modification(self, obj, size, now, resident, requests, total):
         self.mod_counts[obj] = self.mod_counts.get(obj, 0) + 1
         self.last_mod[obj] = now
         self.cur_size[obj] = size
         if resident and self.scheme == "lifetime" and self.mod_counts[obj] >= 2:
             self.stale.add(obj)
-        stats = self.stats_for(obj, now, req_counts, total) if resident else None
+        stats = self.stats_for(obj, now, requests, total) if resident else None
         if stats is None:
             return False
         if self.scheme == "lifetime":
@@ -116,7 +118,7 @@ class RefPrefetchLayer:
             if entry[1]:
                 continue
             # the lifetime rule reads neither request counts nor their total
-            stats = self.stats_for(obj, now, {}, 0)
+            stats = self.stats_for(obj, now, 0, 0)
             if stats is not None and lifetime_due(stats, now):
                 out.append((obj, self.cur_size[obj]))
         return out
@@ -125,8 +127,8 @@ class RefPrefetchLayer:
 def _recording(layer, log):
     on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
 
-    def on_mod(obj, size, now, resident, req_counts, total):
-        out = on_modification(obj, size, now, resident, req_counts, total)
+    def on_mod(obj, size, now, resident, requests, total):
+        out = on_modification(obj, size, now, resident, requests, total)
         log.append(("modification", now, obj, resident, out))
         return out
 
@@ -284,41 +286,94 @@ def test_refetch_that_outgrows_the_cache_drops_the_copy(scheme):
 # ---------------------------------------------------- engine ledger checks
 
 
-def _checked(engine, events, prefetched):
-    """Yield the events, checking the ledger once each one is processed."""
+def _check_ledger(engine, prefetched):
+    """The engine's books between two events."""
     policy, policy_id = engine.policy, engine.config.policy_id
-    for ev in events:
-        yield ev
-        occupancy = engine.occupancy
-        assert occupancy == sum(entry[0] for entry in engine.resident.values())
-        assert occupancy <= engine.capacity
-        if policy_id.startswith("zbs"):  # the areas add up, each within its cap
-            assert policy.kernel_bytes + policy.accessory_bytes == occupancy
-            assert policy.kernel_bytes <= policy.kern_cap
-            assert policy.accessory_bytes <= policy.acc_cap
-        else:  # the policy holds exactly the resident documents at their sizes
-            held = {obj: e[0] if isinstance(e, list) else e  # lfu keeps [size, freq]
-                    for obj, e in policy.entries.items()}
-            assert held == {obj: entry[0] for obj, entry in engine.resident.items()}
-        assert engine.prefetch_bytes == sum(prefetched)
-        assert engine.prefetch_fetches == len(prefetched)
+    occupancy = engine.occupancy
+    assert occupancy == sum(entry[0] for entry in engine.resident.values())
+    assert occupancy <= engine.capacity
+    if policy_id.startswith("zbs"):  # the areas add up, each within its cap
+        assert policy.kernel_bytes + policy.accessory_bytes == occupancy
+        assert policy.kernel_bytes <= policy.kern_cap
+        assert policy.accessory_bytes <= policy.acc_cap
+    else:  # the policy holds exactly the resident documents at their sizes
+        held = {obj: e[0] if isinstance(e, list) else e  # lfu keeps [size, freq]
+                for obj, e in policy.entries.items()}
+        assert held == {obj: entry[0] for obj, entry in engine.resident.items()}
+    # the lifetime layer picks copies in this order
+    admitted = [entry[2] for entry in engine.resident.values()]
+    assert admitted == sorted(set(admitted))
+    assert engine.prefetch_bytes == sum(prefetched)
+    assert engine.prefetch_fetches == len(prefetched)
 
 
-@pytest.mark.parametrize("scheme", ["lifetime", "goodfetch", "api"])
-def test_engine_ledger_after_every_event(scheme):
+@pytest.mark.parametrize("scheme", [None, "lifetime", "goodfetch", "api"])
+def test_engine_ledger_after_every_event(scheme, monkeypatch):
+    """The ledger holds after every event, and the counters the engine takes
+    from the columns equal a recount of the events one at a time: the
+    report's totals, and the request counts each modification hands the
+    layer."""
+    run = {}
+    rows = simcore._rows
+
+    def checked_rows(trace, end):
+        events, count = run["events"], run["count"]
+        for k, row in enumerate(rows(trace, end)):
+            ev = events[k]
+            assert row[0::2] == (ev.timestamp, ev.object_id)
+            run["size"] = ev.size_bytes
+            yield row
+            _check_ledger(run["engine"], run["prefetched"])
+            if ev.kind == REQUEST:
+                count["requests"] += 1
+                count["requested_bytes"] += ev.size_bytes
+                if ev.cacheable:
+                    count["docs"][ev.object_id] = count["docs"].get(ev.object_id, 0) + 1
+
+    monkeypatch.setattr(simcore, "_rows", checked_rows)
+
     @given(events=traces(),
            config=st.sampled_from(["lru", "fifo", "lfu", "zbs", "zbs-byte"]).flatmap(configs))
     def check(events, config):
-        engine = _Engine(config, PrefetchLayer(scheme))
+        engine = _Engine(config, PrefetchLayer(scheme) if scheme else None)
+        count = {"requests": 0, "requested_bytes": 0, "docs": {}, "hits": 0, "hit_bytes": 0,
+                 "stale": 0}
         prefetched = []
-        refetch = engine._refetch
+        run.update(engine=engine, events=events, count=count, prefetched=prefetched)
+        refetch, on_hit = engine._refetch, engine.policy.on_hit
 
-        def recording(obj, size, now, prefetch):
+        def recording_refetch(obj, size, now, prefetch):
             if prefetch:
                 prefetched.append(size)
+            else:
+                count["stale"] += 1
             refetch(obj, size, now, prefetch)
 
-        engine._refetch = recording
-        engine.run(_checked(engine, events, prefetched))
+        def recording_hit(obj, now):
+            count["hits"] += 1
+            count["hit_bytes"] += run["size"]
+            on_hit(obj, now)
+
+        engine._refetch, engine.policy.on_hit = recording_refetch, recording_hit
+        if scheme is not None:
+            on_modification = engine.layer.on_modification
+
+            def recounted(obj, size, now, resident, requests, total):
+                docs = count["docs"]
+                assert (requests, total) == (docs.get(obj, 0), sum(docs.values()))
+                return on_modification(obj, size, now, resident, requests, total)
+
+            engine.layer.on_modification = recounted
+        report = engine.run(events)
+        docs = count["docs"]
+        assert count["requests"] == sum(e.kind == REQUEST for e in events)
+        assert (report.requests, report.cacheable_requests, report.unique_docs,
+                report.two_plus_docs, report.hits, report.stale_refetches) == (
+            count["requests"], sum(docs.values()), len(docs),
+            sum(1 for v in docs.values() if v >= 2), count["hits"], count["stale"])
+        # every request is a hit or fetched on demand
+        assert report.demand_bytes == count["requested_bytes"] - count["hit_bytes"]
+        if count["requested_bytes"]:
+            assert report.byte_hit_ratio == count["hit_bytes"] / count["requested_bytes"]
 
     check()
