@@ -3,18 +3,19 @@
 A policy implements five operations the engine drives:
 
     on_hit(object_id, now)
-    on_miss_admit(object_id, size, now) -> bool   admit decision
-    choose_victims(bytes_needed, now) -> [ids]    eviction list
-    on_modification_fetched(object_id, size, now)
+    on_miss_admit(object_id, size, now) -> bool             admitted
+    choose_victims(now) -> [ids]                            evicted
+    on_modification_fetched(object_id, size, now) -> bool   still resident
     on_expire_stats(now)
 
-The engine calls choose_victims whenever total occupancy exceeds
-capacity or the policy has flagged `over_limit`; the returned objects
-are gone and the policy must already have forgotten them.  A refetch of
-a stale copy is delivered through on_modification_fetched and counts as
-one access to the object.  Policies expose `accessory_bytes`; the
-engine reports its occupancy net of `accessory_bytes` as kernel
-occupancy.
+The policy is the one ledger of resident bytes: it keeps each copy's size
+as the engine passes it (1 in count mode) and the totals `kernel_bytes`
+and `accessory_bytes` (0 for one-area policies).  It sets `over_limit`
+when an admission or a refetch takes an area over its cap; the engine
+then calls choose_victims, which evicts until every area is within its
+cap and clears the flag.  A refetch of a stale copy counts as one access;
+it returns False when the new size exceeds the whole capacity, and the
+copy is then already dropped.
 """
 
 from __future__ import annotations
@@ -50,15 +51,16 @@ class _SingleArea:
     """Shared skeleton of the one-area baseline policies.
 
     `entries` maps each resident document to its size, next victim
-    first.  The engine's occupancy is the only byte total.
+    first, and `kernel_bytes` is their sum.
     """
 
-    over_limit = False  # single-area policies only overflow engine capacity
     accessory_bytes = 0
 
     def __init__(self, capacity: float):
         self.capacity = capacity
         self.entries: OrderedDict[str, int] = OrderedDict()
+        self.kernel_bytes = 0
+        self.over_limit = False
 
     def on_hit(self, obj: str, now: float) -> None:
         pass
@@ -67,26 +69,40 @@ class _SingleArea:
         if size > self.capacity:
             return False
         self.entries[obj] = size
+        self.kernel_bytes += size
+        self.over_limit = self.kernel_bytes > self.capacity
         return True
 
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
+    def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
+        if size > self.capacity:
+            self.kernel_bytes -= self._remove(obj)
+            return False
+        self.kernel_bytes += size - self._resize(obj, size)
+        self.over_limit = self.kernel_bytes > self.capacity
+        return True
+
+    def _resize(self, obj: str, size: int) -> int:
+        """Store the refetched copy's size and return the old one."""
+        old = self.entries[obj]
         self.entries[obj] = size
+        return old
+
+    def _remove(self, obj: str) -> int:
+        return self.entries.pop(obj)
 
     def _pop_victim(self) -> tuple[str, int]:
         return self.entries.popitem(last=False)
 
-    def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
+    def choose_victims(self, now: float) -> list[str]:
         victims: list[str] = []
-        while bytes_needed > 0:
+        while self.kernel_bytes > self.capacity:
             if not self.entries:
                 raise EvictionInfeasible("cache empty but space still needed")
             obj, size = self._pop_victim()
-            bytes_needed -= size
+            self.kernel_bytes -= size
             victims.append(obj)
+        self.over_limit = False
         return victims
-
-    def force_forget(self, obj: str) -> None:
-        del self.entries[obj]
 
     def on_expire_stats(self, now: float) -> None:
         pass
@@ -102,9 +118,10 @@ class LRUCache(_SingleArea):
     def on_hit(self, obj: str, now: float) -> None:
         self.entries.move_to_end(obj)
 
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        self.entries[obj] = size
-        self.entries.move_to_end(obj)
+    def _resize(self, obj: str, size: int) -> int:
+        old = self.entries.pop(obj)
+        self.entries[obj] = size  # to the most recent end
+        return old
 
 
 class LFUCache(_SingleArea):
@@ -140,11 +157,16 @@ class LFUCache(_SingleArea):
         self.entries[obj] = [size, 1]
         self.buckets.setdefault(1, OrderedDict())[obj] = None
         self.min_freq = 1
+        self.kernel_bytes += size
+        self.over_limit = self.kernel_bytes > self.capacity
         return True
 
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        self.entries[obj][0] = size
+    def _resize(self, obj: str, size: int) -> int:
+        entry = self.entries[obj]
+        old = entry[0]
+        entry[0] = size
         self._bump(obj)
+        return old
 
     def _pop_victim(self) -> tuple[str, int]:
         while self.min_freq not in self.buckets:
@@ -155,12 +177,13 @@ class LFUCache(_SingleArea):
             del self.buckets[self.min_freq]
         return obj, self.entries.pop(obj)[0]
 
-    def force_forget(self, obj: str) -> None:
-        freq = self.entries.pop(obj)[1]
+    def _remove(self, obj: str) -> int:
+        size, freq = self.entries.pop(obj)
         bucket = self.buckets[freq]
         del bucket[obj]
         if not bucket:
             del self.buckets[freq]
+        return size
 
 
 class _KernelEntry:
@@ -381,9 +404,16 @@ class ZBSCache:
             return
         self._admit_kernel(obj, size, now, 2, admitted_at, admitted_at)
 
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
-        self._note_request(obj, self.stats[obj], now)
+    def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
         entry = self.kernel.get(obj)
+        if size > self.capacity:  # the copy no longer fits at all: drop it
+            if entry is None:
+                self.accessory_bytes -= self.accessory.pop(obj)[0]
+            else:
+                self.kernel_bytes -= self.kernel.pop(obj).size
+                self._release_slot(entry.slot)
+            return False
+        self._note_request(obj, self.stats[obj], now)
         if entry is not None:
             self.kernel_bytes += size - entry.size
             entry.size = size
@@ -391,23 +421,12 @@ class ZBSCache:
             entry.last_modified = now
             self._index(entry)
         else:
-            acc = self.accessory.pop(obj, None)
-            if acc is None:
-                return
-            self.accessory_bytes -= acc[0]
-            self._admit_kernel(obj, size, now, 1, now, acc[1])
+            size_was, admitted_at = self.accessory.pop(obj)
+            self.accessory_bytes -= size_was
+            self._admit_kernel(obj, size, now, 1, now, admitted_at)
         if self.kernel_bytes > self.kern_cap:
             self.over_limit = True
-
-    def force_forget(self, obj: str) -> None:
-        entry = self.kernel.pop(obj, None)
-        if entry is not None:
-            self.kernel_bytes -= entry.size
-            self._release_slot(entry.slot)
-            return
-        acc = self.accessory.pop(obj, None)
-        if acc is not None:
-            self.accessory_bytes -= acc[0]
+        return True
 
     # -- eviction -----------------------------------------------------
 
@@ -442,7 +461,7 @@ class ZBSCache:
             victims.append(obj)
             i = j
 
-    def choose_victims(self, bytes_needed: float, now: float) -> list[str]:
+    def choose_victims(self, now: float) -> list[str]:
         victims: list[str] = []
         while self.accessory_bytes > self.acc_cap:
             obj, (size, _) = self.accessory.popitem(last=False)

@@ -144,11 +144,11 @@ class PrefetchLayer:
         next_due = math.inf
         for obj, due in self.stale.items():
             entry = resident.get(obj)
-            if entry is None or entry[1]:
+            if entry is None or entry[0]:
                 continue  # evicted, refetched or re-admitted fresh
             keep[obj] = due
             if _lifetime_due(now, start, mod_counts[obj], last_mod[obj]):
-                picks.append((entry[2], obj))
+                picks.append((entry[1], obj))
             elif due < next_due:
                 next_due = due
         self.stale = keep

@@ -1,7 +1,8 @@
 """Trace-driven cache simulation engine.
 
-The engine owns residency, freshness and byte accounting; replacement
-decisions live in policy objects (see `policies`).  Semantics:
+The engine owns residency and freshness; replacement decisions and the
+byte accounting of resident copies live in policy objects (see
+`policies`).  Semantics:
 
 * Events must be time-ordered with finite timestamps; zero service and
   fetch latency.
@@ -133,9 +134,9 @@ class _Totals(NamedTuple):
     two_plus_docs: int
 
     @classmethod
-    def of(cls, trace: Trace, doc: np.ndarray) -> "_Totals":
+    def of(cls, trace: Trace) -> "_Totals":
         request = trace.kind == 0
-        per_doc = np.bincount(doc[request & trace.cacheable])
+        per_doc = np.bincount(trace.obj[request & trace.cacheable])
         return cls(
             requests=int(np.count_nonzero(request)),
             requested_bytes=_exact_sum(trace.size[request]),
@@ -145,7 +146,7 @@ class _Totals(NamedTuple):
         )
 
     def report(self, hits: int, hit_bytes: int, evictions: int, stale_refetches: int,
-               prefetch_fetches: int, prefetch_bytes: int, occupancy: int,
+               prefetch_fetches: int, prefetch_bytes: int, kernel_bytes: int,
                accessory_bytes: int) -> SimReport:
         # Every request is a hit or fetched on demand: a miss, a stale
         # refetch, or not cacheable.
@@ -164,19 +165,9 @@ class _Totals(NamedTuple):
             prefetch_fetches=prefetch_fetches,
             demand_bytes=self.requested_bytes - hit_bytes,
             prefetch_bytes=prefetch_bytes,
-            kernel_occupancy_bytes=int(occupancy - accessory_bytes),
+            kernel_occupancy_bytes=int(kernel_bytes),
             accessory_occupancy_bytes=int(accessory_bytes),
         )
-
-
-def _doc_codes(trace: Trace) -> np.ndarray:
-    """The `obj` column with one code per distinct object id: the engine
-    keys documents by id, and a `Trace` built by hand may list one twice."""
-    ids = trace.ids
-    if len(set(ids)) == len(ids):
-        return trace.obj
-    _, code = np.unique(np.array(ids, dtype=object), return_inverse=True)
-    return code[trace.obj]
 
 
 def _same_doc_before(doc: np.ndarray, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -221,50 +212,40 @@ class _Engine:
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
         self.layer = prefetch_layer
-        # object_id -> [acct_size, fresh, admitted]; `admitted` numbers the
-        # admissions, so it is unique and increasing in the dict's order.
+        # object_id -> [fresh, admitted]; `admitted` numbers the admissions,
+        # so it is unique and increasing in the dict's order.
         self.resident: dict[str, list] = {}
-        self.occupancy = 0
         self.evictions = 0
         self.stale_refetches = 0
         self.prefetch_fetches = 0
         self.prefetch_bytes = 0
 
     def _drain(self, now: float) -> None:
-        need = self.occupancy - self.capacity
+        policy = self.policy
         try:
-            victims = self.policy.choose_victims(need if need > 0 else 0, now)
+            victims = policy.choose_victims(now)
         except policies.EvictionInfeasible as exc:
             raise SimulationError(str(exc)) from exc
-        if victims:
-            pop = self.resident.pop
-            for v in victims:
-                self.occupancy -= pop(v)[0]
-            self.evictions += len(victims)
-        if self.occupancy > self.capacity or self.policy.over_limit:
+        for v in victims:
+            del self.resident[v]
+        self.evictions += len(victims)
+        if policy.over_limit or policy.kernel_bytes + policy.accessory_bytes > self.capacity:
             raise SimulationError("policy failed to restore capacity limits")
 
     def _refetch(self, obj: str, size: int, now: float, prefetch: bool) -> None:
-        """Re-fetch a stale resident copy in place at its current size."""
-        acct = 1 if self.count_mode else size
-        entry = self.resident[obj]
-        if acct > self.capacity:
-            # The updated document no longer fits at all; drop it.
-            self.occupancy -= entry[0]
-            del self.resident[obj]
-            self.policy.force_forget(obj)
-            self.evictions += 1
+        """Re-fetch a stale resident copy in place at its current size; a
+        copy that no longer fits the cache at all is dropped."""
+        if self.policy.on_modification_fetched(obj, 1 if self.count_mode else size, now):
+            self.resident[obj][0] = True
         else:
-            self.occupancy += acct - entry[0]
-            entry[0] = acct
-            entry[1] = True
-            self.policy.on_modification_fetched(obj, acct, now)
+            del self.resident[obj]
+            self.evictions += 1
         if prefetch:
             self.prefetch_fetches += 1
             self.prefetch_bytes += size
         else:
             self.stale_refetches += 1
-        if self.occupancy > self.capacity or self.policy.over_limit:
+        if self.policy.over_limit:
             self._drain(now)
 
     def run(self, events: Iterable[TraceEvent]) -> SimReport:
@@ -272,7 +253,6 @@ class _Engine:
         policy = self.policy
         on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
         resident = self.resident
-        capacity = self.capacity
         count_mode = self.count_mode
         layer = self.layer
         # The events before the first one at a non-finite or decreasing
@@ -280,7 +260,6 @@ class _Engine:
         t = trace.t
         bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
         end = int(bad[0]) if len(bad) else len(t)
-        doc = _doc_codes(trace)
         # Tick k falls at t0 + k days, so a jump lands on the same float as
         # a walk would.
         t0 = float(t[0]) if end else 0.0
@@ -292,7 +271,7 @@ class _Engine:
             # document, and of all documents.
             counted = np.flatnonzero((trace.kind == 0) & trace.cacheable)
             mods = np.flatnonzero(trace.kind == 1)
-            seen = zip(_same_doc_before(doc, counted, mods).tolist(),
+            seen = zip(_same_doc_before(trace.obj, counted, mods).tolist(),
                        np.searchsorted(counted, mods).tolist())
         hits = hit_bytes = admitted = 0
         for now, code, obj, size in _rows(trace, end):
@@ -329,7 +308,7 @@ class _Engine:
             if code == 0:  # a cacheable request
                 entry = resident.get(obj)
                 if entry is not None:
-                    if entry[1]:
+                    if entry[0]:
                         hits += 1
                         hit_bytes += size
                         on_hit(obj, now)
@@ -341,14 +320,13 @@ class _Engine:
                     acct = 1 if count_mode else size
                     if on_miss_admit(obj, acct, now):
                         admitted += 1
-                        resident[obj] = [acct, True, admitted]
-                        self.occupancy += acct
-                        if self.occupancy > capacity or policy.over_limit:
+                        resident[obj] = [True, admitted]
+                        if policy.over_limit:
                             self._drain(now)
             elif code == 1:  # a modification
                 entry = resident.get(obj)
                 if entry is not None:
-                    entry[1] = False
+                    entry[0] = False
                 if layer is not None:
                     doc_requests, total = next(seen)
                     if layer.on_modification(obj, size, now, entry is not None,
@@ -361,11 +339,11 @@ class _Engine:
             raise SimulationError(
                 f"trace not time-ordered: {now!r} after {float(t[end - 1])!r}"
             )
-        return _Totals.of(trace, doc).report(
+        return _Totals.of(trace).report(
             hits=hits, hit_bytes=hit_bytes, evictions=self.evictions,
             stale_refetches=self.stale_refetches, prefetch_fetches=self.prefetch_fetches,
-            prefetch_bytes=self.prefetch_bytes, occupancy=self.occupancy,
-            accessory_bytes=self.policy.accessory_bytes,
+            prefetch_bytes=self.prefetch_bytes, kernel_bytes=policy.kernel_bytes,
+            accessory_bytes=policy.accessory_bytes,
         )
 
 
@@ -448,19 +426,19 @@ class _LRUCurve:
     """
 
     def __init__(self, trace: Trace, count_mode: bool):
-        doc = _doc_codes(trace)
-        self.totals = _Totals.of(trace, doc)
+        self.totals = _Totals.of(trace)
         self.count_mode = count_mode
         requests = np.flatnonzero((trace.kind == 0) & trace.cacheable)
         m = len(requests)
         # Each request paired with the previous request of its document,
         # both as positions among the cacheable requests.
-        obj = doc[requests]
+        obj = trace.obj[requests]
         order = np.argsort(obj, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
         same = obj[order[1:]] == obj[order[:-1]]
         del obj
         later, earlier = order[1:][same], order[:-1][same]
-        mods_before = _same_doc_before(doc, np.flatnonzero(trace.kind == 1), requests)
+        mods_before = _same_doc_before(trace.obj, np.flatnonzero(trace.kind == 1),
+                                       requests)
         stale = mods_before[later] > mods_before[earlier]
         del mods_before
         size = trace.size[requests]
@@ -519,7 +497,7 @@ class _LRUCurve:
             hits=hits, hit_bytes=int(self.fresh_bytes[hits]),
             evictions=admissions - resident, stale_refetches=stale,
             prefetch_fetches=0, prefetch_bytes=0,
-            occupancy=int(self.stack[resident - 1]) if resident else 0, accessory_bytes=0,
+            kernel_bytes=int(self.stack[resident - 1]) if resident else 0, accessory_bytes=0,
         )
 
 

@@ -103,11 +103,13 @@ class Trace(Sequence):
     size       int64    size_bytes
     cacheable  bool
 
-    `ids` lists the object ids; the producers in this module number them
-    in order of first appearance.  The columns are read-only.  Indexing
-    boxes one `TraceEvent`, a slice is a `Trace` sharing the id table,
-    iteration boxes events a chunk at a time, and `==` compares the event
-    streams (against a `Trace` or a list of `TraceEvent`).
+    `ids` lists the object ids, each once; the producers in this module
+    number them in order of first appearance.  A table that lists an id
+    twice, a code outside it or a kind other than 0 or 1 is refused with
+    `ValueError`.  The columns are read-only.  Indexing boxes one
+    `TraceEvent`, a slice is a `Trace` sharing the id table, iteration
+    boxes events a chunk at a time, and `==` compares the event streams
+    (against a `Trace` or a list of `TraceEvent`).
     """
 
     __slots__ = ("t", "kind", "obj", "size", "cacheable", "ids")
@@ -124,6 +126,12 @@ class Trace(Sequence):
             if col.shape != (n,):
                 raise ValueError("trace columns must be 1-D and of equal length")
             col.flags.writeable = False
+        if len(set(ids)) != len(ids):
+            raise ValueError("the id table of a trace lists an object id twice")
+        if n and (int(self.obj.min()) < 0 or int(self.obj.max()) >= len(ids)):
+            raise ValueError(f"object codes must lie in [0, {len(ids)})")
+        if n and (int(self.kind.min()) < 0 or int(self.kind.max()) > 1):
+            raise ValueError("event kind codes must be 0 (request) or 1 (modification)")
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":

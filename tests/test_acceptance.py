@@ -205,7 +205,7 @@ def test_prefetch_dominance_and_cost(capsys, renewal_events, renewal_unbounded):
     micro.note_start(0.0)
     for day in range(80, 90):  # 10 modifications of the resident copy, the last at 89 d
         micro.on_modification("doc", 100, day * DAY, True, {"doc": 1}, 1)
-    stale_copy = [100, False, 1]  # size, fresh flag, admission order
+    stale_copy = [False, 1]  # fresh flag, admission order
     # copy age 11 d, mean interval 10 d
     fires = micro.tick_refetches(100 * DAY, {"doc": stale_copy}) == [("doc", 100)]
 

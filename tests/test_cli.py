@@ -420,7 +420,9 @@ def test_simulate_domain_error_exit_4(small_trace, capsys):
                  ["--policy", "lru", "--retention-days", "60"],
                  ["--policy", "fifo", "--accessory-fraction", "0.05"],
                  ["--policy", "lfu", "--accessory-fraction", "0.1"],
-                 ["--capacity", "1KB", "--sweep", "100KB"]):
+                 ["--capacity", "1KB", "--sweep", "100KB"],
+                 # every copy counts 1, so the byte metric is zbs's own
+                 ["--policy", "zbs-byte", "--count-mode", "--capacity", "50"]):
         capsys.readouterr()
         assert main(["simulate", "-t", str(small_trace), *argv]) == EXIT_DOMAIN
         assert "has no effect" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from zipfcache import simcore
 from zipfcache.analytic import DAY
 from zipfcache.simcore import CacheConfig, SimulationError, simulate, simulate_lru_sweep
-from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
+from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 
 
 @st.composite
@@ -172,19 +172,6 @@ def test_configs_are_checked_in_order(replays):
         simulate_lru_sweep([_req(0, "a")], _configs([100, 0]))
     with pytest.raises(ValueError, match="policy 'lru'"):
         simulate_lru_sweep([_req(0, "a")], [CacheConfig(policy_id="fifo")])
-
-
-def test_an_id_listed_twice_is_one_document(replays):
-    # a hand-built Trace whose id table lists "a" under codes 0 and 2
-    twice = Trace([0.0, 1.0, 2.0, 3.0, 4.0], [0, 0, 1, 0, 0], [0, 1, 0, 2, 1],
-                  [100] * 5, [True] * 5, ["a", "b", "a"])
-    once = Trace.from_events(list(twice))
-    for count_mode, caps in ((False, [100, 200]), (True, [1, 2])):
-        configs = _configs(caps, count_mode)
-        reports = _assert_matches_replays(twice, configs)
-        assert reports == [simulate(once, config) for config in configs]
-    assert reports[1].stale_refetches == 1 and reports[1].unique_docs == 2
-    assert replays == []
 
 
 def test_empty_trace():

@@ -1,7 +1,5 @@
 """Replacement policies: classic baselines and the two-area ZBS cache."""
 
-import math
-
 import pytest
 
 from zipfcache.policies import (
@@ -43,26 +41,40 @@ def test_lfu_evicts_rarest_then_oldest():
 
 
 def test_lfu_frequency_does_not_survive_eviction():
-    lfu = LFUCache(math.inf)
+    lfu = LFUCache(1000)
     lfu.on_miss_admit("a", 100, 0.0)
     lfu.on_hit("a", 1.0)
     assert lfu.entries["a"][1] == 2
-    lfu.force_forget("a")
+    assert not lfu.on_modification_fetched("a", 1001, 1.5)  # outgrew the cache
+    assert "a" not in lfu.entries and lfu.buckets == {} and lfu.kernel_bytes == 0
     lfu.on_miss_admit("a", 100, 2.0)
     assert lfu.entries["a"][1] == 1
 
 
 def test_lru_choose_victims_batch():
-    lru = LRUCache(1000)
+    lru = LRUCache(150)
     for i, obj in enumerate("abcd"):
         lru.on_miss_admit(obj, 100, float(i))
-    assert lru.choose_victims(250, 5.0) == ["a", "b", "c"]
+    assert lru.over_limit and lru.kernel_bytes == 400
+    assert lru.choose_victims(5.0) == ["a", "b", "c"]
     assert list(lru.entries.items()) == [("d", 100)]
+    assert not lru.over_limit and lru.kernel_bytes == 100
+    assert lru.choose_victims(6.0) == []  # nothing over the cap
+    lru.kernel_bytes = 400  # a total the entries do not hold
     with pytest.raises(EvictionInfeasible):
-        LRUCache(1000).choose_victims(10, 0.0)
+        lru.choose_victims(7.0)
 
 
 # ------------------------------------------------------------ ZBS placement
+
+
+def _drop(p, obj, now):
+    """Drop `obj` from either area: its refetch outgrows the whole cache,
+    which counts no request."""
+    record = list(p.stats[obj])
+    assert not p.on_modification_fetched(obj, p.capacity + 1, now)
+    assert obj not in p.kernel and obj not in p.accessory
+    assert p.stats[obj] == record
 
 
 def test_first_request_lands_in_accessory():
@@ -96,7 +108,7 @@ def test_second_request_promotes_with_fetch_time():
 def test_statistics_survive_eviction_for_readmission():
     p = ZBSCache(1000)
     p.on_miss_admit("b", 10, 0.0)
-    p.force_forget("b")
+    _drop(p, "b", 1.0)
     assert "b" not in p.accessory
     assert p.on_miss_admit("b", 10, 5.0)
     assert p.kernel["b"].theta == 2  # one prior request in the window
@@ -106,7 +118,7 @@ def test_readmission_uses_full_window_count():
     p = ZBSCache(1000)
     p.on_miss_admit("b", 10, 0.0)
     p.on_hit("b", 3600.0)
-    p.force_forget("b")
+    _drop(p, "b", 7200.0)
     p.on_miss_admit("b", 10, 20 * DAY)
     assert p.kernel["b"].theta == 3
 
@@ -115,7 +127,7 @@ def test_window_pruning_resets_cold_documents():
     p = ZBSCache(1000, retention=MIN_RETENTION)
     p.on_miss_admit("b", 10, 0.0)
     p.on_hit("b", 3600.0)
-    p.force_forget("b")
+    _drop(p, "b", 7200.0)
     p.on_miss_admit("b", 10, 40 * DAY)  # both requests aged out
     assert "b" in p.accessory and "b" not in p.kernel
 
@@ -173,7 +185,7 @@ def test_kernel_evicts_largest_metric():
     _kernel_doc(p, "z", 4.0, 5.0)
     assert p.over_limit
     # theta all 2: C at t=10 is (10-lm)/2, largest for the oldest fetch
-    assert p.choose_victims(0, 10.0) == ["x"]
+    assert p.choose_victims(10.0) == ["x"]
     assert not p.over_limit and p.kernel_bytes == 800
 
 
@@ -183,11 +195,11 @@ def test_theta_divides_staleness():
     _kernel_doc(p, "y", 2.0, 3.0)
     p.on_hit("x", 6.0)  # theta 3 shields the older fetch
     _kernel_doc(p, "z", 7.0, 10.0)
-    assert p.choose_victims(0, 12.0) == ["y"]
+    assert p.choose_victims(12.0) == ["y"]
     # second round ranks a kernel whose entries changed theta since the first
     p.on_hit("z", 15.0)
     _kernel_doc(p, "w", 16.0, 20.0)
-    assert p.choose_victims(0, 21.0) == ["x"]
+    assert p.choose_victims(21.0) == ["x"]
 
 
 def test_tie_breaks_by_admission_order():
@@ -197,7 +209,7 @@ def test_tie_breaks_by_admission_order():
     p.on_miss_admit("u", 400, 2.0)
     p.on_miss_admit("v", 400, 2.0)
     _kernel_doc(p, "w", 3.0, 4.0)
-    assert p.choose_victims(0, 10.0) == ["u"]
+    assert p.choose_victims(10.0) == ["u"]
 
 
 def test_accessory_is_fifo_and_peak_is_settled():
@@ -206,7 +218,7 @@ def test_accessory_is_fifo_and_peak_is_settled():
     p.on_miss_admit("b", 40, 1.0)
     p.on_miss_admit("c", 40, 2.0)
     assert p.over_limit
-    assert p.choose_victims(0, 3.0) == ["a"]
+    assert p.choose_victims(3.0) == ["a"]
     assert p.accessory_bytes == 80
     assert p.peak_accessory_bytes == 80  # transient 120 never observable
 
@@ -221,10 +233,10 @@ def test_byte_metric_divides_by_size():
     _kernel_doc(p, "w", 2.0, 3.0, size=400)     # theta 2, lm 3.0
     assert p.over_limit
     # small scores 0.055 against 0.010 for big and w despite being newest
-    assert p.choose_victims(0, 11.0) == ["small"]
+    assert p.choose_victims(11.0) == ["small"]
     # big and w now tie at 0.010 (z scores 0.0075); earlier admission wins
     _kernel_doc(p, "z", 4.0, 5.0, size=400)
-    assert p.choose_victims(0, 11.0) == ["big"]
+    assert p.choose_victims(11.0) == ["big"]
     _assert_index_consistent(p)
 
 
@@ -269,7 +281,8 @@ def test_zbs_invariants_after_seeded_run():
         assert p.accessory_bytes <= p.acc_cap
         assert p.peak_accessory_bytes <= p.acc_cap
         assert set(eng.resident) == set(p.kernel) | set(p.accessory)
-        assert eng.occupancy == p.kernel_bytes + p.accessory_bytes
+        assert report.kernel_occupancy_bytes == p.kernel_bytes
+        assert report.accessory_occupancy_bytes == p.accessory_bytes
         assert all(e.theta >= 1 for e in p.kernel.values())
         _assert_index_consistent(p)
 
@@ -298,7 +311,7 @@ def test_zbs_deterministic_under_ties():
 def test_expire_stats_drops_only_idle_nonresident():
     p = ZBSCache(1000, retention=MIN_RETENTION)
     p.on_miss_admit("gone", 10, 0.0)
-    p.force_forget("gone")
+    _drop(p, "gone", 0.0)
     p.on_miss_admit("held", 10, 0.0)
     p.on_expire_stats(35 * DAY)
     assert "gone" not in p.stats
@@ -310,7 +323,7 @@ def test_held_record_expires_once_evicted():
     p.on_miss_admit("held", 10, 0.0)
     p.on_expire_stats(35 * DAY)
     assert "held" in p.stats
-    p.force_forget("held")
+    _drop(p, "held", 35 * DAY)
     p.on_expire_stats(36 * DAY)
     assert "held" not in p.stats and "held" not in p.last_seen
     # back without its old record: a first request again
@@ -363,7 +376,7 @@ def test_expiry_tick_does_not_iterate_statistics():
     p.on_miss_admit("d0", 10, 0.0)  # stays resident
     for i in range(1, 50):
         p.on_miss_admit(f"d{i}", 10, i * DAY)
-        p.force_forget(f"d{i}")
+        _drop(p, f"d{i}", i * DAY)
     p.stats = _NoIteration(p.stats)
     # A tick may visit the expiring records, the held ones (resident, or
     # seen on the cutoff's day at or after the cutoff) and one more.
@@ -373,7 +386,7 @@ def test_expiry_tick_does_not_iterate_statistics():
     p.on_expire_stats(31 * DAY)  # only d0 is past its cutoff, and resident
     assert len(p.stats) == 50
     assert walk.yielded <= 0 + 2 + 1  # d0 and d1 held
-    p.force_forget("d0")
+    _drop(p, "d0", 31 * DAY)
     walk.yielded = 0
     p.on_expire_stats(40.5 * DAY)  # seen before day 10.5 and not resident
     assert len(p.stats) == 39 and "d10" not in p.stats and "d11" in p.stats

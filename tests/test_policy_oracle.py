@@ -30,8 +30,9 @@ ORDER = {  # policy id -> eviction key of an entry [size, admitted, accessed, fr
 
 
 class RefSingleArea:
-    over_limit = False
     accessory_bytes = 0
+    kernel_bytes = property(lambda self: sum(e[0] for e in self.entries.values()))
+    over_limit = property(lambda self: self.kernel_bytes > self.capacity)
 
     def __init__(self, policy_id, capacity):
         self.key = ORDER[policy_id]
@@ -55,31 +56,32 @@ class RefSingleArea:
         self._access(self.entries[obj])
 
     def on_modification_fetched(self, obj, size, now):
+        if size > self.capacity:
+            del self.entries[obj]
+            return False
         entry = self.entries[obj]
         entry[0] = size
         self._access(entry)
-
-    def force_forget(self, obj):
-        del self.entries[obj]
+        return True
 
     def on_expire_stats(self, now):
         pass
 
-    def choose_victims(self, bytes_needed, now):
+    def choose_victims(self, now):
         victims = []
-        while bytes_needed > 0:
+        while self.over_limit:
             if not self.entries:
                 raise EvictionInfeasible("cache empty")
             victims.append(min(self.entries, key=lambda o: self.key(self.entries[o])))
-            bytes_needed -= self.entries.pop(victims[-1])[0]
+            del self.entries[victims[-1]]
         return victims
 
 
 def _recording(policy, log):
     choose = policy.choose_victims
 
-    def choose_victims(bytes_needed, now):
-        victims = choose(bytes_needed, now)
+    def choose_victims(now):
+        victims = choose(now)
         log.append((now, victims))
         return victims
 

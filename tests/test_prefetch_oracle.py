@@ -1,6 +1,6 @@
 """The prefetch layer against a brute-force reference on small random
-traces, and the engine's ledger after every event, with no layer and
-under each scheme.
+traces, and the policies' ledgers of resident bytes after every event,
+under every policy with no layer and under each scheme.
 
 `RefPrefetchLayer` is the plain form of `PrefetchLayer`: it builds a
 `Stats` record for every decision, scores it with its own copy of the
@@ -13,6 +13,7 @@ the same order at the same ticks (so the bound never skips a tick that
 fetches), and produce the same `SimReport` on every trace.
 """
 
+import dataclasses
 import math
 from typing import NamedTuple
 
@@ -21,6 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zipfcache.analytic import DAY
+from zipfcache.policies import POLICY_IDS, ZBSCache
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache import simcore
 from zipfcache.simcore import CacheConfig, _Engine
@@ -112,10 +114,10 @@ class RefPrefetchLayer:
         if self.scheme != "lifetime":
             return []
         self.stale = {obj for obj, entry in resident.items()
-                      if not entry[1] and self.mod_counts[obj] >= 2}
+                      if not entry[0] and self.mod_counts[obj] >= 2}
         out = []
         for obj, entry in resident.items():
-            if entry[1]:
+            if entry[0]:  # fresh
                 continue
             # the lifetime rule reads neither request counts nor their total
             stats = self.stats_for(obj, now, 0, 0)
@@ -286,22 +288,35 @@ def test_refetch_that_outgrows_the_cache_drops_the_copy(scheme):
 # ---------------------------------------------------- engine ledger checks
 
 
-def _check_ledger(engine, prefetched):
-    """The engine's books between two events."""
-    policy, policy_id = engine.policy, engine.config.policy_id
-    occupancy = engine.occupancy
-    assert occupancy == sum(entry[0] for entry in engine.resident.values())
-    assert occupancy <= engine.capacity
-    if policy_id.startswith("zbs"):  # the areas add up, each within its cap
-        assert policy.kernel_bytes + policy.accessory_bytes == occupancy
-        assert policy.kernel_bytes <= policy.kern_cap
-        assert policy.accessory_bytes <= policy.acc_cap
-    else:  # the policy holds exactly the resident documents at their sizes
-        held = {obj: e[0] if isinstance(e, list) else e  # lfu keeps [size, freq]
-                for obj, e in policy.entries.items()}
-        assert held == {obj: entry[0] for obj, entry in engine.resident.items()}
+def _areas(policy):
+    """(total, {document: size}, cap) of each area of `policy`."""
+    if isinstance(policy, ZBSCache):
+        return [(policy.kernel_bytes, {obj: e.size for obj, e in policy.kernel.items()},
+                 policy.kern_cap),
+                (policy.accessory_bytes, {obj: a[0] for obj, a in policy.accessory.items()},
+                 policy.acc_cap)]
+    sizes = {obj: e[0] if isinstance(e, list) else e  # lfu keeps [size, freq]
+             for obj, e in policy.entries.items()}
+    assert policy.accessory_bytes == 0
+    return [(policy.kernel_bytes, sizes, policy.capacity)]
+
+
+def _check_ledger(engine, fetched, prefetched):
+    """The books between two events.  Each policy total is the sum of its
+    copies' sizes and within its area's cap; the policy holds exactly the
+    engine's resident copies, each at the size of its last fetch."""
+    policy = engine.policy
+    assert not policy.over_limit
+    held = {}
+    for total, sizes, cap in _areas(policy):
+        assert total == sum(sizes.values())
+        assert total <= cap
+        assert held.keys().isdisjoint(sizes)
+        held.update(sizes)
+    assert held == {obj: fetched[obj] for obj in engine.resident}
+    assert policy.kernel_bytes + policy.accessory_bytes <= engine.capacity
     # the lifetime layer picks copies in this order
-    admitted = [entry[2] for entry in engine.resident.values()]
+    admitted = [entry[1] for entry in engine.resident.values()]
     assert admitted == sorted(set(admitted))
     assert engine.prefetch_bytes == sum(prefetched)
     assert engine.prefetch_fetches == len(prefetched)
@@ -309,10 +324,10 @@ def _check_ledger(engine, prefetched):
 
 @pytest.mark.parametrize("scheme", [None, "lifetime", "goodfetch", "api"])
 def test_engine_ledger_after_every_event(scheme, monkeypatch):
-    """The ledger holds after every event, and the counters the engine takes
-    from the columns equal a recount of the events one at a time: the
-    report's totals, and the request counts each modification hands the
-    layer."""
+    """The ledger holds after every event under every policy, and the
+    counters the engine takes from the columns equal a recount of the
+    events one at a time: the report's totals, and the request counts each
+    modification hands the layer."""
     run = {}
     rows = simcore._rows
 
@@ -323,7 +338,7 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             assert row[0::2] == (ev.timestamp, ev.object_id)
             run["size"] = ev.size_bytes
             yield row
-            _check_ledger(run["engine"], run["prefetched"])
+            _check_ledger(run["engine"], run["fetched"], run["prefetched"])
             if ev.kind == REQUEST:
                 count["requests"] += 1
                 count["requested_bytes"] += ev.size_bytes
@@ -332,21 +347,27 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
 
     monkeypatch.setattr(simcore, "_rows", checked_rows)
 
-    @given(events=traces(),
-           config=st.sampled_from(["lru", "fifo", "lfu", "zbs", "zbs-byte"]).flatmap(configs))
+    @given(events=traces(), config=configs("lru"))
     def check(events, config):
+        for policy_id in POLICY_IDS:
+            replay(events, dataclasses.replace(config, policy_id=policy_id))
+
+    def replay(events, config):
         engine = _Engine(config, PrefetchLayer(scheme) if scheme else None)
         count = {"requests": 0, "requested_bytes": 0, "docs": {}, "hits": 0, "hit_bytes": 0,
                  "stale": 0}
-        prefetched = []
-        run.update(engine=engine, events=events, count=count, prefetched=prefetched)
-        refetch, on_hit = engine._refetch, engine.policy.on_hit
+        prefetched, fetched = [], {}
+        run.update(engine=engine, events=events, count=count, prefetched=prefetched,
+                   fetched=fetched)
+        refetch, policy = engine._refetch, engine.policy
+        on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
 
         def recording_refetch(obj, size, now, prefetch):
             if prefetch:
                 prefetched.append(size)
             else:
                 count["stale"] += 1
+            fetched[obj] = 1 if config.object_count_mode else size
             refetch(obj, size, now, prefetch)
 
         def recording_hit(obj, now):
@@ -354,7 +375,12 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             count["hit_bytes"] += run["size"]
             on_hit(obj, now)
 
-        engine._refetch, engine.policy.on_hit = recording_refetch, recording_hit
+        def recording_admit(obj, size, now):
+            fetched[obj] = size
+            return on_miss_admit(obj, size, now)
+
+        engine._refetch = recording_refetch
+        policy.on_hit, policy.on_miss_admit = recording_hit, recording_admit
         if scheme is not None:
             on_modification = engine.layer.on_modification
 
@@ -365,6 +391,8 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
 
             engine.layer.on_modification = recounted
         report = engine.run(events)
+        assert (report.kernel_occupancy_bytes, report.accessory_occupancy_bytes) == (
+            policy.kernel_bytes, policy.accessory_bytes)
         docs = count["docs"]
         assert count["requests"] == sum(e.kind == REQUEST for e in events)
         assert (report.requests, report.cacheable_requests, report.unique_docs,

@@ -100,19 +100,35 @@ def test_oversize_document_never_admitted():
     assert report.kernel_occupancy_bytes == 0
 
 
-def test_oversize_growth_on_refetch_drops_copy():
-    events = [
-        _req(0, "a", 100),
-        _mod(1, "a", 200),
-        _req(2, "a", 200),
-        _req(3, "a", 200),
-    ]
-    report = simulate(events, _lru(150))
-    assert report.hits == 0
+DROP_CASES = [("lru", "entries"), ("fifo", "entries"), ("lfu", "entries"),
+              ("zbs", "accessory"), ("zbs", "kernel"),
+              ("zbs-byte", "accessory"), ("zbs-byte", "kernel")]
+
+
+@pytest.mark.parametrize("policy_id, area", DROP_CASES,
+                         ids=[p if a == "entries" else f"{p}-{a}" for p, a in DROP_CASES])
+def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
+    # a second request moves a zbs copy from the accessory area to the kernel
+    warm = [_req(0, "a", 100)] + [_req(1, "a", 100)] * (area == "kernel")
+    config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
+    engine = _Engine(config)
+    engine.run(warm)
+    assert "a" in getattr(engine.policy, area)
+    # the refetch outgrows the whole cache, and the next request is refused;
+    # the policy drops the copy itself, with no eviction round
+    engine = _Engine(config)
+
+    def drain(now):
+        raise AssertionError("the copy went through an eviction round")
+
+    engine._drain = drain
+    report = engine.run(warm + [_mod(2, "a", 1500), _req(3, "a", 1500), _req(4, "a", 1500)])
+    assert report.hits == len(warm) - 1
     assert report.stale_refetches == 1
     assert report.evictions == 1
-    assert report.demand_bytes == 500
-    assert report.kernel_occupancy_bytes == 0
+    assert report.demand_bytes == 100 + 2 * 1500
+    assert report.kernel_occupancy_bytes == report.accessory_occupancy_bytes == 0
+    assert engine.resident == {}
 
 
 def test_unsorted_trace_rejected():

@@ -210,6 +210,25 @@ def test_trace_equality_compares_ids_not_codes():
     assert a != Trace([0.0, 1.0], [0, 0], [0, 0], [100, 100], [True, True], ["y", "x"])
 
 
+def test_an_id_listed_twice_is_refused():
+    # codes 0 and 2 would both name "a": counted by code, three documents;
+    # by id, two
+    with pytest.raises(ValueError, match="twice"):
+        Trace([0.0, 1.0, 2.0], [0, 0, 0], [0, 1, 2], [100] * 3, [True] * 3, ["a", "b", "a"])
+
+
+@pytest.mark.parametrize("obj", [5, -1])
+def test_an_object_code_outside_the_id_table_is_refused(obj):
+    with pytest.raises(ValueError, match="object codes"):
+        Trace([0.0, 1.0], [0, 0], [0, obj], [100] * 2, [True] * 2, ["a"])
+
+
+@pytest.mark.parametrize("kind", [3, -1])
+def test_a_kind_code_other_than_0_or_1_is_refused(kind):
+    with pytest.raises(ValueError, match="kind codes"):
+        Trace([0.0, 1.0], [0, kind], [0, 0], [100] * 2, [True] * 2, ["a"])
+
+
 # ------------------------------------------------------------- measurement
 
 

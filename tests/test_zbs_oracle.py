@@ -19,6 +19,7 @@ from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 
 class RefZBS:
     def __init__(self, capacity, retention, byte_metric, accessory_fraction=0.10):
+        self.capacity = capacity
         self.acc_cap = accessory_fraction * capacity
         self.kern_cap = capacity - self.acc_cap
         self.retention, self.byte_metric = retention, byte_metric
@@ -70,15 +71,16 @@ class RefZBS:
             self._admit_kernel(obj, size, 2, admitted_at, admitted_at)
 
     def on_modification_fetched(self, obj, size, now):
+        if size > self.capacity:  # dropped, and not counted as a request
+            if self.kernel.pop(obj, None) is None:
+                del self.accessory[obj]
+            return False
         self._note(obj, now)
         if obj in self.kernel:
             self.kernel[obj][:3] = [1, now, size]
         else:
             self._admit_kernel(obj, size, 1, now, self.accessory.pop(obj)[1])
-
-    def force_forget(self, obj):
-        if self.kernel.pop(obj, None) is None:
-            self.accessory.pop(obj, None)
+        return True
 
     def on_expire_stats(self, now):
         if self.start is None or now - self.start <= self.retention:
@@ -93,7 +95,7 @@ class RefZBS:
         theta, lm, size = self.kernel[obj][:3]
         return (now - lm) * (1.0 / (theta * size if self.byte_metric else theta))
 
-    def choose_victims(self, bytes_needed, now):
+    def choose_victims(self, now):
         victims = []
         while self.accessory_bytes > self.acc_cap:
             victims.append(next(iter(self.accessory)))
@@ -110,8 +112,8 @@ class RefZBS:
 def _recording(policy, log):
     choose = policy.choose_victims
 
-    def choose_victims(bytes_needed, now):
-        victims = choose(bytes_needed, now)
+    def choose_victims(now):
+        victims = choose(now)
         log.append((now, victims))
         return victims
 
