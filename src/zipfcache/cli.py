@@ -269,10 +269,6 @@ def cmd_simulate(args) -> int:
                 raise DomainError(f"{flag} has no effect with --policy {args.policy}")
     if args.sweep and args.capacity is not None:
         raise DomainError("--capacity has no effect with --sweep")
-    if args.policy == "zbs-byte" and args.count_mode:
-        # Every copy counts 1 there, so w = 1/(theta * 1) is zbs's own weight.
-        raise DomainError("the byte metric of --policy zbs-byte has no effect with "
-                          "--count-mode; use --policy zbs")
     if args.accessory_fraction is None:
         args.accessory_fraction = simcore.CacheConfig.accessory_fraction
     events, meta = _load_events(args)

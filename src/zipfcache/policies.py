@@ -29,7 +29,6 @@ from .analytic import DAY
 
 __all__ = [
     "POLICY_IDS",
-    "EvictionInfeasible",
     "LRUCache",
     "LFUCache",
     "FIFOCache",
@@ -41,10 +40,6 @@ MIN_RETENTION = 30 * DAY
 MAX_RETENTION = 183 * DAY
 
 POLICY_IDS = ("zbs", "zbs-byte", "lru", "lfu", "fifo")
-
-
-class EvictionInfeasible(RuntimeError):
-    """The policy cannot free the requested space."""
 
 
 class _SingleArea:
@@ -95,9 +90,8 @@ class _SingleArea:
 
     def choose_victims(self, now: float) -> list[str]:
         victims: list[str] = []
+        # kernel_bytes sums the entries, so over the cap there is one to pop.
         while self.kernel_bytes > self.capacity:
-            if not self.entries:
-                raise EvictionInfeasible("cache empty but space still needed")
             obj, size = self._pop_victim()
             self.kernel_bytes -= size
             victims.append(obj)
@@ -396,12 +390,6 @@ class ZBSCache:
             return
         size, admitted_at = acc
         self.accessory_bytes -= size
-        if size > self.kern_cap:
-            # A document too large for the kernel stays in the accessory
-            # area rather than vanish on its second request.
-            self.accessory[obj] = acc
-            self.accessory_bytes += size
-            return
         self._admit_kernel(obj, size, now, 2, admitted_at, admitted_at)
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
@@ -438,10 +426,11 @@ class ZBSCache:
         kernel = self.kernel
         slot_obj = self._slot_obj
         i = int(c.argmax())
+        # Over the cap the kernel holds a copy, and a held copy scores at
+        # least 0 (lm <= now, w > 0), above the -inf of a free slot or of
+        # a victim already taken.
         while self.kernel_bytes > self.kern_cap:
             best = c.item(i)
-            if best == -math.inf:
-                raise EvictionInfeasible("kernel empty but space still needed")
             c[i] = -math.inf
             # The next argmax is the next victim, unless it ties with this
             # one; then the earliest admission (then sequence) goes first.

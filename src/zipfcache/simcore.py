@@ -4,8 +4,8 @@ The engine owns residency and freshness; replacement decisions and the
 byte accounting of resident copies live in policy objects (see
 `policies`).  Semantics:
 
-* Events must be time-ordered with finite timestamps; zero service and
-  fetch latency.
+* The events are a valid `Trace` (see `trace.Trace`); service and fetch
+  latency are zero.
 * A request to a fresh resident copy is a hit.  A request to a stale
   resident copy is a miss that immediately refetches the document in
   place (counted in `stale_refetches` and `demand_bytes`).
@@ -23,9 +23,9 @@ many LRU capacities from one pass of stack distances over the columns
 (Mattson et al. 1970): a request hits at capacity C exactly when its
 stack distance is at most C.  That pass is exact only when every
 cacheable request is admitted, each document is requested at one size
-(in byte mode) and the timestamps are in order and well inside the
-daily clock's range; a capacity where it would not be is replayed by
-`simulate` instead.
+(in byte mode) and the timestamps are well inside the daily clock's
+range; a capacity where it would not be is replayed by `simulate`
+instead.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ _CLOCK_SAFE = 1e18
 
 
 class SimulationError(RuntimeError):
-    """The simulation cannot continue (bad input stream or policy state)."""
+    """The simulation cannot continue: a timestamp beyond the daily clock's
+    range, or a policy that broke its capacity limits."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,10 @@ class CacheConfig:
                 f"unknown policy {self.policy_id!r}; valid ids: "
                 + ", ".join(policies.POLICY_IDS)
             )
+        if self.policy_id == "zbs-byte" and self.object_count_mode:
+            # Every copy counts 1 there, so w = 1/(theta * 1) is zbs's own weight.
+            raise DomainError("the byte metric of policy 'zbs-byte' has no effect in "
+                              "object count mode; use policy 'zbs'")
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,12 @@ class SimReport:
 
 
 def _exact_sum(values: np.ndarray) -> int:
-    """The sum of an integer column as a Python int, never wrapped."""
+    """The sum of a column of sizes, each at least 1, as a Python int,
+    never wrapped."""
     n = len(values)
     if n == 0:
         return 0
-    if max(-int(values.min()), int(values.max())) <= _INT64_MAX // n:
+    if int(values.max()) <= _INT64_MAX // n:
         return int(values.sum())
     return sum(values.tolist())
 
@@ -187,27 +193,25 @@ def _same_doc_before(doc: np.ndarray, points: np.ndarray, queries: np.ndarray) -
     return counts
 
 
-def _rows(trace: Trace, end: int):
-    """(timestamp, code, object id, size) of the events before `end`, as
-    plain values a chunk at a time.  The code is 0 for a cacheable
-    request, 1 for a modification and 2 for a request that is not
-    cacheable."""
+def _rows(trace: Trace):
+    """(timestamp, code, object id, size) of the events, as plain values a
+    chunk at a time.  The code is 0 for a cacheable request, 1 for a
+    modification and 2 for a request that is not cacheable."""
     ids = np.array(trace.ids, dtype=object)
 
     def chunk(lo: int):
-        part = slice(lo, min(lo + _ROWS_PER_CHUNK, end))
+        part = slice(lo, lo + _ROWS_PER_CHUNK)
         kind = trace.kind[part]
         code = kind + 2 * ((kind == 0) & ~trace.cacheable[part])
         return zip(trace.t[part].tolist(), code.tolist(),
                    ids[trace.obj[part]].tolist(), trace.size[part].tolist())
 
-    return chain.from_iterable(map(chunk, range(0, end, _ROWS_PER_CHUNK)))
+    return chain.from_iterable(map(chunk, range(0, len(trace), _ROWS_PER_CHUNK)))
 
 
 class _Engine:
     def __init__(self, config: CacheConfig, prefetch_layer=None):
         config.validate()
-        self.config = config
         self.capacity = config.capacity_bytes
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
@@ -222,10 +226,7 @@ class _Engine:
 
     def _drain(self, now: float) -> None:
         policy = self.policy
-        try:
-            victims = policy.choose_victims(now)
-        except policies.EvictionInfeasible as exc:
-            raise SimulationError(str(exc)) from exc
+        victims = policy.choose_victims(now)
         for v in victims:
             del self.resident[v]
         self.evictions += len(victims)
@@ -255,17 +256,12 @@ class _Engine:
         resident = self.resident
         count_mode = self.count_mode
         layer = self.layer
-        # The events before the first one at a non-finite or decreasing
-        # time replay; that one then raises.
-        t = trace.t
-        bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
-        end = int(bad[0]) if len(bad) else len(t)
         # Tick k falls at t0 + k days, so a jump lands on the same float as
         # a walk would.
-        t0 = float(t[0]) if end else 0.0
+        t0 = float(trace.t[0]) if len(trace) else 0.0
         day = 1.0
-        next_tick = t0 + DAY if end else math.inf
-        if end and layer is not None:
+        next_tick = t0 + DAY if len(trace) else math.inf
+        if len(trace) and layer is not None:
             layer.note_start(t0)
             # Per modification, the cacheable requests before it: of its
             # document, and of all documents.
@@ -274,7 +270,7 @@ class _Engine:
             seen = zip(_same_doc_before(trace.obj, counted, mods).tolist(),
                        np.searchsorted(counted, mods).tolist())
         hits = hit_bytes = admitted = 0
-        for now, code, obj, size in _rows(trace, end):
+        for now, code, obj, size in _rows(trace):
             while now >= next_tick:
                 # No event changes residency until `now`, no prefetch does
                 # before the layer's next copy can come due, and expiry is
@@ -332,13 +328,6 @@ class _Engine:
                     if layer.on_modification(obj, size, now, entry is not None,
                                              doc_requests, total):
                         self._refetch(obj, size, now, prefetch=True)
-        if end < len(t):
-            now = float(t[end])
-            if not math.isfinite(now):
-                raise SimulationError(f"non-finite timestamp {now!r}")
-            raise SimulationError(
-                f"trace not time-ordered: {now!r} after {float(t[end - 1])!r}"
-            )
         return _Totals.of(trace).report(
             hits=hits, hit_bytes=hit_bytes, evictions=self.evictions,
             stale_refetches=self.stale_refetches, prefetch_fetches=self.prefetch_fetches,
@@ -446,7 +435,6 @@ class _LRUCurve:
         self.max_size = int(size.max()) if m else 0
         self.exact = (
             (count_mode or np.array_equal(size[later], size[earlier]))
-            and (not m or int(size.min()) >= 0)
             and _exact_sum(size) <= _INT64_MAX
         )
         if not self.exact:
@@ -510,14 +498,13 @@ def simulate_lru_sweep(
     One pass of stack distances gives every capacity at once where it is
     exact (see `_LRUCurve`): in count mode at a capacity of at least 1,
     in byte mode at a capacity of at least every cacheable size, with
-    each document requested at one size.  It also needs finite,
-    non-decreasing timestamps within +-1e18 s.  Any other config is
-    replayed by `simulate`, which also raises each error it would.
+    each document requested at one size.  It also needs timestamps within
+    +-1e18 s.  Any other config is replayed by `simulate`, which also
+    raises each error it would.
     """
     trace = Trace.from_events(events)
     curves: dict[bool, _LRUCurve] = {}
-    t = trace.t
-    clock_ok = bool(np.all(np.abs(t) <= _CLOCK_SAFE) and np.all(t[1:] >= t[:-1]))
+    clock_ok = bool(np.all(np.abs(trace.t) <= _CLOCK_SAFE))
     reports = []
     for config in configs:
         config.validate()

@@ -106,10 +106,15 @@ class Trace(Sequence):
     `ids` lists the object ids, each once; the producers in this module
     number them in order of first appearance.  A table that lists an id
     twice, a code outside it or a kind other than 0 or 1 is refused with
-    `ValueError`.  The columns are read-only.  Indexing boxes one
-    `TraceEvent`, a slice is a `Trace` sharing the id table, iteration
-    boxes events a chunk at a time, and `==` compares the event streams
-    (against a `Trace` or a list of `TraceEvent`).
+    `ValueError`, and so is an event stream that is not valid: every
+    timestamp must be finite and at least the one before it, and every
+    size at least 1.  The error names the first offending event.  Every
+    consumer relies on this and checks none of it again.
+
+    The columns are read-only.  Indexing boxes one `TraceEvent`, a slice
+    is a `Trace` sharing the id table, iteration boxes events a chunk at
+    a time, and `==` compares the event streams (against a `Trace` or a
+    list of `TraceEvent`).
     """
 
     __slots__ = ("t", "kind", "obj", "size", "cacheable", "ids")
@@ -132,6 +137,18 @@ class Trace(Sequence):
             raise ValueError(f"object codes must lie in [0, {len(ids)})")
         if n and (int(self.kind.min()) < 0 or int(self.kind.max()) > 1):
             raise ValueError("event kind codes must be 0 (request) or 1 (modification)")
+        t = self.t
+        bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
+        if len(bad):
+            i = int(bad[0])
+            if not math.isfinite(t[i]):
+                raise ValueError(f"non-finite timestamp {float(t[i])!r}")
+            raise ValueError(
+                f"trace not time-ordered: {float(t[i])!r} after {float(t[i - 1])!r}")
+        if n and int(self.size.min()) < 1:
+            i = int(np.argmax(self.size < 1))
+            raise ValueError(f"event size must be >= 1, got {int(self.size[i])} "
+                             f"at {float(t[i])!r}")
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
@@ -461,6 +478,8 @@ def write_trace_file(events: Iterable[TraceEvent], path) -> None:
 
     An object id holding a comma, a line break or a non-ASCII character
     could not be read back, so it is refused before the file is opened.
+    So is a stream the parser would refuse for its times or sizes, since
+    no `Trace` holds one.
     """
     trace = Trace.from_events(events)
     bad = _unwritable_id(trace)

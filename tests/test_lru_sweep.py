@@ -136,11 +136,12 @@ def test_document_larger_than_a_capacity_is_replayed_at_it(replays):
     assert replays == [400]
 
 
-def test_negative_size_is_replayed(replays):
-    # sizes that shrink a stack prefix break the inclusion property
+def test_negative_size_is_refused(replays):
+    # a trace holds no size below 1, so no size can shrink a stack prefix
     events = [_req(0, "a", -50), _req(1, "b", 100), _req(2, "a", -50), _req(3, "b", 100)]
-    _assert_matches_replays(events, _configs([100, 1000]))
-    assert replays == [100, 1000]
+    with pytest.raises(ValueError, match="size must be >= 1, got -50"):
+        simulate_lru_sweep(events, _configs([100, 1000]))
+    assert replays == []
 
 
 def test_count_mode_below_one_document_is_replayed(replays):
@@ -151,13 +152,16 @@ def test_count_mode_below_one_document_is_replayed(replays):
 
 @pytest.mark.parametrize("second", [4.0, math.nan, math.inf, 1e22])
 def test_bad_timestamps_raise_what_simulate_raises(second, replays):
+    # the trace refuses a time out of order or not finite before any
+    # replay; only a replay meets a time beyond the daily clock's range
     events = [_req(5.0, "a"), _req(second, "b")]
-    with pytest.raises(SimulationError) as expected:
+    error = SimulationError if second == 1e22 else ValueError
+    with pytest.raises(error) as expected:
         simulate(events, CacheConfig(policy_id="lru"))
-    with pytest.raises(SimulationError) as got:
+    with pytest.raises(error) as got:
         simulate_lru_sweep(events, _configs([1000, 2000]))
     assert str(got.value) == str(expected.value)
-    assert replays == [1000]
+    assert replays == ([1000] if second == 1e22 else [])
 
 
 def test_far_timestamps_are_replayed(replays):

@@ -17,7 +17,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zipfcache.analytic import DAY
-from zipfcache.policies import EvictionInfeasible
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
@@ -71,7 +70,7 @@ class RefSingleArea:
         victims = []
         while self.over_limit:
             if not self.entries:
-                raise EvictionInfeasible("cache empty")
+                raise AssertionError("over the cap with the cache empty")
             victims.append(min(self.entries, key=lambda o: self.key(self.entries[o])))
             del self.entries[victims[-1]]
         return victims

@@ -331,9 +331,9 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
     run = {}
     rows = simcore._rows
 
-    def checked_rows(trace, end):
+    def checked_rows(trace):
         events, count = run["events"], run["count"]
-        for k, row in enumerate(rows(trace, end)):
+        for k, row in enumerate(rows(trace)):
             ev = events[k]
             assert row[0::2] == (ev.timestamp, ev.object_id)
             run["size"] = ev.size_bytes
@@ -350,6 +350,8 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
     @given(events=traces(), config=configs("lru"))
     def check(events, config):
         for policy_id in POLICY_IDS:
+            if policy_id == "zbs-byte" and config.object_count_mode:
+                continue  # refused: there it is zbs, which runs here
             replay(events, dataclasses.replace(config, policy_id=policy_id))
 
     def replay(events, config):

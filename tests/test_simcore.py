@@ -132,14 +132,14 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
 
 
 def test_unsorted_trace_rejected():
-    with pytest.raises(SimulationError, match="time-ordered"):
+    with pytest.raises(ValueError, match="time-ordered"):
         simulate([_req(5, "a"), _req(4, "b")], _lru())
 
 
 @pytest.mark.parametrize("stamps", [(0, math.nan), (0, math.inf), (-math.inf,)])
 def test_non_finite_timestamp_rejected(stamps):
     events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
-    with pytest.raises(SimulationError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         simulate(events, _lru())
 
 
@@ -189,10 +189,10 @@ def test_timestamp_beyond_daily_clock_rejected(policy_id, stamps):
 
 
 def test_bad_timestamp_raises_after_earlier_events():
-    # the order check still sees the events before the bad one replayed
-    with pytest.raises(SimulationError, match=r"time-ordered: 4\.0 after 5\.0"):
+    # the error names the first bad event, whatever bad events follow it
+    with pytest.raises(ValueError, match=r"time-ordered: 4\.0 after 5\.0"):
         simulate([_req(1, "a"), _req(5, "a"), _req(4, "b"), _req(math.nan, "c")], _lru())
-    with pytest.raises(SimulationError, match="non-finite timestamp nan"):
+    with pytest.raises(ValueError, match="non-finite timestamp nan"):
         simulate([_req(1, "a"), _req(math.nan, "c"), _req(0, "b")], _lru())
 
 
@@ -294,9 +294,18 @@ def test_config_validation():
         dict(accessory_fraction=0.0),
         dict(stats_retention_seconds=10 * 86400.0),
         dict(stats_retention_seconds=200 * 86400.0),
+        # every copy counts 1 there, so the byte metric would be zbs's own
+        dict(policy_id="zbs-byte", object_count_mode=True),
     ):
         with pytest.raises(DomainError):
             simulate([], CacheConfig(**bad))
+
+
+def test_zero_byte_document_is_refused_before_the_byte_metric():
+    # zbs-byte weighs a kernel copy by 1/(theta * size): a 0-byte copy
+    # promoted there would divide by zero
+    with pytest.raises(ValueError, match="size must be >= 1, got 0"):
+        simulate([_req(0, "a", 0), _req(1, "a", 0)], CacheConfig(1000, "zbs-byte"))
 
 
 # ----------------------------------------------------------- prefetch layer

@@ -8,6 +8,7 @@ import pytest
 
 from zipfcache import analytic, trace
 from zipfcache.analytic import DAY, DomainError, ZipfLaw, special_points
+from zipfcache.simcore import CacheConfig, simulate, simulate_lru_sweep
 from zipfcache.trace import (
     MODIFICATION,
     REQUEST,
@@ -227,6 +228,44 @@ def test_an_object_code_outside_the_id_table_is_refused(obj):
 def test_a_kind_code_other_than_0_or_1_is_refused(kind):
     with pytest.raises(ValueError, match="kind codes"):
         Trace([0.0, 1.0], [0, kind], [0, 0], [100] * 2, [True] * 2, ["a"])
+
+
+# (timestamps, sizes, message) of two-event streams no `Trace` holds
+BAD_STREAMS = {
+    "nan": ([0.0, math.nan], [100, 100], "non-finite timestamp nan"),
+    "inf": ([0.0, math.inf], [100, 100], "non-finite timestamp inf"),
+    "-inf": ([-math.inf, 0.0], [100, 100], "non-finite timestamp -inf"),
+    "decreasing": ([5.0, 4.0], [100, 100], r"time-ordered: 4\.0 after 5\.0"),
+    "size-0": ([0.0, 1.0], [100, 0], "size must be >= 1, got 0"),
+    "size-minus-1": ([0.0, 1.0], [100, -1], "size must be >= 1, got -1"),
+}
+
+
+def _two_events(t, size):
+    return [_req(when, obj, n) for when, obj, n in zip(t, "ab", size)]
+
+
+ENTRY_POINTS = {
+    "Trace": lambda t, size, path: Trace(t, [0, 0], [0, 1], size, [True] * 2, ["a", "b"]),
+    "from_events": lambda t, size, path: Trace.from_events(_two_events(t, size)),
+    "simulate": lambda t, size, path: simulate(_two_events(t, size),
+                                               CacheConfig(policy_id="lru")),
+    "simulate_lru_sweep": lambda t, size, path: simulate_lru_sweep(
+        _two_events(t, size), [CacheConfig(1000, "lru")]),
+    "write_trace_file": lambda t, size, path: write_trace_file(_two_events(t, size), path),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("case", sorted(BAD_STREAMS))
+def test_an_invalid_event_stream_is_refused(case, entry, tmp_path):
+    # every consumer builds a `Trace` first, so each refuses the stream
+    # before it reads an event, and the writer before it opens the file
+    t, size, message = BAD_STREAMS[case]
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](t, size, path)
+    assert not path.exists()
 
 
 # ------------------------------------------------------------- measurement

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zipfcache.policies import DAY, MIN_RETENTION, EvictionInfeasible
+from zipfcache.policies import DAY, MIN_RETENTION
 from zipfcache.simcore import CacheConfig, _Engine
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 
@@ -102,7 +102,7 @@ class RefZBS:
             del self.accessory[victims[-1]]
         while self.kernel_bytes > self.kern_cap:
             if not self.kernel:
-                raise EvictionInfeasible("kernel empty")
+                raise AssertionError("over the kernel cap with the kernel empty")
             victims.append(max(self.kernel, key=lambda o: (
                 self.metric(o, now), -self.kernel[o][3], -self.kernel[o][4])))
             del self.kernel[victims[-1]]
