@@ -4,9 +4,11 @@ of cache sizes.
 Run with: python3 demos/policy_faceoff.py
 """
 
+import numpy as np
+
 from zipfcache.analytic import DAY, hit_scaling
 from zipfcache.simcore import CacheConfig, simulate
-from zipfcache.trace import REQUEST, SyntheticSpec, generate_trace
+from zipfcache.trace import SyntheticSpec, generate_trace
 
 spec = SyntheticSpec(
     n_objects=20_000,
@@ -22,12 +24,11 @@ spec = SyntheticSpec(
 )
 events = generate_trace(spec)
 
-seen = {}
-for e in events:
-    if e.kind == REQUEST and e.object_id not in seen:
-        seen[e.object_id] = e.size_bytes
-footprint = sum(seen.values())
-print(f"{len(events)} events over {len(seen)} documents, "
+# Each requested document at the size of its first request.
+requests = np.flatnonzero(events.kind == 0)
+docs, first = np.unique(events.obj[requests], return_index=True)
+footprint = int(events.size[requests[first]].sum())
+print(f"{len(events)} events over {len(docs)} documents, "
       f"footprint {footprint / 1e6:.0f} MB")
 
 fractions = (0.05, 0.10, 0.20, 0.40)

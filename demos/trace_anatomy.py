@@ -6,7 +6,6 @@ Run with: python3 demos/trace_anatomy.py
 
 from zipfcache.analytic import DAY, fit_alpha_loglog, fit_alpha_three_ways
 from zipfcache.trace import (
-    REQUEST,
     SyntheticSpec,
     generate_trace,
     lifetime_stats,
@@ -25,7 +24,7 @@ spec = SyntheticSpec(
     seed=42,
 )
 events = generate_trace(spec)
-n_req = sum(1 for e in events if e.kind == REQUEST)
+n_req = int((events.kind == 0).sum())
 print(f"generated {len(events)} events: {n_req} requests, "
       f"{len(events) - n_req} modifications")
 print(f"popular/unpopular boundary resolved to rank {spec.resolved_boundary()}")

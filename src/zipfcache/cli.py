@@ -223,7 +223,7 @@ def cmd_predict(args) -> int:
             mu_u, args.alpha, p_c=args.p_c,
             nu_out=args.bandwidth, mean_doc_size=args.mean_size,
         )
-        report["tau_days"] = sizing.tau_seconds / DAY
+        report["tau_days"] = sizing.tau_days
         report["eff_hit_bound"] = sizing.eff_hit_bound
         if sizing.m_max is not None:
             key = "max_kernel_docs" if args.mean_size else "max_kernel_bytes"
@@ -271,17 +271,17 @@ def cmd_simulate(args) -> int:
         raise DomainError("--capacity has no effect with --sweep")
     if args.accessory_fraction is None:
         args.accessory_fraction = simcore.CacheConfig.accessory_fraction
-    events, meta = _load_events(args)
+    # Every setting is checked before the trace is read, a bad capacity first.
     sizes = args.sweep or [5e6 if args.capacity is None else args.capacity]
     configs = [_run_config(args, size) for size in sizes]
+    layers = [PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
+              for _ in configs]
+    events, meta = _load_events(args)
     if args.sweep and args.policy == "lru" and not args.prefetch:
         reports = simcore.simulate_lru_sweep(events, configs)
     else:
-        reports = []
-        for config in configs:
-            config.validate()  # before the layer, so a bad capacity is named first
-            layer = PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
-            reports.append(simcore.simulate(events, config, layer))
+        reports = [simcore.simulate(events, config, layer)
+                   for config, layer in zip(configs, layers)]
     runs = []
     for size, report in zip(sizes, reports):
         flat = report.to_dict()

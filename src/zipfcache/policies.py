@@ -474,14 +474,11 @@ def make_policy(config) -> object:
         return LFUCache(capacity)
     if pid == "fifo":
         return FIFOCache(capacity)
-    if pid in ("zbs", "zbs-byte"):
-        retention = config.stats_retention_seconds
-        if retention is None:
-            retention = MAX_RETENTION
-        return ZBSCache(
-            capacity,
-            accessory_fraction=config.accessory_fraction,
-            retention=retention,
-            byte_metric=pid == "zbs-byte",
-        )
-    raise ValueError(f"unknown policy {pid!r}; valid ids: {', '.join(POLICY_IDS)}")
+    # "zbs" or "zbs-byte": a `CacheConfig` names no other policy.
+    retention = config.stats_retention_seconds
+    return ZBSCache(
+        capacity,
+        accessory_fraction=config.accessory_fraction,
+        retention=MAX_RETENTION if retention is None else retention,
+        byte_metric=pid == "zbs-byte",
+    )

@@ -16,16 +16,16 @@ byte accounting of resident copies live in policy objects (see
 * Capacity is accounted in bytes (set `object_count_mode` to count every
   document as one unit instead).
 
-`simulate` replays the events one at a time and counts only what the
-policy decides (hits, evictions, refetches); the request totals come
-from the trace's columns.  `simulate_lru_sweep` gives the reports of
-many LRU capacities from one pass of stack distances over the columns
-(Mattson et al. 1970): a request hits at capacity C exactly when its
-stack distance is at most C.  That pass is exact only when every
-cacheable request is admitted, each document is requested at one size
-(in byte mode) and the timestamps are well inside the daily clock's
-range; a capacity where it would not be is replayed by `simulate`
-instead.
+Both entry points take a `Trace` and a `CacheConfig`, each valid once
+built, and check neither again.  `simulate` replays the events one at a
+time and counts only what the policy decides (hits, evictions,
+refetches); the request totals come from the trace's columns.
+`simulate_lru_sweep` gives the reports of many LRU capacities from one
+pass of stack distances over the columns (Mattson et al. 1970): a
+request hits at capacity C exactly when its stack distance is at most C.
+That pass is exact only when every cacheable request is admitted and
+each document is requested at one size (in byte mode); a capacity where
+it would not be is replayed by `simulate` instead.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .analytic import DAY, DomainError
-from .trace import Trace, TraceEvent
+from .trace import Trace
 from . import policies
 
 __all__ = [
@@ -53,26 +53,24 @@ __all__ = [
 # Events handed to the replay loop per chunk of column values.
 _ROWS_PER_CHUNK = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Within +-1e18 s a day spans over a hundred float steps, so a replay
-# without a prefetch layer cannot reach the daily clock's range error;
-# beyond it the sweep leaves the verdict to `simulate`.
-_CLOCK_SAFE = 1e18
 
 
 class SimulationError(RuntimeError):
-    """The simulation cannot continue: a timestamp beyond the daily clock's
-    range, or a policy that broke its capacity limits."""
+    """The simulation cannot continue: a policy broke its capacity limits."""
 
 
 @dataclass(frozen=True)
 class CacheConfig:
+    """One cache to simulate; a setting no run can use is refused with
+    `DomainError` when the config is built."""
+
     capacity_bytes: float = math.inf
     policy_id: str = "lru"
     accessory_fraction: float = 0.10
     stats_retention_seconds: float | None = None
     object_count_mode: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.capacity_bytes > 0:
             raise DomainError(f"capacity must be > 0, got {self.capacity_bytes!r}")
         if not (0.0 < self.accessory_fraction <= 0.10):
@@ -211,7 +209,6 @@ def _rows(trace: Trace):
 
 class _Engine:
     def __init__(self, config: CacheConfig, prefetch_layer=None):
-        config.validate()
         self.capacity = config.capacity_bytes
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
@@ -249,8 +246,7 @@ class _Engine:
         if self.policy.over_limit:
             self._drain(now)
 
-    def run(self, events: Iterable[TraceEvent]) -> SimReport:
-        trace = Trace.from_events(events)
+    def run(self, trace: Trace) -> SimReport:
         policy = self.policy
         on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
         resident = self.resident
@@ -291,15 +287,7 @@ class _Engine:
                         if due in resident:
                             self._refetch(due, due_size, now=next_tick, prefetch=True)
                 day += 1.0
-                following = t0 + day * DAY
-                if following == next_tick:
-                    # Beyond about 1.2e21 s a day is under half a float
-                    # step: the clock would tick in place for ever.
-                    raise SimulationError(
-                        f"timestamp {now!r} is outside the daily clock's range "
-                        "(|t| below about 1e21 s)"
-                    )
-                next_tick = following
+                next_tick = t0 + day * DAY
 
             if code == 0:  # a cacheable request
                 entry = resident.get(obj)
@@ -336,20 +324,14 @@ class _Engine:
         )
 
 
-def simulate(
-    events: Iterable[TraceEvent],
-    config: CacheConfig,
-    prefetch_layer=None,
-) -> SimReport:
+def simulate(trace: Trace, config: CacheConfig, prefetch_layer=None) -> SimReport:
     """Replay a trace against one cache configuration.
 
     `prefetch_layer` is a new `prefetch.PrefetchLayer` for each call, or
-    None.  `events` is a `Trace`, or any iterable of `TraceEvent`, which
-    is converted to one first.
-    Identical inputs produce identical reports; there is no hidden clock
-    or nondeterministic state.
+    None.  Identical inputs produce identical reports; there is no hidden
+    clock or nondeterministic state.
     """
-    return _Engine(config, prefetch_layer).run(events)
+    return _Engine(config, prefetch_layer).run(trace)
 
 
 def _dominance_sums(key: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -489,31 +471,23 @@ class _LRUCurve:
         )
 
 
-def simulate_lru_sweep(
-    events: Iterable[TraceEvent],
-    configs: Iterable[CacheConfig],
-) -> list[SimReport]:
-    """`simulate(events, config)` for each LRU config, in order.
+def simulate_lru_sweep(trace: Trace, configs: Iterable[CacheConfig]) -> list[SimReport]:
+    """`simulate(trace, config)` for each LRU config, in order.
 
     One pass of stack distances gives every capacity at once where it is
     exact (see `_LRUCurve`): in count mode at a capacity of at least 1,
     in byte mode at a capacity of at least every cacheable size, with
-    each document requested at one size.  It also needs timestamps within
-    +-1e18 s.  Any other config is replayed by `simulate`, which also
-    raises each error it would.
+    each document requested at one size.  Any other config is replayed
+    by `simulate`.
     """
-    trace = Trace.from_events(events)
     curves: dict[bool, _LRUCurve] = {}
-    clock_ok = bool(np.all(np.abs(trace.t) <= _CLOCK_SAFE))
     reports = []
     for config in configs:
-        config.validate()
         if config.policy_id != "lru":
             raise DomainError(f"a sweep replays policy 'lru', got {config.policy_id!r}")
         mode = config.object_count_mode
-        if clock_ok and mode not in curves:
+        if mode not in curves:
             curves[mode] = _LRUCurve(trace, mode)
-        curve = curves.get(mode)
-        report = curve.report(config.capacity_bytes) if curve is not None else None
+        report = curves[mode].report(config.capacity_bytes)
         reports.append(report if report is not None else simulate(trace, config))
     return reports

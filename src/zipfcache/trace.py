@@ -8,10 +8,10 @@ In memory a trace is one `Trace`: five NumPy columns, one entry per
 event, plus a table of the object ids in order of first appearance.
 Every producer here (`generate_trace`, `parse_trace_file`,
 `parse_proxy_log`) returns one, and every consumer (`popularity_histogram`,
-`lifetime_stats`, `write_trace_file`, the replay engine) reads its columns.
-A `Trace` is also a read-only sequence of `TraceEvent` rows, boxed on
-demand; `Trace.from_events` turns any iterable of `TraceEvent` into one,
-and the consumers do so for a caller that passes a plain list.
+`lifetime_stats`, `write_trace_file`, the replay engine) takes one and
+reads its columns.  A `Trace` is valid once built, so no consumer checks
+it again.  By hand, a trace is built from `TraceEvent` rows, and
+iterating a `Trace` boxes its events back into rows.
 
 The native file format is CSV with a fixed header line:
 
@@ -24,8 +24,6 @@ kind is R (request) or M (modification), cacheable is 0 or 1.
 from __future__ import annotations
 
 import math
-import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from typing import Iterable
@@ -69,6 +67,9 @@ _ROWS_PER_CHUNK = 1 << 13
 # strings of a parse to a few MB whatever the file size.
 _PARSE_CHUNK_BYTES = 1 << 18
 _INT64_MAX = np.iinfo(np.int64).max
+# The largest |timestamp| a trace holds, s.  Within it a day spans over a
+# hundred float steps, so the engine's daily clock always advances.
+_TIME_LIMIT = 1e18
 
 
 class TraceFormatError(ValueError):
@@ -94,7 +95,7 @@ class _Intern(dict):
         return code
 
 
-class Trace(Sequence):
+class Trace:
     """A time-ordered event stream held as columns.
 
     t          float64  timestamp, s
@@ -107,14 +108,14 @@ class Trace(Sequence):
     number them in order of first appearance.  A table that lists an id
     twice, a code outside it or a kind other than 0 or 1 is refused with
     `ValueError`, and so is an event stream that is not valid: every
-    timestamp must be finite and at least the one before it, and every
-    size at least 1.  The error names the first offending event.  Every
-    consumer relies on this and checks none of it again.
+    timestamp must be finite, at most 1e18 s from 0 and at least the one
+    before it, and every size at least 1.  The error names the first
+    offending event.  Every consumer relies on this and checks none of it
+    again.
 
-    The columns are read-only.  Indexing boxes one `TraceEvent`, a slice
-    is a `Trace` sharing the id table, iteration boxes events a chunk at
-    a time, and `==` compares the event streams (against a `Trace` or a
-    list of `TraceEvent`).
+    The columns are read-only.  Iteration boxes the events into
+    `TraceEvent` rows a chunk at a time, and `==` compares the event
+    streams of two traces.
     """
 
     __slots__ = ("t", "kind", "obj", "size", "cacheable", "ids")
@@ -138,11 +139,14 @@ class Trace(Sequence):
         if n and (int(self.kind.min()) < 0 or int(self.kind.max()) > 1):
             raise ValueError("event kind codes must be 0 (request) or 1 (modification)")
         t = self.t
-        bad = np.flatnonzero(~np.isfinite(t) | np.r_[False, t[1:] < t[:-1]])
+        bad = np.flatnonzero(~(np.abs(t) <= _TIME_LIMIT) | np.r_[False, t[1:] < t[:-1]])
         if len(bad):
             i = int(bad[0])
             if not math.isfinite(t[i]):
                 raise ValueError(f"non-finite timestamp {float(t[i])!r}")
+            if not abs(t[i]) <= _TIME_LIMIT:
+                raise ValueError(
+                    f"timestamp {float(t[i])!r} beyond {_TIME_LIMIT:g} s in magnitude")
             raise ValueError(
                 f"trace not time-ordered: {float(t[i])!r} after {float(t[i - 1])!r}")
         if n and int(self.size.min()) < 1:
@@ -152,9 +156,7 @@ class Trace(Sequence):
 
     @classmethod
     def from_events(cls, events: Iterable[TraceEvent]) -> "Trace":
-        """The events as a `Trace`; a `Trace` is returned as it is."""
-        if isinstance(events, Trace):
-            return events
+        """The events as a `Trace`, ids numbered in order of first appearance."""
         codes = {REQUEST: 0, MODIFICATION: 1}
         table = _Intern()
         t, kind, obj, size, cacheable = [], [], [], [], []
@@ -174,14 +176,6 @@ class Trace(Sequence):
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace(self.t[index], self.kind[index], self.obj[index],
-                         self.size[index], self.cacheable[index], self.ids)
-        return TraceEvent(float(self.t[index]), _KIND_NAMES[self.kind[index]],
-                          self.ids[self.obj[index]], int(self.size[index]),
-                          bool(self.cacheable[index]))
-
     def chunks(self):
         """Yield the events a chunk at a time, each chunk an iterator of
         plain-value rows (timestamp, kind, object_id, size_bytes, cacheable)."""
@@ -196,12 +190,8 @@ class Trace(Sequence):
                 self.cacheable[part].tolist(),
             )
 
-    def rows(self):
-        """Iterate the rows of `chunks` one after another."""
-        return chain.from_iterable(self.chunks())
-
     def __iter__(self):
-        return starmap(TraceEvent, self.rows())
+        return starmap(TraceEvent, chain.from_iterable(self.chunks()))
 
     def __eq__(self, other):
         if isinstance(other, Trace):
@@ -213,8 +203,6 @@ class Trace(Sequence):
                      np.array(other.ids, dtype=object)[other.obj]),
                 )
             )
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
 
@@ -247,7 +235,7 @@ class SyntheticSpec:
     seed: int = 0
     poisson_arrivals: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_objects < 1:
             raise DomainError(f"n_objects must be >= 1, got {self.n_objects!r}")
         if not (0.0 < self.alpha < 1.0):
@@ -297,7 +285,6 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     flags, initial sizes, modification counts, times and sizes) so that a
     given spec always produces the same event stream.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, t_end = spec.n_objects, spec.duration
 
@@ -398,10 +385,9 @@ class PopularityHistogram:
         return int(self.counts[: max(0, top)].sum())
 
 
-def popularity_histogram(events: Iterable[TraceEvent]) -> PopularityHistogram:
+def popularity_histogram(trace: Trace) -> PopularityHistogram:
     """Per-document request counts in descending order; only request
     events contribute."""
-    trace = Trace.from_events(events)
     counts = np.bincount(trace.obj[trace.kind == 0])
     counts = np.sort(counts[counts > 0])[::-1]
     return PopularityHistogram(counts=counts.astype(np.int64))
@@ -423,15 +409,12 @@ class LifetimeStats:
     two_plus_docs: int
 
 
-def lifetime_stats(
-    events: Iterable[TraceEvent], window_seconds: float | None = None
-) -> LifetimeStats:
+def lifetime_stats(trace: Trace, window_seconds: float | None = None) -> LifetimeStats:
     """Windowed lifetime statistics of the request stream.
 
     The spans are averaged in the order of the requests that define them
     (first requests for t_u, second requests for t_eff).
     """
-    trace = Trace.from_events(events)
     if not len(trace):
         return LifetimeStats(None, None, 0, 0)
     t0 = float(trace.t[0])
@@ -473,15 +456,13 @@ def _unwritable_id(trace: Trace) -> str | None:
     return None
 
 
-def write_trace_file(events: Iterable[TraceEvent], path) -> None:
-    """Write events in the native format; identical events give identical bytes.
+def write_trace_file(trace: Trace, path) -> None:
+    """Write a trace in the native format; equal traces give identical bytes.
 
     An object id holding a comma, a line break or a non-ASCII character
     could not be read back, so it is refused before the file is opened.
-    So is a stream the parser would refuse for its times or sizes, since
-    no `Trace` holds one.
+    No `Trace` holds a time or size the parser would refuse.
     """
-    trace = Trace.from_events(events)
     bad = _unwritable_id(trace)
     if bad is not None:
         raise TraceFormatError(
@@ -495,10 +476,17 @@ def write_trace_file(events: Iterable[TraceEvent], path) -> None:
                               for t, kind, obj, size, cacheable in rows]))
 
 
+def _time_error(path, lineno: int, ts: float, text: str) -> TraceFormatError:
+    """The error of a line whose timestamp no `Trace` holds."""
+    if math.isfinite(ts):
+        return TraceFormatError(
+            f"{path}:{lineno}: timestamp must be within +-{_TIME_LIMIT:g} s, got {text!r}")
+    return TraceFormatError(f"{path}:{lineno}: timestamp must be finite, got {text!r}")
+
+
 def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
     """Raise the error of the first bad line among `lines`, numbered from
     `lineno`, exactly as a line-by-line parse meets it."""
-    inf = math.inf
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -521,11 +509,9 @@ def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
             raise TraceFormatError(f"{path}:{lineno}: size must be > 0")
         if flag not in (0, 1):
             raise TraceFormatError(f"{path}:{lineno}: cacheable must be 0 or 1")
-        if not last_t <= ts < inf:
-            if not math.isfinite(ts):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
-                )
+        if not -_TIME_LIMIT <= ts <= _TIME_LIMIT:
+            raise _time_error(path, lineno, ts, parts[0])
+        if ts < last_t:
             raise TraceFormatError(
                 f"{path}:{lineno}: timestamp {ts!r} out of order"
             )
@@ -555,9 +541,11 @@ def _parse_rows(rows: list[str], table: _Intern, last_t: float):
         flag_of = {s: int(s) for s in set(flags)}  # a few distinct spellings
     except (ValueError, OverflowError):
         return None
+    # In order, the times lie between the first and the last; a NaN is
+    # never in order.
     if not (
         size.min() > 0 and all(v in (0, 1) for v in flag_of.values())
-        and np.isfinite(t).all() and t[0] >= last_t and (t[1:] >= t[:-1]).all()
+        and t[0] >= last_t and t[-1] <= _TIME_LIMIT and (t[1:] >= t[:-1]).all()
     ):
         return None
     kind = np.frombuffer("".join(kinds).encode("ascii"), np.uint8) == ord(MODIFICATION)
@@ -575,7 +563,7 @@ def parse_trace_file(path) -> Trace:
     """
     table = _Intern()
     chunks = []
-    last_t = -sys.float_info.max  # the least finite time, so -inf is out of range
+    last_t = -_TIME_LIMIT  # the least time a trace holds
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
@@ -612,9 +600,9 @@ def parse_proxy_log(path) -> ProxyLogResult:
     3xx status become request events keyed by URL; the cacheable flag is
     set for statuses 200/203/206/300/301/410.  Unparseable lines are
     counted and skipped, other lines are counted as filtered; a line with a
-    non-finite timestamp is an error.  Events are re-sorted by timestamp,
-    equal timestamps keeping their file order, since real logs are ordered
-    by completion time.
+    timestamp no `Trace` holds (not finite, or beyond 1e18 s) is an error.
+    Events are re-sorted by timestamp, equal timestamps keeping their file
+    order, since real logs are ordered by completion time.
     """
     times: list[float] = []
     urls: list[str] = []
@@ -624,7 +612,6 @@ def parse_proxy_log(path) -> ProxyLogResult:
     filtered = 0
     add_time, add_url, add_size, add_status = (
         times.append, urls.append, sizes.append, statuses.append)
-    isfinite = math.isfinite
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split(None, 7)  # the first seven fields, then the rest
@@ -639,10 +626,8 @@ def parse_proxy_log(path) -> ProxyLogResult:
             except ValueError:
                 skipped += 1
                 continue
-            if not isfinite(ts):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}"
-                )
+            if not -_TIME_LIMIT <= ts <= _TIME_LIMIT:
+                raise _time_error(path, lineno, ts, parts[0])
             if parts[5] != "GET" or not 200 <= status < 400:
                 filtered += 1
                 continue

@@ -374,9 +374,26 @@ def test_simulate_threshold_recorded_when_finite(small_trace, capsys):
 
 def test_simulate_missing_trace_exit_3(tmp_path):
     assert main(["simulate", "-t", str(tmp_path / "nope.csv")]) == EXIT_IO
-    # the trace loads before the prefetch layer is built
-    assert main(["simulate", "-t", str(tmp_path / "nope.csv"), "--prefetch", "lifetime",
+    assert main(["simulate", "-t", str(tmp_path / "nope.csv"), "--prefetch", "goodfetch",
                  "--threshold", "0.5"]) == EXIT_IO
+
+
+@pytest.mark.parametrize("argv", [
+    ["--policy", "zbs-byte", "--count-mode"],
+    ["--policy", "lru", "--capacity", "0"],
+    ["--policy", "lru", "--sweep", "1KB,0"],
+    ["--policy", "lru", "--prefetch", "lifetime", "--threshold", "0.5"],
+    ["--policy", "zbs", "--retention-days", "10"],
+], ids=" ".join)
+@pytest.mark.parametrize("flag", ["-t", "--squid"])
+def test_simulate_setting_refused_before_load_exit_4(tmp_path, monkeypatch, argv, flag):
+    # every setting is checked before the trace is read, so a missing file
+    # cannot hide a refused one and a refused one costs no parse
+    def load(args):
+        raise AssertionError("the trace was read")
+
+    monkeypatch.setattr(cli, "_load_events", load)
+    assert main(["simulate", flag, str(tmp_path / "nope.csv"), *argv]) == EXIT_DOMAIN
 
 
 @pytest.mark.parametrize("squid", [False, True])
@@ -391,11 +408,17 @@ def test_non_finite_timestamp_exit_3(tmp_path, squid):
     assert main(["simulate", flag, str(path), "--capacity", "1KB"]) == EXIT_IO
 
 
-def test_timestamp_beyond_daily_clock_exit_4(tmp_path, capsys):
-    path = tmp_path / "t.csv"
-    path.write_text(f"{TRACE_HEADER}\n0.0,R,a,100,1\n1e22,R,b,100,1\n")
-    assert main(["simulate", "-t", str(path), "--policy", "lru"]) == EXIT_DOMAIN
-    assert "daily clock" in capsys.readouterr().err
+def test_timestamp_beyond_daily_clock_exit_3(tmp_path, capsys):
+    # no trace holds a time beyond 1e18 s, so the line is a format error
+    native = tmp_path / "t.csv"
+    native.write_text(f"{TRACE_HEADER}\n0.0,R,a,100,1\n1e22,R,b,100,1\n")
+    squid = tmp_path / "access.log"
+    squid.write_text("0.0 5 c TCP_MISS/200 400 GET http://a/x -\n"
+                     "0.5 5 c TCP_MISS/200 400 GET http://a/y -\n"
+                     "1e22 5 c TCP_MISS/200 400 GET http://a/x -\n")
+    for flag, path in (("-t", native), ("--squid", squid)):
+        assert main(["simulate", flag, str(path), "--policy", "lru"]) == EXIT_IO
+        assert ":3: timestamp must be within +-1e+18 s, got '1e22'" in capsys.readouterr().err
 
 
 def test_simulate_domain_error_exit_4(small_trace, capsys):

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from zipfcache import simcore
 from zipfcache.analytic import DAY
-from zipfcache.simcore import CacheConfig, SimulationError, simulate, simulate_lru_sweep
-from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
+from zipfcache.simcore import CacheConfig, simulate, simulate_lru_sweep
+from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
 
 @st.composite
@@ -38,13 +38,13 @@ def traces(draw, fixed_sizes=True):
             size = sizes.setdefault(doc, size)
         kind = MODIFICATION if rnd.random() < mod_share else REQUEST
         events.append(TraceEvent(t, kind, doc, size, rnd.random() < 0.85))
-    return events
+    return Trace.from_events(events)
 
 
-def _byte_capacities(rnd, events):
+def _byte_capacities(rnd, trace):
     """Capacities the pass is exact at: none below the largest cacheable
     size, some repeated, in no particular order."""
-    sizes = [e.size_bytes for e in events if e.kind == REQUEST and e.cacheable]
+    sizes = trace.size[(trace.kind == 0) & trace.cacheable].tolist()
     low = max(sizes, default=1)
     pool = [low, low + 0.5, 2 * low, 3 * low + 7, sum(sizes) or low, 1e12, math.inf]
     caps = [rnd.choice(pool) for _ in range(rnd.randint(1, 6))]
@@ -69,10 +69,10 @@ def replays(monkeypatch):
     return calls
 
 
-def _assert_matches_replays(events, configs):
-    reports = simulate_lru_sweep(events, configs)
+def _assert_matches_replays(trace, configs):
+    reports = simulate_lru_sweep(trace, configs)
     assert [r.to_dict() for r in reports] == [
-        simulate(events, config).to_dict() for config in configs]
+        simulate(trace, config).to_dict() for config in configs]
     return reports
 
 
@@ -106,11 +106,15 @@ def _mod(t, obj, size=100):
     return TraceEvent(t, MODIFICATION, obj, size)
 
 
+def _trace(*events):
+    return Trace.from_events(events)
+
+
 def test_hand_walk_counts_stale_refetches_and_evictions(replays):
     # stack distances in count mode: a@2 is 2 (b above it), b@4 is 3
     # (a, c above it), a@5 is 3 (b, c above it); a was modified at 3
-    events = [_req(0, "a"), _req(1, "b"), _req(2, "a"), _mod(3, "a"), _req(3, "c"),
-              _req(4, "b"), _req(5, "a"), _req(6, "x", cacheable=False)]
+    events = _trace(_req(0, "a"), _req(1, "b"), _req(2, "a"), _mod(3, "a"), _req(3, "c"),
+                    _req(4, "b"), _req(5, "a"), _req(6, "x", cacheable=False))
     two, three = _assert_matches_replays(events, _configs([2, 3], count_mode=True))
     assert (two.hits, two.stale_refetches, two.evictions) == (1, 0, 3)
     assert (three.hits, three.stale_refetches, three.evictions) == (2, 1, 0)
@@ -120,8 +124,8 @@ def test_hand_walk_counts_stale_refetches_and_evictions(replays):
 
 def test_document_that_changes_size_is_replayed(replays):
     # a is requested at 100 bytes, modified to 300 and requested again
-    events = [_req(0, "a", 100), _req(1, "b", 50), _mod(2, "a", 300), _req(3, "a", 300),
-              _req(4, "b", 50)]
+    events = _trace(_req(0, "a", 100), _req(1, "b", 50), _mod(2, "a", 300),
+                    _req(3, "a", 300), _req(4, "b", 50))
     _assert_matches_replays(events, _configs([350, 1000]))
     assert replays == [350, 1000]
     # count mode ignores sizes, so the same trace takes one pass
@@ -131,7 +135,8 @@ def test_document_that_changes_size_is_replayed(replays):
 
 
 def test_document_larger_than_a_capacity_is_replayed_at_it(replays):
-    events = [_req(0, "a", 500), _req(1, "b", 100), _req(2, "a", 500), _req(3, "b", 100)]
+    events = _trace(_req(0, "a", 500), _req(1, "b", 100), _req(2, "a", 500),
+                    _req(3, "b", 100))
     _assert_matches_replays(events, _configs([600, 400, 500]))
     assert replays == [400]
 
@@ -140,47 +145,46 @@ def test_negative_size_is_refused(replays):
     # a trace holds no size below 1, so no size can shrink a stack prefix
     events = [_req(0, "a", -50), _req(1, "b", 100), _req(2, "a", -50), _req(3, "b", 100)]
     with pytest.raises(ValueError, match="size must be >= 1, got -50"):
-        simulate_lru_sweep(events, _configs([100, 1000]))
+        simulate_lru_sweep(Trace.from_events(events), _configs([100, 1000]))
     assert replays == []
 
 
 def test_count_mode_below_one_document_is_replayed(replays):
-    events = [_req(0, "a"), _req(1, "a"), _req(2, "b")]
+    events = _trace(_req(0, "a"), _req(1, "a"), _req(2, "b"))
     _assert_matches_replays(events, _configs([3, 0.5, 1], count_mode=True))
     assert replays == [0.5]
 
 
 @pytest.mark.parametrize("second", [4.0, math.nan, math.inf, 1e22])
 def test_bad_timestamps_raise_what_simulate_raises(second, replays):
-    # the trace refuses a time out of order or not finite before any
-    # replay; only a replay meets a time beyond the daily clock's range
+    # a time out of order, not finite or beyond 1e18 s is refused when the
+    # trace is built, so neither entry point ever meets one
     events = [_req(5.0, "a"), _req(second, "b")]
-    error = SimulationError if second == 1e22 else ValueError
-    with pytest.raises(error) as expected:
-        simulate(events, CacheConfig(policy_id="lru"))
-    with pytest.raises(error) as got:
-        simulate_lru_sweep(events, _configs([1000, 2000]))
+    with pytest.raises(ValueError) as expected:
+        simulate(Trace.from_events(events), CacheConfig(policy_id="lru"))
+    with pytest.raises(ValueError) as got:
+        simulate_lru_sweep(Trace.from_events(events), _configs([1000, 2000]))
     assert str(got.value) == str(expected.value)
-    assert replays == ([1000] if second == 1e22 else [])
+    assert replays == []
 
 
-def test_far_timestamps_are_replayed(replays):
-    # the clock still runs here, but beyond the sweep's margin
-    events = [_req(0.0, "a"), _req(1e19, "a")]
+def test_far_timestamps_take_one_pass(replays):
+    # every time a trace holds is within the daily clock's range
+    events = _trace(_req(-1e18, "a"), _req(0.0, "b"), _req(1e18, "a"))
     _assert_matches_replays(events, _configs([100, 200]))
-    assert replays == [100, 200]
+    assert replays == []
 
 
 def test_configs_are_checked_in_order(replays):
     with pytest.raises(ValueError, match="capacity must be > 0"):
-        simulate_lru_sweep([_req(0, "a")], _configs([100, 0]))
+        simulate_lru_sweep(_trace(_req(0, "a")), _configs([100, 0]))
     with pytest.raises(ValueError, match="policy 'lru'"):
-        simulate_lru_sweep([_req(0, "a")], [CacheConfig(policy_id="fifo")])
+        simulate_lru_sweep(_trace(_req(0, "a")), [CacheConfig(policy_id="fifo")])
 
 
 def test_empty_trace():
-    _assert_matches_replays([], _configs([1, 100]))
-    _assert_matches_replays([], _configs([1, 100], count_mode=True))
+    _assert_matches_replays(_trace(), _configs([1, 100]))
+    _assert_matches_replays(_trace(), _configs([1, 100], count_mode=True))
 
 
 def test_renewal_fixture_in_count_mode(renewal_events, replays):

@@ -13,7 +13,7 @@ from zipfcache.policies import (
     make_policy,
 )
 from zipfcache.simcore import CacheConfig, _Engine, simulate
-from zipfcache.trace import REQUEST, SyntheticSpec, TraceEvent, generate_trace
+from zipfcache.trace import REQUEST, SyntheticSpec, Trace, TraceEvent, generate_trace
 
 
 def _req(t, obj, size=100):
@@ -26,14 +26,16 @@ def _req(t, obj, size=100):
 def test_fifo_ignores_recency():
     # same stream as the LRU walk; FIFO keeps b and evicts a first
     events = [_req(0, "a"), _req(1, "b"), _req(2, "a"), _req(3, "c"), _req(4, "b")]
-    report = simulate(events, CacheConfig(capacity_bytes=250, policy_id="fifo"))
+    report = simulate(Trace.from_events(events),
+                      CacheConfig(capacity_bytes=250, policy_id="fifo"))
     assert report.hits == 2
     assert report.evictions == 1
 
 
 def test_lfu_evicts_rarest_then_oldest():
     events = [_req(0, "a"), _req(1, "a"), _req(2, "b"), _req(3, "c"), _req(4, "b")]
-    report = simulate(events, CacheConfig(capacity_bytes=250, policy_id="lfu"))
+    report = simulate(Trace.from_events(events),
+                      CacheConfig(capacity_bytes=250, policy_id="lfu"))
     # c@3 evicts b (freq 1, older than c); b@4 then evicts c the same way
     assert report.hits == 1
     assert report.evictions == 2
@@ -273,7 +275,7 @@ def test_zbs_invariants_after_seeded_run():
         assert all(e.theta >= 1 for e in p.kernel.values())
         _assert_index_consistent(p)
 
-        last_t = events[-1].timestamp
+        last_t = float(events.t[-1])
         assert p.accessory
         for obj in p.accessory:
             # a second in-window request would have promoted the document
@@ -391,5 +393,6 @@ def test_make_policy_dispatch():
     assert isinstance(zbs, ZBSCache) and not zbs.byte_metric
     assert zbs.retention == MAX_RETENTION
     assert make_policy(CacheConfig(policy_id="zbs-byte")).byte_metric
-    with pytest.raises(ValueError):
-        make_policy(CacheConfig(policy_id="arc"))
+    # no config names another policy
+    with pytest.raises(ValueError, match="unknown policy 'arc'"):
+        CacheConfig(policy_id="arc")

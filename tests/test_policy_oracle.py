@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from zipfcache.analytic import DAY
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine
-from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
+from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
 ORDER = {  # policy id -> eviction key of an entry [size, admitted, accessed, freq]
     "fifo": lambda e: e[1],
@@ -89,6 +89,7 @@ def _recording(policy, log):
 
 def _replay_both(events, config, scheme):
     """(report, victim log) of the policy and of RefSingleArea on one trace."""
+    trace = Trace.from_events(events)
     out = []
     for reference in (False, True):
         eng = _Engine(config, PrefetchLayer(scheme) if scheme else None)
@@ -96,7 +97,7 @@ def _replay_both(events, config, scheme):
             eng.policy = RefSingleArea(config.policy_id, config.capacity_bytes)
         log = []
         _recording(eng.policy, log)
-        out.append((eng.run(events), log))
+        out.append((eng.run(trace), log))
     return out
 
 

@@ -7,7 +7,14 @@ import pytest
 
 from zipfcache.prefetch import PrefetchLayer, _api, _good_fetch, _lifetime_due
 from zipfcache.simcore import CacheConfig, simulate
-from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
+from zipfcache.trace import (
+    MODIFICATION,
+    REQUEST,
+    SyntheticSpec,
+    Trace,
+    TraceEvent,
+    generate_trace,
+)
 
 DAY = 86400.0
 
@@ -57,14 +64,14 @@ def _lru_with(scheme, threshold=-math.inf):
 
 
 def _events_single_doc():
-    return [
+    return Trace.from_events([
         TraceEvent(0.0, REQUEST, "a", 100),
         TraceEvent(10.0, REQUEST, "a", 100),
         TraceEvent(20.0, MODIFICATION, "a", 120),
         TraceEvent(30.0, REQUEST, "a", 120),
         TraceEvent(40.0, MODIFICATION, "a", 130),
         TraceEvent(50.0, REQUEST, "a", 130),
-    ]
+    ])
 
 
 def test_goodfetch_layer_single_doc_walk():
@@ -112,12 +119,12 @@ def test_prefetch_all_converts_stale_misses_to_hits(seed):
 
 
 def test_lifetime_rule_fires_on_daily_tick():
-    events = [
+    events = Trace.from_events([
         TraceEvent(0.0, REQUEST, "a", 100),
         TraceEvent(1 * DAY, MODIFICATION, "a", 110),
         TraceEvent(2 * DAY, MODIFICATION, "a", 120),
         TraceEvent(5.5 * DAY, REQUEST, "a", 120),
-    ]
+    ])
     report = simulate(events, *_lru_with("lifetime"))
     # mean interval 5d/2 = 2.5 d; copy age 3 d crosses it at the day-5 tick
     # (day 4 compares 2 d against 2 d and must not fetch)
@@ -143,12 +150,12 @@ def test_config_carries_prefetch_settings():
 
 def test_layer_runs_once():
     # api score at the modification: 2 requests / 10 d x share 1 x 10 d = 2
-    events = [
+    events = Trace.from_events([
         TraceEvent(0.0, REQUEST, "a", 100),
         TraceEvent(1 * DAY, REQUEST, "a", 100),
         TraceEvent(10 * DAY, MODIFICATION, "a", 120),
         TraceEvent(11 * DAY, REQUEST, "a", 120),
-    ]
+    ])
     config = CacheConfig(policy_id="lru")
     layer = PrefetchLayer("api", 1.0)
     assert simulate(events, config, layer).prefetch_fetches == 1
@@ -157,5 +164,5 @@ def test_layer_runs_once():
         simulate(events, config, layer)
     # an empty trace does not start a layer
     layer = PrefetchLayer("api", 1.0)
-    simulate([], config, layer)
+    simulate(Trace.from_events([]), config, layer)
     assert simulate(events, config, layer).prefetch_fetches == 1

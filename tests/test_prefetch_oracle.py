@@ -26,7 +26,7 @@ from zipfcache.policies import POLICY_IDS, ZBSCache
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache import simcore
 from zipfcache.simcore import CacheConfig, _Engine
-from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
+from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
 
 class Stats(NamedTuple):
@@ -144,11 +144,12 @@ def _recording(layer, log):
 
 def _replay_both(events, config, scheme, threshold):
     """(report, call log) of PrefetchLayer and of RefPrefetchLayer."""
+    trace = Trace.from_events(events)
     out = []
     for cls in (PrefetchLayer, RefPrefetchLayer):
         layer, log = cls(scheme, threshold), []
         _recording(layer, log)
-        out.append((_Engine(config, layer).run(events), log))
+        out.append((_Engine(config, layer).run(trace), log))
     return out
 
 
@@ -392,7 +393,7 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
                 return on_modification(obj, size, now, resident, requests, total)
 
             engine.layer.on_modification = recounted
-        report = engine.run(events)
+        report = engine.run(Trace.from_events(events))
         assert (report.kernel_occupancy_bytes, report.accessory_occupancy_bytes) == (
             policy.kernel_bytes, policy.accessory_bytes)
         docs = count["docs"]

@@ -5,13 +5,21 @@ import math
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from zipfcache.analytic import DomainError
 from zipfcache.policies import DAY, POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import CacheConfig, SimulationError, _Engine, simulate
-from zipfcache.trace import MODIFICATION, REQUEST, SyntheticSpec, TraceEvent, generate_trace
+from zipfcache.simcore import CacheConfig, _Engine, simulate
+from zipfcache.trace import (
+    MODIFICATION,
+    REQUEST,
+    SyntheticSpec,
+    Trace,
+    TraceEvent,
+    generate_trace,
+)
 
 
 def _req(t, obj, size=100, cacheable=True):
@@ -33,7 +41,7 @@ def test_lru_walk_exact_counters():
     events = [
         _req(0, "a"), _req(1, "b"), _req(2, "a"), _req(3, "c"), _req(4, "b"),
     ]
-    report = simulate(events, _lru(250))
+    report = simulate(Trace.from_events(events), _lru(250))
     assert report.requests == 5
     assert report.cacheable_requests == 5
     assert report.hits == 1  # only a@2; b and a fall to the LRU end
@@ -54,7 +62,7 @@ def test_stale_resident_is_miss_plus_inplace_refetch():
         _req(2, "a", 120),
         _req(3, "a", 120),
     ]
-    report = simulate(events, _lru())
+    report = simulate(Trace.from_events(events), _lru())
     assert report.hits == 1
     assert report.stale_refetches == 1
     assert report.demand_bytes == 220
@@ -65,7 +73,7 @@ def test_stale_resident_is_miss_plus_inplace_refetch():
 
 def test_non_cacheable_never_admitted():
     events = [_req(0, "a", cacheable=False), _req(1, "a", cacheable=False)]
-    report = simulate(events, _lru())
+    report = simulate(Trace.from_events(events), _lru())
     assert report.cacheable_requests == 0
     assert report.hits == 0
     assert report.demand_bytes == 200
@@ -75,7 +83,7 @@ def test_non_cacheable_never_admitted():
 
 def test_byte_hit_ratio_weights_by_size():
     events = [_req(0, "a", 100), _req(1, "b", 900), _req(2, "b", 900)]
-    report = simulate(events, _lru())
+    report = simulate(Trace.from_events(events), _lru())
     assert report.hit_ratio == pytest.approx(1 / 3)
     assert report.byte_hit_ratio == pytest.approx(900 / 1900)
 
@@ -85,7 +93,7 @@ def test_object_count_mode_counts_documents():
         _req(0, "a", 1000), _req(1, "b", 2000), _req(2, "c", 3000),
         _req(3, "b", 2000), _req(4, "a", 1000),
     ]
-    report = simulate(events, _lru(2, object_count_mode=True))
+    report = simulate(Trace.from_events(events), _lru(2, object_count_mode=True))
     assert report.hits == 1
     assert report.evictions == 2
     assert report.demand_bytes == 7000  # traffic stays byte-accounted
@@ -93,7 +101,8 @@ def test_object_count_mode_counts_documents():
 
 
 def test_oversize_document_never_admitted():
-    report = simulate([_req(0, "big", 200), _req(1, "big", 200)], _lru(150))
+    report = simulate(Trace.from_events([_req(0, "big", 200), _req(1, "big", 200)]),
+                      _lru(150))
     assert report.hits == 0
     assert report.evictions == 0
     assert report.demand_bytes == 400
@@ -112,7 +121,7 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
     warm = [_req(0, "a", 100)] + [_req(1, "a", 100)] * (area == "kernel")
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     engine = _Engine(config)
-    engine.run(warm)
+    engine.run(Trace.from_events(warm))
     assert "a" in getattr(engine.policy, area)
     # the refetch outgrows the whole cache, and the next request is refused;
     # the policy drops the copy itself, with no eviction round
@@ -122,7 +131,8 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
         raise AssertionError("the copy went through an eviction round")
 
     engine._drain = drain
-    report = engine.run(warm + [_mod(2, "a", 1500), _req(3, "a", 1500), _req(4, "a", 1500)])
+    report = engine.run(Trace.from_events(
+        warm + [_mod(2, "a", 1500), _req(3, "a", 1500), _req(4, "a", 1500)]))
     assert report.hits == len(warm) - 1
     assert report.stale_refetches == 1
     assert report.evictions == 1
@@ -133,14 +143,14 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
 
 def test_unsorted_trace_rejected():
     with pytest.raises(ValueError, match="time-ordered"):
-        simulate([_req(5, "a"), _req(4, "b")], _lru())
+        Trace.from_events([_req(5, "a"), _req(4, "b")])
 
 
 @pytest.mark.parametrize("stamps", [(0, math.nan), (0, math.inf), (-math.inf,)])
 def test_non_finite_timestamp_rejected(stamps):
     events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
     with pytest.raises(ValueError, match="non-finite"):
-        simulate(events, _lru())
+        Trace.from_events(events)
 
 
 @pytest.mark.parametrize("scheme", [None, "goodfetch", "lifetime"])
@@ -150,8 +160,8 @@ def test_large_time_gap_finishes(policy_id, scheme):
     # a, modified once, is stale but the lifetime rule can never fetch it
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     start = time.perf_counter()
-    report = simulate([_req(0.0, "a"), _mod(1.0, "a"), _req(1e15, "b")], config,
-                      PrefetchLayer(scheme) if scheme else None)
+    report = simulate(Trace.from_events([_req(0.0, "a"), _mod(1.0, "a"), _req(1e15, "b")]),
+                      config, PrefetchLayer(scheme) if scheme else None)
     assert time.perf_counter() - start < 1.0
     assert report.requests == 2 and report.hits == 0
 
@@ -172,7 +182,8 @@ def test_twice_modified_lifetime_copy_skips_to_its_due_day(policy_id):
 def test_twice_modified_lifetime_gap_finishes(policy_id):
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     start = time.perf_counter()
-    report = simulate(_twice_modified(1e12, 1e15), config, PrefetchLayer("lifetime"))
+    report = simulate(Trace.from_events(_twice_modified(1e12, 1e15)), config,
+                      PrefetchLayer("lifetime"))
     assert time.perf_counter() - start < 1.0
     assert report.prefetch_fetches == 1
 
@@ -180,20 +191,30 @@ def test_twice_modified_lifetime_gap_finishes(policy_id):
 @pytest.mark.parametrize("stamps", [(0.0, 1e22), (-1e22, 0.0), (1e30,)])
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_timestamp_beyond_daily_clock_rejected(policy_id, stamps):
-    # there a day is under half a float step, so the clock cannot advance
+    # beyond about 1e21 s a day is under half a float step and the clock
+    # could not advance; no trace holds a time beyond 1e18 s, where a day
+    # still spans over a hundred steps
     events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
-    start = time.perf_counter()
-    with pytest.raises(SimulationError, match="daily clock"):
-        simulate(events, CacheConfig(capacity_bytes=1000, policy_id=policy_id))
-    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r"beyond 1e\+18 s"):
+        simulate(Trace.from_events(events), CacheConfig(capacity_bytes=1000, policy_id=policy_id))
+
+
+@pytest.mark.parametrize("scheme", [None, "lifetime"])
+def test_timestamps_at_the_range_edges_are_replayed(scheme):
+    events = Trace.from_events([_req(-1e18, "a"), _mod(-1e18, "a"), _mod(1e18 - 1e6, "a"),
+                                _req(1e18, "a")])
+    report = simulate(events, _lru(), PrefetchLayer(scheme) if scheme else None)
+    assert report.requests == 2 and report.hits + report.stale_refetches == 1
 
 
 def test_bad_timestamp_raises_after_earlier_events():
     # the error names the first bad event, whatever bad events follow it
     with pytest.raises(ValueError, match=r"time-ordered: 4\.0 after 5\.0"):
-        simulate([_req(1, "a"), _req(5, "a"), _req(4, "b"), _req(math.nan, "c")], _lru())
+        Trace.from_events([_req(1, "a"), _req(5, "a"), _req(4, "b"), _req(math.nan, "c")])
     with pytest.raises(ValueError, match="non-finite timestamp nan"):
-        simulate([_req(1, "a"), _req(math.nan, "c"), _req(0, "b")], _lru())
+        Trace.from_events([_req(1, "a"), _req(math.nan, "c"), _req(0, "b")])
+    with pytest.raises(ValueError, match="non-finite timestamp nan"):
+        Trace.from_events([_req(1, "a"), _req(math.nan, "c"), _req(1e19, "b")])
 
 
 def _ticks(events, scheme=None, policy_id="zbs"):
@@ -203,7 +224,7 @@ def _ticks(events, scheme=None, policy_id="zbs"):
     ticks = []
     expire = eng.policy.on_expire_stats
     eng.policy.on_expire_stats = lambda now: (ticks.append(now), expire(now))
-    eng.run(events)
+    eng.run(Trace.from_events(events))
     return ticks
 
 
@@ -256,10 +277,8 @@ def test_unbounded_cache_misses_each_doc_once(static_trace):
     assert report.stale_refetches == 0
     assert report.prefetch_fetches == 0 and report.prefetch_bytes == 0
 
-    first_sizes = {}
-    for e in static_trace:
-        first_sizes.setdefault(e.object_id, e.size_bytes)
-    assert report.demand_bytes == sum(first_sizes.values())
+    _, first = np.unique(static_trace.obj, return_index=True)
+    assert report.demand_bytes == static_trace.size[first].sum()
 
 
 def test_simulation_is_deterministic(static_trace):
@@ -274,7 +293,9 @@ def test_sweep_sizes_monotone_in_count_mode(static_trace):
 
 
 def test_report_shape(static_trace):
-    d = simulate(static_trace[:100], _lru()).to_dict()
+    head = Trace(static_trace.t[:100], static_trace.kind[:100], static_trace.obj[:100],
+                 static_trace.size[:100], static_trace.cacheable[:100], static_trace.ids)
+    d = simulate(head, _lru()).to_dict()
     assert set(d) == {
         "requests", "cacheable_requests", "hits", "hit_ratio", "byte_hit_ratio",
         "unique_docs", "two_plus_docs", "evictions", "stale_refetches",
@@ -297,22 +318,24 @@ def test_config_validation():
         # every copy counts 1 there, so the byte metric would be zbs's own
         dict(policy_id="zbs-byte", object_count_mode=True),
     ):
+        # building the config alone refuses it
         with pytest.raises(DomainError):
-            simulate([], CacheConfig(**bad))
+            CacheConfig(**bad)
 
 
 def test_zero_byte_document_is_refused_before_the_byte_metric():
     # zbs-byte weighs a kernel copy by 1/(theta * size): a 0-byte copy
     # promoted there would divide by zero
     with pytest.raises(ValueError, match="size must be >= 1, got 0"):
-        simulate([_req(0, "a", 0), _req(1, "a", 0)], CacheConfig(1000, "zbs-byte"))
+        simulate(Trace.from_events([_req(0, "a", 0), _req(1, "a", 0)]),
+                 CacheConfig(1000, "zbs-byte"))
 
 
 # ----------------------------------------------------------- prefetch layer
 
 
 def _one_stale_copy():
-    return [_req(0, "a"), _mod(1, "a", 120), _req(2, "a", 120)]
+    return Trace.from_events([_req(0, "a"), _mod(1, "a", 120), _req(2, "a", 120)])
 
 
 def test_simulate_runs_the_layer_it_is_passed():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -152,12 +153,17 @@ def test_spec_validation():
         dict(alpha=0.0),
         dict(n_objects=0),
         dict(request_rate=-1.0),
+        dict(duration=-1.0),
+        dict(mean_doc_size=0.0),
         dict(size_spread=-0.1),
         dict(p_c=0.0),
         dict(mu_p=-1e-6),
+        dict(mu_u=-1e-6),
+        dict(popular_boundary=-1),
     ):
+        # building the spec alone refuses it
         with pytest.raises(DomainError):
-            generate_trace(_small_spec(**bad))
+            _small_spec(**bad)
 
 
 # Peak tracemalloc bytes per event of generate_trace(_MEMORY_SPEC) when a
@@ -184,20 +190,20 @@ def test_generate_peak_memory_per_event():
 # ------------------------------------------------------------------ Trace
 
 
-def test_trace_is_a_sequence_of_events():
+def test_trace_iterates_its_events():
     rows = [_req(0.5, "a", 10), TraceEvent(1.0, MODIFICATION, "b", 20),
             TraceEvent(2.0, REQUEST, "a", 30, False)]
     tr = Trace.from_events(rows)
     assert len(tr) == 3 and tr.ids == ["a", "b"]
     assert tr.obj.tolist() == [0, 1, 0] and tr.kind.tolist() == [0, 1, 0]
-    assert tr[1] == rows[1] and tr[-1] == rows[2]
-    assert list(tr) == rows and tr == rows and tr != rows[:2]
-    part = tr[1:]
-    assert isinstance(part, Trace) and part == rows[1:] and tr[::2] == rows[::2]
-    assert Trace.from_events(tr) is tr
-    assert Trace.from_events(iter(rows)) == tr
-    with pytest.raises(IndexError):
-        tr[3]
+    assert tr.t.tolist() == [0.5, 1.0, 2.0] and tr.size.tolist() == [10, 20, 30]
+    assert tr.cacheable.tolist() == [True, True, False]
+    assert list(tr) == rows
+    assert Trace.from_events(iter(rows)) == tr and Trace.from_events(rows[:2]) != tr
+    # a trace is read through its columns, not event by event
+    assert not isinstance(tr, Sequence)
+    with pytest.raises(TypeError):
+        tr[1]
     with pytest.raises(ValueError):
         tr.t[0] = 9.0
     with pytest.raises(ValueError, match="kind"):
@@ -238,6 +244,8 @@ BAD_STREAMS = {
     "decreasing": ([5.0, 4.0], [100, 100], r"time-ordered: 4\.0 after 5\.0"),
     "size-0": ([0.0, 1.0], [100, 0], "size must be >= 1, got 0"),
     "size-minus-1": ([0.0, 1.0], [100, -1], "size must be >= 1, got -1"),
+    "beyond": ([0.0, 1e19], [100, 100], r"timestamp 1e\+19 beyond 1e\+18 s"),
+    "-beyond": ([-1e19, 0.0], [100, 100], r"timestamp -1e\+19 beyond 1e\+18 s"),
 }
 
 
@@ -248,19 +256,20 @@ def _two_events(t, size):
 ENTRY_POINTS = {
     "Trace": lambda t, size, path: Trace(t, [0, 0], [0, 1], size, [True] * 2, ["a", "b"]),
     "from_events": lambda t, size, path: Trace.from_events(_two_events(t, size)),
-    "simulate": lambda t, size, path: simulate(_two_events(t, size),
+    "simulate": lambda t, size, path: simulate(Trace.from_events(_two_events(t, size)),
                                                CacheConfig(policy_id="lru")),
     "simulate_lru_sweep": lambda t, size, path: simulate_lru_sweep(
-        _two_events(t, size), [CacheConfig(1000, "lru")]),
-    "write_trace_file": lambda t, size, path: write_trace_file(_two_events(t, size), path),
+        Trace.from_events(_two_events(t, size)), [CacheConfig(1000, "lru")]),
+    "write_trace_file": lambda t, size, path: write_trace_file(
+        Trace.from_events(_two_events(t, size)), path),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("case", sorted(BAD_STREAMS))
 def test_an_invalid_event_stream_is_refused(case, entry, tmp_path):
-    # every consumer builds a `Trace` first, so each refuses the stream
-    # before it reads an event, and the writer before it opens the file
+    # every consumer takes a `Trace`, and no `Trace` holds the stream, so
+    # none of them reads an event of it and the writer opens no file
     t, size, message = BAD_STREAMS[case]
     path = tmp_path / "trace.csv"
     with pytest.raises(ValueError, match=message):
@@ -281,7 +290,7 @@ def test_popularity_histogram():
         _req(4, "a"), _req(5, "b"),
         TraceEvent(6, MODIFICATION, "c", 50),
     ]
-    hist = popularity_histogram(events)
+    hist = popularity_histogram(Trace.from_events(events))
     assert list(hist.counts) == [3, 2, 1]
     assert hist.total_requests == 6
     assert hist.unique_docs == 3
@@ -295,7 +304,7 @@ def test_lifetime_stats_micro():
         _req(0.0, "a"), _req(4.0, "b"), _req(10.0, "a"),
         TraceEvent(20.0, MODIFICATION, "x", 10),
     ]
-    stats = lifetime_stats(events)
+    stats = lifetime_stats(Trace.from_events(events))
     assert stats.t_eff == pytest.approx(10.0)
     assert stats.t_u == pytest.approx(16.0)
     assert (stats.once_docs, stats.two_plus_docs) == (1, 1)
@@ -306,15 +315,15 @@ def test_lifetime_stats_window_cut():
         _req(0.0, "a"), _req(4.0, "b"), _req(10.0, "a"),
         TraceEvent(20.0, MODIFICATION, "x", 10),
     ]
-    stats = lifetime_stats(events, window_seconds=5.0)
+    stats = lifetime_stats(Trace.from_events(events), window_seconds=5.0)
     assert stats.t_eff is None
     assert stats.t_u == pytest.approx(3.0)  # a: 5-0, b: 5-4
     assert (stats.once_docs, stats.two_plus_docs) == (2, 0)
 
 
 def test_lifetime_stats_edge_cases():
-    assert lifetime_stats([]) == trace.LifetimeStats(None, None, 0, 0)
-    only_two = [_req(0.0, "a"), _req(6.0, "a")]
+    assert lifetime_stats(Trace.from_events([])) == trace.LifetimeStats(None, None, 0, 0)
+    only_two = Trace.from_events([_req(0.0, "a"), _req(6.0, "a")])
     stats = lifetime_stats(only_two)
     assert stats.t_u is None and stats.t_eff == pytest.approx(6.0)
     with pytest.raises(DomainError):
@@ -369,12 +378,29 @@ def test_parse_rejects_non_finite_timestamp(tmp_path, stamp, lineno):
         parse_trace_file(p)
 
 
+@pytest.mark.parametrize("stamp", ["1e19", "-1.5e18", "1e300"])
+@pytest.mark.parametrize("lineno", [2, 3])
+def test_parse_rejects_timestamp_beyond_range(tmp_path, stamp, lineno):
+    p = tmp_path / "t.csv"
+    rows = ["-1e18,R,a,100,1", f"{stamp},R,b,100,1"][3 - lineno:]
+    _write_lines(p, [trace.TRACE_HEADER, *rows])
+    with pytest.raises(TraceFormatError,
+                       match=rf":{lineno}: timestamp must be within \+-1e\+18 s, got '{stamp}'"):
+        parse_trace_file(p)
+
+
+def test_parse_keeps_timestamps_at_the_range_edges(tmp_path):
+    p = tmp_path / "t.csv"
+    _write_lines(p, [trace.TRACE_HEADER, "-1e18,R,a,100,1", "1e18,R,a,100,1"])
+    assert parse_trace_file(p).t.tolist() == [-1e18, 1e18]
+
+
 def test_parse_skips_blank_lines(tmp_path):
     p = tmp_path / "t.csv"
     _write_lines(p, [trace.TRACE_HEADER, "0.0,R,a,100,1", "", "1.0,M,a,50,1"])
     events = parse_trace_file(p)
-    assert len(events) == 2
-    assert events[1] == TraceEvent(1.0, MODIFICATION, "a", 50, True)
+    assert list(events) == [TraceEvent(0.0, REQUEST, "a", 100, True),
+                            TraceEvent(1.0, MODIFICATION, "a", 50, True)]
 
 
 def test_parse_proxy_log(tmp_path):
@@ -396,7 +422,7 @@ def test_parse_proxy_log(tmp_path):
     assert [e.object_id for e in result.events] == ["http://b/y", "http://a/x", "http://d/w"]
     assert [e.timestamp for e in result.events] == [99.0, 100.0, 104.0]
     assert [e.cacheable for e in result.events] == [False, True, True]
-    assert result.events[2].size_bytes == 1  # zero-byte reply clamped
+    assert result.events.size[2] == 1  # zero-byte reply clamped
     assert all(e.kind == REQUEST for e in result.events)
 
 
@@ -406,6 +432,16 @@ def test_parse_proxy_log_rejects_non_finite_timestamp(tmp_path, stamp):
     _write_lines(p, ["100.0 5 c TCP_MISS/200 400 GET http://a/x -",
                      f"{stamp} 5 c TCP_MISS/200 400 GET http://a/y -"])
     with pytest.raises(TraceFormatError, match=":2: timestamp must be finite"):
+        parse_proxy_log(p)
+
+
+@pytest.mark.parametrize("stamp", ["1e19", "-1e19"])
+def test_parse_proxy_log_rejects_timestamp_beyond_range(tmp_path, stamp):
+    # as for a non-finite time, even on a line the filter would drop
+    p = tmp_path / "access.log"
+    _write_lines(p, ["100.0 5 c TCP_MISS/200 400 GET http://a/x -",
+                     f"{stamp} 5 c TCP_MISS/404 400 POST http://a/y -"])
+    with pytest.raises(TraceFormatError, match=":2: timestamp must be within"):
         parse_proxy_log(p)
 
 
@@ -421,6 +457,9 @@ def test_write_refuses_ids_it_cannot_read_back(tmp_path, url):
     assert not out.exists()
     for bad in ("a\rb", "a\nb"):
         with pytest.raises(TraceFormatError, match="cannot be written"):
-            write_trace_file([_req(0.0, "ok"), _req(1.0, bad)], out)
-    write_trace_file(Trace.from_events([_req(0.0, "ok"), _req(1.0, "a,b")])[:1], out)
-    assert parse_trace_file(out) == [_req(0.0, "ok", 100)]
+            write_trace_file(Trace.from_events([_req(0.0, "ok"), _req(1.0, bad)]), out)
+    # only the ids in use must be writable
+    tr = Trace.from_events([_req(0.0, "ok"), _req(1.0, "a,b")])
+    write_trace_file(Trace(tr.t[:1], tr.kind[:1], tr.obj[:1], tr.size[:1],
+                           tr.cacheable[:1], tr.ids), out)
+    assert list(parse_trace_file(out)) == [_req(0.0, "ok", 100)]

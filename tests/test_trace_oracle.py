@@ -9,7 +9,6 @@ line numbers) on random inputs, whichever parse chunk a line falls in.
 """
 
 import math
-import sys
 from collections import Counter
 
 import numpy as np
@@ -43,7 +42,6 @@ def _ref_draw_sizes(rng, n, mean, spread):
 
 
 def ref_generate_trace(spec):
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, t_end = spec.n_objects, spec.duration
     expected = spec.request_rate * t_end
@@ -128,10 +126,15 @@ def ref_trace_text(events):
     )
 
 
+def _ref_time_error(path, lineno, ts, text):
+    if not math.isfinite(ts):
+        return TraceFormatError(f"{path}:{lineno}: timestamp must be finite, got {text!r}")
+    return TraceFormatError(f"{path}:{lineno}: timestamp must be within +-1e+18 s, got {text!r}")
+
+
 def ref_parse_trace_file(path):
     events = []
-    inf = math.inf
-    last_t = -sys.float_info.max
+    last_t = -math.inf
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if header != TRACE_HEADER:
@@ -156,10 +159,9 @@ def ref_parse_trace_file(path):
                 raise TraceFormatError(f"{path}:{lineno}: size must be > 0")
             if flag not in (0, 1):
                 raise TraceFormatError(f"{path}:{lineno}: cacheable must be 0 or 1")
-            if not last_t <= ts < inf:
-                if not math.isfinite(ts):
-                    raise TraceFormatError(
-                        f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}")
+            if not abs(ts) <= 1e18:
+                raise _ref_time_error(path, lineno, ts, parts[0])
+            if ts < last_t:
                 raise TraceFormatError(f"{path}:{lineno}: timestamp {ts!r} out of order")
             last_t = ts
             events.append(TraceEvent(ts, kind, parts[2], size, bool(flag)))
@@ -183,9 +185,8 @@ def ref_parse_proxy_log(path):
             except (ValueError, IndexError):
                 skipped += 1
                 continue
-            if not math.isfinite(ts):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: timestamp must be finite, got {parts[0]!r}")
+            if not abs(ts) <= 1e18:
+                raise _ref_time_error(path, lineno, ts, parts[0])
             method, url = parts[5], parts[6]
             if method != "GET" or not (200 <= status < 400):
                 filtered += 1
@@ -231,7 +232,7 @@ SPECS = {
 def test_generate_matches_reference(name, tmp_path):
     spec = SPECS[name]
     got, ref = trace.generate_trace(spec), ref_generate_trace(spec)
-    assert got == ref
+    assert list(got) == ref
     assert got.ids == _first_appearance(ref)
     path = tmp_path / "t.csv"
     trace.write_trace_file(got, path)
@@ -266,13 +267,12 @@ def event_lists(draw):
 
 @given(events=event_lists(), fraction=st.sampled_from([None, 0.0, 0.3, 1.0]))
 def test_histogram_and_lifetime_match_reference(events, fraction):
-    hist = trace.popularity_histogram(events)
+    columns = trace.Trace.from_events(events)
+    hist = trace.popularity_histogram(columns)
     assert hist.counts.tolist() == ref_popularity_histogram(events)
     window = None
     if fraction is not None and events:
         window = fraction * (events[-1].timestamp - events[0].timestamp)
-    assert trace.lifetime_stats(events, window) == ref_lifetime_stats(events, window)
-    columns = trace.Trace.from_events(events)
     assert trace.lifetime_stats(columns, window) == ref_lifetime_stats(events, window)
 
 
@@ -330,7 +330,7 @@ def test_parse_matches_reference(tmp_path_factory, rnd, chunk, crlf):
         mp.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
         got = trace.parse_trace_file(path)
     ref = ref_parse_trace_file(path)
-    assert got == ref
+    assert list(got) == ref
     assert got.ids == _first_appearance(ref)
 
 
@@ -352,6 +352,9 @@ CORRUPTIONS = {
     "nan": lambda t, prev: "nan,R,a,100,1",
     "inf": lambda t, prev: "inf,R,a,100,1",
     "minus-inf": lambda t, prev: " -inf,R,a,100,1",
+    "beyond-range": lambda t, prev: "1e19,R,a,100,1",
+    "below-range": lambda t, prev: "-1.5e18,M,a,100,1",
+    "far-beyond-range": lambda t, prev: "1e300,R,a,100,1",
     "out-of-order": lambda t, prev: f"{prev - 0.25!r},R,a,100,1",
     "kind-and-size": lambda t, prev: f"{t!r},X,a,0,7",
     "size-and-flag": lambda t, prev: f"{t!r},R,a,0,7",
@@ -388,7 +391,7 @@ def test_parse_error_line_numbers_at_default_chunk(tmp_path):
     path = tmp_path / "t.csv"
     _write(path, lines, None)
     assert path.stat().st_size > 4 * trace._PARSE_CHUNK_BYTES
-    assert trace.parse_trace_file(path) == ref_parse_trace_file(path)
+    assert list(trace.parse_trace_file(path)) == ref_parse_trace_file(path)
     for at in (5, 25_000, len(lines) - 1):
         bad = list(lines)
         bad[at] = "1.0,R,a,100"
@@ -444,7 +447,7 @@ def test_proxy_log_matches_reference(tmp_path_factory, rnd):
     result = trace.parse_proxy_log(path)
     events, skipped, filtered = ref_parse_proxy_log(path)
     assert (result.skipped, result.filtered) == (skipped, filtered)
-    assert result.events == events
+    assert list(result.events) == events
     assert result.events.ids == _first_appearance(events)
 
 
@@ -459,4 +462,18 @@ def test_proxy_log_non_finite_matches_reference(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     want = _error(ref_parse_proxy_log, path)
     assert ":22: timestamp must be finite" in want
+    assert _error(trace.parse_proxy_log, path) == want
+
+
+@pytest.mark.parametrize("bad", ["1e19", "-2e18", "1e300"])
+def test_proxy_log_beyond_range_matches_reference(tmp_path, bad):
+    import random
+
+    lines = _squid_lines(random.Random(bad), 50)
+    lines.insert(20, f"{bad} 0 c TCP_MISS/404 40 POST http://a/b")  # raises, unfiltered
+    lines.insert(10, f"{bad} 0 c TCP_MISS/200 4x GET http://a/b")  # skipped
+    path = tmp_path / "access.log"
+    path.write_text("\n".join(lines) + "\n")
+    want = _error(ref_parse_proxy_log, path)
+    assert f":22: timestamp must be within +-1e+18 s, got '{bad}'" in want
     assert _error(trace.parse_proxy_log, path) == want

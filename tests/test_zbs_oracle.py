@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from zipfcache.policies import DAY, MIN_RETENTION
 from zipfcache.simcore import CacheConfig, _Engine
-from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
+from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
 
 class RefZBS:
@@ -123,6 +123,7 @@ def _recording(policy, log):
 def _replay_both(events, config):
     """(report, victim log, documents with a record) of ZBSCache and of
     RefZBS on one trace."""
+    trace = Trace.from_events(events)
     out = []
     for reference in (False, True):
         eng = _Engine(config)
@@ -131,7 +132,7 @@ def _replay_both(events, config):
                                 eng.policy.byte_metric, config.accessory_fraction)
         log = []
         _recording(eng.policy, log)
-        report = eng.run(events)
+        report = eng.run(trace)
         out.append((report, log, set(eng.policy.seen if reference else eng.policy.stats)))
     return out
 
