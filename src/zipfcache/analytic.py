@@ -10,7 +10,8 @@ interval for a bounded cache.
 
 All rates are per second and all sizes are bytes unless a name says
 otherwise.  Exponents close to the degenerate ends of ``(0, 1)`` are
-rejected rather than extrapolated.
+rejected rather than extrapolated.  SciPy is imported only inside
+`wolman_hit_ratio`, the one law integrated numerically.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "DomainError",
@@ -373,11 +373,17 @@ def wolman_hit_ratio(n: float, alpha: float, lambda_n: float, mu: float) -> floa
     popularity mass, i.e. C_N = 1.
     """
     _check_alpha(alpha)
+    for name, value in (("n", n), ("lambda_n", lambda_n), ("mu", mu)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     if not n > 1:
         raise DomainError(f"n must be > 1, got {n!r}")
     _check_positive(lambda_n=lambda_n)
     if mu < 0:
         raise DomainError(f"mu must be >= 0, got {mu!r}")
+    # Imported here so that no other path pays SciPy's start-up time and memory.
+    from scipy.integrate import quad
+
     c = (n ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
     ratio = mu * c / lambda_n
 

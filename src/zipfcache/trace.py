@@ -236,6 +236,11 @@ class SyntheticSpec:
     poisson_arrivals: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("request_rate", "duration", "mean_doc_size", "size_spread",
+                     "mu_p", "mu_u"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.n_objects < 1:
             raise DomainError(f"n_objects must be >= 1, got {self.n_objects!r}")
         if not (0.0 < self.alpha < 1.0):

@@ -210,6 +210,15 @@ def test_wolman_against_simpson_oracle():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("n, lam, mu", [
+    (math.inf, 10.0, 1e-6), (1e6, math.inf, 1e-6), (1e6, 10.0, math.inf),
+    (1e6, 10.0, math.nan),
+])
+def test_wolman_refuses_non_finite_arguments(n, lam, mu):
+    with pytest.raises(DomainError, match="must be finite"):
+        analytic.wolman_hit_ratio(n, 0.8, lam, mu)
+
+
 def test_wolman_monotone_in_mu():
     vals = [
         analytic.wolman_hit_ratio(1e5, 0.75, 5.0, mu)

@@ -102,6 +102,21 @@ def test_generate_bad_duration_exit_4(days, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["--requests", "nan"], "request_rate"),
+    (["--requests", "inf"], "request_rate"),
+    (["--size-spread", "nan"], "size_spread"),
+    (["--size-spread", "inf"], "size_spread"),
+    (["--popular-lifetime-days", "nan"], "mu_p"),
+    (["--unpopular-lifetime-days", "nan"], "mu_u"),
+])
+def test_generate_non_finite_setting_exit_4(argv, field, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["generate", "--objects", "100", *argv, "-o", str(out)]) == EXIT_DOMAIN
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_size_units():
     assert parse_size("100MB") == 1e8
     assert parse_size("1.5KB") == 1500.0
@@ -260,6 +275,13 @@ def test_predict_domain_error_exit_4(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "p_c must be in (0, 1]" in captured.err
+    # the renewal hit model refuses a non-finite universe or rate
+    for universe, rate in (("inf", "5000"), ("1e6", "inf"), ("1e6", "nan")):
+        argv = ["--universe", universe, "--rate", rate, "--tch-days", "30"]
+        assert main(["predict", "--alpha", "0.8", *argv]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
 
 
 def test_report_never_holds_nan(capsys):

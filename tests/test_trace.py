@@ -166,6 +166,14 @@ def test_spec_validation():
             _small_spec(**bad)
 
 
+@pytest.mark.parametrize("field", ["request_rate", "duration", "mean_doc_size",
+                                   "size_spread", "mu_p", "mu_u"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_spec_refuses_non_finite_field(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        _small_spec(**{field: value})
+
+
 # Peak tracemalloc bytes per event of generate_trace(_MEMORY_SPEC) when a
 # trace was a list of TraceEvent objects (130,190 events, 79,973 of them
 # modifications); the columns peak at about 60.
