@@ -234,25 +234,22 @@ def fit_alpha_three_ways(
     return AlphaEstimates(alpha1, alpha2, alpha3)
 
 
-def fit_alpha_loglog(counts, max_rank: int | None = None) -> float:
+def fit_alpha_loglog(counts) -> float:
     """Least-squares exponent of a descending rank-count histogram.
 
-    Fits log(count) against log(rank) over ranks [1, max_rank] and
-    returns the negated slope.  By default the head tenth of the ranks
-    is used, where the power law is cleanest.
+    Fits log(count) against log(rank) over the head tenth of the ranks
+    (at least the first two), where the power law is cleanest, and
+    returns the negated slope.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 1 or counts.size < 2:
         raise DomainError("need a 1-d histogram with at least two ranks")
     if np.any(np.diff(counts) > 0):
         raise DomainError("histogram counts must be sorted descending")
-    if max_rank is None:
-        max_rank = max(2, counts.size // 10)
-    max_rank = min(max_rank, counts.size)
-    head = counts[:max_rank]
+    head = counts[:max(2, counts.size // 10)]
     if np.any(head <= 0):
         raise DomainError("head counts must be positive for a log fit")
-    ranks = np.arange(1, max_rank + 1, dtype=float)
+    ranks = np.arange(1, head.size + 1, dtype=float)
     slope, _ = np.polyfit(np.log(ranks), np.log(head), 1)
     return -float(slope)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,16 +181,13 @@ class LFUCache(_SingleArea):
         return size
 
 
+@dataclass(slots=True)
 class _KernelEntry:
-    __slots__ = ("theta", "last_modified", "size", "admitted_at", "seq", "slot")
-
-    def __init__(self, theta, last_modified, size, admitted_at, seq, slot):
-        self.theta = theta
-        self.last_modified = last_modified
-        self.size = size
-        self.admitted_at = admitted_at
-        self.seq = seq
-        self.slot = slot
+    theta: int
+    size: int
+    admitted_at: float
+    seq: int
+    slot: int
 
 
 class ZBSCache:
@@ -216,25 +214,25 @@ class ZBSCache:
     evict the oldest admission first.
 
     The kernel index is one slot per kernel document holding its fetch
-    time lm and its weight w = 1/theta (1/(theta * size) in byte mode),
-    so C = (now - lm) * w.  C ages with `now` and no static order holds
-    it, but `now` is fixed within one eviction round: the round scores
-    every slot once and takes each victim by argmax over those scores.
+    time lm, the one copy of it, and its weight w = 1/theta
+    (1/(theta * size) in byte mode), so C = (now - lm) * w.  C ages with
+    `now` and no static order holds it, but `now` is fixed within one
+    eviction round: the round scores every slot once and takes each
+    victim by argmax over those scores.
 
-    The management record of a document is one flat list of ints,
-    stats[obj] = [total, day, count, day, count, ...]: its requests per
-    day (day = floor(t / 86400), ascending) and their total.  A request
-    adds to the last pair, or appends a pair on a new day, and
-    last_seen[obj] keeps its time.  The window count drops the pairs
-    before the day holding now - retention, and only when admission reads
-    it.  A daily tick drops the records whose last request is older than
-    the retention and whose document is in neither area.  A record moves
-    to the end of last_seen on its first request of a day, so last_seen
-    runs in the day order of each document's last request; the tick walks
-    it from the front and stops at the first document requested after the
-    cutoff's day.  The records it keeps (seen at or after the cutoff, or
-    held by a resident document) stay at the front, and every later tick
-    visits them again, until they expire.
+    The management record of a document is one flat list,
+    stats[obj] = [total, last, day, count, day, count, ...]: the time of
+    its last request and its requests per day (day = floor(t / 86400),
+    ascending) with their total.  A request adds to the last pair, or
+    appends a pair on a new day and moves the record to the end of stats,
+    so stats runs in the day order of each document's last request.  The
+    window count drops the pairs before the day holding now - retention,
+    and only when admission reads it.  A daily tick drops the records
+    whose last request is older than the retention and whose document is
+    in neither area: it walks stats from the front and stops at the first
+    record whose last day is after the cutoff's day.  The records it keeps
+    (seen at or after the cutoff, or held by a resident document) stay at
+    the front, and every later tick visits them again, until they expire.
     """
 
     def __init__(
@@ -245,17 +243,13 @@ class ZBSCache:
         byte_metric: bool = False,
     ):
         self.capacity = capacity
-        if math.isinf(capacity):
-            self.acc_cap = self.kern_cap = math.inf
-        else:
-            self.acc_cap = accessory_fraction * capacity
-            self.kern_cap = capacity - self.acc_cap
+        self.acc_cap = accessory_fraction * capacity
+        self.kern_cap = capacity - self.acc_cap if math.isfinite(capacity) else math.inf
         self.retention = retention
         self.byte_metric = byte_metric
         self.kernel: dict[str, _KernelEntry] = {}
         self.accessory: OrderedDict[str, list] = OrderedDict()  # [size, admitted_at]
-        self.stats: dict[str, list[int]] = {}
-        self.last_seen: dict[str, float] = {}
+        self.stats: dict[str, list] = {}
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         self.peak_accessory_bytes = 0
@@ -276,20 +270,19 @@ class ZBSCache:
         """Count a request of `obj` at `now` in its record `rec` (None: no
         record yet) and return the record."""
         day = int(now // DAY)
-        last_seen = self.last_seen
-        if rec is not None and rec[-2] == day:
-            rec[0] += 1
-            rec[-1] += 1
-        elif rec is None:
+        if rec is None:
             if self._start is None:
                 self._start = now
-            rec = self.stats[obj] = [1, day, 1]
+            rec = self.stats[obj] = [1, now, day, 1]
+            return rec
+        rec[0] += 1
+        rec[1] = now
+        if rec[-2] == day:
+            rec[-1] += 1
         else:
-            rec[0] += 1
-            rec.append(day)
-            rec.append(1)
-            del last_seen[obj]  # to the end: last_seen stays in day order
-        last_seen[obj] = now
+            rec += (day, 1)
+            del self.stats[obj]  # to the end: stats stays in day order
+            self.stats[obj] = rec
         return rec
 
     def on_expire_stats(self, now: float) -> None:
@@ -301,21 +294,23 @@ class ZBSCache:
         last_day = int(cutoff // DAY)
         kernel, accessory = self.kernel, self.accessory
         expired = []
-        for obj, seen in self.last_seen.items():
-            if seen // DAY > last_day:
+        for obj, rec in self.stats.items():
+            if rec[-2] > last_day:
                 break
-            if seen < cutoff and obj not in kernel and obj not in accessory:
+            if rec[1] < cutoff and obj not in kernel and obj not in accessory:
                 expired.append(obj)
         for obj in expired:
             del self.stats[obj]
-            del self.last_seen[obj]
 
     # -- kernel index -------------------------------------------------
 
-    def _index(self, entry: _KernelEntry) -> None:
+    def _weight(self, entry: _KernelEntry) -> float:
+        return 1.0 / (entry.theta * entry.size if self.byte_metric else entry.theta)
+
+    def _index(self, entry: _KernelEntry, last_modified: float) -> None:
         i = entry.slot
-        self._lm[i] = entry.last_modified
-        self._w[i] = 1.0 / (entry.theta * entry.size if self.byte_metric else entry.theta)
+        self._lm[i] = last_modified
+        self._w[i] = self._weight(entry)
 
     def _take_slot(self, obj: str) -> int:
         if self._free:
@@ -337,13 +332,12 @@ class ZBSCache:
 
     # -- placement ----------------------------------------------------
 
-    def _admit_kernel(self, obj: str, size: int, now: float, theta: int,
+    def _admit_kernel(self, obj: str, size: int, theta: int,
                       last_modified: float, admitted_at: float) -> None:
         self._seq += 1
-        entry = _KernelEntry(theta, last_modified, size, admitted_at, self._seq,
-                             self._take_slot(obj))
+        entry = _KernelEntry(theta, size, admitted_at, self._seq, self._take_slot(obj))
         self.kernel[obj] = entry
-        self._index(entry)
+        self._index(entry, last_modified)
         self.kernel_bytes += size
         if self.kernel_bytes > self.kern_cap:
             self.over_limit = True
@@ -353,17 +347,17 @@ class ZBSCache:
         # Requests on days before the one holding now - retention leave the
         # window; this request's day is always inside it.
         cutoff = int((now - self.retention) // DAY)
-        if rec[1] < cutoff:
-            i = 1
+        if rec[2] < cutoff:
+            i = 2
             while rec[i] < cutoff:
                 rec[0] -= rec[i + 1]
                 i += 2
-            del rec[1:i]
+            del rec[2:i]
         prior = rec[0] - 1
         if prior >= 1:
             if size > self.kern_cap:
                 return False
-            self._admit_kernel(obj, size, now, prior + 1, now, now)
+            self._admit_kernel(obj, size, prior + 1, now, now)
         else:
             if size > self.acc_cap:
                 return False
@@ -382,15 +376,12 @@ class ZBSCache:
         entry = self.kernel.get(obj)
         if entry is not None:
             entry.theta += 1
-            self._w[entry.slot] = 1.0 / (
-                entry.theta * entry.size if self.byte_metric else entry.theta)
+            self._w[entry.slot] = self._weight(entry)
             return
-        acc = self.accessory.pop(obj, None)
-        if acc is None:
-            return
-        size, admitted_at = acc
+        # A hit finds the copy resident: here, in the accessory area.
+        size, admitted_at = self.accessory.pop(obj)
         self.accessory_bytes -= size
-        self._admit_kernel(obj, size, now, 2, admitted_at, admitted_at)
+        self._admit_kernel(obj, size, 2, admitted_at, admitted_at)
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
         entry = self.kernel.get(obj)
@@ -406,12 +397,11 @@ class ZBSCache:
             self.kernel_bytes += size - entry.size
             entry.size = size
             entry.theta = 1
-            entry.last_modified = now
-            self._index(entry)
+            self._index(entry, now)
         else:
             size_was, admitted_at = self.accessory.pop(obj)
             self.accessory_bytes -= size_was
-            self._admit_kernel(obj, size, now, 1, now, admitted_at)
+            self._admit_kernel(obj, size, 1, now, admitted_at)
         if self.kernel_bytes > self.kern_cap:
             self.over_limit = True
         return True

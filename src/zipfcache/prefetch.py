@@ -65,15 +65,20 @@ class PrefetchLayer:
     For `lifetime`, `stale` indexes the documents whose resident copy the
     layer saw go stale at their second or a later modification.  After
     only one, at L >= start, the copy's age now - L never exceeds the
-    interval now - start, so the rule cannot fire.  A copy turns stale
-    only through a modification the engine reports here, so every stale
-    resident copy that can come due is indexed; an indexed document that
-    was since evicted, refetched or re-admitted fresh is dropped at the
-    next tick.  With m modifications, the last at L, the rule
-    now - L > (now - start) / m holds in exact arithmetic iff
-    now > (m L - start) / (m - 1): `stale` maps each copy to that time,
-    and `next_due` is at or below the least of them (inf when no copy
+    interval now - start, so the rule cannot fire.  With m modifications,
+    the last at L, the rule now - L > (now - start) / m holds in exact
+    arithmetic iff now > (m L - start) / (m - 1).  `stale` maps each copy
+    to that due time, L, m and the size L set, which is all a tick reads;
+    `next_due` is at or below the least due time (inf when no copy
     waits), so the engine can jump its clock to just before it.
+
+    A copy turns stale only through a modification reported here, so
+    every stale resident copy that can come due is indexed, and each entry
+    a tick keeps describes its document's latest modification.  One that
+    finds the copy resident rewrites its entry.  One that finds it absent
+    is followed by a fresh admission, and only a further modification
+    while resident makes that copy stale again.  An entry whose copy was
+    since evicted, refetched or re-admitted fresh is dropped at a tick.
 
     A layer holds the state of one run: pass a new one to each
     `simulate` call.
@@ -93,9 +98,7 @@ class PrefetchLayer:
         self.score = _SCORERS.get(scheme)  # None for lifetime
         self.start: float | None = None
         self.mod_counts: dict[str, int] = {}
-        self.last_mod: dict[str, float] = {}
-        self.cur_size: dict[str, int] = {}
-        self.stale: dict[str, float] = {}
+        self.stale: dict[str, tuple[float, float, int, int]] = {}
         self.next_due = math.inf
 
     def note_start(self, t: float) -> None:
@@ -109,51 +112,42 @@ class PrefetchLayer:
         cacheable requests before this event, of `obj` and of all documents."""
         mods = self.mod_counts.get(obj, 0) + 1
         self.mod_counts[obj] = mods
-        self.last_mod[obj] = now
-        self.cur_size[obj] = size
         if not resident:
             return False
         score = self.score
         if score is None:
-            # lifetime: the copy's age is now - last_mod = 0.0 here, which
-            # never exceeds the positive interval (now - start) / mods, so
-            # the rule can only fire on a daily tick.
+            # lifetime: a copy just modified is not due; index it for the ticks.
             if mods >= 2:
                 due = (mods * now - self.start) / (mods - 1)
-                self.stale[obj] = due
+                self.stale[obj] = (due, now, mods, size)
                 if due < self.next_due:
                     self.next_due = due
             return False
-        start = self.start
-        if now <= start:
+        elapsed = now - self.start
+        if elapsed <= 0:
             return False
-        elapsed = now - start
         p_i = requests / total if total else 0.0
         return score(p_i, elapsed / mods, total / elapsed) > self.threshold
 
     def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:
         """Stale copies in `resident` the lifetime rule fetches at `now`, in
         the engine's admission order."""
-        if not self.stale:
-            return []
         start = self.start
-        mod_counts = self.mod_counts
-        last_mod = self.last_mod
-        keep: dict[str, float] = {}
+        keep = {}
         picks = []
         next_due = math.inf
-        for obj, due in self.stale.items():
+        for obj, stale in self.stale.items():
             entry = resident.get(obj)
             if entry is None or entry[0]:
                 continue  # evicted, refetched or re-admitted fresh
-            keep[obj] = due
-            if _lifetime_due(now, start, mod_counts[obj], last_mod[obj]):
-                picks.append((entry[1], obj))
+            keep[obj] = stale
+            due, last_modified, mods, size = stale
+            if _lifetime_due(now, start, mods, last_modified):
+                picks.append((entry[1], obj, size))
             elif due < next_due:
                 next_due = due
         self.stale = keep
         self.next_due = next_due
-        picks.sort()
-        cur_size = self.cur_size
-        return [(obj, cur_size[obj]) for _, obj in picks]
+        picks.sort()  # admission numbers are unique
+        return [(obj, size) for _, obj, size in picks]
 

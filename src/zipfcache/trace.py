@@ -70,6 +70,8 @@ _INT64_MAX = np.iinfo(np.int64).max
 # The largest |timestamp| a trace holds, s.  Within it a day spans over a
 # hundred float steps, so the engine's daily clock always advances.
 _TIME_LIMIT = 1e18
+# The most requests, and the most modifications, a `SyntheticSpec` may expect.
+_MAX_EXPECTED_EVENTS = 2**31 - 1
 
 
 class TraceFormatError(ValueError):
@@ -220,6 +222,11 @@ class SyntheticSpec:
     modification redraws the size.  `p_c` is the probability that a
     request is cacheable.  Identical specs generate identical traces
     (NumPy PCG64 stream seeded with `seed`).
+
+    A spec that expects more than 2**31 - 1 requests (request_rate *
+    duration) or modifications ((mu_p b + mu_u (n_objects - b)) duration,
+    b = `resolved_boundary()`), far beyond any trace that fits in memory,
+    is refused with `DomainError`.
     """
 
     n_objects: int
@@ -259,6 +266,16 @@ class SyntheticSpec:
             raise DomainError(f"p_c must be in (0, 1], got {self.p_c!r}")
         if self.popular_boundary is not None and self.popular_boundary < 0:
             raise DomainError("popular_boundary must be >= 0")
+        requests = self.request_rate * self.duration
+        if requests > _MAX_EXPECTED_EVENTS:
+            raise DomainError(f"request_rate * duration expects {requests:g} requests; "
+                              f"a spec may expect at most {_MAX_EXPECTED_EVENTS}")
+        b = self.resolved_boundary()
+        # NaN only at duration 0 with an infinite sum, where none is drawn.
+        mods = (self.mu_p * b + self.mu_u * (self.n_objects - b)) * self.duration
+        if mods > _MAX_EXPECTED_EVENTS:
+            raise DomainError(f"mu_p and mu_u over duration expect {mods:g} modifications; "
+                              f"a spec may expect at most {_MAX_EXPECTED_EVENTS}")
 
     def resolved_boundary(self) -> int:
         """Popular/unpopular split rank; analytic two-request rank by default."""

@@ -117,6 +117,19 @@ def test_generate_non_finite_setting_exit_4(argv, field, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["--requests", "1e300"], "request_rate * duration"),
+    (["--requests", "1e300", "--even-arrivals"], "request_rate * duration"),
+    (["--requests", "100", "--unpopular-lifetime-days", "1e-15"], "mu_p and mu_u over duration"),
+])
+def test_generate_too_many_expected_events_exit_4(argv, setting, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["generate", "--objects", "50", *argv, "-o", str(out)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {setting} expect") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_parse_size_units():
     assert parse_size("100MB") == 1e8
     assert parse_size("1.5KB") == 1500.0

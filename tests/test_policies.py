@@ -82,11 +82,15 @@ def test_first_request_lands_in_accessory():
     assert p.accessory_bytes == 50 and p.kernel_bytes == 0
 
 
+def _lm(p, obj):
+    """Fetch time of a kernel document, from its slot in the index."""
+    return float(p._lm[p.kernel[obj].slot])
+
+
 def _metric(p, obj, now):
     """Staleness metric C = (now - lm) * w of a kernel document, from its
-    entry and its slot's weight."""
-    e = p.kernel[obj]
-    return float((now - e.last_modified) * p._w[e.slot])
+    slot's fetch time and weight."""
+    return float((now - _lm(p, obj)) * p._w[p.kernel[obj].slot])
 
 
 def test_second_request_promotes_with_fetch_time():
@@ -96,7 +100,7 @@ def test_second_request_promotes_with_fetch_time():
     assert "a" in p.kernel and "a" not in p.accessory
     entry = p.kernel["a"]
     assert entry.theta == 2
-    assert entry.last_modified == 0.0  # clock starts at the accessory fetch
+    assert _lm(p, "a") == 0.0  # clock starts at the accessory fetch
     assert _metric(p, "a", 20.0) == pytest.approx(10.0)
     p.on_hit("a", 30.0)
     assert p.kernel["a"].theta == 3
@@ -137,7 +141,7 @@ def test_refetch_resets_theta_and_clock():
     p.on_hit("a", 20.0)
     p.on_modification_fetched("a", 60, 40.0)
     entry = p.kernel["a"]
-    assert (entry.theta, entry.last_modified, entry.size) == (1, 40.0, 60)
+    assert (entry.theta, _lm(p, "a"), entry.size) == (1, 40.0, 60)
     assert p.kernel_bytes == 60
     assert _metric(p, "a", 50.0) == pytest.approx(10.0)
 
@@ -148,7 +152,7 @@ def test_modified_accessory_document_joins_kernel():
     p.on_modification_fetched("c", 12, 5.0)
     assert "c" not in p.accessory
     entry = p.kernel["c"]
-    assert (entry.theta, entry.last_modified, entry.admitted_at) == (1, 5.0, 0.0)
+    assert (entry.theta, _lm(p, "c"), entry.admitted_at) == (1, 5.0, 0.0)
     assert p.accessory_bytes == 0 and p.kernel_bytes == 12
 
 
@@ -247,7 +251,7 @@ def _window_count(p, obj, now):
     """Requests of `obj` on days from the one holding now - retention on."""
     rec = p.stats[obj]
     cutoff = (now - p.retention) // DAY
-    return sum(count for day, count in zip(rec[1::2], rec[2::2]) if day >= cutoff)
+    return sum(count for day, count in zip(rec[2::2], rec[3::2]) if day >= cutoff)
 
 
 def test_zbs_invariants_after_seeded_run():
@@ -281,10 +285,13 @@ def test_zbs_invariants_after_seeded_run():
             # a second in-window request would have promoted the document
             assert _window_count(p, obj, last_t) == 1
         for obj, rec in p.stats.items():
-            days = rec[1::2]
+            days = rec[2::2]
             assert days == sorted(set(days))
-            assert rec[0] == sum(rec[2::2])
-            assert days[-1] == p.last_seen[obj] // DAY
+            assert rec[0] == sum(rec[3::2])
+            assert rec[1] // DAY == days[-1]
+        # the expiry tick relies on the records running in last-day order
+        last_days = [rec[-2] for rec in p.stats.values()]
+        assert last_days == sorted(last_days)
 
 
 def test_zbs_deterministic_under_ties():
@@ -314,7 +321,7 @@ def test_held_record_expires_once_evicted():
     assert "held" in p.stats
     _drop(p, "held", 35 * DAY)
     p.on_expire_stats(36 * DAY)
-    assert "held" not in p.stats and "held" not in p.last_seen
+    assert "held" not in p.stats
     # back without its old record: a first request again
     p.on_miss_admit("held", 10, 37 * DAY)
     assert "held" in p.accessory
@@ -325,16 +332,9 @@ def test_record_of_one_day_stays_flat():
     p.on_miss_admit("a", 10, 100.0)
     for i in range(1, 10_000):
         p.on_hit("a", 100.0 + i)
-    assert p.stats["a"] == [10_000, 0, 10_000]
+    assert p.stats["a"] == [10_000, 100.0 + 9_999, 0, 10_000]
     p.on_hit("a", DAY)
-    assert p.stats["a"] == [10_001, 0, 10_000, 1, 1]
-
-
-class _NoIteration(dict):
-    def _fail(self, *args):
-        raise AssertionError("the statistics table was iterated")
-
-    __iter__ = keys = values = items = _fail
+    assert p.stats["a"] == [10_001, DAY, 0, 10_000, 1, 1]
 
 
 class _CountedWalk(dict):
@@ -360,16 +360,15 @@ class _CountedWalk(dict):
         return self._walk(super().items())
 
 
-def test_expiry_tick_does_not_iterate_statistics():
+def test_expiry_tick_walks_only_expiring_and_held_records():
     p = ZBSCache(1000, retention=MIN_RETENTION)
     p.on_miss_admit("d0", 10, 0.0)  # stays resident
     for i in range(1, 50):
         p.on_miss_admit(f"d{i}", 10, i * DAY)
         _drop(p, f"d{i}", i * DAY)
-    p.stats = _NoIteration(p.stats)
     # A tick may visit the expiring records, the held ones (resident, or
     # seen on the cutoff's day at or after the cutoff) and one more.
-    p.last_seen = walk = _CountedWalk(p.last_seen)
+    p.stats = walk = _CountedWalk(p.stats)
     p.on_expire_stats(10 * DAY)  # inside the first retention span
     assert walk.yielded == 0
     p.on_expire_stats(31 * DAY)  # only d0 is past its cutoff, and resident

@@ -275,6 +275,33 @@ def test_stale_copy_evicted_and_readmitted():
     assert _picks(log) == [(DAY, [("b", 100), ("a", 100)])]
 
 
+def test_stale_copy_modified_again_is_fetched_at_its_latest_modification():
+    # a is stale from 0.4 d (due 0.8 d); its third modification at 0.9 d,
+    # at a new size, moves it due to 1.35 d, so the day-2 tick fetches it
+    # at 300 bytes and the day-1 tick does not.
+    events = [
+        _req(0.0, "a"), _mod(0.2 * DAY, "a"), _mod(0.4 * DAY, "a"),
+        _mod(0.9 * DAY, "a", 300), _req(2.5 * DAY, "b"),
+    ]
+    _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(2 * DAY, [("a", 300)])]
+
+
+def test_copy_modified_while_absent_then_readmitted_uses_its_last_modification():
+    # a goes stale at 0.2 d, is evicted by c, modified while absent, comes
+    # back at 200 bytes and is modified again at 0.9 d with no tick in
+    # between: the day-2 tick fetches it at 150 bytes (4 modifications,
+    # due 1.2 d).  The entry of 0.2 d (due 0.4 d) would fetch 100 at day 1.
+    events = [
+        _req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a"),
+        _req(0.25 * DAY, "b"), _req(0.26 * DAY, "c"), _mod(0.3 * DAY, "a", 200),
+        _req(0.35 * DAY, "a", 200), _mod(0.9 * DAY, "a", 150), _req(2.5 * DAY, "d", 50),
+    ]
+    _, log = _assert_same(events, CacheConfig(policy_id="lru", capacity_bytes=250),
+                          "lifetime")
+    assert _picks(log) == [(2 * DAY, [("a", 150)])]
+
+
 @pytest.mark.parametrize("scheme", ["lifetime", "goodfetch"])
 def test_refetch_that_outgrows_the_cache_drops_the_copy(scheme):
     events = [

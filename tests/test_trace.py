@@ -174,6 +174,23 @@ def test_spec_refuses_non_finite_field(field, value):
         _small_spec(**{field: value})
 
 
+@pytest.mark.parametrize("kind, fields", [
+    ("requests", dict(request_rate=1.0)),
+    ("modifications", dict(request_rate=0.0, popular_boundary=1, mu_p=1.0)),
+    ("modifications", dict(request_rate=0.0, popular_boundary=0, mu_u=1.0)),
+])
+def test_spec_bounds_its_expected_events(kind, fields):
+    # one document at rate 1/s for `duration` seconds expects `duration` events
+    def spec(duration):
+        return SyntheticSpec(n_objects=1, alpha=0.5, duration=duration, **fields)
+
+    limit = 2**31 - 1  # the documented bound
+    assert trace._MAX_EXPECTED_EVENTS == limit
+    spec(float(limit))
+    with pytest.raises(DomainError, match=f"expects? 2.14748e\\+09 {kind}"):
+        spec(float(limit + 1))
+
+
 # Peak tracemalloc bytes per event of generate_trace(_MEMORY_SPEC) when a
 # trace was a list of TraceEvent objects (130,190 events, 79,973 of them
 # modifications); the columns peak at about 60.
