@@ -18,12 +18,21 @@ The native file format is CSV with a fixed header line:
     #zipfcache-trace-v1
     timestamp_s,kind,object_id,size_bytes,cacheable
 
-kind is R (request) or M (modification), cacheable is 0 or 1.
+kind is R (request) or M (modification), cacheable is 0 or 1.  Both
+producers of a `Trace` from scratch run in NumPy's C code:
+`generate_trace` merges the time-ordered requests with the sorted
+modifications by binary search, and `parse_trace_file` reads each chunk
+of lines with NumPy's C text reader and checks it in bulk.  A chunk the
+reader or a check refuses is parsed again line by line, which yields the
+same events or the error of its first bad line.  `parse_proxy_log` reads
+line by line throughout, as a real log holds lines to skip or filter
+everywhere.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain, starmap
 from typing import Iterable
@@ -66,6 +75,11 @@ _ROWS_PER_CHUNK = 1 << 13
 # Bytes of native-format text parsed at a time; bounds the transient
 # strings of a parse to a few MB whatever the file size.
 _PARSE_CHUNK_BYTES = 1 << 18
+# One native-format row as NumPy's C text reader reads it.  The kind and
+# id are exact strings: a fixed-width string type would drop trailing
+# NULs and read "R\x00" as "R".
+_ROW_DTYPE = np.dtype([("t", "f8"), ("kind", "O"), ("obj", "O"), ("size", "i8"),
+                       ("flag", "i1")])
 _INT64_MAX = np.iinfo(np.int64).max
 # The largest |timestamp| a trace holds, s.  Within it a day spans over a
 # hundred float steps, so the engine's daily clock always advances.
@@ -342,25 +356,45 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
             mod_times = rng.uniform(0.0, t_end, total)
             mod_sizes = _draw_sizes(rng, total, spec.mean_doc_size, spec.size_spread)
 
-    # Merge the two streams chronologically; requests sort before
-    # modifications on (vanishingly rare) equal timestamps.  Each temporary
-    # of one entry per event is dropped once used, which keeps the peak
-    # near three times the finished columns.
+    # Merge the two streams in (time, kind, rank) order: at an equal time a
+    # request precedes a modification, and events of one kind go by rank.
+    # The requests are in time order already, so only requests at an equal
+    # time need reordering.  Each temporary of one entry per event is
+    # dropped once used, which keeps the peak near three times the
+    # finished columns.
+    if n_req > 1 and (req_times[1:] == req_times[:-1]).any():
+        by_rank = np.lexsort((req_ranks, req_times))
+        req_ranks, cacheable = req_ranks[by_rank], cacheable[by_rank]
+        del by_rank
+    # A stable sort keeps the rank order of `mod_ranks`, repeat(arange(n)).
+    by_time = np.argsort(mod_times, kind="stable")
+    mod_times, mod_ranks, mod_sizes = mod_times[by_time], mod_ranks[by_time], mod_sizes[by_time]
+    del by_time
     n_mod = len(mod_times)
-    t = np.concatenate([req_times, mod_times])
-    kind = np.concatenate([np.zeros(n_req, np.int8), np.ones(n_mod, np.int8)])
-    rank = np.concatenate([req_ranks, mod_ranks])
-    del req_times, mod_times, req_ranks, mod_ranks
-    order = np.lexsort((rank, kind, t))
-    t, kind, rank = t[order], kind[order], rank[order]
-    cacheable = np.concatenate([cacheable, np.ones(n_mod, dtype=bool)])[order]
+    # A modification goes after every request at or before its time.
+    at = np.searchsorted(req_times, mod_times, side="right")
+    at += np.arange(n_mod)
+    kind = np.zeros(n_req + n_mod, np.int8)
+    kind[at] = 1
+    del at
+    is_mod = kind.view(bool)
+    is_req = ~is_mod
+    t = np.empty(len(kind))
+    t[is_req], t[is_mod] = req_times, mod_times
+    del req_times, mod_times
+    rank = np.empty(len(kind), np.int64)
+    rank[is_req], rank[is_mod] = req_ranks, mod_ranks
+    del req_ranks, mod_ranks
+    flags = np.ones(len(kind), bool)
+    flags[is_req] = cacheable
+    cacheable = flags
+    del is_req, flags
 
     # A modification carries its own size; a request carries the size of
     # its document's latest modification before it, or the initial size.
-    is_mod = kind.astype(bool)
     size = sizes[rank]
-    size[is_mod] = mod_sizes[order[is_mod] - n_req]
-    del order, sizes, mod_sizes
+    size[is_mod] = mod_sizes
+    del sizes, mod_sizes
     if n_mod:
         # Within each rank, in time order, every event takes the size of
         # the last modification at or before it, else the rank's first event.
@@ -370,9 +404,14 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
         anchor[:1] = True
         anchor[1:] |= grouped[1:] != grouped[:-1]
         del grouped
-        anchor = np.maximum.accumulate(np.where(anchor, np.arange(len(anchor)), 0))
-        size[by_rank] = size[by_rank[anchor]]
-        del by_rank, anchor
+        # In place, to hold one temporary fewer at the peak.
+        last = np.arange(len(anchor))
+        last *= anchor
+        del anchor
+        np.maximum.accumulate(last, out=last)
+        last = by_rank[last]
+        size[by_rank] = size[last]
+        del by_rank, last
 
     # Number the documents in order of first appearance.
     first = np.full(n, len(rank))
@@ -381,7 +420,9 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     code = np.empty(n, dtype=np.int32)
     code[appear] = np.arange(len(appear), dtype=np.int32)
     ids = [f"d{r}" for r in (appear + 1).tolist()]
-    return Trace(t, kind, code[rank], size, cacheable, ids)
+    obj = code[rank]
+    del rank
+    return Trace(t, kind, obj, size, cacheable, ids)
 
 
 @dataclass
@@ -506,9 +547,11 @@ def _time_error(path, lineno: int, ts: float, text: str) -> TraceFormatError:
     return TraceFormatError(f"{path}:{lineno}: timestamp must be finite, got {text!r}")
 
 
-def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
-    """Raise the error of the first bad line among `lines`, numbered from
-    `lineno`, exactly as a line-by-line parse meets it."""
+def _parse_lines(path, lines: list[str], lineno: int, last_t: float):
+    """Columns (t, is_mod, ids, size, cacheable) of `lines`, numbered from
+    `lineno`, parsed one line at a time; the first bad line raises its
+    error."""
+    t, is_mod, ids, size, cacheable = [], [], [], [], []
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -518,7 +561,7 @@ def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
             raise TraceFormatError(f"{path}:{lineno}: expected 5 fields")
         try:
             ts = float(parts[0])
-            size = int(parts[3])
+            nbytes = int(parts[3])
             flag = int(parts[4])
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from exc
@@ -527,7 +570,7 @@ def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
             raise TraceFormatError(
                 f"{path}:{lineno}: kind must be R or M, got {kind!r}"
             )
-        if size <= 0:
+        if nbytes <= 0:
             raise TraceFormatError(f"{path}:{lineno}: size must be > 0")
         if flag not in (0, 1):
             raise TraceFormatError(f"{path}:{lineno}: cacheable must be 0 or 1")
@@ -537,51 +580,54 @@ def _raise_first_error(path, lines: list[str], lineno: int, last_t: float):
             raise TraceFormatError(
                 f"{path}:{lineno}: timestamp {ts!r} out of order"
             )
-        if size > _INT64_MAX:
+        if nbytes > _INT64_MAX:
             raise TraceFormatError(f"{path}:{lineno}: size must be < 2**63")
         last_t = ts
-    raise RuntimeError(f"{path}: the lines up to {lineno} failed the bulk check, "
-                       "yet none of them fails on its own")
+        t.append(ts)
+        is_mod.append(kind == MODIFICATION)
+        ids.append(parts[2])
+        size.append(nbytes)
+        cacheable.append(flag == 1)
+    return (np.array(t, np.float64), np.array(is_mod, bool), ids,
+            np.array(size, np.int64), np.array(cacheable, bool))
 
 
-def _parse_rows(rows: list[str], table: _Intern, last_t: float):
-    """Columns (t, kind, obj, size, cacheable) of stripped, non-blank
-    native-format rows, or None if any row is malformed or out of order."""
-    n = len(rows)
-    # Every row's last field, and no other, ends in a newline, so the
-    # fields align in fives exactly when each row has five.
-    fields = ("\n,".join(rows) + "\n").split(",")
-    flags = fields[4::5]
-    if len(fields) != 5 * n or "".join(flags).count("\n") != n:
-        return None
-    kinds = fields[1::5]
-    if not {REQUEST, MODIFICATION}.issuperset(kinds):
-        return None
+def _read_rows(lines: list[str], last_t: float):
+    """Columns (t, is_mod, ids, size, cacheable) of `lines` from NumPy's C
+    text reader, or None if the reader or a check refuses any line."""
     try:
-        t = np.fromiter(map(float, fields[0::5]), np.float64, n)
-        size = np.fromiter(map(int, fields[3::5]), np.int64, n)
-        flag_of = {s: int(s) for s in set(flags)}  # a few distinct spellings
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            # Older NumPy reads an integer field it cannot parse, "1.5" or
+            # "300" for int8, through float with a DeprecationWarning.
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, delimiter=",", dtype=_ROW_DTYPE, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
+    t, kind, size, flag = rows["t"], rows["kind"], rows["size"], rows["flag"]
     # In order, the times lie between the first and the last; a NaN is
     # never in order.
     if not (
-        size.min() > 0 and all(v in (0, 1) for v in flag_of.values())
+        {REQUEST, MODIFICATION}.issuperset(kind.tolist())
+        and size.min() > 0 and ((flag == 0) | (flag == 1)).all()
         and t[0] >= last_t and t[-1] <= _TIME_LIMIT and (t[1:] >= t[:-1]).all()
     ):
         return None
-    kind = np.frombuffer("".join(kinds).encode("ascii"), np.uint8) == ord(MODIFICATION)
-    obj = np.fromiter(map(table.__getitem__, fields[2::5]), np.int32, n)
-    cacheable = np.fromiter(map(flag_of.__getitem__, flags), bool, n)
-    return t, kind, obj, size, cacheable
+    # Copies of the number fields, so that no view keeps `rows`, and with
+    # it a string per field, alive.
+    return t.copy(), kind == MODIFICATION, rows["obj"].tolist(), size.copy(), flag == 1
 
 
 def parse_trace_file(path) -> Trace:
     """Parse a native-format trace; errors carry the offending line number.
 
-    The file is read a bounded chunk of lines at a time and each chunk is
-    checked in bulk; a chunk that fails is rescanned line by line for the
-    first error.
+    The file is read a bounded chunk of lines at a time.  Each chunk goes
+    first to NumPy's C text reader, and its columns are checked in bulk.
+    The reader accepts a strict subset of what `float` and `int` accept
+    (no `1_0` digits, no whitespace-only line) and reads the kind and id
+    fields as exact strings, so a chunk it reads and the checks pass holds
+    the events a line-by-line parse gives.  Any other chunk is parsed line
+    by line, which gives the same events or raises the error of its first
+    bad line.  Files `write_trace_file` writes never leave the C reader.
     """
     table = _Intern()
     chunks = []
@@ -594,13 +640,16 @@ def parse_trace_file(path) -> Trace:
             )
         lineno = 2
         while lines := fh.readlines(_PARSE_CHUNK_BYTES):
-            rows = list(filter(None, map(str.strip, lines)))
-            if rows:
-                columns = _parse_rows(rows, table, last_t)
-                if columns is None:
-                    _raise_first_error(path, lines, lineno, last_t)
-                last_t = float(columns[0][-1])
-                chunks.append(columns)
+            columns = None
+            if any(line != "\n" for line in lines):  # else np.loadtxt warns
+                columns = _read_rows(lines, last_t)
+            if columns is None:
+                columns = _parse_lines(path, lines, lineno, last_t)
+            t, is_mod, ids, size, cacheable = columns
+            if len(t):
+                last_t = float(t[-1])
+                obj = np.fromiter(map(table.__getitem__, ids), np.int32, len(ids))
+                chunks.append((t, is_mod, obj, size, cacheable))
             lineno += len(lines)
     if not chunks:
         return Trace([], [], [], [], [], [])

@@ -210,6 +210,21 @@ def test_wolman_against_simpson_oracle():
     assert val == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [1e8, 1e10, 1e15, 1e300])
+def test_wolman_large_universe_against_simpson_oracle(n):
+    # On a linear axis quad misses the mass near x = 1 here: 1.0182, 0.7229,
+    # -8.7e-7 and 0.0.
+    alpha, lam, mu = 0.8, 5000.0, 1.0 / (30 * DAY)
+    val = analytic.wolman_hit_ratio(n, alpha, lam, mu)
+    assert 0.0 <= val <= 1.0
+
+    c = (n ** (1 - alpha) - 1) / (1 - alpha)
+    us = np.linspace(0.0, math.log(n), 200_001)
+    ys = np.exp((1 - alpha) * us) / c / (1.0 + mu * c * np.exp(alpha * us) / lam)
+    oracle = _simpson(ys, us[1] - us[0])
+    assert val == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
+
 @pytest.mark.parametrize("n, lam, mu", [
     (math.inf, 10.0, 1e-6), (1e6, math.inf, 1e-6), (1e6, 10.0, math.inf),
     (1e6, 10.0, math.nan),

@@ -9,6 +9,7 @@ line numbers) on random inputs, whichever parse chunk a line falls in.
 """
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -239,6 +240,62 @@ def test_generate_matches_reference(name, tmp_path):
     assert path.read_text() == ref_trace_text(ref)
 
 
+class _WholeSecondClock:
+    """A NumPy Generator whose uniform draws are floored to whole seconds,
+    so that generated events tie in time."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def uniform(self, low, high, size):
+        return np.floor(self._rng.uniform(low, high, size))
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_generate_merge_matches_lexsort_on_ties(monkeypatch, seed):
+    # About 60 requests and 50 modifications of 4 documents within 12 s.
+    spec = SyntheticSpec(n_objects=4, alpha=0.5, request_rate=5.0, duration=12.0,
+                         popular_boundary=2, mu_p=1.5, mu_u=0.5, p_c=0.5, seed=seed)
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _WholeSecondClock(default_rng(seed)))
+    ref = ref_generate_trace(spec)
+    assert list(trace.generate_trace(spec)) == ref
+    # Every kind of tie the merge orders occurs.
+    pairs = Counter()
+    for a, b in zip(ref, ref[1:]):
+        if a.timestamp == b.timestamp:
+            pairs[a.kind, b.kind, a.object_id == b.object_id] += 1
+    assert pairs[REQUEST, REQUEST, False]
+    assert pairs[REQUEST, MODIFICATION, True] + pairs[REQUEST, MODIFICATION, False]
+    assert pairs[MODIFICATION, MODIFICATION, True]
+    assert pairs[MODIFICATION, MODIFICATION, False]
+    assert {e.cacheable for e in ref if e.kind == REQUEST} == {False, True}
+
+
+def test_generate_peak_memory():
+    import tracemalloc
+
+    spec = SyntheticSpec(n_objects=2_000, alpha=0.72, request_rate=20_000 / (120 * 86_400),
+                         duration=120 * 86_400.0, popular_boundary=100,
+                         mu_p=1 / (2 * 86_400), mu_u=1 / (30 * 86_400), seed=23)
+    trace.generate_trace(spec)  # one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        events = trace.generate_trace(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 33_775
+    # The three-key lexsort merge that the sort-merge replaced peaked at
+    # 2,059,428 traced bytes here (NumPy 2.4).
+    assert peak <= 2_059_428
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_histogram_and_lifetime_match_reference_on_generated(name):
     spec = SPECS[name]
@@ -291,7 +348,8 @@ def _stamp(rnd, t):
 
 
 def _int_text(rnd, value):
-    return rnd.choice((str(value), str(value), f"+{value}", f"00{value}", f" {value} "))
+    return rnd.choice((str(value), str(value), f"+{value}", f"00{value}", f" {value} ",
+                       f"{value:_}"))
 
 
 def _valid_lines(rnd, n):
@@ -299,7 +357,7 @@ def _valid_lines(rnd, n):
     lines, times = [], []
     k = rnd.randint(-400, 400)
     ids = rnd.choice((["a", "b c", " lead"], [f"d{i}" for i in range(40)],
-                      ["http://x/1", "http://x/2?q=1"]))
+                      ["http://x/1", "http://x/2?q=1"], ["d8", "d8\x00", "\x00"]))
     for _ in range(n):
         k += rnd.choice((0, 1, 1, 7, 90))
         t = k / 4
@@ -345,6 +403,11 @@ CORRUPTIONS = {
     "bad-flag-int": lambda t, prev: f"{t!r},M,a,100,yes",
     "bad-kind": lambda t, prev: f"{t!r},Q,a,100,1",
     "lower-kind": lambda t, prev: f"{t!r},r,a,100,1",
+    # A fixed-width string read drops trailing NULs, and str.split keeps
+    # the whitespace around a kind: none of these is R or M.
+    "nul-kind": lambda t, prev: f"{t!r},R\x00,a,100,1",
+    "space-kind": lambda t, prev: f"{t!r}, M,a,100,1",
+    "kind-space": lambda t, prev: f"{t!r},R ,a,100,1",
     "size-zero": lambda t, prev: f"{t!r},R,a,0,1",
     "size-negative": lambda t, prev: f"{t!r},M,a,-3,1",
     "flag-two": lambda t, prev: f"{t!r},R,a,100,2",
@@ -381,6 +444,45 @@ def test_parse_error_matches_reference(tmp_path, monkeypatch, name, where, chunk
     want = _error(ref_parse_trace_file, path)
     assert f":{at + 2}:" in want
     assert _error(trace.parse_trace_file, path) == want
+
+
+def _no_line_by_line(path, lines, lineno, last_t):
+    raise AssertionError(f"lines from {lineno} on left NumPy's reader")
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_written_trace_never_leaves_the_c_reader(tmp_path, monkeypatch, name):
+    events = trace.generate_trace(SPECS[name])
+    path = tmp_path / "t.csv"
+    trace.write_trace_file(events, path)
+    monkeypatch.setattr(trace, "_parse_lines", _no_line_by_line)
+    assert trace.parse_trace_file(path) == events
+
+
+def test_bundled_sample_never_leaves_the_c_reader(monkeypatch):
+    from importlib import resources
+
+    monkeypatch.setattr(trace, "_parse_lines", _no_line_by_line)
+    with resources.as_file(
+        resources.files("zipfcache").joinpath("data/sample_trace.csv")
+    ) as sample:
+        assert len(trace.parse_trace_file(sample)) == 9_998
+
+
+def test_parse_refuses_an_integer_read_through_float(tmp_path, monkeypatch):
+    # Older NumPy reads "1.5" for an int64 field as 1, with a
+    # DeprecationWarning; such a chunk must be parsed line by line.
+    loadtxt = np.loadtxt
+
+    def old_loadtxt(lines, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return loadtxt([line.replace(",1.5,", ",1,") for line in lines], **kwargs)
+
+    path = tmp_path / "t.csv"
+    _write(path, ["0.0,R,a,100,1", "1.0,R,b,1.5,1"], None)
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    assert _error(trace.parse_trace_file, path) == _error(ref_parse_trace_file, path)
 
 
 def test_parse_error_line_numbers_at_default_chunk(tmp_path):
