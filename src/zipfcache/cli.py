@@ -277,11 +277,7 @@ def cmd_simulate(args) -> int:
     layers = [PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
               for _ in configs]
     events, meta = _load_events(args)
-    if args.sweep and args.policy == "lru" and not args.prefetch:
-        reports = simcore.simulate_lru_sweep(events, configs)
-    else:
-        reports = [simcore.simulate(events, config, layer)
-                   for config, layer in zip(configs, layers)]
+    reports = simcore.simulate_many(events, configs, layers)
     runs = []
     for size, report in zip(sizes, reports):
         flat = report.to_dict()

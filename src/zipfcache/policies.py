@@ -129,7 +129,7 @@ class LFUCache(_SingleArea):
         super().__init__(capacity)
         self.entries: dict[str, list] = {}  # obj -> [size, freq]
         self.buckets: dict[int, OrderedDict[str, None]] = {}
-        self.min_freq = 0
+        self.min_freq = 0  # at most the least frequency held; victims advance it
 
     def _bump(self, obj: str) -> None:
         entry = self.entries[obj]
@@ -138,8 +138,6 @@ class LFUCache(_SingleArea):
         del bucket[obj]
         if not bucket:
             del self.buckets[freq]
-            if self.min_freq == freq:
-                self.min_freq = freq + 1
         entry[1] = freq + 1
         self.buckets.setdefault(freq + 1, OrderedDict())[obj] = None
 

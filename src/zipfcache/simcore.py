@@ -16,16 +16,16 @@ byte accounting of resident copies live in policy objects (see
 * Capacity is accounted in bytes (set `object_count_mode` to count every
   document as one unit instead).
 
-Both entry points take a `Trace` and a `CacheConfig`, each valid once
+Both entry points take a `Trace` and `CacheConfig`s, each valid once
 built, and check neither again.  `simulate` replays the events one at a
 time and counts only what the policy decides (hits, evictions,
 refetches); the request totals come from the trace's columns.
-`simulate_lru_sweep` gives the reports of many LRU capacities from one
-pass of stack distances over the columns (Mattson et al. 1970): a
-request hits at capacity C exactly when its stack distance is at most C.
-That pass is exact only when every cacheable request is admitted and
-each document is requested at one size (in byte mode); a capacity where
-it would not be is replayed by `simulate` instead.
+`simulate_many` gives the reports of many runs and alone decides how
+each is computed: an LRU run without a prefetch layer reads one pass of
+stack distances (Mattson et al. 1970), where a request hits at capacity
+C exactly when its stack distance is at most C.  The pass is exact only
+when every cacheable request is admitted and each document is requested
+at one size (in byte mode); every other run is replayed by `simulate`.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .analytic import DAY, DomainError
-from .trace import Trace
+from .trace import _ROWS_PER_CHUNK, Trace
 from . import policies
 
 __all__ = [
@@ -47,11 +47,9 @@ __all__ = [
     "CacheConfig",
     "SimReport",
     "simulate",
-    "simulate_lru_sweep",
+    "simulate_many",
 ]
 
-# Events handed to the replay loop per chunk of column values.
-_ROWS_PER_CHUNK = 1 << 13
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -397,30 +395,33 @@ class _LRUCurve:
     """
 
     def __init__(self, trace: Trace, count_mode: bool):
-        self.totals = _Totals.of(trace)
         self.count_mode = count_mode
-        requests = np.flatnonzero((trace.kind == 0) & trace.cacheable)
-        m = len(requests)
+        counted = (trace.kind == 0) & trace.cacheable
+        obj = trace.obj[counted]
+        size = trace.size[counted]
+        m = len(obj)
+        self.max_size = int(size.max()) if m else 0
+        # Each document is requested at one size exactly when its slot
+        # reads back every size written to it, whichever write wins.
+        slot = np.zeros(len(trace.ids), size.dtype)
+        slot[obj] = size
+        self.exact = ((count_mode or np.array_equal(slot[obj], size))
+                      and _exact_sum(size) <= _INT64_MAX)
+        del slot
+        if not self.exact:
+            return
+        self.totals = _Totals.of(trace)
         # Each request paired with the previous request of its document,
         # both as positions among the cacheable requests.
-        obj = trace.obj[requests]
         order = np.argsort(obj, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
         same = obj[order[1:]] == obj[order[:-1]]
         del obj
         later, earlier = order[1:][same], order[:-1][same]
         mods_before = _same_doc_before(trace.obj, np.flatnonzero(trace.kind == 1),
-                                       requests)
+                                       np.flatnonzero(counted))
+        del counted
         stale = mods_before[later] > mods_before[earlier]
         del mods_before
-        size = trace.size[requests]
-        del requests
-        self.max_size = int(size.max()) if m else 0
-        self.exact = (
-            (count_mode or np.array_equal(size[later], size[earlier]))
-            and _exact_sum(size) <= _INT64_MAX
-        )
-        if not self.exact:
-            return
         acct = np.ones(m, np.int64) if count_mode else size
         # The final recency stack, most recent first: each document at its
         # last request, and the size sum of its prefixes.
@@ -471,23 +472,27 @@ class _LRUCurve:
         )
 
 
-def simulate_lru_sweep(trace: Trace, configs: Iterable[CacheConfig]) -> list[SimReport]:
-    """`simulate(trace, config)` for each LRU config, in order.
+def simulate_many(trace: Trace, configs: Sequence[CacheConfig],
+                  prefetch_layers: Sequence | None = None) -> list[SimReport]:
+    """`simulate(trace, config, layer)` for each config and its new layer
+    or None (None for every run by default), in order.
 
-    One pass of stack distances gives every capacity at once where it is
-    exact (see `_LRUCurve`): in count mode at a capacity of at least 1,
-    in byte mode at a capacity of at least every cacheable size, with
-    each document requested at one size.  Any other config is replayed
-    by `simulate`.
+    The LRU runs without a layer share one pass per mode (see `_LRUCurve`),
+    read where it is exact: in count mode at a capacity of at least 1, in
+    byte mode at a capacity of at least every cacheable size, with each
+    document requested at one size.  Every other run is replayed.
     """
+    layers = [None] * len(configs) if prefetch_layers is None else prefetch_layers
+    if len(layers) != len(configs):
+        raise ValueError(f"{len(layers)} prefetch layers for {len(configs)} configs")
     curves: dict[bool, _LRUCurve] = {}
     reports = []
-    for config in configs:
-        if config.policy_id != "lru":
-            raise DomainError(f"a sweep replays policy 'lru', got {config.policy_id!r}")
-        mode = config.object_count_mode
-        if mode not in curves:
-            curves[mode] = _LRUCurve(trace, mode)
-        report = curves[mode].report(config.capacity_bytes)
-        reports.append(report if report is not None else simulate(trace, config))
+    for config, layer in zip(configs, layers):
+        report = None
+        if config.policy_id == "lru" and layer is None:
+            mode = config.object_count_mode
+            if mode not in curves:
+                curves[mode] = _LRUCurve(trace, mode)
+            report = curves[mode].report(config.capacity_bytes)
+        reports.append(report if report is not None else simulate(trace, config, layer))
     return reports

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, starmap
 from typing import Iterable
 
@@ -430,10 +430,10 @@ class PopularityHistogram:
     """Request counts per document, sorted descending."""
 
     counts: np.ndarray
-    total_requests: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.total_requests = int(self.counts.sum()) if self.counts.size else 0
+    @property
+    def total_requests(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def unique_docs(self) -> int:

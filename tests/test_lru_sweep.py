@@ -1,9 +1,9 @@
 """The one-pass LRU curve against one replay per capacity.
 
-`simulate_lru_sweep` reads every capacity off one pass of stack
-distances, where `simulate` replays the trace once per capacity.  Their
-reports must agree field for field: from the pass wherever it is exact,
-and from `simulate` itself at every capacity where it is not.
+`simulate_many` reads every LRU capacity without a prefetch layer off
+one pass of stack distances, where `simulate` replays the trace once per
+run.  Their reports must agree field for field: from the pass wherever
+it is exact, and from `simulate` itself for every other run.
 """
 
 import math
@@ -15,28 +15,33 @@ from hypothesis import strategies as st
 
 from zipfcache import simcore
 from zipfcache.analytic import DAY
-from zipfcache.simcore import CacheConfig, simulate, simulate_lru_sweep
+from zipfcache.policies import POLICY_IDS
+from zipfcache.prefetch import PrefetchLayer
+from zipfcache.simcore import CacheConfig, simulate, simulate_many
 from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
 
 @st.composite
-def traces(draw, fixed_sizes=True):
+def traces(draw, sizes="fixed"):
     """Time-ordered events over a few documents with ties, short gaps and
     gaps of days, uncacheable requests and modifications, drawn from a
-    seeded `Random`.  With `fixed_sizes` every event of a document
-    carries one size; otherwise each event draws its own."""
+    seeded `Random`.  With `sizes` "fixed" every event of a document
+    carries one size, with "modifications" a modification redraws it,
+    and with "events" each event draws its own."""
     rnd = draw(st.randoms(use_true_random=True))
     n_docs = rnd.choice((1, 3, 10, 40))
     mod_share = rnd.choice((0.0, 0.2, 0.5))
-    sizes = {}
+    doc_size = {}
     events, t = [], rnd.choice((0.0, -3e5, 1e9))
     for _ in range(rnd.randint(0, 150)):
         t += rnd.choice((0.0, rnd.uniform(0.0, 600.0), rnd.uniform(0.0, 3 * DAY)))
         doc = f"d{rnd.randrange(n_docs)}"
         size = rnd.choice((1, 20, 50, 90, 150, 400, 700))
-        if fixed_sizes:
-            size = sizes.setdefault(doc, size)
         kind = MODIFICATION if rnd.random() < mod_share else REQUEST
+        if sizes == "modifications" and kind == MODIFICATION:
+            doc_size[doc] = size
+        elif sizes != "events":
+            size = doc_size.setdefault(doc, size)
         events.append(TraceEvent(t, kind, doc, size, rnd.random() < 0.85))
     return Trace.from_events(events)
 
@@ -70,7 +75,7 @@ def replays(monkeypatch):
 
 
 def _assert_matches_replays(trace, configs):
-    reports = simulate_lru_sweep(trace, configs)
+    reports = simulate_many(trace, configs)
     assert [r.to_dict() for r in reports] == [
         simulate(trace, config).to_dict() for config in configs]
     return reports
@@ -87,7 +92,7 @@ def test_byte_mode_with_fixed_sizes_is_one_pass(replays):
 
 
 def test_count_mode_with_modifications_is_one_pass(replays):
-    @given(events=traces(fixed_sizes=False),
+    @given(events=traces(sizes="events"),
            caps=st.lists(st.sampled_from([1, 2, 3, 5, 2.5, 12, 40, math.inf]),
                          min_size=1, max_size=6))
     def check(events, caps):
@@ -145,7 +150,7 @@ def test_negative_size_is_refused(replays):
     # a trace holds no size below 1, so no size can shrink a stack prefix
     events = [_req(0, "a", -50), _req(1, "b", 100), _req(2, "a", -50), _req(3, "b", 100)]
     with pytest.raises(ValueError, match="size must be >= 1, got -50"):
-        simulate_lru_sweep(Trace.from_events(events), _configs([100, 1000]))
+        simulate_many(Trace.from_events(events), _configs([100, 1000]))
     assert replays == []
 
 
@@ -163,7 +168,7 @@ def test_bad_timestamps_raise_what_simulate_raises(second, replays):
     with pytest.raises(ValueError) as expected:
         simulate(Trace.from_events(events), CacheConfig(policy_id="lru"))
     with pytest.raises(ValueError) as got:
-        simulate_lru_sweep(Trace.from_events(events), _configs([1000, 2000]))
+        simulate_many(Trace.from_events(events), _configs([1000, 2000]))
     assert str(got.value) == str(expected.value)
     assert replays == []
 
@@ -177,9 +182,67 @@ def test_far_timestamps_take_one_pass(replays):
 
 def test_configs_are_checked_in_order(replays):
     with pytest.raises(ValueError, match="capacity must be > 0"):
-        simulate_lru_sweep(_trace(_req(0, "a")), _configs([100, 0]))
-    with pytest.raises(ValueError, match="policy 'lru'"):
-        simulate_lru_sweep(_trace(_req(0, "a")), [CacheConfig(policy_id="fifo")])
+        simulate_many(_trace(_req(0, "a")), _configs([100, 0]))
+
+
+@pytest.mark.parametrize("layers", [[], [None], [None, None, None]])
+def test_one_layer_per_config(layers, replays):
+    with pytest.raises(ValueError, match=f"{len(layers)} prefetch layers for 2 configs"):
+        simulate_many(_trace(_req(0, "a")), _configs([100, 200]), layers)
+    assert replays == []
+
+
+# The `PrefetchLayer` arguments of a run, None for a run without one.
+LAYERS = (None, ("goodfetch", 0.3), ("lifetime",))
+
+
+def test_many_runs_equal_one_simulate_each():
+    @given(events=st.sampled_from(["fixed", "modifications", "events"]).flatmap(
+               lambda sizes: traces(sizes=sizes)),
+           rnd=st.randoms(use_true_random=True))
+    def check(events, rnd):
+        largest = int(events.size.max()) if len(events) else 1
+        runs = []
+        for _ in range(rnd.randint(1, 6)):
+            policy = rnd.choice(POLICY_IDS)
+            count_mode = policy != "zbs-byte" and rnd.random() < 0.5
+            # below and above the largest size, which is 1 in count mode
+            unit = 1 if count_mode else largest
+            capacity = rnd.choice((unit / 2, unit, 3 * unit + 7, 1e12))
+            config = CacheConfig(capacity, policy, object_count_mode=count_mode)
+            runs.append((config, rnd.choice(LAYERS)))
+        configs = [config for config, _ in runs]
+        # a fresh layer for every run on each side
+        got = simulate_many(events, configs,
+                            [layer and PrefetchLayer(*layer) for _, layer in runs])
+        assert [r.to_dict() for r in got] == [
+            simulate(events, config, layer and PrefetchLayer(*layer)).to_dict()
+            for config, layer in runs]
+
+    check()
+
+
+def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
+    # a modification redraws a size, so the pass is not exact in byte mode;
+    # it says so before pairing any requests or summing any distances
+    calls = []
+    for name in ("_same_doc_before", "_dominance_sums"):
+        def counting(*args, _name=name, _original=getattr(simcore, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(simcore, name, counting)
+
+    @given(events=traces(sizes="modifications"), rnd=st.randoms(use_true_random=True))
+    def check(events, rnd):
+        end = float(events.t[-1]) if len(events) else 0.0
+        resized = _trace(*events, _req(end, "x", 20), _mod(end, "x", 90), _req(end, "x", 90))
+        calls.clear()
+        _assert_matches_replays(resized, _configs(_byte_capacities(rnd, resized)))
+        assert not simcore._LRUCurve(resized, False).exact
+        assert calls == []
+
+    check()
 
 
 def test_empty_trace():

@@ -3,7 +3,8 @@
 A fixed corpus of seeded traces is replayed under every policy, in byte
 and count mode, with no prefetch layer and with each scheme; an LRU sweep
 runs on each trace, each trace is written in the native format, and the
-CLI runs `simulate`, `analyze` and `predict` on the bundled sample.  Each
+CLI runs `simulate`, `analyze` and `predict` on the bundled sample, and
+single-capacity LRU `simulate` on a static trace.  Each
 result is reduced to canonical JSON (or the exact text written) and its
 SHA-256 is compared with the digest stored in `data/report_pins.json`.
 
@@ -27,7 +28,7 @@ from zipfcache.analytic import DAY
 from zipfcache.cli import main
 from zipfcache.policies import POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import CacheConfig, simulate, simulate_lru_sweep
+from zipfcache.simcore import CacheConfig, simulate, simulate_many
 from zipfcache.trace import SyntheticSpec, Trace, generate_trace, write_trace_file
 
 PINS = Path(__file__).resolve().parent / "data" / "report_pins.json"
@@ -68,6 +69,14 @@ def _traces() -> dict[str, Trace]:
     return traces
 
 
+def _static_trace() -> Trace:
+    """About 2,000 requests over 300 documents, none modified, so each
+    document keeps one size; the largest is 22,065 bytes."""
+    return generate_trace(SyntheticSpec(
+        n_objects=300, alpha=0.75, request_rate=2000 / (20 * DAY), duration=20 * DAY,
+        mean_doc_size=2000.0, p_c=0.9, seed=6))
+
+
 def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, allow_nan=False)
 
@@ -103,10 +112,20 @@ def _cases():
                 sweep = [CacheConfig(c, "lru", object_count_mode=count_mode)
                          for c in (*capacities, 3.0, float("inf"))]
                 yield (f"{name}/lru-sweep/{mode}",
-                       _canonical([r.to_dict() for r in simulate_lru_sweep(trace, sweep)]))
+                       _canonical([r.to_dict() for r in simulate_many(trace, sweep)]))
             zbs = CacheConfig(0.2 * total_bytes, "zbs-byte", accessory_fraction=0.05,
                               stats_retention_seconds=30 * DAY)
             yield f"{name}/zbs-byte/retention30/acc0.05", _canonical(simulate(trace, zbs).to_dict())
+        # The bundled sample redraws sizes at modifications, so the one-pass
+        # LRU curve serves byte mode only on a trace without them.
+        write_trace_file(_static_trace(), Path(tmp) / "static.csv")
+        static_runs = [["simulate", "--policy", "lru", "--capacity", capacity, "-t", "static.csv"]
+                       for capacity in ("10KB", "50KB", "200KB")]
+        static_runs.append([*static_runs[1], "--format", "csv"])
+        with contextlib.chdir(tmp):  # the report echoes the trace path
+            texts = [_cli(argv) for argv in static_runs]
+        for argv, text in zip(static_runs, texts):
+            yield "cli/" + " ".join(argv), text
     cli_runs = [
         ["analyze"], ["analyze", "--format", "csv"], ["analyze", "--hit-ratio", "0.4"],
         ["predict", "--alpha", "0.8", "--tch-days", "10", "--bandwidth", "1MB",

@@ -9,7 +9,7 @@ import pytest
 
 from zipfcache import analytic, trace
 from zipfcache.analytic import DAY, DomainError, ZipfLaw, special_points
-from zipfcache.simcore import CacheConfig, simulate, simulate_lru_sweep
+from zipfcache.simcore import CacheConfig, simulate, simulate_many
 from zipfcache.trace import (
     MODIFICATION,
     REQUEST,
@@ -283,7 +283,8 @@ ENTRY_POINTS = {
     "from_events": lambda t, size, path: Trace.from_events(_two_events(t, size)),
     "simulate": lambda t, size, path: simulate(Trace.from_events(_two_events(t, size)),
                                                CacheConfig(policy_id="lru")),
-    "simulate_lru_sweep": lambda t, size, path: simulate_lru_sweep(
+    # an LRU sweep, which reads the one-pass curve
+    "simulate_lru_sweep": lambda t, size, path: simulate_many(
         Trace.from_events(_two_events(t, size)), [CacheConfig(1000, "lru")]),
     "write_trace_file": lambda t, size, path: write_trace_file(
         Trace.from_events(_two_events(t, size)), path),
