@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import analytic, simcore, trace
 from .analytic import DAY, DomainError
-from .policies import POLICY_IDS
+from .policies import MAX_RETENTION, POLICY_IDS
 from .prefetch import SCHEME_IDS, PrefetchLayer
 
 __all__ = ["main"]
@@ -251,9 +251,9 @@ def _run_config(args, capacity: float) -> simcore.CacheConfig:
         capacity_bytes=capacity,
         policy_id=args.policy,
         accessory_fraction=args.accessory_fraction,
-        stats_retention_seconds=args.retention_days * DAY
-        if args.retention_days is not None
-        else None,
+        stats_retention_seconds=MAX_RETENTION
+        if args.retention_days is None
+        else args.retention_days * DAY,
         object_count_mode=args.count_mode,
     )
 

@@ -463,10 +463,9 @@ def make_policy(config) -> object:
     if pid == "fifo":
         return FIFOCache(capacity)
     # "zbs" or "zbs-byte": a `CacheConfig` names no other policy.
-    retention = config.stats_retention_seconds
     return ZBSCache(
         capacity,
         accessory_fraction=config.accessory_fraction,
-        retention=MAX_RETENTION if retention is None else retention,
+        retention=config.stats_retention_seconds,
         byte_metric=pid == "zbs-byte",
     )

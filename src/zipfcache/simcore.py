@@ -17,15 +17,16 @@ byte accounting of resident copies live in policy objects (see
   document as one unit instead).
 
 Both entry points take a `Trace` and `CacheConfig`s, each valid once
-built, and check neither again.  `simulate` replays the events one at a
-time and counts only what the policy decides (hits, evictions,
-refetches); the request totals come from the trace's columns.
-`simulate_many` gives the reports of many runs and alone decides how
-each is computed: an LRU run without a prefetch layer reads one pass of
-stack distances (Mattson et al. 1970), where a request hits at capacity
-C exactly when its stack distance is at most C.  The pass is exact only
-when every cacheable request is admitted and each document is requested
-at one size (in byte mode); every other run is replayed by `simulate`.
+built, and check neither again.  Each run writes an outcome column, one
+code per event (see `_codes`), which its report reduces against the
+trace's columns.  `simulate` writes it by replaying the events one at a
+time.  `simulate_many` gives the reports of many runs and alone decides
+how each is computed: an LRU run without a prefetch layer reads its
+column off one pass of stack distances (Mattson et al. 1970), where a
+request hits at capacity C exactly when its stack distance is at most
+C.  The pass is exact only when every cacheable request is admitted and
+each document is requested at one size (in byte mode); every other run
+is replayed by `simulate`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ class CacheConfig:
     capacity_bytes: float = math.inf
     policy_id: str = "lru"
     accessory_fraction: float = 0.10
-    stats_retention_seconds: float | None = None
+    stats_retention_seconds: float = policies.MAX_RETENTION
     object_count_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -75,12 +76,9 @@ class CacheConfig:
             raise DomainError(
                 f"accessory_fraction must be in (0, 0.10], got {self.accessory_fraction!r}"
             )
-        if self.stats_retention_seconds is not None:
-            lo, hi = policies.MIN_RETENTION, policies.MAX_RETENTION
-            if not (lo <= self.stats_retention_seconds <= hi):
-                raise DomainError(
-                    f"stats retention must be within [{lo:g}, {hi:g}] seconds"
-                )
+        lo, hi = policies.MIN_RETENTION, policies.MAX_RETENTION
+        if not (lo <= self.stats_retention_seconds <= hi):
+            raise DomainError(f"stats retention must be within [{lo:g}, {hi:g}] seconds")
         if self.policy_id not in policies.POLICY_IDS:
             raise DomainError(
                 f"unknown policy {self.policy_id!r}; valid ids: "
@@ -126,50 +124,48 @@ def _exact_sum(values: np.ndarray) -> int:
     return sum(values.tolist())
 
 
-class _Totals(NamedTuple):
-    """The counters of a trace that no policy decides."""
+# What became of each event of a run: one byte each in its outcome column.
+MISS, MODIFIED, NOT_CACHEABLE, HIT, STALE, REFUSED = range(6)
 
-    requests: int
-    requested_bytes: int
-    cacheable_requests: int
-    unique_docs: int
-    two_plus_docs: int
 
-    @classmethod
-    def of(cls, trace: Trace) -> "_Totals":
-        request = trace.kind == 0
-        per_doc = np.bincount(trace.obj[request & trace.cacheable])
-        return cls(
-            requests=int(np.count_nonzero(request)),
-            requested_bytes=_exact_sum(trace.size[request]),
-            cacheable_requests=int(per_doc.sum()),
-            unique_docs=int(np.count_nonzero(per_doc)),
-            two_plus_docs=int(np.count_nonzero(per_doc >= 2)),
-        )
+def _codes(kind: np.ndarray, cacheable: np.ndarray) -> np.ndarray:
+    """The outcome column as far as the trace decides it: MISS (admitted)
+    at each cacheable request, which a policy may turn into HIT, STALE (a
+    stale copy refetched in place) or REFUSED (not admitted)."""
+    code = kind.astype(np.uint8)
+    code[(kind == 0) & ~cacheable] = NOT_CACHEABLE
+    return code
 
-    def report(self, hits: int, hit_bytes: int, evictions: int, stale_refetches: int,
-               prefetch_fetches: int, prefetch_bytes: int, kernel_bytes: int,
-               accessory_bytes: int) -> SimReport:
-        # Every request is a hit or fetched on demand: a miss, a stale
-        # refetch, or not cacheable.
-        return SimReport(
-            requests=self.requests,
-            cacheable_requests=self.cacheable_requests,
-            hits=hits,
-            hit_ratio=hits / self.requests if self.requests else 0.0,
-            byte_hit_ratio=(
-                hit_bytes / self.requested_bytes if self.requested_bytes else 0.0
-            ),
-            unique_docs=self.unique_docs,
-            two_plus_docs=self.two_plus_docs,
-            evictions=evictions,
-            stale_refetches=stale_refetches,
-            prefetch_fetches=prefetch_fetches,
-            demand_bytes=self.requested_bytes - hit_bytes,
-            prefetch_bytes=prefetch_bytes,
-            kernel_occupancy_bytes=int(kernel_bytes),
-            accessory_occupancy_bytes=int(accessory_bytes),
-        )
+
+def _report(trace: Trace, outcome: np.ndarray, evictions: int, prefetch_fetches: int,
+            prefetch_bytes: int, kernel_bytes: int, accessory_bytes: int) -> SimReport:
+    """The report of a run: what the policy decided comes from its outcome
+    column (see `_codes`), the request totals from the trace's columns."""
+    request = trace.kind == 0
+    requests = int(np.count_nonzero(request))
+    requested_bytes = _exact_sum(trace.size[request])
+    per_doc = np.bincount(trace.obj[request & trace.cacheable])
+    hit = outcome == HIT
+    hits = int(np.count_nonzero(hit))
+    hit_bytes = _exact_sum(trace.size[hit])
+    # Every request is a hit or fetched on demand: a miss, a stale
+    # refetch, or not cacheable.
+    return SimReport(
+        requests=requests,
+        cacheable_requests=int(per_doc.sum()),
+        hits=hits,
+        hit_ratio=hits / requests if requests else 0.0,
+        byte_hit_ratio=hit_bytes / requested_bytes if requested_bytes else 0.0,
+        unique_docs=int(np.count_nonzero(per_doc)),
+        two_plus_docs=int(np.count_nonzero(per_doc >= 2)),
+        evictions=evictions,
+        stale_refetches=int(np.count_nonzero(outcome == STALE)),
+        prefetch_fetches=prefetch_fetches,
+        demand_bytes=requested_bytes - hit_bytes,
+        prefetch_bytes=prefetch_bytes,
+        kernel_occupancy_bytes=int(kernel_bytes),
+        accessory_occupancy_bytes=int(accessory_bytes),
+    )
 
 
 def _same_doc_before(doc: np.ndarray, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -190,16 +186,15 @@ def _same_doc_before(doc: np.ndarray, points: np.ndarray, queries: np.ndarray) -
 
 
 def _rows(trace: Trace):
-    """(timestamp, code, object id, size) of the events, as plain values a
-    chunk at a time.  The code is 0 for a cacheable request, 1 for a
-    modification and 2 for a request that is not cacheable."""
+    """(index, timestamp, code, object id, size) of the events, as plain
+    values a chunk at a time; the code is MISS, MODIFIED or
+    NOT_CACHEABLE (see `_codes`)."""
     ids = np.array(trace.ids, dtype=object)
 
     def chunk(lo: int):
         part = slice(lo, lo + _ROWS_PER_CHUNK)
-        kind = trace.kind[part]
-        code = kind + 2 * ((kind == 0) & ~trace.cacheable[part])
-        return zip(trace.t[part].tolist(), code.tolist(),
+        code = _codes(trace.kind[part], trace.cacheable[part])
+        return zip(range(lo, lo + len(code)), trace.t[part].tolist(), code.tolist(),
                    ids[trace.obj[part]].tolist(), trace.size[part].tolist())
 
     return chain.from_iterable(map(chunk, range(0, len(trace), _ROWS_PER_CHUNK)))
@@ -211,11 +206,10 @@ class _Engine:
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
         self.layer = prefetch_layer
-        # object_id -> [fresh, admitted]; `admitted` numbers the admissions,
-        # so it is unique and increasing in the dict's order.
+        # object_id -> [fresh, admitted]; `admitted` is the index of the
+        # admitting event, so it is unique and increasing in the dict's order.
         self.resident: dict[str, list] = {}
         self.evictions = 0
-        self.stale_refetches = 0
         self.prefetch_fetches = 0
         self.prefetch_bytes = 0
 
@@ -228,7 +222,7 @@ class _Engine:
         if policy.over_limit or policy.kernel_bytes + policy.accessory_bytes > self.capacity:
             raise SimulationError("policy failed to restore capacity limits")
 
-    def _refetch(self, obj: str, size: int, now: float, prefetch: bool) -> None:
+    def _refetch(self, obj: str, size: int, now: float) -> None:
         """Re-fetch a stale resident copy in place at its current size; a
         copy that no longer fits the cache at all is dropped."""
         if self.policy.on_modification_fetched(obj, 1 if self.count_mode else size, now):
@@ -236,13 +230,13 @@ class _Engine:
         else:
             del self.resident[obj]
             self.evictions += 1
-        if prefetch:
-            self.prefetch_fetches += 1
-            self.prefetch_bytes += size
-        else:
-            self.stale_refetches += 1
         if self.policy.over_limit:
             self._drain(now)
+
+    def _prefetch(self, obj: str, size: int, now: float) -> None:
+        self.prefetch_fetches += 1
+        self.prefetch_bytes += size
+        self._refetch(obj, size, now)
 
     def run(self, trace: Trace) -> SimReport:
         policy = self.policy
@@ -263,8 +257,9 @@ class _Engine:
             mods = np.flatnonzero(trace.kind == 1)
             seen = zip(_same_doc_before(trace.obj, counted, mods).tolist(),
                        np.searchsorted(counted, mods).tolist())
-        hits = hit_bytes = admitted = 0
-        for now, code, obj, size in _rows(trace):
+        # The trace decides every outcome but those of cacheable requests.
+        self.outcome = outcome = bytearray(_codes(trace.kind, trace.cacheable))
+        for i, now, code, obj, size in _rows(trace):
             while now >= next_tick:
                 # No event changes residency until `now`, no prefetch does
                 # before the layer's next copy can come due, and expiry is
@@ -283,29 +278,30 @@ class _Engine:
                 if layer is not None:
                     for due, due_size in layer.tick_refetches(next_tick, resident):
                         if due in resident:
-                            self._refetch(due, due_size, now=next_tick, prefetch=True)
+                            self._prefetch(due, due_size, next_tick)
                 day += 1.0
                 next_tick = t0 + day * DAY
 
-            if code == 0:  # a cacheable request
+            if code == MISS:  # a cacheable request
                 entry = resident.get(obj)
                 if entry is not None:
                     if entry[0]:
-                        hits += 1
-                        hit_bytes += size
+                        outcome[i] = HIT
                         on_hit(obj, now)
                         if policy.over_limit:
                             self._drain(now)
                     else:
-                        self._refetch(obj, size, now, prefetch=False)
+                        outcome[i] = STALE
+                        self._refetch(obj, size, now)
                 else:
                     acct = 1 if count_mode else size
                     if on_miss_admit(obj, acct, now):
-                        admitted += 1
-                        resident[obj] = [True, admitted]
+                        resident[obj] = [True, i]
                         if policy.over_limit:
                             self._drain(now)
-            elif code == 1:  # a modification
+                    else:
+                        outcome[i] = REFUSED
+            elif code == MODIFIED:
                 entry = resident.get(obj)
                 if entry is not None:
                     entry[0] = False
@@ -313,12 +309,11 @@ class _Engine:
                     doc_requests, total = next(seen)
                     if layer.on_modification(obj, size, now, entry is not None,
                                              doc_requests, total):
-                        self._refetch(obj, size, now, prefetch=True)
-        return _Totals.of(trace).report(
-            hits=hits, hit_bytes=hit_bytes, evictions=self.evictions,
-            stale_refetches=self.stale_refetches, prefetch_fetches=self.prefetch_fetches,
-            prefetch_bytes=self.prefetch_bytes, kernel_bytes=policy.kernel_bytes,
-            accessory_bytes=policy.accessory_bytes,
+                        self._prefetch(obj, size, now)
+        return _report(
+            trace, np.asarray(outcome), evictions=self.evictions,
+            prefetch_fetches=self.prefetch_fetches, prefetch_bytes=self.prefetch_bytes,
+            kernel_bytes=policy.kernel_bytes, accessory_bytes=policy.accessory_bytes,
         )
 
 
@@ -381,26 +376,26 @@ def _dominance_sums(key: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 class _LRUCurve:
-    """Hits, stale refetches, evictions and occupancy of LRU at any
-    capacity, from the stack distances of one trace.
+    """The outcome column (see `_codes`), evictions and occupancy of LRU
+    at any capacity, from the stack distances of one trace.
 
     With every cacheable request admitted and one size per document, LRU
     at capacity C holds the longest prefix of the recency stack whose
-    sizes sum to at most C (Mattson et al. 1970).  A request finds its
-    document resident exactly when its stack distance, the size sum of
-    the stack down to it, is at most C, and the copy has stayed resident
-    since the previous request.  It is a hit if no modification came in
-    between and a stale refetch otherwise; every other cacheable request
-    is admitted, and the admissions not resident at the end were evicted.
+    sizes sum to at most C (Mattson et al. 1970).  A request with a
+    previous one finds its copy resident exactly when its stack distance,
+    the size sum of the stack down to it, is at most C.  It is a HIT if
+    no modification came in between and a STALE refetch otherwise; every
+    other cacheable request is an admitted MISS, and the admissions not
+    resident at the end were evicted.
     """
 
     def __init__(self, trace: Trace, count_mode: bool):
-        self.count_mode = count_mode
+        self.trace = trace
         counted = (trace.kind == 0) & trace.cacheable
         obj = trace.obj[counted]
         size = trace.size[counted]
         m = len(obj)
-        self.max_size = int(size.max()) if m else 0
+        self.min_capacity = 1 if count_mode else int(size.max(initial=0))
         # Each document is requested at one size exactly when its slot
         # reads back every size written to it, whichever write wins.
         slot = np.zeros(len(trace.ids), size.dtype)
@@ -410,7 +405,6 @@ class _LRUCurve:
         del slot
         if not self.exact:
             return
-        self.totals = _Totals.of(trace)
         # Each request paired with the previous request of its document,
         # both as positions among the cacheable requests.
         order = np.argsort(obj, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
@@ -420,7 +414,10 @@ class _LRUCurve:
         mods_before = _same_doc_before(trace.obj, np.flatnonzero(trace.kind == 1),
                                        np.flatnonzero(counted))
         del counted
-        stale = mods_before[later] > mods_before[earlier]
+        # Each cacheable request's outcome, in request order, should it
+        # find its copy resident; a first request has no copy to find.
+        self.reuse = np.full(m, MISS, np.uint8)
+        self.reuse[later] = np.where(mods_before[later] > mods_before[earlier], STALE, HIT)
         del mods_before
         acct = np.ones(m, np.int64) if count_mode else size
         # The final recency stack, most recent first: each document at its
@@ -437,36 +434,29 @@ class _LRUCurve:
         # acct[i] + F(i) - cumsum(acct)[p].  The keys are prev + 1 >= 0.
         key = np.zeros(m, later.dtype)
         key[later] = earlier + 1
-        dist = _dominance_sums(key, acct)[later]
+        self.dist = _dominance_sums(key, acct)
         del key
-        dist += acct[later]
-        dist -= np.cumsum(acct)[earlier]
-        hit_size = size[later]
-        del acct, size, later, earlier
-        # Sorted distances answer each capacity by binary search.
-        self.stale = np.sort(dist[stale])
-        fresh = ~stale
-        dist, hit_size = dist[fresh], hit_size[fresh]
-        by_dist = np.argsort(dist)
-        self.fresh = dist[by_dist]
-        del dist
-        self.fresh_bytes = np.zeros(len(by_dist) + 1, np.int64)
-        np.cumsum(hit_size[by_dist], out=self.fresh_bytes[1:])
+        self.dist += acct
+        self.dist[later] -= np.cumsum(acct)[earlier]
+
+    def outcome(self, cap: int) -> np.ndarray:
+        """The outcome column at capacity `cap`, where the pass is exact."""
+        column = _codes(self.trace.kind, self.trace.cacheable)
+        column[column == MISS] = np.where(self.dist <= cap, self.reuse, MISS)
+        return column
 
     def report(self, capacity: float) -> SimReport | None:
         """The report at `capacity`, or None where the pass is not exact:
         on this trace, or at a capacity too small to admit every cacheable
         request."""
-        if not self.exact or not capacity >= (1 if self.count_mode else self.max_size):
+        if not self.exact or not capacity >= self.min_capacity:
             return None
         cap = _INT64_MAX if capacity >= 2.0**63 else math.floor(capacity)
-        hits = int(np.searchsorted(self.fresh, cap, side="right"))
-        stale = int(np.searchsorted(self.stale, cap, side="right"))
+        column = self.outcome(cap)
         resident = int(np.searchsorted(self.stack, cap, side="right"))
-        admissions = self.totals.cacheable_requests - hits - stale
-        return self.totals.report(
-            hits=hits, hit_bytes=int(self.fresh_bytes[hits]),
-            evictions=admissions - resident, stale_refetches=stale,
+        admissions = int(np.count_nonzero(column == MISS))
+        return _report(
+            self.trace, column, evictions=admissions - resident,
             prefetch_fetches=0, prefetch_bytes=0,
             kernel_bytes=int(self.stack[resident - 1]) if resident else 0, accessory_bytes=0,
         )

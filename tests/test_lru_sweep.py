@@ -3,10 +3,13 @@
 `simulate_many` reads every LRU capacity without a prefetch layer off
 one pass of stack distances, where `simulate` replays the trace once per
 run.  Their reports must agree field for field: from the pass wherever
-it is exact, and from `simulate` itself for every other run.
+it is exact, and from `simulate` itself for every other run.  Where the
+pass is exact, its outcome column agrees with the replay's event by
+event.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from zipfcache import simcore
 from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import CacheConfig, simulate, simulate_many
-from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
+from zipfcache.simcore import (HIT, MISS, REFUSED, CacheConfig, _Engine, _LRUCurve,
+                               simulate, simulate_many)
+from zipfcache.trace import (MODIFICATION, REQUEST, SyntheticSpec, Trace, TraceEvent,
+                             generate_trace)
 
 
 @st.composite
@@ -81,12 +86,28 @@ def _assert_matches_replays(trace, configs):
     return reports
 
 
+def _replayed_column(trace, config):
+    engine = _Engine(config)
+    engine.run(trace)
+    return engine.outcome
+
+
+def _assert_columns_match_replays(trace, configs):
+    """The pass's outcome column at each capacity is the replay's."""
+    curve = _LRUCurve(trace, configs[0].object_count_mode)
+    for config in configs:
+        assert curve.report(config.capacity_bytes) is not None
+        assert bytes(curve.outcome(config.capacity_bytes)) == _replayed_column(trace, config)
+
+
 def test_byte_mode_with_fixed_sizes_is_one_pass(replays):
     @given(events=traces(), rnd=st.randoms(use_true_random=True))
     def check(events, rnd):
         replays.clear()
-        _assert_matches_replays(events, _configs(_byte_capacities(rnd, events)))
+        configs = _configs(_byte_capacities(rnd, events))
+        _assert_matches_replays(events, configs)
         assert replays == []
+        _assert_columns_match_replays(events, configs)
 
     check()
 
@@ -97,8 +118,10 @@ def test_count_mode_with_modifications_is_one_pass(replays):
                          min_size=1, max_size=6))
     def check(events, caps):
         replays.clear()
-        _assert_matches_replays(events, _configs(caps, count_mode=True))
+        configs = _configs(caps, count_mode=True)
+        _assert_matches_replays(events, configs)
         assert replays == []
+        _assert_columns_match_replays(events, configs)
 
     check()
 
@@ -144,6 +167,11 @@ def test_document_larger_than_a_capacity_is_replayed_at_it(replays):
                     _req(3, "b", 100))
     _assert_matches_replays(events, _configs([600, 400, 500]))
     assert replays == [400]
+    # at 400 bytes LRU refuses a's copy, for which the pass has no code
+    assert _LRUCurve(events, False).report(400) is None
+    assert list(_replayed_column(events, CacheConfig(400, "lru"))) == [
+        REFUSED, MISS, REFUSED, HIT]
+    _assert_columns_match_replays(events, _configs([600, 500]))
 
 
 def test_negative_size_is_refused(replays):
@@ -239,7 +267,7 @@ def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
         resized = _trace(*events, _req(end, "x", 20), _mod(end, "x", 90), _req(end, "x", 90))
         calls.clear()
         _assert_matches_replays(resized, _configs(_byte_capacities(rnd, resized)))
-        assert not simcore._LRUCurve(resized, False).exact
+        assert not _LRUCurve(resized, False).exact
         assert calls == []
 
     check()
@@ -248,6 +276,26 @@ def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
 def test_empty_trace():
     _assert_matches_replays(_trace(), _configs([1, 100]))
     _assert_matches_replays(_trace(), _configs([1, 100], count_mode=True))
+
+
+# Peak tracemalloc bytes per event of one byte-mode LRU run at 40 MB
+# through `simulate_many` on _MEMORY_SPEC (99,588 events, the largest size
+# 471,164 B) when the pass answered a capacity from sorted distances.
+_SORTED_PASS_PEAK_BYTES_PER_EVENT = 42.08
+_MEMORY_SPEC = SyntheticSpec(n_objects=20_000, alpha=0.8, request_rate=1e5 / (30 * DAY),
+                             duration=30 * DAY, p_c=0.8, seed=11)
+
+
+def test_one_capacity_peak_memory_per_event(replays):
+    events = generate_trace(_MEMORY_SPEC)
+    tracemalloc.start()
+    try:
+        simulate_many(events, _configs([40e6]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 99_588 and replays == []
+    assert peak / len(events) <= _SORTED_PASS_PEAK_BYTES_PER_EVENT
 
 
 def test_renewal_fixture_in_count_mode(renewal_events, replays):

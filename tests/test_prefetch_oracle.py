@@ -25,7 +25,8 @@ from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS, ZBSCache
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache import simcore
-from zipfcache.simcore import CacheConfig, _Engine
+from zipfcache.simcore import (HIT, MISS, MODIFIED, NOT_CACHEABLE, REFUSED, STALE,
+                               CacheConfig, _Engine)
 from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
 
@@ -354,8 +355,10 @@ def _check_ledger(engine, fetched, prefetched):
 def test_engine_ledger_after_every_event(scheme, monkeypatch):
     """The ledger holds after every event under every policy, and the
     counters the engine takes from the columns equal a recount of the
-    events one at a time: the report's totals, and the request counts each
-    modification hands the layer."""
+    events one at a time: each event's code in the outcome column, the
+    report's totals, and the request counts each modification hands the
+    layer.  A refetch is a prefetch exactly when the layer has just asked
+    for it; any other is a stale request's."""
     run = {}
     rows = simcore._rows
 
@@ -363,10 +366,16 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
         events, count = run["events"], run["count"]
         for k, row in enumerate(rows(trace)):
             ev = events[k]
-            assert row[0::2] == (ev.timestamp, ev.object_id)
+            index, now, _, obj, _ = row
+            assert (index, now, obj) == (k, ev.timestamp, ev.object_id)
             run["size"] = ev.size_bytes
+            # a cacheable request's code is up to the policy
+            run["code"] = (MODIFIED if ev.kind == MODIFICATION
+                           else None if ev.cacheable else NOT_CACHEABLE)
+            run["prefetching"] = False
             yield row
             _check_ledger(run["engine"], run["fetched"], run["prefetched"])
+            assert run["engine"].outcome[k] == run["code"]
             if ev.kind == REQUEST:
                 count["requests"] += 1
                 count["requested_bytes"] += ev.size_bytes
@@ -392,34 +401,47 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
         refetch, policy = engine._refetch, engine.policy
         on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
 
-        def recording_refetch(obj, size, now, prefetch):
-            if prefetch:
+        def recording_refetch(obj, size, now):
+            if run["prefetching"]:
                 prefetched.append(size)
             else:
                 count["stale"] += 1
+                run["code"] = STALE
             fetched[obj] = 1 if config.object_count_mode else size
-            refetch(obj, size, now, prefetch)
+            refetch(obj, size, now)
 
         def recording_hit(obj, now):
             count["hits"] += 1
             count["hit_bytes"] += run["size"]
+            run["code"] = HIT
             on_hit(obj, now)
 
         def recording_admit(obj, size, now):
             fetched[obj] = size
-            return on_miss_admit(obj, size, now)
+            admitted = on_miss_admit(obj, size, now)
+            run["code"] = MISS if admitted else REFUSED
+            return admitted
 
         engine._refetch = recording_refetch
         policy.on_hit, policy.on_miss_admit = recording_hit, recording_admit
         if scheme is not None:
-            on_modification = engine.layer.on_modification
+            on_modification, tick_refetches = (engine.layer.on_modification,
+                                               engine.layer.tick_refetches)
 
             def recounted(obj, size, now, resident, requests, total):
                 docs = count["docs"]
                 assert (requests, total) == (docs.get(obj, 0), sum(docs.values()))
-                return on_modification(obj, size, now, resident, requests, total)
+                run["prefetching"] = on_modification(obj, size, now, resident, requests,
+                                                     total)
+                return run["prefetching"]
 
-            engine.layer.on_modification = recounted
+            def picking(now, resident):
+                for pick in tick_refetches(now, resident):
+                    run["prefetching"] = True
+                    yield pick
+                    run["prefetching"] = False
+
+            engine.layer.on_modification, engine.layer.tick_refetches = recounted, picking
         report = engine.run(Trace.from_events(events))
         assert (report.kernel_occupancy_bytes, report.accessory_occupancy_bytes) == (
             policy.kernel_bytes, policy.accessory_bytes)

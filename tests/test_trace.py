@@ -284,7 +284,7 @@ ENTRY_POINTS = {
     "simulate": lambda t, size, path: simulate(Trace.from_events(_two_events(t, size)),
                                                CacheConfig(policy_id="lru")),
     # an LRU sweep, which reads the one-pass curve
-    "simulate_lru_sweep": lambda t, size, path: simulate_many(
+    "simulate_many": lambda t, size, path: simulate_many(
         Trace.from_events(_two_events(t, size)), [CacheConfig(1000, "lru")]),
     "write_trace_file": lambda t, size, path: write_trace_file(
         Trace.from_events(_two_events(t, size)), path),

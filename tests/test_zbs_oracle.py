@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zipfcache.policies import DAY, MIN_RETENTION
+from zipfcache.policies import DAY, MAX_RETENTION, MIN_RETENTION
 from zipfcache.simcore import CacheConfig, _Engine
 from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
@@ -187,11 +187,12 @@ def held_traces(draw):
 SIZES = (20, 50, 90, 150, 400, 700)
 CAPACITIES = st.sampled_from([400, 1000, 2500])
 CASES = {  # name -> (trace, capacity, retention)
-    "float-times": (traces(lambda r: r.uniform(0.0, 5_000.0), SIZES), CAPACITIES, None),
+    "float-times": (traces(lambda r: r.uniform(0.0, 5_000.0), SIZES), CAPACITIES,
+                    MAX_RETENTION),
     # integer seconds, two sizes and room for a few documents: many equal
     # metrics, so the tie-break decides, sometimes for several victims
     "ties": (traces(lambda r: float(r.randint(0, 2)), (50, 100)),
-             st.sampled_from([300, 600]), None),
+             st.sampled_from([300, 600]), MAX_RETENTION),
     # gaps of days under the shortest retention: statistics expire mid-trace
     "past-retention": (traces(lambda r: r.randint(0, 4) * DAY + 0.5, SIZES,
                               min_span=MIN_RETENTION + 2 * DAY),
