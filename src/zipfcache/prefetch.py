@@ -9,19 +9,28 @@ origin's expense:
 * ``lifetime``   fetch a stale document once its copy age exceeds the
   mean observed interval between its modifications.
 
-The first two are threshold filters re-evaluated whenever a resident
-document changes.  The lifetime rule fires only on the engine's daily
-ticks: at a modification the copy's age is zero and cannot exceed the
-interval.  The layer keeps an index of the resident copies it saw go
-stale, and a tick evaluates the rule on those alone, in the order the
-engine admitted them.  Prefetched bytes are reported separately from
-demand bytes so the added bandwidth is measurable against the hit-ratio
-gain.
+The engine calls the layer only where a modification makes a resident
+copy stale.  What a scheme reads there comes from the trace's columns,
+derived once when the run starts: each modification's count of its
+document's modifications so far, and, for a threshold filter that can
+refuse, the cacheable requests before it.  The first two schemes are
+threshold filters evaluated at those calls; with the default threshold
+of -inf they select every copy without scoring it.  The lifetime rule
+fires only on the engine's daily ticks: at a modification the copy's age
+is zero and cannot exceed the interval.  The layer keeps an index of the
+resident copies it saw go stale, and a tick evaluates the rule on those
+alone, in the order the engine admitted them.  Prefetched bytes are
+reported separately from demand bytes so the added bandwidth is
+measurable against the hit-ratio gain.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from .trace import Trace, _doc_order
 
 SCHEME_IDS = ("goodfetch", "api", "lifetime")
 
@@ -54,13 +63,40 @@ def _lifetime_due(now: float, install_time: float, mod_count: int,
 _SCORERS = {"goodfetch": _good_fetch, "api": _api}
 
 
-class PrefetchLayer:
-    """Adapter the engine drives at modification events and daily ticks.
+def _doc_running_counts(doc: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """For each position of a column of document codes, how many positions
+    of its document at or before it are flagged in `mark`, per column of
+    `mark` when it has several: from one sort (see `_doc_order`)."""
+    n = len(doc)
+    order = _doc_order(doc)
+    grouped = doc[order]
+    start = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1  # where a document's group starts
+    del grouped
+    if n:
+        start = np.r_[0, start]
+    flagged = mark[order]
+    counts = np.cumsum(flagged, axis=0, dtype=np.int32 if n < 2**31 else np.int64)
+    # Each group less the flags of the groups before it.
+    counts -= np.repeat(counts[start] - flagged[start], np.diff(start, append=n), axis=0)
+    out = np.empty_like(counts)
+    out[order] = counts
+    return out
 
-    Estimates the scoring inputs from the run state the engine passes:
-    p_i from the document's share of the cacheable requests so far, a
-    from their total over elapsed time, and l_i as the mean observed time
-    between modifications since the trace start.
+
+class PrefetchLayer:
+    """Adapter the engine drives at modifications of resident copies and
+    at daily ticks.
+
+    `note_start` derives the scoring inputs from the trace, per
+    modification by its ordinal in the trace: p_i from its document's
+    share of the cacheable requests before it, a from their total over
+    the time elapsed since the trace start, and l_i as that time over the
+    document's modifications so far.  All of them come from one sort of
+    (document, event index) keys.  A resident copy was requested, so p_i
+    > 0; past the start every score is then finite and beats the default
+    threshold of -inf, and the filters select without scoring.  The one
+    exception is an elapsed time so small that elapsed / mods rounds to 0,
+    where a l_i is 0 * inf; a trace with one makes the layer score.
 
     For `lifetime`, `stale` indexes the documents whose resident copy the
     layer saw go stale at their second or a later modification.  After
@@ -97,26 +133,47 @@ class PrefetchLayer:
         self.threshold = threshold
         self.score = _SCORERS.get(scheme)  # None for lifetime
         self.start: float | None = None
-        self.mod_counts: dict[str, int] = {}
+        # Per modification, by ordinal, what the scheme reads: its
+        # document's modifications so far, itself included, and the
+        # cacheable requests before it, of its document and of all.
+        # None where the scheme reads nothing.
+        self.mods = self.requests = self.totals = None
         self.stale: dict[str, tuple[float, float, int, int]] = {}
         self.next_due = math.inf
 
-    def note_start(self, t: float) -> None:
+    def note_start(self, trace: Trace) -> None:
+        """Start the run at the first event of `trace`, a non-empty trace,
+        and derive what the scheme reads at each modification."""
         if self.start is not None:
             raise ValueError("a PrefetchLayer runs once; pass a new one to each simulate call")
-        self.start = t
+        self.start = float(trace.t[0])
+        modified = trace.kind == 1
+        if self.score is None:  # lifetime reads the modification counts alone
+            self.mods = memoryview(_doc_running_counts(
+                trace.obj[modified], np.ones(np.count_nonzero(modified), bool)))
+            return
+        # No document has more modifications than the trace, so where
+        # elapsed / that count stays above 0, so does every l_i.
+        elapsed = trace.t[modified] - self.start
+        if self.threshold == -math.inf and not np.any(elapsed[elapsed > 0] / len(elapsed) == 0):
+            return  # select every copy past the start (see the class docstring)
+        events = modified | ((trace.kind == 0) & trace.cacheable)
+        modified = modified[events]
+        # Each modification's position among the events, less the
+        # modifications before it, is the count of requests before it.
+        self.totals = memoryview(np.flatnonzero(modified) - np.arange(np.count_nonzero(modified)))
+        counts = _doc_running_counts(trace.obj[events],
+                                     np.column_stack((modified, ~modified)))[modified]
+        self.mods = memoryview(np.ascontiguousarray(counts[:, 0]))
+        self.requests = memoryview(np.ascontiguousarray(counts[:, 1]))
 
-    def on_modification(self, obj: str, size: int, now: float, resident: bool,
-                        requests: int, total: int) -> bool:
-        """Whether to refetch `obj` now; `requests` and `total` count the
-        cacheable requests before this event, of `obj` and of all documents."""
-        mods = self.mod_counts.get(obj, 0) + 1
-        self.mod_counts[obj] = mods
-        if not resident:
-            return False
+    def on_modification(self, obj: str, size: int, now: float, k: int) -> bool:
+        """Whether to refetch the resident copy of `obj`, which the trace's
+        modification `k` (counted from 0) has just made stale."""
         score = self.score
         if score is None:
             # lifetime: a copy just modified is not due; index it for the ticks.
+            mods = self.mods[k]
             if mods >= 2:
                 due = (mods * now - self.start) / (mods - 1)
                 self.stale[obj] = (due, now, mods, size)
@@ -126,8 +183,12 @@ class PrefetchLayer:
         elapsed = now - self.start
         if elapsed <= 0:
             return False
-        p_i = requests / total if total else 0.0
-        return score(p_i, elapsed / mods, total / elapsed) > self.threshold
+        totals = self.totals
+        if totals is None:
+            return True
+        total = totals[k]
+        return score(self.requests[k] / total, elapsed / self.mods[k],
+                     total / elapsed) > self.threshold
 
     def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:
         """Stale copies in `resident` the lifetime rule fetches at `now`, in

@@ -20,13 +20,15 @@ Both entry points take a `Trace` and `CacheConfig`s, each valid once
 built, and check neither again.  Each run writes an outcome column, one
 code per event (see `_codes`), which its report reduces against the
 trace's columns.  `simulate` writes it by replaying the events one at a
-time.  `simulate_many` gives the reports of many runs and alone decides
-how each is computed: an LRU run without a prefetch layer reads its
-column off one pass of stack distances (Mattson et al. 1970), where a
-request hits at capacity C exactly when its stack distance is at most
-C.  The pass is exact only when every cacheable request is admitted and
-each document is requested at one size (in byte mode); every other run
-is replayed by `simulate`.
+time; a prefetch layer (see `prefetch`) gets the trace when the replay
+starts, and then a call at each modification of a resident copy, with
+the modification's ordinal, and at each daily tick.  `simulate_many`
+gives the reports of many runs and alone decides how each is computed:
+an LRU run without a prefetch layer reads its column off one pass of
+stack distances (Mattson et al. 1970), where a request hits at capacity
+C exactly when its stack distance is at most C.  The pass is exact only
+when every cacheable request is admitted and each document is requested
+at one size (in byte mode); every other run is replayed by `simulate`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import DAY, DomainError
-from .trace import _ROWS_PER_CHUNK, Trace
+from .trace import _ROWS_PER_CHUNK, Trace, _doc_order
 from . import policies
 
 __all__ = [
@@ -137,14 +139,23 @@ def _codes(kind: np.ndarray, cacheable: np.ndarray) -> np.ndarray:
     return code
 
 
-def _report(trace: Trace, outcome: np.ndarray, evictions: int, prefetch_fetches: int,
-            prefetch_bytes: int, kernel_bytes: int, accessory_bytes: int) -> SimReport:
-    """The report of a run: what the policy decided comes from its outcome
-    column (see `_codes`), the request totals from the trace's columns."""
+def _request_totals(trace: Trace) -> tuple[int, int, int, int, int]:
+    """What no policy decides: the trace's requests, their bytes, its
+    cacheable requests, and the documents with one or more of those and
+    with two or more."""
     request = trace.kind == 0
-    requests = int(np.count_nonzero(request))
-    requested_bytes = _exact_sum(trace.size[request])
     per_doc = np.bincount(trace.obj[request & trace.cacheable])
+    return (int(np.count_nonzero(request)), _exact_sum(trace.size[request]),
+            int(per_doc.sum()), int(np.count_nonzero(per_doc)),
+            int(np.count_nonzero(per_doc >= 2)))
+
+
+def _report(trace: Trace, totals: tuple, outcome: np.ndarray, evictions: int,
+            prefetch_fetches: int, prefetch_bytes: int, kernel_bytes: int,
+            accessory_bytes: int) -> SimReport:
+    """The report of a run: what the policy decided comes from its outcome
+    column (see `_codes`), the rest from the trace's `_request_totals`."""
+    requests, requested_bytes, cacheable_requests, unique_docs, two_plus_docs = totals
     hit = outcome == HIT
     hits = int(np.count_nonzero(hit))
     hit_bytes = _exact_sum(trace.size[hit])
@@ -152,12 +163,12 @@ def _report(trace: Trace, outcome: np.ndarray, evictions: int, prefetch_fetches:
     # refetch, or not cacheable.
     return SimReport(
         requests=requests,
-        cacheable_requests=int(per_doc.sum()),
+        cacheable_requests=cacheable_requests,
         hits=hits,
         hit_ratio=hits / requests if requests else 0.0,
         byte_hit_ratio=hit_bytes / requested_bytes if requested_bytes else 0.0,
-        unique_docs=int(np.count_nonzero(per_doc)),
-        two_plus_docs=int(np.count_nonzero(per_doc >= 2)),
+        unique_docs=unique_docs,
+        two_plus_docs=two_plus_docs,
         evictions=evictions,
         stale_refetches=int(np.count_nonzero(outcome == STALE)),
         prefetch_fetches=prefetch_fetches,
@@ -166,23 +177,6 @@ def _report(trace: Trace, outcome: np.ndarray, evictions: int, prefetch_fetches:
         kernel_occupancy_bytes=int(kernel_bytes),
         accessory_occupancy_bytes=int(accessory_bytes),
     )
-
-
-def _same_doc_before(doc: np.ndarray, points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """For each event index in `queries`, how many of the event indices in
-    `points` are events of the same document (code in `doc`) before it."""
-    n = len(doc)
-    keys = doc[points].astype(np.int64)
-    keys *= n
-    keys += points
-    keys.sort()
-    base = doc[queries].astype(np.int64)
-    base *= n
-    before = np.searchsorted(keys, base)
-    base += queries
-    counts = np.searchsorted(keys, base)
-    counts -= before
-    return counts
 
 
 def _rows(trace: Trace):
@@ -250,13 +244,8 @@ class _Engine:
         day = 1.0
         next_tick = t0 + DAY if len(trace) else math.inf
         if len(trace) and layer is not None:
-            layer.note_start(t0)
-            # Per modification, the cacheable requests before it: of its
-            # document, and of all documents.
-            counted = np.flatnonzero((trace.kind == 0) & trace.cacheable)
-            mods = np.flatnonzero(trace.kind == 1)
-            seen = zip(_same_doc_before(trace.obj, counted, mods).tolist(),
-                       np.searchsorted(counted, mods).tolist())
+            layer.note_start(trace)
+        modified = 0  # the modifications so far
         # The trace decides every outcome but those of cacheable requests.
         self.outcome = outcome = bytearray(_codes(trace.kind, trace.cacheable))
         for i, now, code, obj, size in _rows(trace):
@@ -305,13 +294,11 @@ class _Engine:
                 entry = resident.get(obj)
                 if entry is not None:
                     entry[0] = False
-                if layer is not None:
-                    doc_requests, total = next(seen)
-                    if layer.on_modification(obj, size, now, entry is not None,
-                                             doc_requests, total):
+                    if layer is not None and layer.on_modification(obj, size, now, modified):
                         self._prefetch(obj, size, now)
+                modified += 1
         return _report(
-            trace, np.asarray(outcome), evictions=self.evictions,
+            trace, _request_totals(trace), np.asarray(outcome), evictions=self.evictions,
             prefetch_fetches=self.prefetch_fetches, prefetch_bytes=self.prefetch_bytes,
             kernel_bytes=policy.kernel_bytes, accessory_bytes=policy.accessory_bytes,
         )
@@ -405,20 +392,33 @@ class _LRUCurve:
         del slot
         if not self.exact:
             return
+        self.totals = _request_totals(trace)  # the same at every capacity
         # Each request paired with the previous request of its document,
-        # both as positions among the cacheable requests.
-        order = np.argsort(obj, kind="stable").astype(np.int32 if m < 2**31 else np.int64)
+        # both as positions among the cacheable requests.  A trace with
+        # modifications groups them along, and a request finds its copy
+        # stale exactly when its group holds a modification just before it.
+        modified = trace.kind == 1
+        if modified.any():
+            events = counted | modified
+            modified = modified[events]
+            grouped = _doc_order(trace.obj[events])
+            del events
+            requested = ~modified[grouped]
+            after_mod = np.r_[False, ~requested[:-1]][requested]
+            order = (np.cumsum(~modified, dtype=np.int64) - 1)[grouped[requested]]
+            del grouped, requested
+        else:
+            order, after_mod = _doc_order(obj), None
+        del counted, modified
+        order = order.astype(np.int32 if m < 2**31 else np.int64, copy=False)
         same = obj[order[1:]] == obj[order[:-1]]
         del obj
         later, earlier = order[1:][same], order[:-1][same]
-        mods_before = _same_doc_before(trace.obj, np.flatnonzero(trace.kind == 1),
-                                       np.flatnonzero(counted))
-        del counted
         # Each cacheable request's outcome, in request order, should it
         # find its copy resident; a first request has no copy to find.
         self.reuse = np.full(m, MISS, np.uint8)
-        self.reuse[later] = np.where(mods_before[later] > mods_before[earlier], STALE, HIT)
-        del mods_before
+        self.reuse[later] = HIT if after_mod is None else np.where(after_mod[1:][same], STALE, HIT)
+        del after_mod
         acct = np.ones(m, np.int64) if count_mode else size
         # The final recency stack, most recent first: each document at its
         # last request, and the size sum of its prefixes.
@@ -456,7 +456,7 @@ class _LRUCurve:
         resident = int(np.searchsorted(self.stack, cap, side="right"))
         admissions = int(np.count_nonzero(column == MISS))
         return _report(
-            self.trace, column, evictions=admissions - resident,
+            self.trace, self.totals, column, evictions=admissions - resident,
             prefetch_fetches=0, prefetch_bytes=0,
             kernel_bytes=int(self.stack[resident - 1]) if resident else 0, accessory_bytes=0,
         )

@@ -222,6 +222,18 @@ class Trace:
         return NotImplemented
 
 
+def _doc_order(doc: np.ndarray) -> np.ndarray:
+    """The positions of a column of document codes grouped by document,
+    each group in position order: one sort of (document, position) keys."""
+    n = len(doc)
+    key = doc.astype(np.int64)
+    key *= n
+    key += np.arange(n)
+    key.sort()
+    key %= max(n, 1)
+    return key
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of a synthetic workload.

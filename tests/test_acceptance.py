@@ -18,8 +18,11 @@ from zipfcache.policies import ZBSCache
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine, simulate
 from zipfcache.trace import (
+    MODIFICATION,
+    REQUEST,
     SyntheticSpec,
     Trace,
+    TraceEvent,
     generate_trace,
     popularity_histogram,
 )
@@ -202,9 +205,12 @@ def test_prefetch_dominance_and_cost(capsys, renewal_events, renewal_unbounded):
     target = 1.0 - analytic.freshness_from_exponents(ref["alpha"], ref["alpha_r"])
 
     micro = PrefetchLayer("lifetime")
-    micro.note_start(0.0)
-    for day in range(80, 90):  # 10 modifications of the resident copy, the last at 89 d
-        micro.on_modification("doc", 100, day * DAY, True, {"doc": 1}, 1)
+    days = range(80, 90)  # 10 modifications of the resident copy, the last at 89 d
+    micro.note_start(Trace.from_events(
+        [TraceEvent(0.0, REQUEST, "doc", 100)]
+        + [TraceEvent(day * DAY, MODIFICATION, "doc", 100) for day in days]))
+    for k, day in enumerate(days):
+        micro.on_modification("doc", 100, day * DAY, k)
     stale_copy = [False, 1]  # fresh flag, admission order
     # copy age 11 d, mean interval 10 d
     fires = micro.tick_refetches(100 * DAY, {"doc": stale_copy}) == [("doc", 100)]

@@ -254,7 +254,7 @@ def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
     # a modification redraws a size, so the pass is not exact in byte mode;
     # it says so before pairing any requests or summing any distances
     calls = []
-    for name in ("_same_doc_before", "_dominance_sums"):
+    for name in ("_doc_order", "_dominance_sums"):
         def counting(*args, _name=name, _original=getattr(simcore, name)):
             calls.append(_name)
             return _original(*args)
@@ -271,6 +271,26 @@ def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
         assert calls == []
 
     check()
+
+
+def test_a_sweep_counts_the_request_totals_once(monkeypatch, replays):
+    # the request totals are the same at every capacity, so a sweep
+    # counts them once, not once per size
+    calls = []
+    request_totals = simcore._request_totals
+
+    def counting(trace):
+        calls.append(len(trace))
+        return request_totals(trace)
+
+    monkeypatch.setattr(simcore, "_request_totals", counting)
+    events = generate_trace(SyntheticSpec(
+        n_objects=2_000, alpha=0.8, request_rate=2e4 / (10 * DAY), duration=10 * DAY,
+        mu_p=1 / DAY, mu_u=1 / (10 * DAY), seed=3))
+    reports = simulate_many(events, _configs([25 * 2**k for k in range(10)], count_mode=True))
+    assert calls == [len(events)] and replays == []
+    hits = [r.hits for r in reports]
+    assert hits == sorted(hits) and hits[0] < hits[-1]
 
 
 def test_empty_trace():

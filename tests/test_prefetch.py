@@ -1,6 +1,7 @@
 """Prefetch scoring rules, the lifetime rule, and the engine adapter."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,3 +167,29 @@ def test_layer_runs_once():
     layer = PrefetchLayer("api", 1.0)
     simulate(Trace.from_events([]), config, layer)
     assert simulate(events, config, layer).prefetch_fetches == 1
+
+
+# Peak tracemalloc bytes per event of one lru run at 20 MB under each
+# layer on _MEMORY_SPEC (93,739 events, 33,599 of them modifications)
+# when the engine handed every modification two request counts, read
+# from two lists built for the run.  Without such lists the run needs
+# less than half.
+_LISTED_COUNTS_PEAK_BYTES_PER_EVENT = {"lifetime": 45.24, "goodfetch": 44.59}
+_MEMORY_SPEC = SyntheticSpec(
+    n_objects=10_000, alpha=0.72, request_rate=6e4 / (60 * DAY), duration=60 * DAY,
+    popular_boundary=500, mu_p=1 / (2 * DAY), mu_u=1 / (30 * DAY), seed=23,
+)
+
+
+@pytest.mark.parametrize("scheme", ["lifetime", "goodfetch"])
+def test_layered_peak_memory_per_event(scheme):
+    events = generate_trace(_MEMORY_SPEC)
+    layer = PrefetchLayer(scheme)
+    tracemalloc.start()
+    try:
+        report = simulate(events, CacheConfig(capacity_bytes=20e6, policy_id="lru"), layer)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 93_739 and report.prefetch_fetches > 0
+    assert peak / len(events) <= _LISTED_COUNTS_PEAK_BYTES_PER_EVENT[scheme] / 2

@@ -2,32 +2,35 @@
 traces, and the policies' ledgers of resident bytes after every event,
 under every policy with no layer and under each scheme.
 
-`RefPrefetchLayer` is the plain form of `PrefetchLayer`: it builds a
-`Stats` record for every decision, scores it with its own copy of the
-three rules and, on every daily tick, scans every resident document for
-a stale copy the lifetime rule fetches.  While it holds a stale copy it
-keeps the engine's clock walking day by day, where `PrefetchLayer` lets
-the clock jump to just before its `next_due` bound.  The optimized layer
-must make the same decision at every call, pick the same documents in
-the same order at the same ticks (so the bound never skips a tick that
-fetches), and produce the same `SimReport` on every trace.
+`RefPrefetchLayer` is the plain form of `PrefetchLayer`: it counts each
+modification's inputs by walking the trace's events one at a time,
+builds a `Stats` record for every decision, scores it with its own copy
+of the three rules and, on every daily tick, scans every resident
+document for a stale copy the lifetime rule fetches.  While it holds a
+stale copy it keeps the engine's clock walking day by day, where
+`PrefetchLayer` lets the clock jump to just before its `next_due` bound.
+The optimized layer must make the same decision at every call, pick the
+same documents in the same order at the same ticks (so the bound never
+skips a tick that fetches), and produce the same `SimReport` on every
+trace.
 """
 
 import dataclasses
 import math
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS, ZBSCache
-from zipfcache.prefetch import PrefetchLayer
+from zipfcache.prefetch import PrefetchLayer, _doc_running_counts
 from zipfcache import simcore
 from zipfcache.simcore import (HIT, MISS, MODIFIED, NOT_CACHEABLE, REFUSED, STALE,
                                CacheConfig, _Engine)
-from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
+from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent, _doc_order
 
 
 class Stats(NamedTuple):
@@ -63,13 +66,38 @@ def lifetime_due(s, now):
     return now - s.last_modified > (now - s.install_time) / s.mod_count
 
 
+class Modification(NamedTuple):
+    """One modification of a trace, with what a scheme may read at it."""
+
+    t: float
+    obj: str
+    size: int
+    mods: int  # its document's modifications so far, itself included
+    requests: int  # the cacheable requests before it of its document
+    total: int  # ... and of all documents
+
+
+def modifications(trace):
+    """The `Modification`s of `trace` in order, counted event by event."""
+    out, mods, requests = [], {}, {}
+    for e in trace:
+        obj = e.object_id
+        if e.kind == MODIFICATION:
+            mods[obj] = mods.get(obj, 0) + 1
+            out.append(Modification(e.timestamp, obj, e.size_bytes, mods[obj],
+                                    requests.get(obj, 0), sum(requests.values())))
+        elif e.cacheable:
+            requests[obj] = requests.get(obj, 0) + 1
+    return out
+
+
 class RefPrefetchLayer:
     SCORERS = {"goodfetch": good_fetch, "api": api}
 
     def __init__(self, scheme, threshold=-math.inf):
         self.scheme, self.threshold = scheme, threshold
         self.start = None
-        self.mod_counts, self.last_mod, self.cur_size = {}, {}, {}
+        self.modifications = None
         # lifetime: copies gone stale while resident since the last tick, and
         # those still stale and resident at it, once modified at least twice;
         # the engine walks each tick while there is one
@@ -80,31 +108,31 @@ class RefPrefetchLayer:
         # no tick lies before the trace start, so the engine jumps no tick
         return self.start if self.stale else math.inf
 
-    def note_start(self, t):
+    def note_start(self, trace):
         assert self.start is None
-        self.start = t
+        self.start = float(trace.t[0])
+        self.modifications = modifications(trace)
 
-    def stats_for(self, obj, now, requests, total):
-        mods = self.mod_counts.get(obj, 0)
-        if now <= self.start or mods == 0:
+    def stats_for(self, now, m, requests, total):
+        """The scoring inputs at `now` after the modification `m`."""
+        if now <= self.start:
             return None
         elapsed = now - self.start
         return Stats(
             p_i=requests / total if total else 0.0,
-            l_i=elapsed / mods,
+            l_i=elapsed / m.mods,
             a_rate=total / elapsed,
-            mod_count=mods,
+            mod_count=m.mods,
             install_time=self.start,
-            last_modified=self.last_mod[obj],
+            last_modified=m.t,
         )
 
-    def on_modification(self, obj, size, now, resident, requests, total):
-        self.mod_counts[obj] = self.mod_counts.get(obj, 0) + 1
-        self.last_mod[obj] = now
-        self.cur_size[obj] = size
-        if resident and self.scheme == "lifetime" and self.mod_counts[obj] >= 2:
+    def on_modification(self, obj, size, now, k):
+        m = self.modifications[k]
+        assert (m.t, m.obj, m.size) == (now, obj, size)
+        if self.scheme == "lifetime" and m.mods >= 2:
             self.stale.add(obj)
-        stats = self.stats_for(obj, now, requests, total) if resident else None
+        stats = self.stats_for(now, m, m.requests, m.total)
         if stats is None:
             return False
         if self.scheme == "lifetime":
@@ -114,25 +142,28 @@ class RefPrefetchLayer:
     def tick_refetches(self, now, resident):
         if self.scheme != "lifetime":
             return []
+        # each document's last modification the engine has passed: a tick
+        # at `now` comes before the events at `now`
+        last = {m.obj: m for m in self.modifications if m.t < now}
         self.stale = {obj for obj, entry in resident.items()
-                      if not entry[0] and self.mod_counts[obj] >= 2}
+                      if not entry[0] and last[obj].mods >= 2}
         out = []
         for obj, entry in resident.items():
             if entry[0]:  # fresh
                 continue
             # the lifetime rule reads neither request counts nor their total
-            stats = self.stats_for(obj, now, 0, 0)
+            stats = self.stats_for(now, last[obj], 0, 0)
             if stats is not None and lifetime_due(stats, now):
-                out.append((obj, self.cur_size[obj]))
+                out.append((obj, last[obj].size))
         return out
 
 
 def _recording(layer, log):
     on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
 
-    def on_mod(obj, size, now, resident, requests, total):
-        out = on_modification(obj, size, now, resident, requests, total)
-        log.append(("modification", now, obj, resident, out))
+    def on_mod(obj, size, now, k):
+        out = on_modification(obj, size, now, k)
+        log.append(("modification", now, obj, k, out))
         return out
 
     def tick(now, resident):
@@ -167,17 +198,21 @@ def _assert_same(events, config, scheme, threshold=-math.inf):
 
 
 @st.composite
-def traces(draw, sizes=(20, 50, 90, 150, 400, 700), max_gap=2 * DAY):
+def traces(draw, sizes=(20, 50, 90, 150, 400, 700), max_gap=2 * DAY, tiny=False):
     """Time-ordered events over a handful of documents.  Gaps are ties,
     seconds or up to `max_gap`, so daily ticks meet stale copies that
-    were modified a few times.  The events come from a seeded `Random`,
-    which draws far faster than Hypothesis' own data and shrinks less."""
+    were modified a few times.  With `tiny`, the first few gaps are ties
+    or the least subnormal float, so that elapsed / mods rounds to 0
+    there.  The events come from a seeded `Random`, which draws far faster
+    than Hypothesis' own data and shrinks less."""
     rnd = draw(st.randoms(use_true_random=True))
     n_docs = rnd.choice((2, 5, 10, 20))
     mod_share = rnd.choice((0.25, 0.5, 0.75))
     events, t = [], 0.0
-    for _ in range(rnd.randint(20, 120)):
-        t += rnd.choice((0.0, rnd.uniform(0.0, 600.0), rnd.uniform(0.0, max_gap)))
+    near_start = rnd.randint(0, 20) if tiny else 0
+    for k in range(rnd.randint(20, 120)):
+        t += rnd.choice((0.0, 5e-324) if k < near_start else
+                        (0.0, rnd.uniform(0.0, 600.0), rnd.uniform(0.0, max_gap)))
         kind = MODIFICATION if rnd.random() < mod_share else REQUEST
         events.append(TraceEvent(t, kind, f"d{rnd.randrange(n_docs)}",
                                  rnd.choice(sizes), rnd.random() < 0.9))
@@ -216,6 +251,91 @@ def test_lifetime_jumps_match_reference_over_long_gaps(policy_id):
         _assert_same(events, config, "lifetime")
 
     check()
+
+
+def test_inputs_match_a_count_by_brute_force():
+    """`_doc_order` and `_doc_running_counts` over the modifications and
+    the cacheable requests, and what each layer derives from them, against
+    a count of the events one at a time, on traces with ties, requests
+    that are not cacheable and a document that is only modified."""
+
+    @given(events=traces(), rnd=st.randoms(use_true_random=True))
+    def check(events, rnd):
+        for _ in range(rnd.randint(0, 3)):
+            i = rnd.randrange(len(events) + 1)
+            t = events[max(i - 1, 0)].timestamp  # a tie with a neighbour
+            events.insert(i, TraceEvent(t, MODIFICATION, "only-modified", 10))
+        trace = Trace.from_events(events)
+        modified = trace.kind == 1
+        picked = modified | ((trace.kind == 0) & trace.cacheable)
+        doc, flags = trace.obj[picked].tolist(), modified[picked].tolist()
+        assert _doc_order(trace.obj[picked]).tolist() == sorted(
+            range(len(doc)), key=lambda p: (doc[p], p))
+        counts = _doc_running_counts(trace.obj[picked],
+                                     np.column_stack((modified[picked], ~modified[picked])))
+        assert counts.tolist() == [
+            [sum(flags[j] == flag for j in range(p + 1) if doc[j] == doc[p])
+             for flag in (True, False)]
+            for p in range(len(doc))]
+        assert _doc_running_counts(trace.obj[picked], modified[picked]).tolist() == (
+            counts[:, 0].tolist())
+
+        mods = modifications(trace)
+        lifetime, api = PrefetchLayer("lifetime"), PrefetchLayer("api", 1.0)
+        for layer in (lifetime, api):
+            layer.note_start(trace)
+            assert list(layer.mods) == [m.mods for m in mods]
+        assert list(api.requests) == [m.requests for m in mods]
+        assert list(api.totals) == [m.total for m in mods]
+
+    check()
+
+
+@pytest.mark.parametrize("scheme", ["goodfetch", "api"])
+def test_select_all_equals_scoring_against_minus_inf(scheme):
+    """The default threshold selects every resident copy past the start
+    without scoring it, exactly where a score against the brute-force
+    counts beats -inf.  Near a start at 0 with subnormal gaps, elapsed /
+    mods rounds to 0, a score can be NaN, and the layer scores."""
+
+    @given(events=traces(tiny=True), config=configs("lru"))
+    def check(events, config):
+        trace = Trace.from_events(events)
+        layer, calls = PrefetchLayer(scheme), []
+        on_modification = layer.on_modification
+
+        def on_mod(obj, size, now, k):
+            calls.append((now, k, on_modification(obj, size, now, k)))
+            return calls[-1][-1]
+
+        layer.on_modification = on_mod
+        _Engine(config, layer).run(trace)
+        mods, start = modifications(trace), float(trace.t[0])
+        for now, k, selected in calls:
+            m, elapsed = mods[k], now - start
+            scored = elapsed > 0 and RefPrefetchLayer.SCORERS[scheme](Stats(
+                m.requests / m.total, elapsed / m.mods, m.total / elapsed,
+                m.mods, start, now)) > -math.inf
+            assert selected == scored
+
+    check()
+
+
+def test_select_all_scores_where_a_score_is_nan():
+    # At 5e-324 s, b's second modification gives l_i = 5e-324 / 2 = 0 and
+    # a = 2 / 5e-324 = inf, so goodfetch's exponent a l_i is NaN and p_i
+    # = 1/2 < 1: no score beats -inf, and the copy is not fetched.
+    events = [_req(0.0, "a"), _req(0.0, "b"), _mod(0.0, "b"), _mod(5e-324, "b")]
+    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "goodfetch")
+    assert [entry[-1] for entry in log] == [False, False]
+    assert report.prefetch_fetches == 0
+    layer = PrefetchLayer("goodfetch")
+    layer.note_start(Trace.from_events(events))
+    assert list(layer.totals) == [2, 2]
+    # one second later the same modification is selected without scoring
+    layer = PrefetchLayer("goodfetch")
+    layer.note_start(Trace.from_events(events[:3] + [_mod(1.0, "b")]))
+    assert layer.totals is None and layer.on_modification("b", 100, 1.0, 1)
 
 
 # ------------------------------------------------------------- edge cases
@@ -351,14 +471,20 @@ def _check_ledger(engine, fetched, prefetched):
     assert engine.prefetch_fetches == len(prefetched)
 
 
+# the layer each ledger run drives: api scores against a threshold, so
+# that its request counts are read; goodfetch selects all without them
+LEDGER_LAYERS = {"lifetime": ("lifetime",), "goodfetch": ("goodfetch",), "api": ("api", 2.0)}
+
+
 @pytest.mark.parametrize("scheme", [None, "lifetime", "goodfetch", "api"])
 def test_engine_ledger_after_every_event(scheme, monkeypatch):
     """The ledger holds after every event under every policy, and the
     counters the engine takes from the columns equal a recount of the
     events one at a time: each event's code in the outcome column, the
-    report's totals, and the request counts each modification hands the
-    layer.  A refetch is a prefetch exactly when the layer has just asked
-    for it; any other is a stale request's."""
+    report's totals, and the counts the layer reads at each call.  The
+    engine calls the layer exactly at the modifications of resident
+    copies, with their ordinals.  A refetch is a prefetch exactly when
+    the layer has just asked for it; any other is a stale request's."""
     run = {}
     rows = simcore._rows
 
@@ -373,9 +499,22 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             run["code"] = (MODIFIED if ev.kind == MODIFICATION
                            else None if ev.cacheable else NOT_CACHEABLE)
             run["prefetching"] = False
+            run["called"] = None
+            if ev.kind == MODIFICATION:
+                run["ordinal"] = count["mods"]
+                count["mods"] += 1
+                count["doc_mods"][obj] = count["doc_mods"].get(obj, 0) + 1
             yield row
             _check_ledger(run["engine"], run["fetched"], run["prefetched"])
             assert run["engine"].outcome[k] == run["code"]
+            if ev.kind == MODIFICATION and scheme is not None:
+                # called, the copy was resident (see `recounted`); not
+                # called, it is absent, for a resident copy stays
+                resident = run["engine"].resident
+                if run["called"] is None:
+                    assert obj not in resident
+                elif not run["called"]:  # kept, and stale
+                    assert not resident[obj][0]
             if ev.kind == REQUEST:
                 count["requests"] += 1
                 count["requested_bytes"] += ev.size_bytes
@@ -392,9 +531,9 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             replay(events, dataclasses.replace(config, policy_id=policy_id))
 
     def replay(events, config):
-        engine = _Engine(config, PrefetchLayer(scheme) if scheme else None)
+        engine = _Engine(config, PrefetchLayer(*LEDGER_LAYERS[scheme]) if scheme else None)
         count = {"requests": 0, "requested_bytes": 0, "docs": {}, "hits": 0, "hit_bytes": 0,
-                 "stale": 0}
+                 "stale": 0, "mods": 0, "doc_mods": {}}
         prefetched, fetched = [], {}
         run.update(engine=engine, events=events, count=count, prefetched=prefetched,
                    fetched=fetched)
@@ -425,14 +564,21 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
         engine._refetch = recording_refetch
         policy.on_hit, policy.on_miss_admit = recording_hit, recording_admit
         if scheme is not None:
-            on_modification, tick_refetches = (engine.layer.on_modification,
-                                               engine.layer.tick_refetches)
+            layer = engine.layer
+            on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
 
-            def recounted(obj, size, now, resident, requests, total):
+            def recounted(obj, size, now, k):
+                assert run["called"] is None and obj in engine.resident
+                assert k == run["ordinal"]
                 docs = count["docs"]
-                assert (requests, total) == (docs.get(obj, 0), sum(docs.values()))
-                run["prefetching"] = on_modification(obj, size, now, resident, requests,
-                                                     total)
+                recount = (count["doc_mods"][obj], docs.get(obj, 0), sum(docs.values()))
+                read = tuple(None if column is None else column[k]
+                             for column in (layer.mods, layer.requests, layer.totals))
+                # lifetime reads the modification counts, a threshold
+                # filter all three, select-all none
+                assert read == {"lifetime": recount[:1] + (None, None),
+                                "goodfetch": (None, None, None), "api": recount}[scheme]
+                run["called"] = run["prefetching"] = on_modification(obj, size, now, k)
                 return run["prefetching"]
 
             def picking(now, resident):
@@ -441,7 +587,7 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
                     yield pick
                     run["prefetching"] = False
 
-            engine.layer.on_modification, engine.layer.tick_refetches = recounted, picking
+            layer.on_modification, layer.tick_refetches = recounted, picking
         report = engine.run(Trace.from_events(events))
         assert (report.kernel_occupancy_bytes, report.accessory_occupancy_bytes) == (
             policy.kernel_bytes, policy.accessory_bytes)
