@@ -83,16 +83,15 @@ def _bundled_sample():
 
 def _load_events(args):
     """Events plus ingestion metadata from --squid, a path, or the sample."""
-    if getattr(args, "squid", None):
+    if args.squid:
         result = trace.parse_proxy_log(args.squid)
         return result.events, {
             "input": f"squid:{args.squid}",
             "skipped_lines": result.skipped,
             "filtered_requests": result.filtered,
         }
-    path = getattr(args, "trace", None)
-    if path:
-        return trace.parse_trace_file(path), {"input": str(path)}
+    if args.trace:
+        return trace.parse_trace_file(args.trace), {"input": str(args.trace)}
     with _bundled_sample() as sample:
         return trace.parse_trace_file(sample), {"input": "bundled-sample"}
 
@@ -207,11 +206,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    # A flag no prediction would use is refused rather than dropped.  The
+    # flags of each group (--p --m --k, --h1 --s1 --s2, --universe --rate)
+    # are used together, so each needs the next one round the group.
+    for flag, needs in (("p", "m"), ("m", "k"), ("k", "p"), ("h1", "s1"), ("s1", "s2"),
+                        ("s2", "h1"), ("universe", "rate"), ("rate", "universe"),
+                        ("universe", "tch_days"), ("bandwidth", "tch_days"),
+                        ("mean_size", "bandwidth")):
+        if getattr(args, flag) is not None and getattr(args, needs) is None:
+            raise DomainError(f"--{flag} has no effect without --{needs}".replace("_", "-"))
     report: dict = {"alpha": args.alpha, "p_c": args.p_c}
-    counts = (args.p, args.m, args.k)
-    bounds = analytic.ideal_hit_bounds(
-        args.alpha, *(counts if all(v is not None for v in counts) else (None,) * 3)
-    )
+    bounds = analytic.ideal_hit_bounds(args.alpha, args.p, args.m, args.k)
     report["hit_bound_closed"] = bounds.closed_form
     if bounds.from_counts is not None:
         report["hit_bound_counts"] = bounds.from_counts
@@ -228,14 +233,11 @@ def cmd_predict(args) -> int:
         if sizing.m_max is not None:
             key = "max_kernel_docs" if args.mean_size else "max_kernel_bytes"
             report[key] = sizing.m_max
-        if args.universe is not None and args.rate is not None:
+        if args.universe is not None:
             report["wolman_hit_ratio"] = analytic.wolman_hit_ratio(
-                args.universe, args.alpha, args.rate, mu_u
-            )
-    if args.h1 is not None and args.s1 is not None and args.s2 is not None:
-        report["scaled_hit_ratio"] = analytic.hit_scaling(
-            args.h1, args.s1, args.s2, args.alpha
-        )
+                args.universe, args.alpha, args.rate, mu_u)
+    if args.h1 is not None:
+        report["scaled_hit_ratio"] = analytic.hit_scaling(args.h1, args.s1, args.s2, args.alpha)
     if args.alpha_r is not None:
         ff = analytic.freshness_from_exponents(args.alpha, args.alpha_r)
         report["freshness_factor"] = ff
@@ -353,10 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", parents=[report, common],
                        help="popularity and lifetime statistics of a trace")
-    a.add_argument("trace", nargs="?", default=None,
-                   help="native trace path (default: bundled sample)")
-    a.add_argument("--squid", metavar="PATH", default=None,
-                   help="read a squid-style proxy access log instead")
+    source = a.add_mutually_exclusive_group()
+    source.add_argument("trace", nargs="?", default=None,
+                        help="native trace path (default: bundled sample)")
+    source.add_argument("--squid", metavar="PATH", default=None,
+                        help="read a squid-style proxy access log instead")
     a.add_argument("--window-days", type=float, default=None,
                    help="lifetime statistics window (default: full span)")
     a.add_argument("--hit-ratio", type=float, default=None,
@@ -397,10 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", parents=[report, common],
                        help="replay a trace against a cache policy")
-    s.add_argument("-t", "--trace", default=None,
-                   help="native trace path (default: bundled sample)")
-    s.add_argument("--squid", metavar="PATH", default=None,
-                   help="read a squid-style proxy access log instead")
+    source = s.add_mutually_exclusive_group()
+    source.add_argument("-t", "--trace", default=None,
+                        help="native trace path (default: bundled sample)")
+    source.add_argument("--squid", metavar="PATH", default=None,
+                        help="read a squid-style proxy access log instead")
     s.add_argument("--policy", choices=POLICY_IDS, default="zbs",
                    help="replacement policy (default zbs)")
     s.add_argument("--capacity", type=parse_size, default=None,

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .trace import Trace, _doc_order
+from .trace import Trace, _doc_order, _doc_running_counts
 
 SCHEME_IDS = ("goodfetch", "api", "lifetime")
 
@@ -61,26 +61,6 @@ def _lifetime_due(now: float, install_time: float, mod_count: int,
 
 # The threshold schemes' scores on plain floats (p_i, l_i, a_rate).
 _SCORERS = {"goodfetch": _good_fetch, "api": _api}
-
-
-def _doc_running_counts(doc: np.ndarray, mark: np.ndarray) -> np.ndarray:
-    """For each position of a column of document codes, how many positions
-    of its document at or before it are flagged in `mark`, per column of
-    `mark` when it has several: from one sort (see `_doc_order`)."""
-    n = len(doc)
-    order = _doc_order(doc)
-    grouped = doc[order]
-    start = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1  # where a document's group starts
-    del grouped
-    if n:
-        start = np.r_[0, start]
-    flagged = mark[order]
-    counts = np.cumsum(flagged, axis=0, dtype=np.int32 if n < 2**31 else np.int64)
-    # Each group less the flags of the groups before it.
-    counts -= np.repeat(counts[start] - flagged[start], np.diff(start, append=n), axis=0)
-    out = np.empty_like(counts)
-    out[order] = counts
-    return out
 
 
 class PrefetchLayer:
@@ -149,23 +129,24 @@ class PrefetchLayer:
         self.start = float(trace.t[0])
         modified = trace.kind == 1
         if self.score is None:  # lifetime reads the modification counts alone
-            self.mods = memoryview(_doc_running_counts(
-                trace.obj[modified], np.ones(np.count_nonzero(modified), bool)))
+            order, first = _doc_order(trace.obj[modified])
+            self.mods = memoryview(_doc_running_counts(order, first, np.ones(len(order), bool)))
             return
         # No document has more modifications than the trace, so where
         # elapsed / that count stays above 0, so does every l_i.
         elapsed = trace.t[modified] - self.start
         if self.threshold == -math.inf and not np.any(elapsed[elapsed > 0] / len(elapsed) == 0):
             return  # select every copy past the start (see the class docstring)
+        del elapsed
         events = modified | ((trace.kind == 0) & trace.cacheable)
         modified = modified[events]
         # Each modification's position among the events, less the
         # modifications before it, is the count of requests before it.
         self.totals = memoryview(np.flatnonzero(modified) - np.arange(np.count_nonzero(modified)))
-        counts = _doc_running_counts(trace.obj[events],
-                                     np.column_stack((modified, ~modified)))[modified]
-        self.mods = memoryview(np.ascontiguousarray(counts[:, 0]))
-        self.requests = memoryview(np.ascontiguousarray(counts[:, 1]))
+        order, first = _doc_order(trace.obj[events])
+        del events
+        self.mods = memoryview(_doc_running_counts(order, first, modified)[modified])
+        self.requests = memoryview(_doc_running_counts(order, first, ~modified)[modified])
 
     def on_modification(self, obj: str, size: int, now: float, k: int) -> bool:
         """Whether to refetch the resident copy of `obj`, which the trace's

@@ -394,22 +394,18 @@ class _LRUCurve:
             return
         self.totals = _request_totals(trace)  # the same at every capacity
         # Each request paired with the previous request of its document,
-        # both as positions among the cacheable requests.  A trace with
-        # modifications groups them along, and a request finds its copy
-        # stale exactly when its group holds a modification just before it.
+        # both as positions among the cacheable requests, grouped with the
+        # modifications: a request finds its copy stale exactly when its
+        # group holds a modification just before it.
         modified = trace.kind == 1
-        if modified.any():
-            events = counted | modified
-            modified = modified[events]
-            grouped = _doc_order(trace.obj[events])
-            del events
-            requested = ~modified[grouped]
-            after_mod = np.r_[False, ~requested[:-1]][requested]
-            order = (np.cumsum(~modified, dtype=np.int64) - 1)[grouped[requested]]
-            del grouped, requested
-        else:
-            order, after_mod = _doc_order(obj), None
-        del counted, modified
+        events = counted | modified
+        modified = modified[events]
+        grouped, _ = _doc_order(trace.obj[events])
+        del events, counted
+        requested = ~modified[grouped]
+        after_mod = np.r_[False, ~requested[:-1]][requested]
+        order = (np.cumsum(~modified, dtype=np.int64) - 1)[grouped[requested]]
+        del grouped, requested, modified
         order = order.astype(np.int32 if m < 2**31 else np.int64, copy=False)
         same = obj[order[1:]] == obj[order[:-1]]
         del obj
@@ -417,7 +413,7 @@ class _LRUCurve:
         # Each cacheable request's outcome, in request order, should it
         # find its copy resident; a first request has no copy to find.
         self.reuse = np.full(m, MISS, np.uint8)
-        self.reuse[later] = HIT if after_mod is None else np.where(after_mod[1:][same], STALE, HIT)
+        self.reuse[later] = np.where(after_mod[1:][same], STALE, HIT)
         del after_mod
         acct = np.ones(m, np.int64) if count_mode else size
         # The final recency stack, most recent first: each document at its

@@ -27,6 +27,10 @@ reader or a check refuses is parsed again line by line, which yields the
 same events or the error of its first bad line.  `parse_proxy_log` reads
 line by line throughout, as a real log holds lines to skip or filter
 everywhere.
+
+Every per-document pass (size anchoring, lifetimes, the prefetch
+layer's counts, the exact LRU pass) groups events by `_doc_order`, one
+sort of int64 (document, position) keys: codes times length < 2**63.
 """
 
 from __future__ import annotations
@@ -222,16 +226,35 @@ class Trace:
         return NotImplemented
 
 
-def _doc_order(doc: np.ndarray) -> np.ndarray:
-    """The positions of a column of document codes grouped by document,
-    each group in position order: one sort of (document, position) keys."""
+def _doc_order(doc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, first): the positions of a column of document codes grouped
+    by document, each group in position order, and a mask over `order`
+    true at each group's first position."""
     n = len(doc)
     key = doc.astype(np.int64)
     key *= n
     key += np.arange(n)
     key.sort()
     key %= max(n, 1)
-    return key
+    grouped = doc[key]
+    first = np.ones(n, bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    return key, first
+
+
+def _doc_running_counts(order: np.ndarray, first: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """For each position of a column grouped by `_doc_order` into (order,
+    first), how many positions of its document at or before it are
+    flagged in the bool column `mark`."""
+    n = len(order)
+    flagged = mark[order]
+    counts = np.cumsum(flagged, dtype=np.int32 if n < 2**31 else np.int64)
+    # Each group less the flags of the groups before it.
+    start = np.flatnonzero(first)
+    out = np.repeat(counts[start] - flagged[start], np.diff(start, append=n))
+    counts -= out
+    out[order] = counts  # back in position order, in the spent buffer
+    return out
 
 
 @dataclass(frozen=True)
@@ -410,12 +433,8 @@ def generate_trace(spec: SyntheticSpec) -> Trace:
     if n_mod:
         # Within each rank, in time order, every event takes the size of
         # the last modification at or before it, else the rank's first event.
-        by_rank = np.argsort(rank, kind="stable")
-        grouped = rank[by_rank]
-        anchor = is_mod[by_rank]
-        anchor[:1] = True
-        anchor[1:] |= grouped[1:] != grouped[:-1]
-        del grouped
+        by_rank, anchor = _doc_order(rank)
+        anchor |= is_mod[by_rank]
         # In place, to hold one temporary fewer at the peak.
         last = np.arange(len(anchor))
         last *= anchor
@@ -506,10 +525,9 @@ def lifetime_stats(trace: Trace, window_seconds: float | None = None) -> Lifetim
     t = trace.t[picked]
     obj = trace.obj[picked]
     # Requests grouped by document, each group in time order.
-    by_obj = np.argsort(obj, kind="stable")
-    grouped = obj[by_obj]
-    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-    repeats = np.diff(starts, append=len(grouped)) >= 2
+    by_obj, is_start = _doc_order(obj)
+    starts = np.flatnonzero(is_start)
+    repeats = np.diff(starts, append=len(obj)) >= 2
     first = by_obj[starts]
     once = np.sort(first[~repeats])
     second = by_obj[starts[repeats] + 1]

@@ -155,6 +155,10 @@ def test_parse_size_units():
         ["simulate", "--sweep", "1MB,1e300TB"],
         ["simulate", "--sweep", ","],  # a sweep that names no size
         ["simulate", "--sweep", ",", "--capacity", "1KB"],
+        # one input: a trace path or a squid log, not both
+        ["analyze", "t.csv", "--squid", "a.log"],
+        ["analyze", "--squid", "a.log", "t.csv"],
+        ["simulate", "-t", "t.csv", "--squid", "a.log"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -295,6 +299,27 @@ def test_predict_domain_error_exit_4(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--p", "500", "--m", "100"], "--m"),
+        (["--k", "2000"], "--k"),
+        (["--h1", "0.3", "--s1", "1GB"], "--s1"),
+        (["--s2", "2GB", "--h1", "0.3"], "--h1"),
+        (["--rate", "10", "--tch-days", "30"], "--rate"),
+        (["--universe", "1e6", "--rate", "10"], "--universe"),
+        (["--bandwidth", "1MB"], "--bandwidth"),
+        (["--mean-size", "10KB", "--tch-days", "30"], "--mean-size"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+)
+def test_predict_refuses_a_flag_it_would_drop(argv, flag, capsys):
+    assert main(["predict", "--alpha", "0.8", *argv]) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {flag} has no effect without" in captured.err
 
 
 def test_report_never_holds_nan(capsys):

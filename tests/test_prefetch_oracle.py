@@ -26,11 +26,12 @@ from hypothesis import strategies as st
 
 from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS, ZBSCache
-from zipfcache.prefetch import PrefetchLayer, _doc_running_counts
+from zipfcache.prefetch import PrefetchLayer
 from zipfcache import simcore
 from zipfcache.simcore import (HIT, MISS, MODIFIED, NOT_CACHEABLE, REFUSED, STALE,
                                CacheConfig, _Engine)
-from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent, _doc_order
+from zipfcache.trace import (MODIFICATION, REQUEST, Trace, TraceEvent, _doc_order,
+                             _doc_running_counts)
 
 
 class Stats(NamedTuple):
@@ -253,11 +254,32 @@ def test_lifetime_jumps_match_reference_over_long_gaps(policy_id):
     check()
 
 
+def _assert_grouping_by_brute_force(doc: np.ndarray, marks) -> None:
+    """`_doc_order` and `_doc_running_counts` of each mark column over the
+    document codes `doc`, against a count one position at a time."""
+    codes = doc.tolist()
+    order, first = _doc_order(doc)
+    assert order.tolist() == sorted(range(len(codes)), key=lambda p: (codes[p], p))
+    grouped = [codes[p] for p in order.tolist()]
+    assert first.tolist() == [i == 0 or grouped[i] != grouped[i - 1]
+                              for i in range(len(grouped))]
+    for mark in marks:
+        flags = mark.tolist()
+        assert _doc_running_counts(order, first, mark).tolist() == [
+            sum(flags[j] for j in range(p + 1) if codes[j] == codes[p])
+            for p in range(len(codes))]
+
+
 def test_inputs_match_a_count_by_brute_force():
     """`_doc_order` and `_doc_running_counts` over the modifications and
     the cacheable requests, and what each layer derives from them, against
     a count of the events one at a time, on traces with ties, requests
-    that are not cacheable and a document that is only modified."""
+    that are not cacheable and a document that is only modified; and on
+    an empty column and a column of one document."""
+    empty = np.empty(0, np.int32)
+    _assert_grouping_by_brute_force(empty, [np.empty(0, bool)])
+    _assert_grouping_by_brute_force(np.full(5, 3, np.int32), [
+        np.array([True, False, True, True, False]), np.zeros(5, bool), np.ones(5, bool)])
 
     @given(events=traces(), rnd=st.randoms(use_true_random=True))
     def check(events, rnd):
@@ -268,17 +290,7 @@ def test_inputs_match_a_count_by_brute_force():
         trace = Trace.from_events(events)
         modified = trace.kind == 1
         picked = modified | ((trace.kind == 0) & trace.cacheable)
-        doc, flags = trace.obj[picked].tolist(), modified[picked].tolist()
-        assert _doc_order(trace.obj[picked]).tolist() == sorted(
-            range(len(doc)), key=lambda p: (doc[p], p))
-        counts = _doc_running_counts(trace.obj[picked],
-                                     np.column_stack((modified[picked], ~modified[picked])))
-        assert counts.tolist() == [
-            [sum(flags[j] == flag for j in range(p + 1) if doc[j] == doc[p])
-             for flag in (True, False)]
-            for p in range(len(doc))]
-        assert _doc_running_counts(trace.obj[picked], modified[picked]).tolist() == (
-            counts[:, 0].tolist())
+        _assert_grouping_by_brute_force(trace.obj[picked], [modified[picked], ~modified[picked]])
 
         mods = modifications(trace)
         lifetime, api = PrefetchLayer("lifetime"), PrefetchLayer("api", 1.0)
