@@ -264,6 +264,8 @@ def cmd_simulate(args) -> int:
     # A setting the run would ignore is refused rather than echoed as used.
     if not args.prefetch and args.threshold != -math.inf:
         raise DomainError("--threshold has no effect without --prefetch")
+    if args.threshold == math.inf:
+        raise DomainError("--threshold inf has no effect: no score is above it")
     if args.policy not in ("zbs", "zbs-byte"):
         for flag, value in (("--accessory-fraction", args.accessory_fraction),
                             ("--retention-days", args.retention_days)):

@@ -250,7 +250,6 @@ class ZBSCache:
         self.stats: dict[str, list] = {}
         self.kernel_bytes = 0
         self.accessory_bytes = 0
-        self.peak_accessory_bytes = 0
         self.over_limit = False
         self._seq = 0
         self._start: float | None = None
@@ -363,10 +362,6 @@ class ZBSCache:
             self.accessory_bytes += size
             if self.accessory_bytes > self.acc_cap:
                 self.over_limit = True
-            elif self.accessory_bytes > self.peak_accessory_bytes:
-                # Peak tracks settled states; an over-limit admission is
-                # drained within the same event before it can be observed.
-                self.peak_accessory_bytes = self.accessory_bytes
         return True
 
     def on_hit(self, obj: str, now: float) -> None:
@@ -444,8 +439,6 @@ class ZBSCache:
             obj, (size, _) = self.accessory.popitem(last=False)
             self.accessory_bytes -= size
             victims.append(obj)
-        if self.accessory_bytes > self.peak_accessory_bytes:
-            self.peak_accessory_bytes = self.accessory_bytes
         if self.kernel_bytes > self.kern_cap:
             self._evict_kernel(now, victims)
         self.over_limit = False

@@ -1,7 +1,7 @@
 """Long-term prefetching schemes layered over the simulation engine.
 
 Three ways to decide which documents are worth keeping fresh at the
-origin's expense:
+origin's expense (Venkataramani et al., Computer Communications 2002):
 
 * ``goodfetch``  fetch documents likely to be requested again before
   they change, P = 1 - (1 - p_i)^(a l_i);
@@ -9,19 +9,20 @@ origin's expense:
 * ``lifetime``   fetch a stale document once its copy age exceeds the
   mean observed interval between its modifications.
 
-The engine calls the layer only where a modification makes a resident
-copy stale.  What a scheme reads there comes from the trace's columns,
-derived once when the run starts: each modification's count of its
-document's modifications so far, and, for a threshold filter that can
-refuse, the cacheable requests before it.  The first two schemes are
-threshold filters evaluated at those calls; with the default threshold
-of -inf they select every copy without scoring it.  The lifetime rule
-fires only on the engine's daily ticks: at a modification the copy's age
-is zero and cannot exceed the interval.  The layer keeps an index of the
-resident copies it saw go stale, and a tick evaluates the rule on those
-alone, in the order the engine admitted them.  Prefetched bytes are
-reported separately from demand bytes so the added bandwidth is
-measurable against the hit-ratio gain.
+At a modification of document i, the layer estimates the request rate a
+as K / T, where K counts the cacheable requests before it and T the time
+elapsed since the trace start.  p_i is r_i / K, with r_i the document's
+own cacheable requests before it, and l_i is T / m_i, with m_i its
+modifications so far.  So a l_i = K / m_i and a p_i l_i = r_i / m_i: T
+cancels, and each of the first two scores is a function of three counts.
+The layer decides every modification by such a score once, when the run
+starts, from the trace's columns.  The lifetime rule fires only on the
+engine's daily ticks: at a modification the copy's age is zero and
+cannot exceed the interval.  The layer keeps an index of the resident
+copies it saw go stale, each with the time it comes due, and a tick
+fetches the due ones alone, in the order the engine admitted them.
+Prefetched bytes are reported separately from demand bytes so the added
+bandwidth is measurable against the hit-ratio gain.
 """
 
 from __future__ import annotations
@@ -37,46 +38,23 @@ SCHEME_IDS = ("goodfetch", "api", "lifetime")
 __all__ = ["SCHEME_IDS", "PrefetchLayer"]
 
 
-def _good_fetch(p_i: float, l_i: float, a_rate: float) -> float:
-    """Probability of a request before the next change, 1 - (1 - p_i)^(a l_i)."""
-    exponent = a_rate * l_i
-    if exponent == 0.0:
-        return 0.0
-    if p_i >= 1.0:
-        return 1.0
-    return -math.expm1(exponent * math.log1p(-p_i))
-
-
-def _api(p_i: float, l_i: float, a_rate: float) -> float:
-    """Expected requests per lifetime, a p_i l_i."""
-    return a_rate * p_i * l_i
-
-
-def _lifetime_due(now: float, install_time: float, mod_count: int,
-                  last_modified: float) -> bool:
-    """Copy age strictly above the mean interval between modifications."""
-    t_p = (now - install_time) / mod_count
-    return (now - last_modified) > t_p
-
-
-# The threshold schemes' scores on plain floats (p_i, l_i, a_rate).
-_SCORERS = {"goodfetch": _good_fetch, "api": _api}
+def _good_fetch(requests: np.ndarray, total: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """1 - (1 - p_i)^(a l_i) per modification, with p_i = r_i / K and
+    a l_i = K / m_i; NaN where K = 0, where no copy is resident."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log1p(-1) is -inf
+        return -np.expm1(total / mods * np.log1p(-requests / total))
 
 
 class PrefetchLayer:
     """Adapter the engine drives at modifications of resident copies and
     at daily ticks.
 
-    `note_start` derives the scoring inputs from the trace, per
-    modification by its ordinal in the trace: p_i from its document's
-    share of the cacheable requests before it, a from their total over
-    the time elapsed since the trace start, and l_i as that time over the
-    document's modifications so far.  All of them come from one sort of
-    (document, event index) keys.  A resident copy was requested, so p_i
-    > 0; past the start every score is then finite and beats the default
-    threshold of -inf, and the filters select without scoring.  The one
-    exception is an elapsed time so small that elapsed / mods rounds to 0,
-    where a l_i is 0 * inf; a trace with one makes the layer score.
+    For `goodfetch` and `api`, `note_start` decides each modification,
+    by its ordinal in the trace, into the bool column `select`: true past
+    the start where the score beats the threshold.  The counts come from
+    one sort of (document, event index) keys and are dropped once scored.
+    A resident copy was requested, so r_i >= 1 and its score is finite;
+    at the default threshold of -inf the column is just t > start.
 
     For `lifetime`, `stale` indexes the documents whose resident copy the
     layer saw go stale at their second or a later modification.  After
@@ -84,9 +62,10 @@ class PrefetchLayer:
     interval now - start, so the rule cannot fire.  With m modifications,
     the last at L, the rule now - L > (now - start) / m holds in exact
     arithmetic iff now > (m L - start) / (m - 1).  `stale` maps each copy
-    to that due time, L, m and the size L set, which is all a tick reads;
-    `next_due` is at or below the least due time (inf when no copy
-    waits), so the engine can jump its clock to just before it.
+    to that due time and the size L set, and a tick fetches a copy
+    exactly when it is past its due time; `next_due` is at or below the
+    least due time (inf when no copy waits), so no tick at or before it
+    fetches and the engine's clock may jump to it.
 
     A copy turns stale only through a modification reported here, so
     every stale resident copy that can come due is indexed, and each entry
@@ -111,14 +90,12 @@ class PrefetchLayer:
             raise ValueError("the lifetime scheme takes no threshold")
         self.scheme = scheme
         self.threshold = threshold
-        self.score = _SCORERS.get(scheme)  # None for lifetime
         self.start: float | None = None
-        # Per modification, by ordinal, what the scheme reads: its
-        # document's modifications so far, itself included, and the
-        # cacheable requests before it, of its document and of all.
-        # None where the scheme reads nothing.
-        self.mods = self.requests = self.totals = None
-        self.stale: dict[str, tuple[float, float, int, int]] = {}
+        # Per modification, by ordinal: for lifetime, its document's
+        # modifications so far, itself included; for the others, whether
+        # to fetch.  None where the scheme reads nothing.
+        self.mods = self.select = None
+        self.stale: dict[str, tuple[float, int]] = {}
         self.next_due = math.inf
 
     def note_start(self, trace: Trace) -> None:
@@ -128,53 +105,47 @@ class PrefetchLayer:
             raise ValueError("a PrefetchLayer runs once; pass a new one to each simulate call")
         self.start = float(trace.t[0])
         modified = trace.kind == 1
-        if self.score is None:  # lifetime reads the modification counts alone
+        if self.scheme == "lifetime":
             order, first = _doc_order(trace.obj[modified])
             self.mods = memoryview(_doc_running_counts(order, first, np.ones(len(order), bool)))
             return
-        # No document has more modifications than the trace, so where
-        # elapsed / that count stays above 0, so does every l_i.
-        elapsed = trace.t[modified] - self.start
-        if self.threshold == -math.inf and not np.any(elapsed[elapsed > 0] / len(elapsed) == 0):
-            return  # select every copy past the start (see the class docstring)
-        del elapsed
+        select = trace.t[modified] > self.start
+        if self.threshold != -math.inf:
+            select &= self._scores(trace, modified) > self.threshold
+        self.select = memoryview(select)
+
+    def _scores(self, trace: Trace, modified: np.ndarray) -> np.ndarray:
+        """Each modification's score from its counts r_i, K and m_i."""
         events = modified | ((trace.kind == 0) & trace.cacheable)
         modified = modified[events]
-        # Each modification's position among the events, less the
-        # modifications before it, is the count of requests before it.
-        self.totals = memoryview(np.flatnonzero(modified) - np.arange(np.count_nonzero(modified)))
         order, first = _doc_order(trace.obj[events])
         del events
-        self.mods = memoryview(_doc_running_counts(order, first, modified)[modified])
-        self.requests = memoryview(_doc_running_counts(order, first, ~modified)[modified])
+        mods = _doc_running_counts(order, first, modified)[modified]
+        requests = _doc_running_counts(order, first, ~modified)[modified]
+        if self.scheme == "api":
+            return requests / mods
+        # Each modification's position among the events, less the
+        # modifications before it, is the count of requests before it.
+        total = np.flatnonzero(modified) - np.arange(len(mods))
+        return _good_fetch(requests, total, mods)
 
     def on_modification(self, obj: str, size: int, now: float, k: int) -> bool:
         """Whether to refetch the resident copy of `obj`, which the trace's
         modification `k` (counted from 0) has just made stale."""
-        score = self.score
-        if score is None:
-            # lifetime: a copy just modified is not due; index it for the ticks.
-            mods = self.mods[k]
-            if mods >= 2:
-                due = (mods * now - self.start) / (mods - 1)
-                self.stale[obj] = (due, now, mods, size)
-                if due < self.next_due:
-                    self.next_due = due
-            return False
-        elapsed = now - self.start
-        if elapsed <= 0:
-            return False
-        totals = self.totals
-        if totals is None:
-            return True
-        total = totals[k]
-        return score(self.requests[k] / total, elapsed / self.mods[k],
-                     total / elapsed) > self.threshold
+        if self.select is not None:
+            return self.select[k]
+        # lifetime: a copy just modified is not due; index it for the ticks.
+        mods = self.mods[k]
+        if mods >= 2:
+            due = (mods * now - self.start) / (mods - 1)
+            self.stale[obj] = (due, size)
+            if due < self.next_due:
+                self.next_due = due
+        return False
 
     def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:
         """Stale copies in `resident` the lifetime rule fetches at `now`, in
         the engine's admission order."""
-        start = self.start
         keep = {}
         picks = []
         next_due = math.inf
@@ -182,14 +153,14 @@ class PrefetchLayer:
             entry = resident.get(obj)
             if entry is None or entry[0]:
                 continue  # evicted, refetched or re-admitted fresh
-            keep[obj] = stale
-            due, last_modified, mods, size = stale
-            if _lifetime_due(now, start, mods, last_modified):
+            due, size = stale
+            if now > due:
                 picks.append((entry[1], obj, size))
-            elif due < next_due:
-                next_due = due
+            else:
+                keep[obj] = stale
+                if due < next_due:
+                    next_due = due
         self.stale = keep
         self.next_due = next_due
         picks.sort()  # admission numbers are unique
         return [(obj, size) for _, obj, size in picks]
-

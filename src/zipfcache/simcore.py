@@ -250,16 +250,14 @@ class _Engine:
         self.outcome = outcome = bytearray(_codes(trace.kind, trace.cacheable))
         for i, now, code, obj, size in _rows(trace):
             while now >= next_tick:
-                # No event changes residency until `now`, no prefetch does
-                # before the layer's next copy can come due, and expiry is
-                # monotone in time: one tick at the last boundary before
-                # both does the work of every tick in the gap.  The margin
-                # keeps rounding from skipping a due tick; from there the
-                # lifetime rule decides tick by tick.
-                next_due = math.inf if layer is None else layer.next_due
-                edge = now if next_due == math.inf else min(
-                    now, next_due - DAY - 1e-9 * (abs(next_due) + abs(t0)))
+                # No event changes residency until `now`, no tick at or
+                # before the layer's `next_due` fetches, and expiry is
+                # monotone in time: one tick at the last boundary at or
+                # before both does the work of every tick in the gap.
+                edge = now if layer is None else min(now, layer.next_due)
                 last = (edge - t0) // DAY
+                while t0 + last * DAY > edge:  # the quotient rounded up
+                    last -= 1
                 if last > day:
                     day = last
                     next_tick = t0 + day * DAY

@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from zipfcache import analytic
+from zipfcache import analytic, simcore
 from zipfcache.analytic import DAY, ZipfLaw, special_points
 from zipfcache.cli import main
 from zipfcache.policies import ZBSCache
@@ -170,12 +170,22 @@ def test_renewal_accounting(capsys, renewal_events, renewal_unbounded):
     )
 
 
-def test_zbs_behavior(capsys, renewal_events):
+def test_zbs_behavior(capsys, renewal_events, monkeypatch):
     capacity = round(0.20 * _footprint(renewal_events))
     lru = simulate(renewal_events, CacheConfig(capacity_bytes=capacity, policy_id="lru"))
     eng = _Engine(CacheConfig(capacity_bytes=capacity, policy_id="zbs"))
+    rows, peak = simcore._rows, [0]
+
+    def observed_rows(trace):
+        # the accessory area once each event has settled: an over-limit
+        # admission is drained within its event
+        for row in rows(trace):
+            yield row
+            peak[0] = max(peak[0], eng.policy.accessory_bytes)
+
+    monkeypatch.setattr(simcore, "_rows", observed_rows)
     zbs = eng.run(renewal_events)
-    peak_frac = eng.policy.peak_accessory_bytes / capacity
+    peak_frac = peak[0] / capacity
 
     micro = ZBSCache(10_000)
     micro.on_miss_admit("doc", 100, 0.0)

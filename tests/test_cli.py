@@ -443,6 +443,7 @@ def test_simulate_missing_trace_exit_3(tmp_path):
     ["--policy", "lru", "--capacity", "0"],
     ["--policy", "lru", "--sweep", "1KB,0"],
     ["--policy", "lru", "--prefetch", "lifetime", "--threshold", "0.5"],
+    ["--policy", "lru", "--prefetch", "api", "--threshold", "inf"],
     ["--policy", "zbs", "--retention-days", "10"],
 ], ids=" ".join)
 @pytest.mark.parametrize("flag", ["-t", "--squid"])
@@ -537,6 +538,16 @@ def test_simulate_zbs_settings_echoed(small_trace, capsys):
     cfg = _run_json(capsys, [*argv, "--policy", "zbs-byte", "--retention-days", "60",
                              "--accessory-fraction", "0.05"])["config"]
     assert (cfg["accessory_fraction"], cfg["stats_retention_days"]) == (0.05, 60.0)
+
+
+@pytest.mark.parametrize("scheme", ["goodfetch", "api"])
+def test_simulate_infinite_threshold_exit_4(small_trace, capsys, scheme):
+    # no score is above +inf, so the layer would fetch nothing, and the
+    # echo would read null, as for the select-everything default
+    rc = main(["simulate", "-t", str(small_trace), "--prefetch", scheme,
+               "--threshold", "inf"])
+    assert rc == EXIT_DOMAIN
+    assert "--threshold inf has no effect" in capsys.readouterr().err
 
 
 def test_simulate_nan_threshold_exit_4(small_trace, capsys):

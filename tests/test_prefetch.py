@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zipfcache.prefetch import PrefetchLayer, _api, _good_fetch, _lifetime_due
+from zipfcache.prefetch import PrefetchLayer, _good_fetch
 from zipfcache.simcore import CacheConfig, simulate
 from zipfcache.trace import (
     MODIFICATION,
@@ -23,37 +23,85 @@ DAY = 86400.0
 # ------------------------------------------------------------------ scoring
 
 
+def _counts(*values):
+    return (np.array(v, float) for v in values)
+
+
 def test_good_fetch_probability_against_direct_power():
-    val = _good_fetch(1e-5, 1e5, 1.0)
+    # p_i = 1 / 1e5 and a l_i = K / m_i = 1e5
+    val = _good_fetch(*_counts([1], [100_000], [1]))[0]
     assert val == pytest.approx(1.0 - (1.0 - 1e-5) ** 1e5, rel=1e-9)
     assert val == pytest.approx(0.632, abs=1e-3)
 
 
 def test_good_fetch_probability_trivials():
-    assert _good_fetch(0.0, 1000.0, 1.0) == 0.0
-    assert _good_fetch(0.01, 1000.0, 0.0) == 0.0
-    assert _good_fetch(1.0, 5.0, 1.0) == 1.0
+    # no request of the document, every request to it, and no request at
+    # all, where no copy can be resident
+    val = _good_fetch(*_counts([0, 7, 0], [1000, 7, 0], [3, 2, 1]))
+    assert val[:2].tolist() == [0.0, 1.0]
+    assert math.isnan(val[2])
 
 
 def test_good_fetch_probability_matches_exponential_limit():
-    # 1 - exp(-a p l) is the small-p limit; stays within 1% for p <= 1e-3
+    # 1 - exp(-a p l) = 1 - exp(-r / m) is the small-p limit; stays within
+    # 1% for p <= 1e-3
     rng = np.random.default_rng(17)
     for _ in range(50):
-        p = 10 ** rng.uniform(-6, -3)
-        al = 10 ** rng.uniform(-1, 3)
-        exact = _good_fetch(p, al, 1.0)
-        approx = -math.expm1(-al * p)
+        total = round(10 ** rng.uniform(3, 6))
+        requests = max(1, round(total * 10 ** rng.uniform(-6, -3)))
+        mods = max(1, round(total / 10 ** rng.uniform(-1, 3)))
+        exact = _good_fetch(*_counts([requests], [total], [mods]))[0]
+        approx = -math.expm1(-requests / mods)
         assert exact == pytest.approx(approx, rel=0.01)
 
 
+def _selected(events, scheme, threshold):
+    layer = PrefetchLayer(scheme, threshold)
+    layer.note_start(Trace.from_events(events))
+    return list(layer.select)
+
+
 def test_api_value_arithmetic():
-    assert _api(0.01, 50.0, 2.0) == pytest.approx(1.0)
+    # a p_i l_i = r_i / m_i, whatever the times: 3 requests at the second
+    # modification and 4 at the third; the first, at the start, scores 1
+    # and is never selected
+    events = [
+        TraceEvent(0.0, REQUEST, "a", 100), TraceEvent(0.0, MODIFICATION, "a", 100),
+        TraceEvent(5.0, REQUEST, "b", 100), TraceEvent(9.0, REQUEST, "a", 100),
+        TraceEvent(10.0, REQUEST, "a", 100), TraceEvent(1e4, MODIFICATION, "a", 100),
+        TraceEvent(3e5, REQUEST, "a", 100), TraceEvent(4e5, MODIFICATION, "a", 100),
+    ]
+    assert _selected(events, "api", 0.5) == [False, True, True]
+    assert _selected(events, "api", 1.4) == [False, True, False]
+    assert _selected(events, "api", 1.5) == [False, False, False]
+
+
+def test_api_tie_is_not_selected():
+    # r / m = 1 exactly, while (K / T)(r / K)(T / m) rounds to 1 + 2**-52
+    # at K = 5 requests and T = 7 s: the rule is strict, so a threshold of
+    # 1 refuses the copy and any lower one takes it
+    events = [TraceEvent(0.0, REQUEST, "a", 100),
+              *(TraceEvent(1.0, REQUEST, f"b{i}", 100) for i in range(4)),
+              TraceEvent(7.0, MODIFICATION, "a", 100)]
+    assert (5 / 7) * (1 / 5) * (7 / 1) > 1.0
+    for threshold, fetched in ((1.0, 0), (math.nextafter(1.0, 0.0), 1)):
+        report = simulate(Trace.from_events(events), *_lru_with("api", threshold))
+        assert report.prefetch_fetches == fetched
 
 
 def test_lifetime_threshold_rule():
-    # 10 modifications since install at 0: mean interval 10 d at 100 d
-    assert _lifetime_due(100 * DAY, 0.0, 10, 89 * DAY)  # age 11 d > 10 d
-    assert not _lifetime_due(100 * DAY, 0.0, 10, 90 * DAY)  # equality does not fetch
+    # 10 modifications since install at 0: mean interval 10 d at 100 d; a
+    # copy last modified at 89 d is due at 98.9 d, one at 90 d at 100 d
+    for last, fetched in ((89, [("a", 100)]), (90, [])):  # age 11 d > 10 d; equality
+        days = [*range(1, 10), last]
+        layer = PrefetchLayer("lifetime")
+        layer.note_start(Trace.from_events(
+            [TraceEvent(0.0, REQUEST, "a", 100)]
+            + [TraceEvent(day * DAY, MODIFICATION, "a", 100) for day in days]))
+        for k, day in enumerate(days):
+            layer.on_modification("a", 100, day * DAY, k)
+        assert layer.stale["a"][0] == (10 * last * DAY) / 9
+        assert layer.tick_refetches(100 * DAY, {"a": [False, 0]}) == fetched
 
 
 # ------------------------------------------------------- engine integration
@@ -203,5 +251,5 @@ def test_layered_peak_memory_per_event(scheme, threshold, bound):
     finally:
         tracemalloc.stop()
     assert len(events) == 93_739 and report.prefetch_fetches > 0
-    assert layer.requests is not None or threshold == -math.inf
+    assert threshold == -math.inf or not all(layer.select)  # the counts were scored
     assert peak / len(events) <= bound

@@ -4,11 +4,11 @@ under every policy with no layer and under each scheme.
 
 `RefPrefetchLayer` is the plain form of `PrefetchLayer`: it counts each
 modification's inputs by walking the trace's events one at a time,
-builds a `Stats` record for every decision, scores it with its own copy
-of the three rules and, on every daily tick, scans every resident
-document for a stale copy the lifetime rule fetches.  While it holds a
-stale copy it keeps the engine's clock walking day by day, where
-`PrefetchLayer` lets the clock jump to just before its `next_due` bound.
+scores every decision from those counts with its own copy of the three
+rules and, on every daily tick, scans every resident document for a
+stale copy the lifetime rule fetches.  While it holds a stale copy it
+keeps the engine's clock walking day by day, where `PrefetchLayer` lets
+the clock jump to its `next_due` bound.
 The optimized layer must make the same decision at every call, pick the
 same documents in the same order at the same ticks (so the bound never
 skips a tick that fetches), and produce the same `SimReport` on every
@@ -32,39 +32,6 @@ from zipfcache.simcore import (HIT, MISS, MODIFIED, NOT_CACHEABLE, REFUSED, STAL
                                CacheConfig, _Engine)
 from zipfcache.trace import (MODIFICATION, REQUEST, Trace, TraceEvent, _doc_order,
                              _doc_running_counts)
-
-
-class Stats(NamedTuple):
-    """A document's scoring inputs: its share p_i of all requests, its mean
-    lifetime l_i between modifications and the aggregate request rate, in
-    seconds; tracking began at install_time."""
-
-    p_i: float
-    l_i: float
-    a_rate: float
-    mod_count: int
-    install_time: float
-    last_modified: float
-
-
-def good_fetch(s):
-    """1 - (1 - p_i)^(a l_i), in the same expm1/log1p form as the layer so
-    that rounding cannot move a threshold decision."""
-    n = s.a_rate * s.l_i
-    if n == 0.0:
-        return 0.0
-    if s.p_i == 1.0:  # every request is to this document; log1p(-1) raises
-        return 1.0
-    return -math.expm1(n * math.log1p(-s.p_i))
-
-
-def api(s):
-    return s.a_rate * s.p_i * s.l_i
-
-
-def lifetime_due(s, now):
-    """The copy's age exceeds the mean interval between modifications."""
-    return now - s.last_modified > (now - s.install_time) / s.mod_count
 
 
 class Modification(NamedTuple):
@@ -92,6 +59,33 @@ def modifications(trace):
     return out
 
 
+# The scores of a modification of a document with a cacheable request,
+# from its counts: with a = K / T, p_i = r_i / K and l_i = T / m_i, the
+# elapsed time T cancels.
+
+
+def good_fetch(m):
+    """1 - (1 - p_i)^(a l_i) = 1 - (1 - r_i / K)^(K / m_i), in the same
+    expm1/log1p form as the layer so that rounding cannot move a threshold
+    decision."""
+    if m.requests == m.total:  # every request is to this document; log1p(-1) raises
+        return 1.0
+    return -math.expm1(m.total / m.mods * math.log1p(-m.requests / m.total))
+
+
+def api(m):
+    """a p_i l_i = r_i / m_i."""
+    return m.requests / m.mods
+
+
+def lifetime_due(m, start, now):
+    """The copy's age exceeds the mean interval between modifications,
+    now - L > (now - start) / m_i, in the due-time form the layer keeps:
+    now > (m_i L - start) / (m_i - 1).  After one modification, at
+    L >= start, the age never exceeds the interval."""
+    return m.mods >= 2 and now > (m.mods * m.t - start) / (m.mods - 1)
+
+
 class RefPrefetchLayer:
     SCORERS = {"goodfetch": good_fetch, "api": api}
 
@@ -103,10 +97,11 @@ class RefPrefetchLayer:
         # those still stale and resident at it, once modified at least twice;
         # the engine walks each tick while there is one
         self.stale = set()
+        self.day = 0  # the engine's last tick, in days from the start
 
     @property
     def next_due(self):
-        # no tick lies before the trace start, so the engine jumps no tick
+        # no tick lies at or before the trace start, so the engine jumps no tick
         return self.start if self.stale else math.inf
 
     def note_start(self, trace):
@@ -114,49 +109,28 @@ class RefPrefetchLayer:
         self.start = float(trace.t[0])
         self.modifications = modifications(trace)
 
-    def stats_for(self, now, m, requests, total):
-        """The scoring inputs at `now` after the modification `m`."""
-        if now <= self.start:
-            return None
-        elapsed = now - self.start
-        return Stats(
-            p_i=requests / total if total else 0.0,
-            l_i=elapsed / m.mods,
-            a_rate=total / elapsed,
-            mod_count=m.mods,
-            install_time=self.start,
-            last_modified=m.t,
-        )
-
     def on_modification(self, obj, size, now, k):
         m = self.modifications[k]
         assert (m.t, m.obj, m.size) == (now, obj, size)
-        if self.scheme == "lifetime" and m.mods >= 2:
-            self.stale.add(obj)
-        stats = self.stats_for(now, m, m.requests, m.total)
-        if stats is None:
-            return False
         if self.scheme == "lifetime":
-            return lifetime_due(stats, now)
-        return self.SCORERS[self.scheme](stats) > self.threshold
+            if m.mods >= 2:
+                self.stale.add(obj)
+            return False  # the copy's age is 0, never above the interval
+        return now > self.start and self.SCORERS[self.scheme](m) > self.threshold
 
     def tick_refetches(self, now, resident):
         if self.scheme != "lifetime":
             return []
+        day = round((now - self.start) / DAY)
+        assert day == self.day + 1 or not self.stale, "the engine skipped a tick"
+        self.day = day
         # each document's last modification the engine has passed: a tick
         # at `now` comes before the events at `now`
         last = {m.obj: m for m in self.modifications if m.t < now}
         self.stale = {obj for obj, entry in resident.items()
                       if not entry[0] and last[obj].mods >= 2}
-        out = []
-        for obj, entry in resident.items():
-            if entry[0]:  # fresh
-                continue
-            # the lifetime rule reads neither request counts nor their total
-            stats = self.stats_for(now, last[obj], 0, 0)
-            if stats is not None and lifetime_due(stats, now):
-                out.append((obj, last[obj].size))
-        return out
+        return [(obj, last[obj].size) for obj, entry in resident.items()
+                if not entry[0] and lifetime_due(last[obj], self.start, now)]
 
 
 def _recording(layer, log):
@@ -203,8 +177,9 @@ def traces(draw, sizes=(20, 50, 90, 150, 400, 700), max_gap=2 * DAY, tiny=False)
     """Time-ordered events over a handful of documents.  Gaps are ties,
     seconds or up to `max_gap`, so daily ticks meet stale copies that
     were modified a few times.  With `tiny`, the first few gaps are ties
-    or the least subnormal float, so that elapsed / mods rounds to 0
-    there.  The events come from a seeded `Random`, which draws far faster
+    or the least subnormal float, so that modifications just past the
+    start sit where any rule that divided by the elapsed time would meet
+    a 0 or an inf.  The events come from a seeded `Random`, which draws far faster
     than Hypothesis' own data and shrinks less."""
     rnd = draw(st.randoms(use_true_random=True))
     n_docs = rnd.choice((2, 5, 10, 20))
@@ -254,6 +229,58 @@ def test_lifetime_jumps_match_reference_over_long_gaps(policy_id):
     check()
 
 
+def _due_checks(trace, config):
+    """Run the lifetime layer over `trace` and, at every daily tick, the
+    engine's and those its clock jumps over, check each stale resident
+    copy the layer indexes: past its due time (m L - start) / (m - 1)
+    exactly when the paper's age rule now - L > (now - start) / m holds,
+    with L and m its document's last modification and count.  Returns
+    the number of checks."""
+    layer = PrefetchLayer("lifetime")
+    on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
+    last, checks, day = {}, [0], [0]
+
+    def on_mod(obj, size, now, k):
+        last[obj] = (now, layer.mods[k])
+        return on_modification(obj, size, now, k)
+
+    def tick(now, resident):
+        start = layer.start
+        # no event falls between the ticks a jump skips, so each of them
+        # sees the index as this one does
+        while start + (day[0] + 1) * DAY <= now:
+            day[0] += 1
+            at = start + day[0] * DAY
+            for obj, (due, _) in layer.stale.items():
+                entry = resident.get(obj)
+                if entry is not None and not entry[0]:
+                    modified, mods = last[obj]
+                    assert due == (mods * modified - start) / (mods - 1)
+                    assert (at > due) == (at - modified > (at - start) / mods)
+                    checks[0] += 1
+        return tick_refetches(now, resident)
+
+    layer.on_modification, layer.tick_refetches = on_mod, tick
+    _Engine(config, layer).run(trace)
+    return checks[0]
+
+
+@pytest.mark.parametrize("tiny", [False, True])
+def test_lifetime_due_time_is_the_age_rule(tiny):
+    checks = []
+
+    @given(events=traces(max_gap=10 * DAY, tiny=tiny), config=configs("lru"))
+    def check(events, config):
+        checks.append(_due_checks(Trace.from_events(events), config))
+
+    check()
+    assert sum(checks) > 0
+
+
+def test_lifetime_due_time_is_the_age_rule_on_the_fixture(renewal_events):
+    assert _due_checks(renewal_events, CacheConfig(policy_id="lru")) > 0
+
+
 def _assert_grouping_by_brute_force(doc: np.ndarray, marks) -> None:
     """`_doc_order` and `_doc_running_counts` of each mark column over the
     document codes `doc`, against a count one position at a time."""
@@ -292,13 +319,17 @@ def test_inputs_match_a_count_by_brute_force():
         picked = modified | ((trace.kind == 0) & trace.cacheable)
         _assert_grouping_by_brute_force(trace.obj[picked], [modified[picked], ~modified[picked]])
 
-        mods = modifications(trace)
-        lifetime, api = PrefetchLayer("lifetime"), PrefetchLayer("api", 1.0)
-        for layer in (lifetime, api):
+        mods, start = modifications(trace), float(trace.t[0])
+        layer = PrefetchLayer("lifetime")
+        layer.note_start(trace)
+        assert list(layer.mods) == [m.mods for m in mods]
+        # a copy is resident only after a cacheable request of its document
+        for scheme, threshold in (("api", 1.0), ("goodfetch", 0.3), ("goodfetch", -math.inf)):
+            layer = PrefetchLayer(scheme, threshold)
             layer.note_start(trace)
-            assert list(layer.mods) == [m.mods for m in mods]
-        assert list(api.requests) == [m.requests for m in mods]
-        assert list(api.totals) == [m.total for m in mods]
+            assert [s for s, m in zip(layer.select, mods) if m.requests] == [
+                m.t > start and RefPrefetchLayer.SCORERS[scheme](m) > threshold
+                for m in mods if m.requests]
 
     check()
 
@@ -306,48 +337,15 @@ def test_inputs_match_a_count_by_brute_force():
 @pytest.mark.parametrize("scheme", ["goodfetch", "api"])
 def test_select_all_equals_scoring_against_minus_inf(scheme):
     """The default threshold selects every resident copy past the start
-    without scoring it, exactly where a score against the brute-force
-    counts beats -inf.  Near a start at 0 with subnormal gaps, elapsed /
-    mods rounds to 0, a score can be NaN, and the layer scores."""
+    without scoring it, exactly where the reference's score from the
+    counts beats -inf, also among the ties and subnormal gaps near a
+    start at 0."""
 
     @given(events=traces(tiny=True), config=configs("lru"))
     def check(events, config):
-        trace = Trace.from_events(events)
-        layer, calls = PrefetchLayer(scheme), []
-        on_modification = layer.on_modification
-
-        def on_mod(obj, size, now, k):
-            calls.append((now, k, on_modification(obj, size, now, k)))
-            return calls[-1][-1]
-
-        layer.on_modification = on_mod
-        _Engine(config, layer).run(trace)
-        mods, start = modifications(trace), float(trace.t[0])
-        for now, k, selected in calls:
-            m, elapsed = mods[k], now - start
-            scored = elapsed > 0 and RefPrefetchLayer.SCORERS[scheme](Stats(
-                m.requests / m.total, elapsed / m.mods, m.total / elapsed,
-                m.mods, start, now)) > -math.inf
-            assert selected == scored
+        _assert_same(events, config, scheme)
 
     check()
-
-
-def test_select_all_scores_where_a_score_is_nan():
-    # At 5e-324 s, b's second modification gives l_i = 5e-324 / 2 = 0 and
-    # a = 2 / 5e-324 = inf, so goodfetch's exponent a l_i is NaN and p_i
-    # = 1/2 < 1: no score beats -inf, and the copy is not fetched.
-    events = [_req(0.0, "a"), _req(0.0, "b"), _mod(0.0, "b"), _mod(5e-324, "b")]
-    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "goodfetch")
-    assert [entry[-1] for entry in log] == [False, False]
-    assert report.prefetch_fetches == 0
-    layer = PrefetchLayer("goodfetch")
-    layer.note_start(Trace.from_events(events))
-    assert list(layer.totals) == [2, 2]
-    # one second later the same modification is selected without scoring
-    layer = PrefetchLayer("goodfetch")
-    layer.note_start(Trace.from_events(events[:3] + [_mod(1.0, "b")]))
-    assert layer.totals is None and layer.on_modification("b", 100, 1.0, 1)
 
 
 # ------------------------------------------------------------- edge cases
@@ -393,6 +391,28 @@ def test_lifetime_indexes_a_copy_stale_at_the_first_timestamp():
     events = [_mod(0.0, "a"), _req(0.0, "a"), _mod(0.0, "a"), _req(1.5 * DAY, "a")]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(DAY, [("a", 100)])]
+
+
+def test_lifetime_fetches_at_the_first_tick_past_due_across_a_gap():
+    # a comes due at 0.4 d and the next event is at 10.5 d: the clock may
+    # jump over days 2-9 only once the day-1 tick has fetched a
+    events = [_req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a"), _req(10.5 * DAY, "b")]
+    _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(DAY, [("a", 100)])]
+
+
+def test_clock_jump_stops_before_the_event_where_the_quotient_rounds_up():
+    # (now - t0) // DAY rounds up to 35 here, though tick 35 falls one ulp
+    # after the request at `now`.  a's third modification makes it due at
+    # `now` exactly, so a tick at 35 would fetch it before the request.
+    t0, last, now = 795193.5655656967, 2811193.5655656965, 3819193.5655656965
+    assert (now - t0) // DAY == 35 and t0 + 35 * DAY > now
+    assert (3 * last - t0) / 2 == now
+    events = [_req(t0, "a"), _mod(t0 + 10, "a"), _mod(t0 + 20, "a"), _mod(last, "a"),
+              _req(now, "a")]
+    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(t0 + DAY, [("a", 100)])]
+    assert report.stale_refetches == 1
 
 
 def test_stale_copy_evicted_and_readmitted():
@@ -483,8 +503,8 @@ def _check_ledger(engine, fetched, prefetched):
     assert engine.prefetch_fetches == len(prefetched)
 
 
-# the layer each ledger run drives: api scores against a threshold, so
-# that its request counts are read; goodfetch selects all without them
+# the layer each ledger run drives: api scores its counts against a
+# threshold; goodfetch selects all without scoring
 LEDGER_LAYERS = {"lifetime": ("lifetime",), "goodfetch": ("goodfetch",), "api": ("api", 2.0)}
 
 
@@ -583,13 +603,17 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
                 assert run["called"] is None and obj in engine.resident
                 assert k == run["ordinal"]
                 docs = count["docs"]
-                recount = (count["doc_mods"][obj], docs.get(obj, 0), sum(docs.values()))
-                read = tuple(None if column is None else column[k]
-                             for column in (layer.mods, layer.requests, layer.totals))
-                # lifetime reads the modification counts, a threshold
-                # filter all three, select-all none
-                assert read == {"lifetime": recount[:1] + (None, None),
-                                "goodfetch": (None, None, None), "api": recount}[scheme]
+                m = Modification(now, obj, size, count["doc_mods"][obj], docs.get(obj, 0),
+                                 sum(docs.values()))
+                # lifetime reads the modification count, a threshold
+                # scheme its decision from the three counts
+                if scheme == "lifetime":
+                    assert (layer.mods[k], layer.select) == (m.mods, None)
+                else:
+                    ref = RefPrefetchLayer(*LEDGER_LAYERS[scheme])
+                    ref.start, ref.modifications = layer.start, {k: m}
+                    assert layer.mods is None
+                    assert layer.select[k] == ref.on_modification(obj, size, now, k)
                 run["called"] = run["prefetching"] = on_modification(obj, size, now, k)
                 return run["prefetching"]
 
