@@ -14,8 +14,8 @@ and `accessory_bytes` (0 for one-area policies).  It sets `over_limit`
 when an admission or a refetch takes an area over its cap; the engine
 then calls choose_victims, which evicts until every area is within its
 cap and clears the flag.  A refetch of a stale copy counts as one access;
-it returns False when the new size exceeds the whole capacity, and the
-copy is then already dropped.
+it returns False when the new size exceeds the area the copy would
+occupy, and the copy is then already dropped.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ class ZBSCache:
     statistics still show a request inside the retention window, it is
     re-admitted directly to the kernel.  A stale document that gets
     re-fetched (on demand or by prefetch) is stored in the kernel with
-    theta reset to 1.
+    theta reset to 1, or dropped if it outgrew the kernel.
 
     Kernel eviction removes the document with the largest staleness
     metric C = T_z / theta, where T_z is the time since the copy was
@@ -218,19 +218,19 @@ class ZBSCache:
     eviction round: the round scores every slot once and takes each
     victim by argmax over those scores.
 
-    The management record of a document is one flat list,
-    stats[obj] = [total, last, day, count, day, count, ...]: the time of
-    its last request and its requests per day (day = floor(t / 86400),
-    ascending) with their total.  A request adds to the last pair, or
-    appends a pair on a new day and moves the record to the end of stats,
-    so stats runs in the day order of each document's last request.  The
-    window count drops the pairs before the day holding now - retention,
-    and only when admission reads it.  A daily tick drops the records
-    whose last request is older than the retention and whose document is
-    in neither area: it walks stats from the front and stops at the first
-    record whose last day is after the cutoff's day.  The records it keeps
-    (seen at or after the cutoff, or held by a resident document) stay at
-    the front, and every later tick visits them again, until they expire.
+    The management record of a document is its requests per day,
+    stats[obj] = [day, count, day, count, ...] (day = floor(t / 86400),
+    ascending).  A request adds to the last pair, or appends a pair on a
+    new day and moves the record to the end of stats, so stats runs in
+    the day order of each document's last request.  The window counts
+    the days from the one holding now - retention; admission drops the
+    pairs before it.  A daily tick walks stats from the front, stops at
+    the first record whose last day is in the window, and drops the
+    records before it whose document is in neither area.  The window
+    never moves back, so no later admission could count a dropped
+    record: expiry frees memory and changes no decision.  A kept record
+    (of a resident document) stays at the front, and every later tick
+    visits it again until it expires.
     """
 
     def __init__(
@@ -240,7 +240,6 @@ class ZBSCache:
         retention: float = MAX_RETENTION,
         byte_metric: bool = False,
     ):
-        self.capacity = capacity
         self.acc_cap = accessory_fraction * capacity
         self.kern_cap = capacity - self.acc_cap if math.isfinite(capacity) else math.inf
         self.retention = retention
@@ -252,7 +251,6 @@ class ZBSCache:
         self.accessory_bytes = 0
         self.over_limit = False
         self._seq = 0
-        self._start: float | None = None
         # Slot i holds lm and w of document _slot_obj[i]; a free slot holds
         # None and lm = inf, so it scores -inf.  _c is the score buffer.
         self._slot_obj: list = []
@@ -268,12 +266,8 @@ class ZBSCache:
         record yet) and return the record."""
         day = int(now // DAY)
         if rec is None:
-            if self._start is None:
-                self._start = now
-            rec = self.stats[obj] = [1, now, day, 1]
+            rec = self.stats[obj] = [day, 1]
             return rec
-        rec[0] += 1
-        rec[1] = now
         if rec[-2] == day:
             rec[-1] += 1
         else:
@@ -282,19 +276,19 @@ class ZBSCache:
             self.stats[obj] = rec
         return rec
 
+    def _first_day(self, now: float) -> int:
+        """The first day the window counts at `now`: the one holding
+        now - retention."""
+        return int((now - self.retention) // DAY)
+
     def on_expire_stats(self, now: float) -> None:
-        if self._start is None or now - self._start <= self.retention:
-            return
-        cutoff = now - self.retention
-        # A record seen before the cutoff has its last request on this day
-        # or earlier, so it lies in front of every later day's records.
-        last_day = int(cutoff // DAY)
+        first = self._first_day(now)
         kernel, accessory = self.kernel, self.accessory
         expired = []
         for obj, rec in self.stats.items():
-            if rec[-2] > last_day:
+            if rec[-2] >= first:  # so is every record after it
                 break
-            if rec[1] < cutoff and obj not in kernel and obj not in accessory:
+            if obj not in kernel and obj not in accessory:
                 expired.append(obj)
         for obj in expired:
             del self.stats[obj]
@@ -341,16 +335,15 @@ class ZBSCache:
 
     def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
         rec = self._note_request(obj, self.stats.get(obj), now)
-        # Requests on days before the one holding now - retention leave the
-        # window; this request's day is always inside it.
-        cutoff = int((now - self.retention) // DAY)
-        if rec[2] < cutoff:
+        # Requests before the window's first day leave it; this request's
+        # day is always inside it.
+        first = self._first_day(now)
+        if rec[0] < first:
             i = 2
-            while rec[i] < cutoff:
-                rec[0] -= rec[i + 1]
+            while rec[i] < first:
                 i += 2
-            del rec[2:i]
-        prior = rec[0] - 1
+            del rec[:i]
+        prior = sum(rec[1::2]) - 1
         if prior >= 1:
             if size > self.kern_cap:
                 return False
@@ -378,7 +371,7 @@ class ZBSCache:
 
     def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
         entry = self.kernel.get(obj)
-        if size > self.capacity:  # the copy no longer fits at all: drop it
+        if size > self.kern_cap:  # the copy no longer fits the kernel: drop it
             if entry is None:
                 self.accessory_bytes -= self.accessory.pop(obj)[0]
             else:

@@ -13,7 +13,14 @@ from zipfcache.policies import (
     make_policy,
 )
 from zipfcache.simcore import CacheConfig, _Engine, simulate
-from zipfcache.trace import REQUEST, SyntheticSpec, Trace, TraceEvent, generate_trace
+from zipfcache.trace import (
+    MODIFICATION,
+    REQUEST,
+    SyntheticSpec,
+    Trace,
+    TraceEvent,
+    generate_trace,
+)
 
 
 def _req(t, obj, size=100):
@@ -67,10 +74,10 @@ def test_lru_choose_victims_batch():
 
 
 def _drop(p, obj, now):
-    """Drop `obj` from either area: its refetch outgrows the whole cache,
-    which counts no request."""
+    """Drop `obj` from either area: its refetch outgrows the kernel, which
+    counts no request."""
     record = list(p.stats[obj])
-    assert not p.on_modification_fetched(obj, p.capacity + 1, now)
+    assert not p.on_modification_fetched(obj, p.kern_cap + 1, now)
     assert obj not in p.kernel and obj not in p.accessory
     assert p.stats[obj] == record
 
@@ -154,6 +161,19 @@ def test_modified_accessory_document_joins_kernel():
     entry = p.kernel["c"]
     assert (entry.theta, _lm(p, "c"), entry.admitted_at) == (1, 5.0, 0.0)
     assert p.accessory_bytes == 0 and p.kernel_bytes == 12
+
+
+@pytest.mark.parametrize("policy_id", ["zbs", "zbs-byte"])
+def test_refetch_that_outgrows_the_kernel_is_dropped(policy_id):
+    # a-d reach the kernel (cap 900); d's refetch at 950 B fits the whole
+    # cache but not the kernel, so it goes alone and a-c stay cached
+    events = [_req(t, obj) for t, obj in enumerate("aabbccdd")]
+    events += [TraceEvent(8, MODIFICATION, "d", 950), _req(9, "d", 950),
+               _req(10, "a"), _req(11, "b"), _req(12, "c")]
+    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id=policy_id))
+    report = eng.run(Trace.from_events(events))
+    assert (report.hits, report.evictions, report.stale_refetches) == (7, 1, 1)
+    assert set(eng.policy.kernel) == set("abc") and eng.policy.kernel_bytes == 300
 
 
 def test_stats_recorded_even_when_admission_refused():
@@ -250,8 +270,8 @@ def _assert_index_consistent(p):
 def _window_count(p, obj, now):
     """Requests of `obj` on days from the one holding now - retention on."""
     rec = p.stats[obj]
-    cutoff = (now - p.retention) // DAY
-    return sum(count for day, count in zip(rec[2::2], rec[3::2]) if day >= cutoff)
+    first = (now - p.retention) // DAY
+    return sum(count for day, count in zip(rec[::2], rec[1::2]) if day >= first)
 
 
 def test_zbs_invariants_after_seeded_run():
@@ -284,10 +304,9 @@ def test_zbs_invariants_after_seeded_run():
             # a second in-window request would have promoted the document
             assert _window_count(p, obj, last_t) == 1
         for obj, rec in p.stats.items():
-            days = rec[2::2]
+            days = rec[::2]
             assert days == sorted(set(days))
-            assert rec[0] == sum(rec[3::2])
-            assert rec[1] // DAY == days[-1]
+            assert min(rec[1::2]) >= 1
         # the expiry tick relies on the records running in last-day order
         last_days = [rec[-2] for rec in p.stats.values()]
         assert last_days == sorted(last_days)
@@ -313,6 +332,23 @@ def test_expire_stats_drops_only_idle_nonresident():
     assert "held" in p.stats  # still resident in the accessory area
 
 
+def test_tick_keeps_a_record_the_window_still_counts():
+    p = ZBSCache(1000, retention=MIN_RETENTION)
+    p.on_miss_admit("a", 10, 0.1 * DAY)
+    _drop(p, "a", 0.2 * DAY)
+    # now - retention falls in day 0, later than the request, but the
+    # window counts all of day 0: the record stays and still counts
+    p.on_expire_stats(30.5 * DAY)
+    assert p.stats["a"] == [0, 1]
+    p.on_miss_admit("a", 10, 30.6 * DAY)
+    assert p.kernel["a"].theta == 2
+    _drop(p, "a", 30.7 * DAY)
+    p.on_expire_stats(60.9 * DAY)  # day 30 is still the window's first
+    assert p.stats["a"] == [0, 1, 30, 1]
+    p.on_expire_stats(61.0 * DAY)
+    assert "a" not in p.stats
+
+
 def test_held_record_expires_once_evicted():
     p = ZBSCache(1000, retention=MIN_RETENTION)
     p.on_miss_admit("held", 10, 0.0)
@@ -331,9 +367,9 @@ def test_record_of_one_day_stays_flat():
     p.on_miss_admit("a", 10, 100.0)
     for i in range(1, 10_000):
         p.on_hit("a", 100.0 + i)
-    assert p.stats["a"] == [10_000, 100.0 + 9_999, 0, 10_000]
+    assert p.stats["a"] == [0, 10_000]
     p.on_hit("a", DAY)
-    assert p.stats["a"] == [10_001, DAY, 0, 10_000, 1, 1]
+    assert p.stats["a"] == [0, 10_000, 1, 1]
 
 
 class _CountedWalk(dict):
@@ -365,19 +401,20 @@ def test_expiry_tick_walks_only_expiring_and_held_records():
     for i in range(1, 50):
         p.on_miss_admit(f"d{i}", 10, i * DAY)
         _drop(p, f"d{i}", i * DAY)
-    # A tick may visit the expiring records, the held ones (resident, or
-    # seen on the cutoff's day at or after the cutoff) and one more.
+    # A tick visits the records that expire, the resident ones before the
+    # window's first day, and the first record of that day or later.
     p.stats = walk = _CountedWalk(p.stats)
     p.on_expire_stats(10 * DAY)  # inside the first retention span
-    assert walk.yielded == 0
-    p.on_expire_stats(31 * DAY)  # only d0 is past its cutoff, and resident
+    assert walk.yielded == 0 + 0 + 1
+    walk.yielded = 0
+    p.on_expire_stats(31 * DAY)  # the window starts on day 1; d0 is resident
     assert len(p.stats) == 50
-    assert walk.yielded <= 0 + 2 + 1  # d0 and d1 held
+    assert walk.yielded == 0 + 1 + 1
     _drop(p, "d0", 31 * DAY)
     walk.yielded = 0
-    p.on_expire_stats(40.5 * DAY)  # seen before day 10.5 and not resident
-    assert len(p.stats) == 39 and "d10" not in p.stats and "d11" in p.stats
-    assert walk.yielded <= 11 + 0 + 1
+    p.on_expire_stats(40.5 * DAY)  # the window starts on day 10
+    assert len(p.stats) == 40 and "d9" not in p.stats and "d10" in p.stats
+    assert walk.yielded == 10 + 0 + 1
 
 
 # ----------------------------------------------------------- configuration
