@@ -1,12 +1,13 @@
 """Replacement policies for the simulation engine.
 
-A policy implements five operations the engine drives:
+A policy implements five operations the engine drives; `index` is the
+request's position in the trace that `note_start` got:
 
+    note_start(trace)                                       before the first event
     on_hit(object_id, now)
-    on_miss_admit(object_id, size, now) -> bool             admitted
+    on_miss_admit(object_id, size, now, index) -> bool      admitted
     choose_victims(now) -> [ids]                            evicted
     on_modification_fetched(object_id, size, now) -> bool   still resident
-    on_expire_stats(now)
 
 The policy is the one ledger of resident bytes: it keeps each copy's size
 as the engine passes it (1 in count mode) and the totals `kernel_bytes`
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import DAY
+from .trace import Trace, _doc_order
 
 __all__ = [
     "POLICY_IDS",
@@ -58,10 +60,13 @@ class _SingleArea:
         self.kernel_bytes = 0
         self.over_limit = False
 
+    def note_start(self, trace: Trace) -> None:
+        pass
+
     def on_hit(self, obj: str, now: float) -> None:
         pass
 
-    def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
+    def on_miss_admit(self, obj: str, size: int, now: float, i: int) -> bool:
         if size > self.capacity:
             return False
         self.entries[obj] = size
@@ -99,6 +104,7 @@ class _SingleArea:
         self.over_limit = False
         return victims
 
+    # No engine calls it; perfbench/tracing.py wraps it by name (ROADMAP item 3).
     def on_expire_stats(self, now: float) -> None:
         pass
 
@@ -144,7 +150,7 @@ class LFUCache(_SingleArea):
     def on_hit(self, obj: str, now: float) -> None:
         self._bump(obj)
 
-    def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
+    def on_miss_admit(self, obj: str, size: int, now: float, i: int) -> bool:
         if size > self.capacity:
             return False
         self.entries[obj] = [size, 1]
@@ -179,6 +185,13 @@ class LFUCache(_SingleArea):
         return size
 
 
+def _days_below(days: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
+    """For each value of the ascending `x`, the ascending `days` below it."""
+    below = np.zeros(len(x) + 1, dtype)
+    np.add.at(below, np.searchsorted(x, days, side="right"), 1)
+    return np.cumsum(below, out=below)[:-1]
+
+
 @dataclass(slots=True)
 class _KernelEntry:
     theta: int
@@ -192,18 +205,16 @@ class ZBSCache:
     """Two-area policy driven by long-horizon Zipf request statistics.
 
     The cache splits into a kernel for documents requested at least
-    twice, a small accessory area (at most `accessory_fraction` of
-    capacity) that absorbs first-time requests, and a management record
-    of per-document request counts kept for `retention` seconds, which
-    survives eviction.
+    twice, and a small accessory area (at most `accessory_fraction` of
+    capacity) that absorbs first-time requests.
 
-    Placement: a first-ever request is admitted to the accessory area
-    (FIFO eviction).  A second request promotes the document to the
-    kernel with theta = 2; if the document was meanwhile evicted but its
-    statistics still show a request inside the retention window, it is
-    re-admitted directly to the kernel.  A stale document that gets
-    re-fetched (on demand or by prefetch) is stored in the kernel with
-    theta reset to 1, or dropped if it outgrew the kernel.
+    Placement: a request whose window count (see below), itself
+    included, is at least 2 is admitted to the kernel with theta equal
+    to that count; otherwise it goes to the accessory area (FIFO
+    eviction).  A hit in the accessory area promotes the document to the
+    kernel with theta = 2.  A stale document that gets re-fetched (on
+    demand or by prefetch) is stored in the kernel with theta reset to
+    1, or dropped if it outgrew the kernel.
 
     Kernel eviction removes the document with the largest staleness
     metric C = T_z / theta, where T_z is the time since the copy was
@@ -218,19 +229,11 @@ class ZBSCache:
     eviction round: the round scores every slot once and takes each
     victim by argmax over those scores.
 
-    The management record of a document is its requests per day,
-    stats[obj] = [day, count, day, count, ...] (day = floor(t / 86400),
-    ascending).  A request adds to the last pair, or appends a pair on a
-    new day and moves the record to the end of stats, so stats runs in
-    the day order of each document's last request.  The window counts
-    the days from the one holding now - retention; admission drops the
-    pairs before it.  A daily tick walks stats from the front, stops at
-    the first record whose last day is in the window, and drops the
-    records before it whose document is in neither area.  The window
-    never moves back, so no later admission could count a dropped
-    record: expiry frees memory and changes no decision.  A kept record
-    (of a resident document) stays at the front, and every later tick
-    visits it again until it expires.
+    The window count of a request at t is its document's cacheable
+    requests, refused ones included, on days (t // 86400) from the one
+    holding t - retention up to this request.  A prefetch is not a
+    request, so the count is a function of the trace: `note_start` reads
+    it off one grouping by document and one search over (document, day).
     """
 
     def __init__(
@@ -246,7 +249,7 @@ class ZBSCache:
         self.byte_metric = byte_metric
         self.kernel: dict[str, _KernelEntry] = {}
         self.accessory: OrderedDict[str, list] = OrderedDict()  # [size, admitted_at]
-        self.stats: dict[str, list] = {}
+        self.window: memoryview | None = None  # by event index; see note_start
         self.kernel_bytes = 0
         self.accessory_bytes = 0
         self.over_limit = False
@@ -259,39 +262,46 @@ class ZBSCache:
         self._w = np.ones(1024)
         self._c = np.empty(1024)
 
-    # -- statistics ---------------------------------------------------
+    def note_start(self, trace: Trace) -> None:
+        # Temporaries stay narrow and die young: their peak sets the cost.
+        counted = (trace.kind == 0) & trace.cacheable
+        order, first = _doc_order(trace.obj[counted])
+        m = len(order)
+        idx = np.int32 if m < 2**31 else np.int64
+        order = order.astype(idx, copy=False)
+        # Each request's day, and its window's first day, as the count of
+        # the requests' days below it; both columns ascend.
+        day = np.floor_divide(trace.t[counted], DAY)
+        days = np.r_[day[:1], day[1:][day[1:] != day[:-1]]]
+        rank = _days_below(days, day, idx)
+        del day
+        t = trace.t[counted]
+        t -= self.retention
+        t //= DAY
+        start = _days_below(days, t, idx)
+        del t
+        # Keys (document group, day rank) ascend in grouped order, and each
+        # grouped position counts from the first key at or after its start.
+        group = np.cumsum(first, dtype=np.int64 if m * len(days) >= 2**31 else idx)
+        del first
+        group *= len(days)
+        rank = rank[order]
+        rank += group
+        start = start[order]
+        start += group
+        del group
+        count = np.searchsorted(rank, start)
+        del rank, start
+        np.subtract(np.arange(1, m + 1), count, out=count)
+        column = np.zeros(len(trace), np.min_scalar_type(int(count.max(initial=0))))
+        in_order = np.empty(m, column.dtype)
+        in_order[order] = count
+        column[counted] = in_order
+        self.window = memoryview(column)
 
-    def _note_request(self, obj: str, rec: list | None, now: float) -> list:
-        """Count a request of `obj` at `now` in its record `rec` (None: no
-        record yet) and return the record."""
-        day = int(now // DAY)
-        if rec is None:
-            rec = self.stats[obj] = [day, 1]
-            return rec
-        if rec[-2] == day:
-            rec[-1] += 1
-        else:
-            rec += (day, 1)
-            del self.stats[obj]  # to the end: stats stays in day order
-            self.stats[obj] = rec
-        return rec
-
-    def _first_day(self, now: float) -> int:
-        """The first day the window counts at `now`: the one holding
-        now - retention."""
-        return int((now - self.retention) // DAY)
-
+    # No engine calls it; perfbench/tracing.py wraps it by name (ROADMAP item 3).
     def on_expire_stats(self, now: float) -> None:
-        first = self._first_day(now)
-        kernel, accessory = self.kernel, self.accessory
-        expired = []
-        for obj, rec in self.stats.items():
-            if rec[-2] >= first:  # so is every record after it
-                break
-            if obj not in kernel and obj not in accessory:
-                expired.append(obj)
-        for obj in expired:
-            del self.stats[obj]
+        pass
 
     # -- kernel index -------------------------------------------------
 
@@ -333,21 +343,12 @@ class ZBSCache:
         if self.kernel_bytes > self.kern_cap:
             self.over_limit = True
 
-    def on_miss_admit(self, obj: str, size: int, now: float) -> bool:
-        rec = self._note_request(obj, self.stats.get(obj), now)
-        # Requests before the window's first day leave it; this request's
-        # day is always inside it.
-        first = self._first_day(now)
-        if rec[0] < first:
-            i = 2
-            while rec[i] < first:
-                i += 2
-            del rec[:i]
-        prior = sum(rec[1::2]) - 1
-        if prior >= 1:
+    def on_miss_admit(self, obj: str, size: int, now: float, i: int) -> bool:
+        theta = self.window[i]
+        if theta >= 2:
             if size > self.kern_cap:
                 return False
-            self._admit_kernel(obj, size, prior + 1, now, now)
+            self._admit_kernel(obj, size, theta, now, now)
         else:
             if size > self.acc_cap:
                 return False
@@ -358,7 +359,6 @@ class ZBSCache:
         return True
 
     def on_hit(self, obj: str, now: float) -> None:
-        self._note_request(obj, self.stats[obj], now)
         entry = self.kernel.get(obj)
         if entry is not None:
             entry.theta += 1
@@ -378,7 +378,6 @@ class ZBSCache:
                 self.kernel_bytes -= self.kernel.pop(obj).size
                 self._release_slot(entry.slot)
             return False
-        self._note_request(obj, self.stats[obj], now)
         if entry is not None:
             self.kernel_bytes += size - entry.size
             entry.size = size

@@ -20,15 +20,17 @@ Both entry points take a `Trace` and `CacheConfig`s, each valid once
 built, and check neither again.  Each run writes an outcome column, one
 code per event (see `_codes`), which its report reduces against the
 trace's columns.  `simulate` writes it by replaying the events one at a
-time; a prefetch layer (see `prefetch`) gets the trace when the replay
-starts, and then a call at each modification of a resident copy, with
-the modification's ordinal, and at each daily tick.  `simulate_many`
-gives the reports of many runs and alone decides how each is computed:
-an LRU run without a prefetch layer reads its column off one pass of
-stack distances (Mattson et al. 1970), where a request hits at capacity
-C exactly when its stack distance is at most C.  The pass is exact only
-when every cacheable request is admitted and each document is requested
-at one size (in byte mode); every other run is replayed by `simulate`.
+time.  The policy and a prefetch layer (see `prefetch`) get the trace
+when the replay starts; an admission names its index in it, and the
+layer is called at each modification of a resident copy, with its
+ordinal, and at the ticks of a daily clock kept for it alone.
+`simulate_many` gives the reports of many runs and alone decides how
+each is computed: an LRU run without a prefetch layer reads its column
+off one pass of stack distances (Mattson et al. 1970), where a request
+hits at capacity C exactly when its stack distance is at most C.  The
+pass is exact only when every cacheable request is admitted and each
+document is requested at one size (in byte mode); every other run is
+replayed by `simulate`.
 """
 
 from __future__ import annotations
@@ -238,34 +240,32 @@ class _Engine:
         resident = self.resident
         count_mode = self.count_mode
         layer = self.layer
-        # Tick k falls at t0 + k days, so a jump lands on the same float as
-        # a walk would.
-        t0 = float(trace.t[0]) if len(trace) else 0.0
-        day = 1.0
-        next_tick = t0 + DAY if len(trace) else math.inf
+        policy.note_start(trace)
+        next_tick = math.inf  # the layer's daily clock; no layer, no clock
         if len(trace) and layer is not None:
             layer.note_start(trace)
+            # Tick k falls at t0 + k days, so a jump lands on the same float
+            # as a walk would.
+            t0, day = float(trace.t[0]), 1.0
+            next_tick = t0 + DAY
         modified = 0  # the modifications so far
         # The trace decides every outcome but those of cacheable requests.
         self.outcome = outcome = bytearray(_codes(trace.kind, trace.cacheable))
         for i, now, code, obj, size in _rows(trace):
             while now >= next_tick:
-                # No event changes residency until `now`, no tick at or
-                # before the layer's `next_due` fetches, and expiry is
-                # monotone in time: one tick at the last boundary at or
-                # before both does the work of every tick in the gap.
-                edge = now if layer is None else min(now, layer.next_due)
+                # No event changes residency until `now`, and no tick at or before
+                # the layer's `next_due` fetches: one tick at the last boundary at
+                # or before both does the work of every tick in the gap.
+                edge = min(now, layer.next_due)
                 last = (edge - t0) // DAY
                 while t0 + last * DAY > edge:  # the quotient rounded up
                     last -= 1
                 if last > day:
                     day = last
                     next_tick = t0 + day * DAY
-                policy.on_expire_stats(next_tick)
-                if layer is not None:
-                    for due, due_size in layer.tick_refetches(next_tick, resident):
-                        if due in resident:
-                            self._prefetch(due, due_size, next_tick)
+                for due, due_size in layer.tick_refetches(next_tick, resident):
+                    if due in resident:
+                        self._prefetch(due, due_size, next_tick)
                 day += 1.0
                 next_tick = t0 + day * DAY
 
@@ -282,7 +282,7 @@ class _Engine:
                         self._refetch(obj, size, now)
                 else:
                     acct = 1 if count_mode else size
-                    if on_miss_admit(obj, acct, now):
+                    if on_miss_admit(obj, acct, now, i):
                         resident[obj] = [True, i]
                         if policy.over_limit:
                             self._drain(now)

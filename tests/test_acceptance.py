@@ -187,8 +187,12 @@ def test_zbs_behavior(capsys, renewal_events, monkeypatch):
     zbs = eng.run(renewal_events)
     peak_frac = peak[0] / capacity
 
+    # a request, its hit, and a modification whose prefetch refetches the copy
     micro = ZBSCache(10_000)
-    micro.on_miss_admit("doc", 100, 0.0)
+    micro.note_start(Trace.from_events(
+        [TraceEvent(0.0, REQUEST, "doc", 100), TraceEvent(10.0, REQUEST, "doc", 100),
+         TraceEvent(20.0, MODIFICATION, "doc", 100)]))
+    micro.on_miss_admit("doc", 100, 0.0, 0)
     micro.on_hit("doc", 10.0)
     assert micro.kernel["doc"].theta == 2
     micro.on_modification_fetched("doc", 100, 20.0)

@@ -1,5 +1,6 @@
 """Replacement policies: classic baselines and the two-area ZBS cache."""
 
+import numpy as np
 import pytest
 
 from zipfcache.policies import (
@@ -12,7 +13,7 @@ from zipfcache.policies import (
     ZBSCache,
     make_policy,
 )
-from zipfcache.simcore import CacheConfig, _Engine, simulate
+from zipfcache.simcore import MISS, NOT_CACHEABLE, REFUSED, CacheConfig, _Engine, simulate
 from zipfcache.trace import (
     MODIFICATION,
     REQUEST,
@@ -23,8 +24,8 @@ from zipfcache.trace import (
 )
 
 
-def _req(t, obj, size=100):
-    return TraceEvent(t, REQUEST, obj, size)
+def _req(t, obj, size=100, cacheable=True):
+    return TraceEvent(t, REQUEST, obj, size, cacheable)
 
 
 # ---------------------------------------------------------------- baselines
@@ -50,19 +51,19 @@ def test_lfu_evicts_rarest_then_oldest():
 
 def test_lfu_frequency_does_not_survive_eviction():
     lfu = LFUCache(1000)
-    lfu.on_miss_admit("a", 100, 0.0)
+    lfu.on_miss_admit("a", 100, 0.0, 0)
     lfu.on_hit("a", 1.0)
     assert lfu.entries["a"][1] == 2
     assert not lfu.on_modification_fetched("a", 1001, 1.5)  # outgrew the cache
     assert "a" not in lfu.entries and lfu.buckets == {} and lfu.kernel_bytes == 0
-    lfu.on_miss_admit("a", 100, 2.0)
+    lfu.on_miss_admit("a", 100, 2.0, 2)
     assert lfu.entries["a"][1] == 1
 
 
 def test_lru_choose_victims_batch():
     lru = LRUCache(150)
     for i, obj in enumerate("abcd"):
-        lru.on_miss_admit(obj, 100, float(i))
+        lru.on_miss_admit(obj, 100, float(i), i)
     assert lru.over_limit and lru.kernel_bytes == 400
     assert lru.choose_victims(5.0) == ["a", "b", "c"]
     assert list(lru.entries.items()) == [("d", 100)]
@@ -73,18 +74,25 @@ def test_lru_choose_victims_batch():
 # ------------------------------------------------------------ ZBS placement
 
 
+def _zbs(requests, capacity=1000, **kwargs):
+    """A ZBSCache started on a trace of `requests`, (time, document) pairs
+    in time order, and `admit(obj, size, now)`: its on_miss_admit at the
+    index of that request."""
+    p = ZBSCache(capacity, **kwargs)
+    p.note_start(Trace.from_events([_req(t, obj) for t, obj in requests]))
+    index = {request: i for i, request in enumerate(requests)}
+    return p, lambda obj, size, now: p.on_miss_admit(obj, size, now, index[now, obj])
+
+
 def _drop(p, obj, now):
-    """Drop `obj` from either area: its refetch outgrows the kernel, which
-    counts no request."""
-    record = list(p.stats[obj])
+    """Drop `obj` from either area: a prefetch of it outgrows the kernel."""
     assert not p.on_modification_fetched(obj, p.kern_cap + 1, now)
     assert obj not in p.kernel and obj not in p.accessory
-    assert p.stats[obj] == record
 
 
 def test_first_request_lands_in_accessory():
-    p = ZBSCache(1000)
-    assert p.on_miss_admit("a", 50, 0.0)
+    p, admit = _zbs([(0.0, "a")])
+    assert admit("a", 50, 0.0)
     assert "a" in p.accessory and "a" not in p.kernel
     assert p.accessory_bytes == 50 and p.kernel_bytes == 0
 
@@ -101,8 +109,8 @@ def _metric(p, obj, now):
 
 
 def test_second_request_promotes_with_fetch_time():
-    p = ZBSCache(1000)
-    p.on_miss_admit("a", 50, 0.0)
+    p, admit = _zbs([(0.0, "a"), (10.0, "a"), (30.0, "a")])
+    admit("a", 50, 0.0)
     p.on_hit("a", 10.0)
     assert "a" in p.kernel and "a" not in p.accessory
     entry = p.kernel["a"]
@@ -115,35 +123,35 @@ def test_second_request_promotes_with_fetch_time():
 
 
 def test_statistics_survive_eviction_for_readmission():
-    p = ZBSCache(1000)
-    p.on_miss_admit("b", 10, 0.0)
+    p, admit = _zbs([(0.0, "b"), (5.0, "b")])
+    admit("b", 10, 0.0)
     _drop(p, "b", 1.0)
     assert "b" not in p.accessory
-    assert p.on_miss_admit("b", 10, 5.0)
+    assert admit("b", 10, 5.0)
     assert p.kernel["b"].theta == 2  # one prior request in the window
 
 
 def test_readmission_uses_full_window_count():
-    p = ZBSCache(1000)
-    p.on_miss_admit("b", 10, 0.0)
+    p, admit = _zbs([(0.0, "b"), (3600.0, "b"), (20 * DAY, "b")])
+    admit("b", 10, 0.0)
     p.on_hit("b", 3600.0)
     _drop(p, "b", 7200.0)
-    p.on_miss_admit("b", 10, 20 * DAY)
+    admit("b", 10, 20 * DAY)
     assert p.kernel["b"].theta == 3
 
 
 def test_window_pruning_resets_cold_documents():
-    p = ZBSCache(1000, retention=MIN_RETENTION)
-    p.on_miss_admit("b", 10, 0.0)
+    p, admit = _zbs([(0.0, "b"), (3600.0, "b"), (40 * DAY, "b")], retention=MIN_RETENTION)
+    admit("b", 10, 0.0)
     p.on_hit("b", 3600.0)
     _drop(p, "b", 7200.0)
-    p.on_miss_admit("b", 10, 40 * DAY)  # both requests aged out
+    admit("b", 10, 40 * DAY)  # both requests aged out
     assert "b" in p.accessory and "b" not in p.kernel
 
 
 def test_refetch_resets_theta_and_clock():
-    p = ZBSCache(1000)
-    p.on_miss_admit("a", 50, 0.0)
+    p, admit = _zbs([(0.0, "a"), (10.0, "a"), (20.0, "a")])
+    admit("a", 50, 0.0)
     p.on_hit("a", 10.0)
     p.on_hit("a", 20.0)
     p.on_modification_fetched("a", 60, 40.0)
@@ -154,8 +162,8 @@ def test_refetch_resets_theta_and_clock():
 
 
 def test_modified_accessory_document_joins_kernel():
-    p = ZBSCache(1000)
-    p.on_miss_admit("c", 10, 0.0)
+    p, admit = _zbs([(0.0, "c")])
+    admit("c", 10, 0.0)
     p.on_modification_fetched("c", 12, 5.0)
     assert "c" not in p.accessory
     entry = p.kernel["c"]
@@ -177,25 +185,26 @@ def test_refetch_that_outgrows_the_kernel_is_dropped(policy_id):
 
 
 def test_stats_recorded_even_when_admission_refused():
-    p = ZBSCache(1000)  # accessory cap 100
-    assert not p.on_miss_admit("x", 400, 0.0)
-    assert p.on_miss_admit("x", 400, 1.0)  # prior request routes to kernel
+    p, admit = _zbs([(0.0, "x"), (1.0, "x")])  # accessory cap 100
+    assert not admit("x", 400, 0.0)
+    assert admit("x", 400, 1.0)  # prior request routes to kernel
     assert p.kernel["x"].theta == 2
 
 
 # ------------------------------------------------------------- ZBS eviction
 
 
-def _kernel_doc(p, obj, t_refused, t_admitted, size=400):
-    p.on_miss_admit(obj, size, t_refused)
-    p.on_miss_admit(obj, size, t_admitted)
+def _kernel_doc(admit, obj, t_refused, t_admitted, size=400):
+    admit(obj, size, t_refused)
+    admit(obj, size, t_admitted)
 
 
 def test_kernel_evicts_largest_metric():
-    p = ZBSCache(1000)  # kernel cap 900
-    _kernel_doc(p, "x", 0.0, 1.0)
-    _kernel_doc(p, "y", 2.0, 3.0)
-    _kernel_doc(p, "z", 4.0, 5.0)
+    p, admit = _zbs([(0.0, "x"), (1.0, "x"), (2.0, "y"), (3.0, "y"),
+                     (4.0, "z"), (5.0, "z")])  # kernel cap 900
+    _kernel_doc(admit, "x", 0.0, 1.0)
+    _kernel_doc(admit, "y", 2.0, 3.0)
+    _kernel_doc(admit, "z", 4.0, 5.0)
     assert p.over_limit
     # theta all 2: C at t=10 is (10-lm)/2, largest for the oldest fetch
     assert p.choose_victims(10.0) == ["x"]
@@ -203,33 +212,34 @@ def test_kernel_evicts_largest_metric():
 
 
 def test_theta_divides_staleness():
-    p = ZBSCache(1000)
-    _kernel_doc(p, "x", 0.0, 1.0)
-    _kernel_doc(p, "y", 2.0, 3.0)
+    p, admit = _zbs([(0.0, "x"), (1.0, "x"), (2.0, "y"), (3.0, "y"), (6.0, "x"),
+                     (7.0, "z"), (10.0, "z"), (15.0, "z"), (16.0, "w"), (20.0, "w")])
+    _kernel_doc(admit, "x", 0.0, 1.0)
+    _kernel_doc(admit, "y", 2.0, 3.0)
     p.on_hit("x", 6.0)  # theta 3 shields the older fetch
-    _kernel_doc(p, "z", 7.0, 10.0)
+    _kernel_doc(admit, "z", 7.0, 10.0)
     assert p.choose_victims(12.0) == ["y"]
     # second round ranks a kernel whose entries changed theta since the first
     p.on_hit("z", 15.0)
-    _kernel_doc(p, "w", 16.0, 20.0)
+    _kernel_doc(admit, "w", 16.0, 20.0)
     assert p.choose_victims(21.0) == ["x"]
 
 
 def test_tie_breaks_by_admission_order():
-    p = ZBSCache(1000)
-    p.on_miss_admit("u", 400, 0.0)
-    p.on_miss_admit("v", 400, 0.0)
-    p.on_miss_admit("u", 400, 2.0)
-    p.on_miss_admit("v", 400, 2.0)
-    _kernel_doc(p, "w", 3.0, 4.0)
+    p, admit = _zbs([(0.0, "u"), (0.0, "v"), (2.0, "u"), (2.0, "v"), (3.0, "w"), (4.0, "w")])
+    admit("u", 400, 0.0)
+    admit("v", 400, 0.0)
+    admit("u", 400, 2.0)
+    admit("v", 400, 2.0)
+    _kernel_doc(admit, "w", 3.0, 4.0)
     assert p.choose_victims(10.0) == ["u"]
 
 
 def test_accessory_is_fifo_and_peak_is_settled():
-    p = ZBSCache(1000)  # accessory cap 100
-    p.on_miss_admit("a", 40, 0.0)
-    p.on_miss_admit("b", 40, 1.0)
-    p.on_miss_admit("c", 40, 2.0)
+    p, admit = _zbs([(0.0, "a"), (1.0, "b"), (2.0, "c")])  # accessory cap 100
+    admit("a", 40, 0.0)
+    admit("b", 40, 1.0)
+    admit("c", 40, 2.0)
     assert p.over_limit
     assert p.choose_victims(3.0) == ["a"]
     assert p.accessory_bytes == 80
@@ -237,18 +247,20 @@ def test_accessory_is_fifo_and_peak_is_settled():
 
 
 def test_byte_metric_divides_by_size():
-    p = ZBSCache(1000, byte_metric=True)  # kernel cap 900
-    _kernel_doc(p, "big", 0.0, 1.0, size=500)   # theta 2, lm 1.0
-    p.on_miss_admit("small", 100, 0.0)          # accessory fetch at 0.0
-    p.on_hit("small", 1.0)                      # theta 2, lm 0.0, size 100
+    p, admit = _zbs([(0.0, "big"), (0.0, "small"), (1.0, "big"), (1.0, "small"),
+                     (2.0, "w"), (3.0, "w"), (4.0, "z"), (5.0, "z")],
+                    byte_metric=True)  # kernel cap 900
+    _kernel_doc(admit, "big", 0.0, 1.0, size=500)   # theta 2, lm 1.0
+    admit("small", 100, 0.0)                        # accessory fetch at 0.0
+    p.on_hit("small", 1.0)                          # theta 2, lm 0.0, size 100
     assert _metric(p, "small", 11.0) == pytest.approx(11 / 200)
     assert _metric(p, "big", 11.0) == pytest.approx(10 / 1000)
-    _kernel_doc(p, "w", 2.0, 3.0, size=400)     # theta 2, lm 3.0
+    _kernel_doc(admit, "w", 2.0, 3.0, size=400)     # theta 2, lm 3.0
     assert p.over_limit
     # small scores 0.055 against 0.010 for big and w despite being newest
     assert p.choose_victims(11.0) == ["small"]
     # big and w now tie at 0.010 (z scores 0.0075); earlier admission wins
-    _kernel_doc(p, "z", 4.0, 5.0, size=400)
+    _kernel_doc(admit, "z", 4.0, 5.0, size=400)
     assert p.choose_victims(11.0) == ["big"]
     _assert_index_consistent(p)
 
@@ -267,11 +279,12 @@ def _assert_index_consistent(p):
 # -------------------------------------------------------------- whole runs
 
 
-def _window_count(p, obj, now):
-    """Requests of `obj` on days from the one holding now - retention on."""
-    rec = p.stats[obj]
-    first = (now - p.retention) // DAY
-    return sum(count for day, count in zip(rec[::2], rec[1::2]) if day >= first)
+def _window_count(events, retention, obj, now):
+    """Cacheable requests of `obj` up to `now`, on days from the one
+    holding now - retention on."""
+    counted = (events.kind == 0) & events.cacheable & (events.obj == events.ids.index(obj))
+    counted &= (events.t <= now) & (events.t // DAY >= (now - retention) // DAY)
+    return int(np.count_nonzero(counted))
 
 
 def test_zbs_invariants_after_seeded_run():
@@ -302,14 +315,13 @@ def test_zbs_invariants_after_seeded_run():
         assert p.accessory
         for obj in p.accessory:
             # a second in-window request would have promoted the document
-            assert _window_count(p, obj, last_t) == 1
-        for obj, rec in p.stats.items():
-            days = rec[::2]
-            assert days == sorted(set(days))
-            assert min(rec[1::2]) >= 1
-        # the expiry tick relies on the records running in last-day order
-        last_days = [rec[-2] for rec in p.stats.values()]
-        assert last_days == sorted(last_days)
+            assert _window_count(events, p.retention, obj, last_t) == 1
+        # the column counts each cacheable request itself, and no other
+        # event, in the narrowest type its largest count needs
+        window = np.asarray(p.window)
+        counted = (events.kind == 0) & events.cacheable
+        assert window[counted].min() >= 1 and not window[~counted].any()
+        assert window.dtype == np.min_scalar_type(window.max())
 
 
 def test_zbs_deterministic_under_ties():
@@ -323,98 +335,108 @@ def test_zbs_deterministic_under_ties():
 
 
 def test_expire_stats_drops_only_idle_nonresident():
-    p = ZBSCache(1000, retention=MIN_RETENTION)
-    p.on_miss_admit("gone", 10, 0.0)
+    # residency leaves the count alone: after 35 days, the window no longer
+    # counts the first request of the dropped document nor of the held one
+    requests = [(0.0, "gone"), (0.0, "held"), (35 * DAY, "gone"), (35 * DAY, "held")]
+    p, admit = _zbs(requests, retention=MIN_RETENTION)
+    admit("gone", 10, 0.0)
     _drop(p, "gone", 0.0)
-    p.on_miss_admit("held", 10, 0.0)
-    p.on_expire_stats(35 * DAY)
-    assert "gone" not in p.stats
-    assert "held" in p.stats  # still resident in the accessory area
+    admit("held", 10, 0.0)
+    assert list(p.window) == [1, 1, 1, 1]
+    assert admit("gone", 10, 35 * DAY) and "gone" in p.accessory
 
 
 def test_tick_keeps_a_record_the_window_still_counts():
-    p = ZBSCache(1000, retention=MIN_RETENTION)
-    p.on_miss_admit("a", 10, 0.1 * DAY)
+    # a at 30.6 days counts its request of 0.1 days: the window counts all
+    # of day 0, where 30.6 days - retention falls.  At 60.9 days day 30
+    # is still the window's first, and b at 61.0 days counts from day 31.
+    requests = [(0.1 * DAY, "a"), (0.1 * DAY, "b"), (30.6 * DAY, "a"), (30.6 * DAY, "b"),
+                (60.9 * DAY, "a"), (61.0 * DAY, "b")]
+    p, admit = _zbs(requests, retention=MIN_RETENTION)
+    assert list(p.window) == [1, 1, 2, 2, 2, 1]
+    admit("a", 10, 0.1 * DAY)
     _drop(p, "a", 0.2 * DAY)
-    # now - retention falls in day 0, later than the request, but the
-    # window counts all of day 0: the record stays and still counts
-    p.on_expire_stats(30.5 * DAY)
-    assert p.stats["a"] == [0, 1]
-    p.on_miss_admit("a", 10, 30.6 * DAY)
+    admit("a", 10, 30.6 * DAY)
     assert p.kernel["a"].theta == 2
-    _drop(p, "a", 30.7 * DAY)
-    p.on_expire_stats(60.9 * DAY)  # day 30 is still the window's first
-    assert p.stats["a"] == [0, 1, 30, 1]
-    p.on_expire_stats(61.0 * DAY)
-    assert "a" not in p.stats
 
 
 def test_held_record_expires_once_evicted():
-    p = ZBSCache(1000, retention=MIN_RETENTION)
-    p.on_miss_admit("held", 10, 0.0)
-    p.on_expire_stats(35 * DAY)
-    assert "held" in p.stats
+    p, admit = _zbs([(0.0, "held"), (37 * DAY, "held")], retention=MIN_RETENTION)
+    admit("held", 10, 0.0)
     _drop(p, "held", 35 * DAY)
-    p.on_expire_stats(36 * DAY)
-    assert "held" not in p.stats
-    # back without its old record: a first request again
-    p.on_miss_admit("held", 10, 37 * DAY)
+    # back with no request in its window: a first request again
+    admit("held", 10, 37 * DAY)
     assert "held" in p.accessory
 
 
 def test_record_of_one_day_stays_flat():
-    p = ZBSCache(1000)
-    p.on_miss_admit("a", 10, 100.0)
-    for i in range(1, 10_000):
-        p.on_hit("a", 100.0 + i)
-    assert p.stats["a"] == [0, 10_000]
-    p.on_hit("a", DAY)
-    assert p.stats["a"] == [0, 10_000, 1, 1]
-
-
-class _CountedWalk(dict):
-    """A dict that counts the entries walks over it yield."""
-
-    yielded = 0
-
-    def _walk(self, entries):
-        for entry in entries:
-            self.yielded += 1
-            yield entry
-
-    def __iter__(self):
-        return self._walk(super().__iter__())
-
-    def keys(self):
-        return self._walk(super().keys())
-
-    def values(self):
-        return self._walk(super().values())
-
-    def items(self):
-        return self._walk(super().items())
+    # 10,000 requests on day 0 and one on day 1: the column needs 2 bytes
+    p, admit = _zbs([(100.0 + i, "a") for i in range(10_000)] + [(DAY, "a")])
+    assert p.window[9_999] == 10_000 and p.window[10_000] == 10_001
+    assert p.window.itemsize == 2
+    admit("a", 10, DAY)
+    assert p.kernel["a"].theta == 10_001
 
 
 def test_expiry_tick_walks_only_expiring_and_held_records():
-    p = ZBSCache(1000, retention=MIN_RETENTION)
-    p.on_miss_admit("d0", 10, 0.0)  # stays resident
-    for i in range(1, 50):
-        p.on_miss_admit(f"d{i}", 10, i * DAY)
-        _drop(p, f"d{i}", i * DAY)
-    # A tick visits the records that expire, the resident ones before the
-    # window's first day, and the first record of that day or later.
-    p.stats = walk = _CountedWalk(p.stats)
-    p.on_expire_stats(10 * DAY)  # inside the first retention span
-    assert walk.yielded == 0 + 0 + 1
-    walk.yielded = 0
-    p.on_expire_stats(31 * DAY)  # the window starts on day 1; d0 is resident
-    assert len(p.stats) == 50
-    assert walk.yielded == 0 + 1 + 1
-    _drop(p, "d0", 31 * DAY)
-    walk.yielded = 0
-    p.on_expire_stats(40.5 * DAY)  # the window starts on day 10
-    assert len(p.stats) == 40 and "d9" not in p.stats and "d10" in p.stats
-    assert walk.yielded == 10 + 0 + 1
+    # d0-d19, requested on days 0-19, come back at 40.5 days, when the
+    # window starts on day 10.  A run without a prefetch layer keeps no
+    # daily clock, so nothing walks any record.
+    events = [_req(i * DAY, f"d{i}", 10) for i in range(20)]
+    events += [_req(40.5 * DAY, f"d{i}", 10) for i in range(20)]
+    p, _ = _zbs([(e.timestamp, e.object_id) for e in events], retention=MIN_RETENTION)
+    assert list(p.window) == [1] * 20 + [1] * 10 + [2] * 10
+    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs",
+                              stats_retention_seconds=MIN_RETENTION))
+    ticks = []
+    eng.policy.on_expire_stats = ticks.append
+    eng.run(Trace.from_events(events))
+    assert ticks == []
+
+
+def _window(events, retention=MIN_RETENTION):
+    p = ZBSCache(1000, retention=retention)
+    p.note_start(Trace.from_events(events))
+    return list(p.window)
+
+
+def test_window_starts_on_the_day_holding_t_minus_retention():
+    # the request at 31.5 days counts day 1 on, so the one at 1.0 days
+    # and not the one at 0.99 days
+    events = [_req(0.99 * DAY, "a"), _req(1.0 * DAY, "a"), _req(31.5 * DAY, "a")]
+    assert _window(events) == [1, 2, 2]
+
+
+def test_window_at_negative_times():
+    # day = t // 86400 rounds down: -0.5 days is day -1, and -30.5 days
+    # day -31, the first day of the window at -0.5 days
+    events = [_req(-31.5 * DAY, "a"), _req(-30.5 * DAY, "a"), _req(-0.5 * DAY, "a")]
+    assert _window(events) == [1, 2, 2]
+
+
+def test_window_counts_refused_and_skips_uncacheable_requests():
+    events = [_req(0.0, "a", 400), _req(1.0, "a", 10, cacheable=False), _req(2.0, "a", 10)]
+    assert _window(events + [TraceEvent(3.0, MODIFICATION, "a", 10), _req(4.0, "a", 10)]) \
+        == [1, 0, 2, 0, 3]
+    # the first request outgrows the accessory area and is refused, yet
+    # the third counts it and goes to the kernel
+    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs"))
+    eng.run(Trace.from_events(events))
+    assert list(eng.outcome) == [REFUSED, NOT_CACHEABLE, MISS]
+    assert eng.policy.kernel["a"].theta == 2
+
+
+def test_window_counts_equal_times_in_index_order():
+    events = [_req(5.0, "b"), _req(5.0, "a"), _req(5.0, "b"), _req(5.0, "a"), _req(5.0, "b")]
+    assert _window(events) == [1, 1, 2, 2, 3]
+
+
+def test_window_of_a_trace_without_cacheable_requests():
+    events = [_req(0.0, "a", cacheable=False), TraceEvent(1.0, MODIFICATION, "a", 10)]
+    assert _window(events) == [0, 0]
+    assert _window([]) == []
+    report = simulate(Trace.from_events(events), CacheConfig(capacity_bytes=1000, policy_id="zbs"))
+    assert report.requests == 1 and report.hits == 0
 
 
 # ----------------------------------------------------------- configuration

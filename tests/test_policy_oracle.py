@@ -44,7 +44,10 @@ class RefSingleArea:
         entry[2] = self.clock
         entry[3] += 1
 
-    def on_miss_admit(self, obj, size, now):
+    def note_start(self, trace):
+        pass
+
+    def on_miss_admit(self, obj, size, now, i):
         if size > self.capacity:
             return False
         self.clock += 1
@@ -62,9 +65,6 @@ class RefSingleArea:
         entry[0] = size
         self._access(entry)
         return True
-
-    def on_expire_stats(self, now):
-        pass
 
     def choose_victims(self, now):
         victims = []

@@ -587,9 +587,9 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             run["code"] = HIT
             on_hit(obj, now)
 
-        def recording_admit(obj, size, now):
+        def recording_admit(obj, size, now, i):
             fetched[obj] = size
-            admitted = on_miss_admit(obj, size, now)
+            admitted = on_miss_admit(obj, size, now, i)
             run["code"] = MISS if admitted else REFUSED
             return admitted
 

@@ -218,12 +218,15 @@ def test_bad_timestamp_raises_after_earlier_events():
 
 
 def _ticks(events, scheme=None, policy_id="zbs"):
-    """Times of the expiry ticks the engine gives a policy."""
+    """Times of the daily ticks the engine gives a prefetch layer of
+    `scheme`; a run without one keeps no clock."""
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id=policy_id),
                   PrefetchLayer(scheme) if scheme else None)
     ticks = []
-    expire = eng.policy.on_expire_stats
-    eng.policy.on_expire_stats = lambda now: (ticks.append(now), expire(now))
+    if scheme:
+        refetches = eng.layer.tick_refetches
+        eng.layer.tick_refetches = lambda now, resident: (ticks.append(now),
+                                                          refetches(now, resident))[1]
     eng.run(Trace.from_events(events))
     return ticks
 
@@ -233,7 +236,7 @@ def test_daily_clock_jumps_over_empty_days():
     events = [_req(t0, "a"), _mod(t0 + 0.5 * DAY, "a"),
               _req(t0 + 4.5 * DAY, "b"), _req(t0 + 5.5 * DAY, "b")]
     # one tick for the four boundaries in the gap, then the next in step
-    assert _ticks(events) == [t0 + 4 * DAY, t0 + 5 * DAY]
+    assert _ticks(events) == []
     assert _ticks(events, "goodfetch") == [t0 + 4 * DAY, t0 + 5 * DAY]
     # a copy modified once never comes due under the lifetime rule
     assert _ticks(events, "lifetime") == [t0 + 4 * DAY, t0 + 5 * DAY]

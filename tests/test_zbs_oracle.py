@@ -1,11 +1,13 @@
 """ZBS against a brute-force reference on small random traces.
 
-`RefZBS` follows the placement rules of `ZBSCache` with plain dicts and
-finds each kernel victim by scanning the whole kernel for the largest
-staleness metric, earlier admission (then admission sequence) first on
-ties.  The optimized policy must choose the same victims in the same
-order, produce the same `SimReport` and end with request records for the
-same documents on every generated trace.
+`RefZBS` follows the placement rules of `ZBSCache` with plain dicts,
+counts each admission's window by scanning the trace up to its request,
+and finds each kernel victim by scanning the whole kernel for the
+largest staleness metric, earlier admission (then admission sequence)
+first on ties.  The optimized policy must choose the same victims in the
+same order, produce the same `SimReport` and hold the same window count
+at every cacheable request on every generated trace, with and without a
+prefetch layer.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zipfcache.policies import DAY, MAX_RETENTION, MIN_RETENTION, POLICY_IDS
+from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine, simulate
 from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
 
@@ -24,7 +27,6 @@ class RefZBS:
         self.retention, self.byte_metric = retention, byte_metric
         self.kernel = {}  # obj -> [theta, last_modified, size, admitted_at, seq]
         self.accessory = {}  # obj -> [size, admitted_at], oldest first
-        self.seen = {}  # obj -> request times
         self.seq = 0
 
     kernel_bytes = property(lambda self: sum(e[2] for e in self.kernel.values()))
@@ -32,23 +34,25 @@ class RefZBS:
     over_limit = property(lambda self: self.kernel_bytes > self.kern_cap
                           or self.accessory_bytes > self.acc_cap)
 
-    def _first_day(self, now):
-        # Requests count by day: the window keeps the days from the one
-        # holding now - retention onwards.
-        return (now - self.retention) // DAY
+    def note_start(self, trace):
+        # (time, document, a cacheable request?) of each event
+        self.events = list(zip(trace.t.tolist(), trace.obj.tolist(),
+                               ((trace.kind == 0) & trace.cacheable).tolist()))
 
-    def _note(self, obj, now):
-        first = self._first_day(now)
-        prior = sum(1 for t in self.seen.get(obj, ()) if t // DAY >= first)
-        self.seen.setdefault(obj, []).append(now)
-        return prior
+    def count(self, i):
+        """The cacheable requests of event i's document up to event i, on
+        days from the one holding its time - retention on."""
+        now, obj, _ = self.events[i]
+        first = (now - self.retention) // DAY
+        return sum(1 for t, o, counted in self.events[:i + 1]
+                   if counted and o == obj and t // DAY >= first)
 
     def _admit_kernel(self, obj, size, theta, last_modified, admitted_at):
         self.seq += 1
         self.kernel[obj] = [theta, last_modified, size, admitted_at, self.seq]
 
-    def on_miss_admit(self, obj, size, now):
-        prior = self._note(obj, now)
+    def on_miss_admit(self, obj, size, now, i):
+        prior = self.count(i) - 1
         if prior:
             if size > self.kern_cap:
                 return False
@@ -60,7 +64,6 @@ class RefZBS:
         return True
 
     def on_hit(self, obj, now):
-        self._note(obj, now)
         if obj in self.kernel:
             self.kernel[obj][0] += 1
             return
@@ -68,23 +71,15 @@ class RefZBS:
         self._admit_kernel(obj, size, 2, admitted_at, admitted_at)
 
     def on_modification_fetched(self, obj, size, now):
-        if size > self.kern_cap:  # dropped, and not counted as a request
+        if size > self.kern_cap:  # dropped
             if self.kernel.pop(obj, None) is None:
                 del self.accessory[obj]
             return False
-        self._note(obj, now)
         if obj in self.kernel:
             self.kernel[obj][:3] = [1, now, size]
         else:
             self._admit_kernel(obj, size, 1, now, self.accessory.pop(obj)[1])
         return True
-
-    def on_expire_stats(self, now):
-        # A record with no request in the window can never count again.
-        for obj, times in list(self.seen.items()):
-            if times[-1] // DAY < self._first_day(now) and obj not in self.kernel \
-                    and obj not in self.accessory:
-                del self.seen[obj]
 
     def metric(self, obj, now):
         # The same float expression as the policy, so ties are exact ties.
@@ -116,20 +111,23 @@ def _recording(policy, log):
     policy.choose_victims = choose_victims
 
 
-def _replay_both(events, config):
-    """(report, victim log, documents with a record) of ZBSCache and of
-    RefZBS on one trace."""
+def _replay_both(events, config, layer=None):
+    """(report, victim log, window count at each cacheable request) of
+    ZBSCache and of RefZBS on one trace, each over a new `PrefetchLayer`
+    of the arguments `layer` (None: none)."""
     trace = Trace.from_events(events)
+    counted = ((trace.kind == 0) & trace.cacheable).nonzero()[0].tolist()
     out = []
     for reference in (False, True):
-        eng = _Engine(config)
+        eng = _Engine(config, layer and PrefetchLayer(*layer))
         if reference:
             eng.policy = RefZBS(config.capacity_bytes, eng.policy.retention,
                                 eng.policy.byte_metric, config.accessory_fraction)
         log = []
         _recording(eng.policy, log)
         report = eng.run(trace)
-        out.append((report, log, set(eng.policy.seen if reference else eng.policy.stats)))
+        count = eng.policy.count if reference else eng.policy.window.__getitem__
+        out.append((report, log, [count(i) for i in counted]))
     return out
 
 
@@ -156,8 +154,8 @@ def held_traces(draw):
     document keeps the clock going, then, from about the retention on, a
     dense burst of new documents that evicts them.  Early documents come
     back in the burst, some on the last day the window still counts their
-    old requests, so a tick that dropped their record a day early would
-    change the admission.
+    old requests, so a window that ended a day early would change the
+    admission.
     The events come from a seeded `Random`, which draws far faster than
     Hypothesis' own data."""
     rnd = draw(st.randoms(use_true_random=True))
@@ -201,7 +199,7 @@ CASES = {  # name -> (trace, capacity, retention)
     "negative-times": (traces(lambda r: r.uniform(0.0, 1.5 * DAY), SIZES,
                               min_span=MIN_RETENTION + 2 * DAY, start=-45.3 * DAY),
                        CAPACITIES, MIN_RETENTION),
-    # records held past their cutoff by residency, dropped after eviction
+    # documents held past their cutoff by residency, back after eviction
     "held-past-cutoff": (held_traces(), st.sampled_from([300, 600, 1000]), MIN_RETENTION),
 }
 
@@ -215,12 +213,37 @@ def test_zbs_matches_reference(policy_id, case):
     def check(events, capacity):
         config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
                              stats_retention_seconds=retention)
-        (report, victims, records), (ref_report, ref_victims, ref_records) = \
+        (report, victims, window), (ref_report, ref_victims, ref_window) = \
             _replay_both(events, config)
         assert victims == ref_victims
         assert report == ref_report
-        # expiry changes no report, only memory: the records must agree too
-        assert records == ref_records
+        assert window == ref_window
+
+    check()
+
+
+# The `PrefetchLayer` arguments of each layered case.
+LAYERS = {"goodfetch": ("goodfetch",), "api": ("api", 1.0), "lifetime": ("lifetime",)}
+
+
+@pytest.mark.parametrize("policy_id", ["zbs", "zbs-byte"])
+@pytest.mark.parametrize("scheme", sorted(LAYERS))
+def test_zbs_matches_reference_with_prefetch(policy_id, scheme):
+    # A prefetch is not a request: the window counts demand requests only.
+    cases = [st.tuples(trace, capacities, st.just(retention))
+             for trace, capacities, retention in CASES.values()]
+
+    @settings(max_examples=25)
+    @given(case=st.one_of(cases))
+    def check(case):
+        events, capacity, retention = case
+        config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
+                             stats_retention_seconds=retention)
+        (report, victims, window), (ref_report, ref_victims, ref_window) = \
+            _replay_both(events, config, LAYERS[scheme])
+        assert victims == ref_victims
+        assert report == ref_report
+        assert window == ref_window
 
     check()
 
