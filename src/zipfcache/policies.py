@@ -267,22 +267,23 @@ class ZBSCache:
         counted = (trace.kind == 0) & trace.cacheable
         order, first = _doc_order(trace.obj[counted])
         m = len(order)
-        idx = np.int32 if m < 2**31 else np.int64
-        order = order.astype(idx, copy=False)
+        order = order.astype(np.int32 if m < 2**31 else np.int64, copy=False)
         # Each request's day, and its window's first day, as the count of
         # the requests' days below it; both columns ascend.
         day = np.floor_divide(trace.t[counted], DAY)
         days = np.r_[day[:1], day[1:][day[1:] != day[:-1]]]
-        rank = _days_below(days, day, idx)
+        # A key (document group, day rank) is below (groups + 1) * days.
+        key = np.int32 if (np.count_nonzero(first) + 1) * len(days) < 2**31 else np.int64
+        rank = _days_below(days, day, key)
         del day
         t = trace.t[counted]
         t -= self.retention
         t //= DAY
-        start = _days_below(days, t, idx)
+        start = _days_below(days, t, key)
         del t
-        # Keys (document group, day rank) ascend in grouped order, and each
-        # grouped position counts from the first key at or after its start.
-        group = np.cumsum(first, dtype=np.int64 if m * len(days) >= 2**31 else idx)
+        # Keys ascend in grouped order, and each grouped position counts
+        # from the first key at or after its start.
+        group = np.cumsum(first, dtype=key)
         del first
         group *= len(days)
         rank = rank[order]

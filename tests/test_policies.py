@@ -13,7 +13,9 @@ from zipfcache.policies import (
     ZBSCache,
     make_policy,
 )
-from zipfcache.simcore import MISS, NOT_CACHEABLE, REFUSED, CacheConfig, _Engine, simulate
+from zipfcache.simcore import (
+    MISS, MODIFIED, NOT_CACHEABLE, REFUSED, STALE, CacheConfig, _Engine, simulate,
+)
 from zipfcache.trace import (
     MODIFICATION,
     REQUEST,
@@ -335,8 +337,9 @@ def test_zbs_deterministic_under_ties():
 
 
 def test_expire_stats_drops_only_idle_nonresident():
-    # residency leaves the count alone: after 35 days, the window no longer
-    # counts the first request of the dropped document nor of the held one
+    # The window count ignores residency: 35 days on, it counts neither
+    # the first request of the dropped document nor that of the held one,
+    # so the dropped one comes back as a first request.
     requests = [(0.0, "gone"), (0.0, "held"), (35 * DAY, "gone"), (35 * DAY, "held")]
     p, admit = _zbs(requests, retention=MIN_RETENTION)
     admit("gone", 10, 0.0)
@@ -347,6 +350,7 @@ def test_expire_stats_drops_only_idle_nonresident():
 
 
 def test_tick_keeps_a_record_the_window_still_counts():
+    # The window counts whole days, at any time of day within them.
     # a at 30.6 days counts its request of 0.1 days: the window counts all
     # of day 0, where 30.6 days - retention falls.  At 60.9 days day 30
     # is still the window's first, and b at 61.0 days counts from day 31.
@@ -361,6 +365,8 @@ def test_tick_keeps_a_record_the_window_still_counts():
 
 
 def test_held_record_expires_once_evicted():
+    # A request that the window no longer counts is forgotten, though its
+    # document was resident for most of the gap.
     p, admit = _zbs([(0.0, "held"), (37 * DAY, "held")], retention=MIN_RETENTION)
     admit("held", 10, 0.0)
     _drop(p, "held", 35 * DAY)
@@ -380,18 +386,11 @@ def test_record_of_one_day_stays_flat():
 
 def test_expiry_tick_walks_only_expiring_and_held_records():
     # d0-d19, requested on days 0-19, come back at 40.5 days, when the
-    # window starts on day 10.  A run without a prefetch layer keeps no
-    # daily clock, so nothing walks any record.
-    events = [_req(i * DAY, f"d{i}", 10) for i in range(20)]
-    events += [_req(40.5 * DAY, f"d{i}", 10) for i in range(20)]
-    p, _ = _zbs([(e.timestamp, e.object_id) for e in events], retention=MIN_RETENTION)
+    # window starts on day 10: only d10-d19 count their first request.
+    requests = [(i * DAY, f"d{i}") for i in range(20)]
+    requests += [(40.5 * DAY, f"d{i}") for i in range(20)]
+    p, _ = _zbs(requests, retention=MIN_RETENTION)
     assert list(p.window) == [1] * 20 + [1] * 10 + [2] * 10
-    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs",
-                              stats_retention_seconds=MIN_RETENTION))
-    ticks = []
-    eng.policy.on_expire_stats = ticks.append
-    eng.run(Trace.from_events(events))
-    assert ticks == []
 
 
 def _window(events, retention=MIN_RETENTION):
@@ -429,6 +428,29 @@ def test_window_counts_refused_and_skips_uncacheable_requests():
 def test_window_counts_equal_times_in_index_order():
     events = [_req(5.0, "b"), _req(5.0, "a"), _req(5.0, "b"), _req(5.0, "a"), _req(5.0, "b")]
     assert _window(events) == [1, 1, 2, 2, 3]
+
+
+def test_window_keys_past_int32():
+    # 46,400 documents, each requested twice on a day of its own: the
+    # (document, day) keys pass 2**31 and must not wrap
+    n = 46_400
+    t = np.repeat(np.arange(n) * DAY, 2) + np.tile([0.0, 1.0], n)
+    trace = Trace(t, np.zeros(2 * n), np.repeat(np.arange(n), 2), np.ones(2 * n),
+                  np.ones(2 * n, bool), [str(i) for i in range(n)])
+    p = ZBSCache(1000)
+    p.note_start(trace)
+    assert np.array_equal(p.window, np.tile([1, 2], n))
+
+
+def test_dropped_demand_refetch_counts_as_a_request():
+    # The stale request at 2 s refetches a copy that outgrew the kernel and
+    # is dropped, yet it was a request: the readmission at 3 s counts three.
+    events = [_req(0.0, "a", 10), TraceEvent(1.0, MODIFICATION, "a", 2000),
+              _req(2.0, "a", 2000), _req(3.0, "a", 10)]
+    eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs"))
+    eng.run(Trace.from_events(events))
+    assert list(eng.outcome) == [MISS, MODIFIED, STALE, MISS]
+    assert eng.policy.kernel["a"].theta == 3
 
 
 def test_window_of_a_trace_without_cacheable_requests():
