@@ -194,9 +194,11 @@ def cmd_analyze(args) -> int:
     report["t_u_days"] = lives.t_u / DAY if lives.t_u is not None else None
     report["t_eff_days"] = lives.t_eff / DAY if lives.t_eff is not None else None
     if args.hit_ratio is not None:
-        theta_sum = hist.theta_sum_top(m)
-        report["alpha_r"] = analytic.renewal_alpha_r(m, args.hit_ratio, k)
-        report["delta_h"] = analytic.renewal_delta_h(theta_sum, args.hit_ratio, k)
+        try:
+            report["alpha_r"] = analytic.renewal_alpha_r(m, args.hit_ratio, k)
+        except DomainError as exc:
+            report.update(alpha_r=None, alpha_r_note=str(exc))
+        report["delta_h"] = analytic.renewal_delta_h(hist.theta_sum_top(m), args.hit_ratio, k)
     report["config"] = {
         "window_days": args.window_days,
         "hit_ratio": args.hit_ratio,

@@ -15,12 +15,11 @@ elapsed since the trace start.  p_i is r_i / K, with r_i the document's
 own cacheable requests before it, and l_i is T / m_i, with m_i its
 modifications so far.  So a l_i = K / m_i and a p_i l_i = r_i / m_i: T
 cancels, and each of the first two scores is a function of three counts.
-The layer decides every modification by such a score once, when the run
-starts, from the trace's columns.  The lifetime rule fires only on the
-engine's daily ticks: at a modification the copy's age is zero and
-cannot exceed the interval.  The layer keeps an index of the resident
-copies it saw go stale, each with the time it comes due, and a tick
-fetches the due ones alone, in the order the engine admitted them.
+The layer decides every modification once, when the run starts, from
+the trace's columns: by such a score, or by the tick that would fetch
+its copy under the lifetime rule.  That rule fires only at ticks whole
+days after the trace start: at a modification the copy's age is zero
+and cannot exceed the interval.
 Prefetched bytes are reported separately from demand bytes so the added
 bandwidth is measurable against the hit-ratio gain.
 """
@@ -31,6 +30,7 @@ import math
 
 import numpy as np
 
+from .analytic import DAY
 from .trace import Trace, _doc_order, _doc_running_counts
 
 SCHEME_IDS = ("goodfetch", "api", "lifetime")
@@ -47,7 +47,7 @@ def _good_fetch(requests: np.ndarray, total: np.ndarray, mods: np.ndarray) -> np
 
 class PrefetchLayer:
     """Adapter the engine drives at modifications of resident copies and
-    at daily ticks.
+    at the ticks it names in `next_tick` (inf when none is due).
 
     For `goodfetch` and `api`, `note_start` decides each modification,
     by its ordinal in the trace, into the bool column `select`: true past
@@ -56,16 +56,15 @@ class PrefetchLayer:
     A resident copy was requested, so r_i >= 1 and its score is finite;
     at the default threshold of -inf the column is just t > start.
 
-    For `lifetime`, `stale` indexes the documents whose resident copy the
-    layer saw go stale at their second or a later modification.  After
-    only one, at L >= start, the copy's age now - L never exceeds the
-    interval now - start, so the rule cannot fire.  With m modifications,
-    the last at L, the rule now - L > (now - start) / m holds in exact
-    arithmetic iff now > (m L - start) / (m - 1).  `stale` maps each copy
-    to that due time and the size L set, and a tick fetches a copy
-    exactly when it is past its due time; `next_due` is at or below the
-    least due time (inf when no copy waits), so no tick at or before it
-    fetches and the engine's clock may jump to it.
+    For `lifetime`, it decides each modification into the column
+    `fetch_day`: the day d of the tick start + d days that fetches its
+    copy, or 0 for never.  After a document's only modification, at
+    L >= start, the copy's age now - L never exceeds the interval
+    now - start, so the rule cannot fire.  With m modifications, the last
+    at L, the rule now - L > (now - start) / m holds in exact arithmetic
+    iff now > (m L - start) / (m - 1), and a tick at L runs before the
+    events at L: d is the least day whose tick is past both.  `stale`
+    maps each copy the layer saw go stale to its tick and the size L set.
 
     A copy turns stale only through a modification reported here, so
     every stale resident copy that can come due is indexed, and each entry
@@ -91,28 +90,39 @@ class PrefetchLayer:
         self.scheme = scheme
         self.threshold = threshold
         self.start: float | None = None
-        # Per modification, by ordinal: for lifetime, its document's
-        # modifications so far, itself included; for the others, whether
-        # to fetch.  None where the scheme reads nothing.
-        self.mods = self.select = None
+        # The column the scheme reads, by modification ordinal; None if none.
+        self.fetch_day = self.select = None
         self.stale: dict[str, tuple[float, int]] = {}
-        self.next_due = math.inf
+        self.next_tick = math.inf
 
     def note_start(self, trace: Trace) -> None:
         """Start the run at the first event of `trace`, a non-empty trace,
         and derive what the scheme reads at each modification."""
         if self.start is not None:
             raise ValueError("a PrefetchLayer runs once; pass a new one to each simulate call")
-        self.start = float(trace.t[0])
+        self.start = start = float(trace.t[0])
         modified = trace.kind == 1
-        if self.scheme == "lifetime":
-            order, first = _doc_order(trace.obj[modified])
-            self.mods = memoryview(_doc_running_counts(order, first, np.ones(len(order), bool)))
+        if self.scheme != "lifetime":
+            select = trace.t[modified] > start
+            if self.threshold != -math.inf:
+                select &= self._scores(trace, modified) > self.threshold
+            self.select = memoryview(select)
             return
-        select = trace.t[modified] > self.start
-        if self.threshold != -math.inf:
-            select &= self._scores(trace, modified) > self.threshold
-        self.select = memoryview(select)
+        order, first = _doc_order(trace.obj[modified])
+        mods = _doc_running_counts(order, first, np.ones(len(order), bool))
+        del order, first
+        again = mods >= 2
+        mods, at = mods[again], trace.t[modified][again]
+        edge = np.maximum((mods * at - start) / (mods - 1), at)
+        del mods, at
+        # The first tick past the edge, on the floats on_modification
+        # computes: from the floor quotient, corrected where it rounded.
+        day = (edge - start) // DAY + 1
+        day += start + day * DAY <= edge  # rounded down
+        day -= start + (day - 1) * DAY > edge  # rounded up
+        column = np.zeros(len(again), np.min_scalar_type(int(day.max(initial=0))))
+        column[again] = day
+        self.fetch_day = memoryview(column)
 
     def _scores(self, trace: Trace, modified: np.ndarray) -> np.ndarray:
         """Each modification's score from its counts r_i, K and m_i."""
@@ -134,33 +144,33 @@ class PrefetchLayer:
         modification `k` (counted from 0) has just made stale."""
         if self.select is not None:
             return self.select[k]
-        # lifetime: a copy just modified is not due; index it for the ticks.
-        mods = self.mods[k]
-        if mods >= 2:
-            due = (mods * now - self.start) / (mods - 1)
-            self.stale[obj] = (due, size)
-            if due < self.next_due:
-                self.next_due = due
+        # lifetime: a copy just modified is not due; index it for its tick.
+        day = self.fetch_day[k]
+        if day:
+            tick = self.start + day * DAY
+            self.stale[obj] = (tick, size)
+            if tick < self.next_tick:
+                self.next_tick = tick
         return False
 
     def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:
-        """Stale copies in `resident` the lifetime rule fetches at `now`, in
-        the engine's admission order."""
+        """Stale copies in `resident` the lifetime rule fetches at the tick
+        `now`, in the engine's admission order."""
         keep = {}
         picks = []
-        next_due = math.inf
+        next_tick = math.inf
         for obj, stale in self.stale.items():
             entry = resident.get(obj)
             if entry is None or entry[0]:
                 continue  # evicted, refetched or re-admitted fresh
-            due, size = stale
-            if now > due:
+            tick, size = stale
+            if tick <= now:
                 picks.append((entry[1], obj, size))
             else:
                 keep[obj] = stale
-                if due < next_due:
-                    next_due = due
+                if tick < next_tick:
+                    next_tick = tick
         self.stale = keep
-        self.next_due = next_due
+        self.next_tick = next_tick
         picks.sort()  # admission numbers are unique
         return [(obj, size) for _, obj, size in picks]

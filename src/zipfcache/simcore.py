@@ -23,7 +23,7 @@ trace's columns.  `simulate` writes it by replaying the events one at a
 time.  The policy and a prefetch layer (see `prefetch`) get the trace
 when the replay starts; an admission names its index in it, and the
 layer is called at each modification of a resident copy, with its
-ordinal, and at the ticks of a daily clock kept for it alone.
+ordinal, and at each tick it names.
 `simulate_many` gives the reports of many runs and alone decides how
 each is computed: an LRU run without a prefetch layer reads its column
 off one pass of stack distances (Mattson et al. 1970), where a request
@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import DAY, DomainError
+from .analytic import DomainError
 from .trace import _ROWS_PER_CHUNK, Trace, _doc_order
 from . import policies
 
@@ -241,33 +241,18 @@ class _Engine:
         count_mode = self.count_mode
         layer = self.layer
         policy.note_start(trace)
-        next_tick = math.inf  # the layer's daily clock; no layer, no clock
+        next_tick = math.inf  # the layer's next tick; no layer, no tick
         if len(trace) and layer is not None:
             layer.note_start(trace)
-            # Tick k falls at t0 + k days, so a jump lands on the same float
-            # as a walk would.
-            t0, day = float(trace.t[0]), 1.0
-            next_tick = t0 + DAY
         modified = 0  # the modifications so far
         # The trace decides every outcome but those of cacheable requests.
         self.outcome = outcome = bytearray(_codes(trace.kind, trace.cacheable))
         for i, now, code, obj, size in _rows(trace):
             while now >= next_tick:
-                # No event changes residency until `now`, and no tick at or before
-                # the layer's `next_due` fetches: one tick at the last boundary at
-                # or before both does the work of every tick in the gap.
-                edge = min(now, layer.next_due)
-                last = (edge - t0) // DAY
-                while t0 + last * DAY > edge:  # the quotient rounded up
-                    last -= 1
-                if last > day:
-                    day = last
-                    next_tick = t0 + day * DAY
                 for due, due_size in layer.tick_refetches(next_tick, resident):
                     if due in resident:
                         self._prefetch(due, due_size, next_tick)
-                day += 1.0
-                next_tick = t0 + day * DAY
+                next_tick = layer.next_tick
 
             if code == MISS:  # a cacheable request
                 entry = resident.get(obj)
@@ -292,8 +277,10 @@ class _Engine:
                 entry = resident.get(obj)
                 if entry is not None:
                     entry[0] = False
-                    if layer is not None and layer.on_modification(obj, size, now, modified):
-                        self._prefetch(obj, size, now)
+                    if layer is not None:
+                        if layer.on_modification(obj, size, now, modified):
+                            self._prefetch(obj, size, now)
+                        next_tick = layer.next_tick
                 modified += 1
         return _report(
             trace, _request_totals(trace), np.asarray(outcome), evictions=self.evictions,

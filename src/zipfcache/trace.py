@@ -86,7 +86,7 @@ _ROW_DTYPE = np.dtype([("t", "f8"), ("kind", "O"), ("obj", "O"), ("size", "i8"),
                        ("flag", "i1")])
 _INT64_MAX = np.iinfo(np.int64).max
 # The largest |timestamp| a trace holds, s.  Within it a day spans over a
-# hundred float steps, so the engine's daily clock always advances.
+# hundred float steps, so the prefetch layer's daily ticks are distinct.
 _TIME_LIMIT = 1e18
 # The most requests, and the most modifications, a `SyntheticSpec` may expect.
 _MAX_EXPECTED_EVENTS = 2**31 - 1

@@ -188,6 +188,17 @@ def test_analyze_with_measured_hit_ratio(capsys):
     assert "delta_h" in report
 
 
+def test_analyze_hit_ratio_too_low_for_alpha_r_keeps_the_report(capsys):
+    # 2 m >= h K here: alpha_r is null with a note, where alpha3, the same
+    # 1 - 2 m / (h K), reads below 0; delta_h and the rest stay
+    report = _run_json(capsys, ["analyze", "--hit-ratio", "0.2"])
+    _validate(report, _schema("analyze"))
+    assert report["alpha_r"] is None
+    assert "must stay below h*K" in report["alpha_r_note"]
+    assert report["alpha3"] < 0.0
+    assert isinstance(report["delta_h"], float)
+
+
 def test_analyze_csv_format(capsys):
     rc = main(["analyze", "--format", "csv"])
     out = capsys.readouterr().out

@@ -202,7 +202,7 @@ def test_bad_timestamps_raise_what_simulate_raises(second, replays):
 
 
 def test_far_timestamps_take_one_pass(replays):
-    # every time a trace holds is within the daily clock's range
+    # every time a trace holds is within the range of distinct daily ticks
     events = _trace(_req(-1e18, "a"), _req(0.0, "b"), _req(1e18, "a"))
     _assert_matches_replays(events, _configs([100, 200]))
     assert replays == []

@@ -336,7 +336,7 @@ def test_zbs_deterministic_under_ties():
     assert simulate(events, config) == simulate(events, config)
 
 
-def test_expire_stats_drops_only_idle_nonresident():
+def test_window_count_ignores_residency():
     # The window count ignores residency: 35 days on, it counts neither
     # the first request of the dropped document nor that of the held one,
     # so the dropped one comes back as a first request.
@@ -349,7 +349,7 @@ def test_expire_stats_drops_only_idle_nonresident():
     assert admit("gone", 10, 35 * DAY) and "gone" in p.accessory
 
 
-def test_tick_keeps_a_record_the_window_still_counts():
+def test_window_counts_whole_days():
     # The window counts whole days, at any time of day within them.
     # a at 30.6 days counts its request of 0.1 days: the window counts all
     # of day 0, where 30.6 days - retention falls.  At 60.9 days day 30
@@ -364,7 +364,7 @@ def test_tick_keeps_a_record_the_window_still_counts():
     assert p.kernel["a"].theta == 2
 
 
-def test_held_record_expires_once_evicted():
+def test_window_forgets_a_request_of_a_resident_copy():
     # A request that the window no longer counts is forgotten, though its
     # document was resident for most of the gap.
     p, admit = _zbs([(0.0, "held"), (37 * DAY, "held")], retention=MIN_RETENTION)
@@ -375,7 +375,7 @@ def test_held_record_expires_once_evicted():
     assert "held" in p.accessory
 
 
-def test_record_of_one_day_stays_flat():
+def test_window_column_widens_past_uint8():
     # 10,000 requests on day 0 and one on day 1: the column needs 2 bytes
     p, admit = _zbs([(100.0 + i, "a") for i in range(10_000)] + [(DAY, "a")])
     assert p.window[9_999] == 10_000 and p.window[10_000] == 10_001
@@ -384,7 +384,7 @@ def test_record_of_one_day_stays_flat():
     assert p.kernel["a"].theta == 10_001
 
 
-def test_expiry_tick_walks_only_expiring_and_held_records():
+def test_window_starts_on_the_day_of_t_less_retention():
     # d0-d19, requested on days 0-19, come back at 40.5 days, when the
     # window starts on day 10: only d10-d19 count their first request.
     requests = [(i * DAY, f"d{i}") for i in range(20)]

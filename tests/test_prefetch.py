@@ -91,8 +91,10 @@ def test_api_tie_is_not_selected():
 
 def test_lifetime_threshold_rule():
     # 10 modifications since install at 0: mean interval 10 d at 100 d; a
-    # copy last modified at 89 d is due at 98.9 d, one at 90 d at 100 d
-    for last, fetched in ((89, [("a", 100)]), (90, [])):  # age 11 d > 10 d; equality
+    # copy last modified at 89 d is due at 98.9 d and fetched at the 99 d
+    # tick, one at 90 d is due at 100 d, where the tick compares equal, so
+    # it waits for the 101 d tick
+    for last, tick, fetched in ((89, 99, [("a", 100)]), (90, 101, [])):
         days = [*range(1, 10), last]
         layer = PrefetchLayer("lifetime")
         layer.note_start(Trace.from_events(
@@ -100,7 +102,7 @@ def test_lifetime_threshold_rule():
             + [TraceEvent(day * DAY, MODIFICATION, "a", 100) for day in days]))
         for k, day in enumerate(days):
             layer.on_modification("a", 100, day * DAY, k)
-        assert layer.stale["a"][0] == (10 * last * DAY) / 9
+        assert layer.stale["a"][0] == tick * DAY
         assert layer.tick_refetches(100 * DAY, {"a": [False, 0]}) == fetched
 
 

@@ -7,12 +7,11 @@ modification's inputs by walking the trace's events one at a time,
 scores every decision from those counts with its own copy of the three
 rules and, on every daily tick, scans every resident document for a
 stale copy the lifetime rule fetches.  While it holds a stale copy it
-keeps the engine's clock walking day by day, where `PrefetchLayer` lets
-the clock jump to its `next_due` bound.
+names every daily tick to the engine, where `PrefetchLayer` names only
+the ticks its `fetch_day` column decided when the run started.
 The optimized layer must make the same decision at every call, pick the
-same documents in the same order at the same ticks (so the bound never
-skips a tick that fetches), and produce the same `SimReport` on every
-trace.
+same documents in the same order at the same ticks (so it never skips a
+tick that fetches), and produce the same `SimReport` on every trace.
 """
 
 import dataclasses
@@ -86,6 +85,28 @@ def lifetime_due(m, start, now):
     return m.mods >= 2 and now > (m.mods * m.t - start) / (m.mods - 1)
 
 
+def walked_fetch_day(mods, t, start):
+    """(d, checks) for a document's modification number `mods`, at `t`:
+    the day of the first tick start + d days past both t and the due time
+    (mods t - start) / (mods - 1), found by a walk over d = 1, 2, ... (0
+    after the first modification, which never comes due), and the ticks
+    of the walk past t at which it checked that the tick is past the due
+    time exactly when the paper's age rule now - t > (now - start) / mods
+    holds."""
+    if mods < 2:
+        return 0, 0
+    due = (mods * t - start) / (mods - 1)
+    d, checks = 1, 0
+    while True:
+        at = start + d * DAY
+        if at > t:
+            assert (at > due) == (at - t > (at - start) / mods)
+            checks += 1
+            if at > due:
+                return d, checks
+        d += 1
+
+
 class RefPrefetchLayer:
     SCORERS = {"goodfetch": good_fetch, "api": api}
 
@@ -95,14 +116,13 @@ class RefPrefetchLayer:
         self.modifications = None
         # lifetime: copies gone stale while resident since the last tick, and
         # those still stale and resident at it, once modified at least twice;
-        # the engine walks each tick while there is one
+        # the engine ticks every day while there is one
         self.stale = set()
-        self.day = 0  # the engine's last tick, in days from the start
+        self.day = 0  # the last tick run or passed, in days from the start
 
     @property
-    def next_due(self):
-        # no tick lies at or before the trace start, so the engine jumps no tick
-        return self.start if self.stale else math.inf
+    def next_tick(self):
+        return self.start + (self.day + 1) * DAY if self.stale else math.inf
 
     def note_start(self, trace):
         assert self.start is None
@@ -114,16 +134,17 @@ class RefPrefetchLayer:
         assert (m.t, m.obj, m.size) == (now, obj, size)
         if self.scheme == "lifetime":
             if m.mods >= 2:
+                # a tick at or before `now` comes before this event
+                while self.start + (self.day + 1) * DAY <= now:
+                    self.day += 1
                 self.stale.add(obj)
             return False  # the copy's age is 0, never above the interval
         return now > self.start and self.SCORERS[self.scheme](m) > self.threshold
 
     def tick_refetches(self, now, resident):
-        if self.scheme != "lifetime":
-            return []
-        day = round((now - self.start) / DAY)
-        assert day == self.day + 1 or not self.stale, "the engine skipped a tick"
-        self.day = day
+        # the engine ticks where named, so never for goodfetch or api
+        assert now == self.next_tick, "the engine skipped a tick"
+        self.day += 1
         # each document's last modification the engine has passed: a tick
         # at `now` comes before the events at `now`
         last = {m.obj: m for m in self.modifications if m.t < now}
@@ -161,7 +182,8 @@ def _replay_both(events, config, scheme, threshold):
 
 
 def _fetching(log):
-    """The log without the ticks that fetch nothing, which a jump may skip."""
+    """The log without the ticks that fetch nothing, which only the
+    reference names."""
     return [entry for entry in log if entry[0] != "tick" or entry[2]]
 
 
@@ -221,7 +243,8 @@ def test_layer_matches_reference(scheme, policy_id):
 
 @pytest.mark.parametrize("policy_id", ["lru", "zbs"])
 def test_lifetime_jumps_match_reference_over_long_gaps(policy_id):
-    # gaps of up to 60 days, so the clock jumps while copies wait to come due
+    # gaps of up to 60 days, so days pass without a tick while copies
+    # wait to come due
     @given(events=traces(max_gap=60 * DAY), config=configs(policy_id))
     def check(events, config):
         _assert_same(events, config, "lifetime")
@@ -230,37 +253,25 @@ def test_lifetime_jumps_match_reference_over_long_gaps(policy_id):
 
 
 def _due_checks(trace, config):
-    """Run the lifetime layer over `trace` and, at every daily tick, the
-    engine's and those its clock jumps over, check each stale resident
-    copy the layer indexes: past its due time (m L - start) / (m - 1)
-    exactly when the paper's age rule now - L > (now - start) / m holds,
-    with L and m its document's last modification and count.  Returns
-    the number of checks."""
+    """Run the lifetime layer over `trace` and, at every modification the
+    engine reports, check its fetch day and the age rule at each tick up
+    to it by `walked_fetch_day`, with the modification counted event by
+    event.  Returns the number of age-rule checks."""
     layer = PrefetchLayer("lifetime")
-    on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
-    last, checks, day = {}, [0], [0]
+    on_modification = layer.on_modification
+    counts, mods, checks = {}, [], [0]
+    for kind, obj in zip(trace.kind.tolist(), trace.obj.tolist()):
+        if kind == 1:
+            counts[obj] = counts.get(obj, 0) + 1
+            mods.append(counts[obj])
 
     def on_mod(obj, size, now, k):
-        last[obj] = (now, layer.mods[k])
+        day, n = walked_fetch_day(mods[k], now, layer.start)
+        assert layer.fetch_day[k] == day
+        checks[0] += n
         return on_modification(obj, size, now, k)
 
-    def tick(now, resident):
-        start = layer.start
-        # no event falls between the ticks a jump skips, so each of them
-        # sees the index as this one does
-        while start + (day[0] + 1) * DAY <= now:
-            day[0] += 1
-            at = start + day[0] * DAY
-            for obj, (due, _) in layer.stale.items():
-                entry = resident.get(obj)
-                if entry is not None and not entry[0]:
-                    modified, mods = last[obj]
-                    assert due == (mods * modified - start) / (mods - 1)
-                    assert (at > due) == (at - modified > (at - start) / mods)
-                    checks[0] += 1
-        return tick_refetches(now, resident)
-
-    layer.on_modification, layer.tick_refetches = on_mod, tick
+    layer.on_modification = on_mod
     _Engine(config, layer).run(trace)
     return checks[0]
 
@@ -322,7 +333,7 @@ def test_inputs_match_a_count_by_brute_force():
         mods, start = modifications(trace), float(trace.t[0])
         layer = PrefetchLayer("lifetime")
         layer.note_start(trace)
-        assert list(layer.mods) == [m.mods for m in mods]
+        assert list(layer.fetch_day) == [walked_fetch_day(m.mods, m.t, start)[0] for m in mods]
         # a copy is resident only after a cacheable request of its document
         for scheme, threshold in (("api", 1.0), ("goodfetch", 0.3), ("goodfetch", -math.inf)):
             layer = PrefetchLayer(scheme, threshold)
@@ -394,8 +405,8 @@ def test_lifetime_indexes_a_copy_stale_at_the_first_timestamp():
 
 
 def test_lifetime_fetches_at_the_first_tick_past_due_across_a_gap():
-    # a comes due at 0.4 d and the next event is at 10.5 d: the clock may
-    # jump over days 2-9 only once the day-1 tick has fetched a
+    # a comes due at 0.4 d and the next event is at 10.5 d: the day-1 tick
+    # fetches a, and days 2-9 get no tick
     events = [_req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a"), _req(10.5 * DAY, "b")]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(DAY, [("a", 100)])]
@@ -404,7 +415,8 @@ def test_lifetime_fetches_at_the_first_tick_past_due_across_a_gap():
 def test_clock_jump_stops_before_the_event_where_the_quotient_rounds_up():
     # (now - t0) // DAY rounds up to 35 here, though tick 35 falls one ulp
     # after the request at `now`.  a's third modification makes it due at
-    # `now` exactly, so a tick at 35 would fetch it before the request.
+    # `now` exactly, so its fetch tick is 35, not 36, and falls after the
+    # request, which finds the copy stale.
     t0, last, now = 795193.5655656967, 2811193.5655656965, 3819193.5655656965
     assert (now - t0) // DAY == 35 and t0 + 35 * DAY > now
     assert (3 * last - t0) / 2 == now
@@ -413,6 +425,78 @@ def test_clock_jump_stops_before_the_event_where_the_quotient_rounds_up():
     report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(t0 + DAY, [("a", 100)])]
     assert report.stale_refetches == 1
+    assert list(_started(events).fetch_day) == [0, 1, 35]
+
+
+def _started(events):
+    """A lifetime layer started on `events`, for its `fetch_day` column."""
+    layer = PrefetchLayer("lifetime")
+    layer.note_start(Trace.from_events(events))
+    return layer
+
+
+def test_lifetime_tick_at_a_modification_runs_before_it():
+    # a comes due at 0.4 d, and its third modification falls on the day-1
+    # tick, which runs first and fetches it at 200 bytes.  That
+    # modification makes it due at 1.5 d: the day-2 tick fetches 300.
+    events = [_req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a", 200),
+              _mod(DAY, "a", 300), _req(2.5 * DAY, "a", 300)]
+    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(DAY, [("a", 200)]), (2 * DAY, [("a", 300)])]
+    assert report.hits == 1
+
+
+@pytest.mark.parametrize("start, last, day", [
+    (321656.99731402774, 1228856.9973140275, 21),  # the floor quotient rounds down
+    (676802.860230939, 763202.860230939, 2),  # ... or is exact
+])
+def test_lifetime_due_exactly_on_a_tick_waits_a_day(start, last, day):
+    # Modified twice, a is due at 2 last - start, exactly tick `day`, which
+    # compares equal and does not fetch it; the next tick does.
+    tick = start + day * DAY
+    assert 2 * last - start == tick
+    events = [_req(start, "a"), _mod(start + 10, "a"), _mod(last, "a"),
+              _req(tick + 0.5 * DAY, "b"), _req(tick + 1.5 * DAY, "a")]
+    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(tick + DAY, [("a", 100)])]
+    assert report.hits == 1 and report.stale_refetches == 0
+    assert list(_started(events).fetch_day) == [0, day + 1]
+
+
+def test_lifetime_ticks_from_a_negative_start():
+    start = -3.3 * DAY
+    events = [_req(start, "a"), _mod(start + 0.1 * DAY, "a"), _mod(start + 0.2 * DAY, "a"),
+              _req(start + 1.5 * DAY, "b"), _mod(-0.5 * DAY, "a"), _req(0.1 * DAY, "a")]
+    # a is due at start + 0.4 d, so tick 1 fetches it.  Modified a third
+    # time, at start + 2.8 d, it is due at start + 4.2 d = 0.9 d, after the
+    # request at 0.1 d, which finds it stale.
+    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(start + DAY, [("a", 100)])]
+    assert report.stale_refetches == 1
+    assert list(_started(events).fetch_day) == [0, 1, 5]
+
+
+def test_lifetime_fetch_day_past_uint8():
+    # a comes due just after 2e9 s, at day 23,149 from the start at 0
+    events = [_req(0.0, "a"), _mod(1e9, "a"), _mod(1e9 + 1.0, "a"), _req(1e14, "b")]
+    _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [(23149 * DAY, [("a", 100)])]
+    column = _started(events).fetch_day
+    assert list(column) == [0, 23149] and column.itemsize == 2
+
+
+def test_lifetime_due_below_its_modification_waits_for_the_next_tick():
+    # 1,197 modifications, the last on tick 1, where a float step is 128 s:
+    # the due time rounds to below the tick, which runs before the
+    # modification and so cannot fetch the copy it makes stale.
+    start = 1e18 - 10 * DAY
+    last = start + DAY
+    assert (1197 * last - start) / 1196 < last
+    events = ([_mod(start, "a")] * 1196 + [_req(start, "a"), _mod(last, "a"),
+                                            _req(start + 1.5 * DAY, "a")])
+    report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
+    assert _picks(log) == [] and report.stale_refetches == 1
+    assert _started(events).fetch_day[-1] == 2
 
 
 def test_stale_copy_evicted_and_readmitted():
@@ -605,14 +689,15 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
                 docs = count["docs"]
                 m = Modification(now, obj, size, count["doc_mods"][obj], docs.get(obj, 0),
                                  sum(docs.values()))
-                # lifetime reads the modification count, a threshold
-                # scheme its decision from the three counts
+                # lifetime reads the fetch day from the modification
+                # count, a threshold scheme its decision from the three
                 if scheme == "lifetime":
-                    assert (layer.mods[k], layer.select) == (m.mods, None)
+                    assert layer.select is None
+                    assert layer.fetch_day[k] == walked_fetch_day(m.mods, now, layer.start)[0]
                 else:
                     ref = RefPrefetchLayer(*LEDGER_LAYERS[scheme])
                     ref.start, ref.modifications = layer.start, {k: m}
-                    assert layer.mods is None
+                    assert layer.fetch_day is None
                     assert layer.select[k] == ref.on_modification(obj, size, now, k)
                 run["called"] = run["prefetching"] = on_modification(obj, size, now, k)
                 return run["prefetching"]

@@ -173,9 +173,8 @@ def _twice_modified(t_mod, t_end):
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_twice_modified_lifetime_copy_skips_to_its_due_day(policy_id):
     # the copy of a comes due just after 2e9 s; a daily walk from 1e9 s
-    # would take about 11,600 ticks
-    ticks = _ticks(_twice_modified(1e9, 1e14), "lifetime", policy_id)
-    assert len(ticks) < 10
+    # would take about 11,600 ticks, and the run takes the one that fetches
+    assert _ticks(_twice_modified(1e9, 1e14), "lifetime", policy_id) == [23149 * DAY]
 
 
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
@@ -191,9 +190,9 @@ def test_twice_modified_lifetime_gap_finishes(policy_id):
 @pytest.mark.parametrize("stamps", [(0.0, 1e22), (-1e22, 0.0), (1e30,)])
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
 def test_timestamp_beyond_daily_clock_rejected(policy_id, stamps):
-    # beyond about 1e21 s a day is under half a float step and the clock
-    # could not advance; no trace holds a time beyond 1e18 s, where a day
-    # still spans over a hundred steps
+    # beyond about 1e21 s a day is under half a float step and daily ticks
+    # would not be distinct; no trace holds a time beyond 1e18 s, where a
+    # day still spans over a hundred steps
     events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
     with pytest.raises(ValueError, match=r"beyond 1e\+18 s"):
         simulate(Trace.from_events(events), CacheConfig(capacity_bytes=1000, policy_id=policy_id))
@@ -218,8 +217,8 @@ def test_bad_timestamp_raises_after_earlier_events():
 
 
 def _ticks(events, scheme=None, policy_id="zbs"):
-    """Times of the daily ticks the engine gives a prefetch layer of
-    `scheme`; a run without one keeps no clock."""
+    """Times of the ticks the engine gives a prefetch layer of `scheme`;
+    a run without one has none."""
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id=policy_id),
                   PrefetchLayer(scheme) if scheme else None)
     ticks = []
@@ -232,20 +231,23 @@ def _ticks(events, scheme=None, policy_id="zbs"):
 
 
 def test_daily_clock_jumps_over_empty_days():
+    # The engine keeps no clock: it ticks only at the fetch ticks the layer
+    # names, whole days from the start.
     t0 = 0.25
     events = [_req(t0, "a"), _mod(t0 + 0.5 * DAY, "a"),
               _req(t0 + 4.5 * DAY, "b"), _req(t0 + 5.5 * DAY, "b")]
-    # one tick for the four boundaries in the gap, then the next in step
-    assert _ticks(events) == []
-    assert _ticks(events, "goodfetch") == [t0 + 4 * DAY, t0 + 5 * DAY]
-    # a copy modified once never comes due under the lifetime rule
-    assert _ticks(events, "lifetime") == [t0 + 4 * DAY, t0 + 5 * DAY]
-    # modified twice, it comes due after t0 + 1 d, so the clock walks from
-    # the day-1 tick until the day-2 tick fetches it (age 1.5 d > interval
-    # 2 d / 2); then no copy waits, and the clock jumps again
+    # goodfetch and api fetch only at modifications, and a copy modified
+    # once never comes due under the lifetime rule
+    for scheme in (None, "goodfetch", "api", "lifetime"):
+        assert _ticks(events, scheme) == []
+    # modified twice, it comes due at t0 + 1 d, where the day-1 tick
+    # compares equal, so the day-2 tick alone runs and fetches it (age
+    # 1.5 d > interval 2 d / 2)
     events = [_req(t0, "a"), _mod(t0 + 0.25 * DAY, "a"), _mod(t0 + 0.5 * DAY, "a"),
               _req(t0 + 9.5 * DAY, "b")]
-    assert _ticks(events, "lifetime") == [t0 + k * DAY for k in (1, 2, 9)]
+    assert _ticks(events, "lifetime") == [t0 + 2 * DAY]
+    for scheme in ("goodfetch", "api"):
+        assert _ticks(events, scheme) == []
 
 
 def test_finished_run_leaves_no_reference_cycle():

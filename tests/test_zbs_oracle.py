@@ -248,13 +248,13 @@ def test_zbs_matches_reference_with_prefetch(policy_id, scheme):
     check()
 
 
-def _assert_tick_phase_free(events, capacity, retention, delta):
-    """The daily ticks fall at whole days from the first event.  A
-    modification of a document no one requests, `delta` seconds before
-    the trace, moves them and must move no report.  Runs with a prefetch
-    layer are left out: `lifetime` fetches at ticks by design, and
-    `goodfetch` and `api` select only modifications after the trace
-    start, which the added event moves."""
+def _assert_start_free(events, capacity, retention, delta):
+    """A modification of a document no one requests, `delta` seconds
+    before the trace, moves the trace start and must move no report: a
+    run without a prefetch layer has no tick, and the window counts
+    calendar days.  Runs with a layer are left out: `lifetime` fetches at
+    ticks whole days from the start by design, and `goodfetch` and `api`
+    select only modifications after the start."""
     shifted = Trace.from_events(
         [TraceEvent(events[0].timestamp - delta, MODIFICATION, "unrequested", 1)] + events)
     events = Trace.from_events(events)
@@ -277,18 +277,18 @@ def test_report_does_not_depend_on_tick_phase(case):
     @given(events=trace, capacity=capacities,
            delta=st.floats(min_value=0.0, max_value=2 * DAY, exclude_min=True))
     def check(events, capacity, delta):
-        _assert_tick_phase_free(events, capacity, retention, delta)
+        _assert_start_free(events, capacity, retention, delta)
 
     check()
 
 
-def test_tick_phase_moves_no_readmission():
+def test_earlier_start_moves_no_readmission():
     # a's first request is refused (150 B outgrows the accessory area) and
     # its second, at 30.6 days, is on the last day the window counts the
-    # first: a goes to the kernel and hits at 30.7 days.  Half a day
-    # earlier, the ticks fall at 30.6 days, after a's request of 0.1 days
-    # less the retention: its record must survive them.
+    # first: a goes to the kernel and hits at 30.7 days.  A start half a
+    # day earlier puts whole days from it at 30.6 days, after a's request
+    # of 0.1 days less the retention; the window must still count it.
     events = [TraceEvent(0.1 * DAY, REQUEST, "a", 150)]
     events += [TraceEvent(k * DAY, REQUEST, "clock", 10) for k in range(1, 31)]
     events += [TraceEvent(t * DAY, REQUEST, "a", 150) for t in (30.6, 30.7)]
-    _assert_tick_phase_free(events, 1000, MIN_RETENTION, 0.5 * DAY)
+    _assert_start_free(events, 1000, MIN_RETENTION, 0.5 * DAY)
