@@ -22,7 +22,7 @@ occupy, and the copy is then already dropped.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,7 +134,9 @@ class LFUCache(_SingleArea):
     def __init__(self, capacity: float):
         super().__init__(capacity)
         self.entries: dict[str, list] = {}  # obj -> [size, freq]
-        self.buckets: dict[int, OrderedDict[str, None]] = {}
+        # freq -> its documents, oldest access first; a lookup of a new
+        # frequency makes its bucket.
+        self.buckets: defaultdict[int, OrderedDict[str, None]] = defaultdict(OrderedDict)
         self.min_freq = 0  # at most the least frequency held; victims advance it
 
     def _bump(self, obj: str) -> None:
@@ -145,7 +147,7 @@ class LFUCache(_SingleArea):
         if not bucket:
             del self.buckets[freq]
         entry[1] = freq + 1
-        self.buckets.setdefault(freq + 1, OrderedDict())[obj] = None
+        self.buckets[freq + 1][obj] = None
 
     def on_hit(self, obj: str, now: float) -> None:
         self._bump(obj)
@@ -154,7 +156,7 @@ class LFUCache(_SingleArea):
         if size > self.capacity:
             return False
         self.entries[obj] = [size, 1]
-        self.buckets.setdefault(1, OrderedDict())[obj] = None
+        self.buckets[1][obj] = None
         self.min_freq = 1
         self.kernel_bytes += size
         self.over_limit = self.kernel_bytes > self.capacity

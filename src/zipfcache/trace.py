@@ -693,18 +693,11 @@ class ProxyLogResult:
     filtered: int  # parseable lines that are not GET 2xx/3xx
 
 
-def parse_proxy_log(path) -> ProxyLogResult:
-    """Adapt a squid-style access log into request events.
-
-    Expected space-separated layout per line: unix timestamp, elapsed ms,
-    client, code/status, bytes, method, URL, ...  GET lines with a 2xx or
-    3xx status become request events keyed by URL; the cacheable flag is
-    set for statuses 200/203/206/300/301/410.  Unparseable lines are
-    counted and skipped, other lines are counted as filtered; a line with a
-    timestamp no `Trace` holds (not finite, or beyond 1e18 s) is an error.
-    Events are re-sorted by timestamp, equal timestamps keeping their file
-    order, since real logs are ordered by completion time.
-    """
+def _proxy_columns(path, lines: list[str], lineno: int, table: _Intern):
+    """(t, obj, size, cacheable, skipped, filtered) of `lines`, numbered from
+    `lineno`: the columns of their GET 2xx/3xx lines in file order, each URL
+    coded by `table`, and the counts of skipped and filtered lines.  `size`
+    is None if a size is 2**63 or more; a bad timestamp raises its error."""
     times: list[float] = []
     urls: list[str] = []
     sizes: list[int] = []
@@ -713,38 +706,92 @@ def parse_proxy_log(path) -> ProxyLogResult:
     filtered = 0
     add_time, add_url, add_size, add_status = (
         times.append, urls.append, sizes.append, statuses.append)
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split(None, 7)  # the first seven fields, then the rest
-            if len(parts) < 7:
-                if line.strip():
-                    skipped += 1
-                continue
-            try:
-                ts = float(parts[0])
-                size = int(parts[4])
-                status = int(parts[3].rpartition("/")[2])
-            except ValueError:
+    for lineno, line in enumerate(lines, start=lineno):
+        parts = line.split(None, 7)  # the first seven fields, then the rest
+        if len(parts) < 7:
+            if line.strip():
                 skipped += 1
-                continue
-            if not -_TIME_LIMIT <= ts <= _TIME_LIMIT:
-                raise _time_error(path, lineno, ts, parts[0])
-            if parts[5] != "GET" or not 200 <= status < 400:
-                filtered += 1
-                continue
-            add_time(ts)
-            add_url(parts[6])
-            add_size(max(1, size))
-            add_status(status)
-    t = np.array(times, dtype=np.float64)
-    order = np.argsort(t, kind="stable")
+            continue
+        try:
+            ts = float(parts[0])
+            size = int(parts[4])
+            status = int(parts[3].rpartition("/")[2])
+        except ValueError:
+            skipped += 1
+            continue
+        if not -_TIME_LIMIT <= ts <= _TIME_LIMIT:
+            raise _time_error(path, lineno, ts, parts[0])
+        if parts[5] != "GET" or not 200 <= status < 400:
+            filtered += 1
+            continue
+        add_time(ts)
+        add_url(parts[6])
+        add_size(max(1, size))
+        add_status(status)
     try:
-        size = np.array(sizes, dtype=np.int64)[order]
+        size_col = np.array(sizes, dtype=np.int64)
     except OverflowError:
-        raise TraceFormatError(f"{path}: a size must be < 2**63") from None
-    table = _Intern()
-    obj = np.fromiter(map(table.__getitem__, map(urls.__getitem__, order.tolist())),
-                      np.int32, len(order))
-    cacheable = np.isin(np.array(statuses, dtype=np.int64)[order], list(CACHEABLE_STATUSES))
-    trace = Trace(t[order], np.zeros(len(order), np.int8), obj, size, cacheable, list(table))
+        size_col = None
+    return (np.array(times, dtype=np.float64),
+            np.fromiter(map(table.__getitem__, urls), np.int32, len(urls)), size_col,
+            np.isin(np.array(statuses, dtype=np.int64), list(CACHEABLE_STATUSES)),
+            skipped, filtered)
+
+
+def parse_proxy_log(path) -> ProxyLogResult:
+    """Adapt a squid-style access log into request events.
+
+    Expected space-separated layout per line: unix timestamp, elapsed ms,
+    client, code/status, bytes, method, URL, ...  GET lines with a 2xx or
+    3xx status become request events keyed by URL; the cacheable flag is
+    set for statuses 200/203/206/300/301/410.  Unparseable lines are
+    counted and skipped, other lines are counted as filtered; a line with a
+    timestamp no `Trace` holds (not finite, or beyond 1e18 s) is an error,
+    and so, once every line is read, is a size of 2**63 or more.  Events
+    are re-sorted by timestamp, equal timestamps keeping their file order,
+    since real logs are ordered by completion time, and the URLs are
+    numbered in order of first appearance in that order.
+
+    The log is read a bounded chunk of lines at a time and each chunk is
+    parsed line by line into columns before the next is read, so no more
+    than one chunk's lines is held as strings.
+    """
+    table = _Intern()  # URL -> code, in file order
+    chunks = []
+    skipped = 0
+    filtered = 0
+    oversize = False
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lineno = 1
+        while lines := fh.readlines(_PARSE_CHUNK_BYTES):
+            t, obj, size, cacheable, n_skipped, n_filtered = _proxy_columns(
+                path, lines, lineno, table)
+            skipped += n_skipped
+            filtered += n_filtered
+            oversize = oversize or size is None
+            if not oversize:
+                chunks.append((t, obj, size, cacheable))
+            lineno += len(lines)
+    if oversize:
+        raise TraceFormatError(f"{path}: a size must be < 2**63")
+    if not chunks:
+        return ProxyLogResult(Trace([], [], [], [], [], []), skipped, filtered)
+    t, obj, size, cacheable = (np.concatenate(col) for col in zip(*chunks))
+    del chunks
+    # One column at a time, so that each old column is freed before the next
+    # is gathered.
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    size = size[order]
+    cacheable = cacheable[order]
+    obj = obj[order]
+    del order
+    # Renumber the URLs by first appearance in time order.
+    codes, first = np.unique(obj, return_index=True)
+    codes = codes[np.argsort(first)]
+    renumber = np.empty(len(table), dtype=np.int32)
+    renumber[codes] = np.arange(len(codes), dtype=np.int32)
+    urls = list(table)
+    trace = Trace(t, np.zeros(len(t), np.int8), renumber[obj], size, cacheable,
+                  [urls[i] for i in codes.tolist()])
     return ProxyLogResult(trace, skipped, filtered)

@@ -335,7 +335,7 @@ def test_histogram_and_lifetime_match_reference(events, fraction):
 
 # ------------------------------------------------------------ native files
 
-CHUNK_BYTES = [1, 60, 400, trace._PARSE_CHUNK_BYTES]
+CHUNK_BYTES = [1, 60, 97, 400, trace._PARSE_CHUNK_BYTES]
 
 
 def _stamp(rnd, t):
@@ -542,11 +542,13 @@ def _squid_lines(rnd, n):
     return lines
 
 
-@given(rnd=st.randoms(use_true_random=True))
-def test_proxy_log_matches_reference(tmp_path_factory, rnd):
+@given(rnd=st.randoms(use_true_random=True), chunk=st.sampled_from(CHUNK_BYTES))
+def test_proxy_log_matches_reference(tmp_path_factory, rnd, chunk):
     path = tmp_path_factory.mktemp("squid") / "access.log"
     path.write_text("\n".join(_squid_lines(rnd, rnd.choice((0, 5, 60, 400)))) + "\n")
-    result = trace.parse_proxy_log(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        result = trace.parse_proxy_log(path)
     events, skipped, filtered = ref_parse_proxy_log(path)
     assert (result.skipped, result.filtered) == (skipped, filtered)
     assert list(result.events) == events
@@ -554,7 +556,7 @@ def test_proxy_log_matches_reference(tmp_path_factory, rnd):
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_proxy_log_non_finite_matches_reference(tmp_path, bad):
+def test_proxy_log_non_finite_matches_reference(tmp_path, monkeypatch, bad):
     import random
 
     lines = _squid_lines(random.Random(bad), 50)
@@ -564,11 +566,13 @@ def test_proxy_log_non_finite_matches_reference(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     want = _error(ref_parse_proxy_log, path)
     assert ":22: timestamp must be finite" in want
-    assert _error(trace.parse_proxy_log, path) == want
+    for chunk in CHUNK_BYTES:
+        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        assert _error(trace.parse_proxy_log, path) == want
 
 
 @pytest.mark.parametrize("bad", ["1e19", "-2e18", "1e300"])
-def test_proxy_log_beyond_range_matches_reference(tmp_path, bad):
+def test_proxy_log_beyond_range_matches_reference(tmp_path, monkeypatch, bad):
     import random
 
     lines = _squid_lines(random.Random(bad), 50)
@@ -578,4 +582,49 @@ def test_proxy_log_beyond_range_matches_reference(tmp_path, bad):
     path.write_text("\n".join(lines) + "\n")
     want = _error(ref_parse_proxy_log, path)
     assert f":22: timestamp must be within +-1e+18 s, got '{bad}'" in want
-    assert _error(trace.parse_proxy_log, path) == want
+    for chunk in CHUNK_BYTES:
+        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        assert _error(trace.parse_proxy_log, path) == want
+
+
+def _oversize_log(path, status=200):
+    """A random squid log whose line 11 is a GET of size 2**63 with `status`."""
+    import random
+
+    lines = _squid_lines(random.Random(63), 50)
+    lines.insert(10, f"1e9 0 c TCP_MISS/{status} {2**63} GET http://a/b")
+    path.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+def test_proxy_log_rejects_size_beyond_int64(tmp_path, monkeypatch):
+    path = tmp_path / "access.log"
+    _oversize_log(path)
+    for chunk in CHUNK_BYTES:
+        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        assert _error(trace.parse_proxy_log, path) == f"{path}: a size must be < 2**63"
+
+
+def test_proxy_log_later_time_error_wins_over_size(tmp_path, monkeypatch):
+    # A size is checked only once every line is read, so a bad timestamp on
+    # a later line, in a later chunk, still raises its own error.
+    path = tmp_path / "access.log"
+    lines = _oversize_log(path)
+    lines.insert(40, "nan 0 c TCP_MISS/200 40 GET http://a/b")
+    path.write_text("\n".join(lines) + "\n")
+    want = _error(ref_parse_proxy_log, path)
+    assert want == f"{path}:41: timestamp must be finite, got 'nan'"
+    for chunk in CHUNK_BYTES:
+        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        assert _error(trace.parse_proxy_log, path) == want
+
+
+def test_proxy_log_size_beyond_int64_on_a_filtered_line(tmp_path, monkeypatch):
+    path = tmp_path / "access.log"
+    _oversize_log(path, status=404)
+    events, skipped, filtered = ref_parse_proxy_log(path)
+    for chunk in CHUNK_BYTES:
+        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        result = trace.parse_proxy_log(path)
+        assert (result.skipped, result.filtered) == (skipped, filtered)
+        assert list(result.events) == events
