@@ -198,7 +198,10 @@ def cmd_analyze(args) -> int:
             report["alpha_r"] = analytic.renewal_alpha_r(m, args.hit_ratio, k)
         except DomainError as exc:
             report.update(alpha_r=None, alpha_r_note=str(exc))
-        report["delta_h"] = analytic.renewal_delta_h(hist.theta_sum_top(m), args.hit_ratio, k)
+        try:
+            report["delta_h"] = analytic.renewal_delta_h(hist.theta_sum_top(m), args.hit_ratio, k)
+        except DomainError as exc:
+            report.update(delta_h=None, delta_h_note=str(exc))
     report["config"] = {
         "window_days": args.window_days,
         "hit_ratio": args.hit_ratio,

@@ -9,7 +9,8 @@ import pytest
 from zipfcache import cli, simcore
 from zipfcache.cli import EXIT_DOMAIN, EXIT_IO, EXIT_OK, main, parse_size
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.trace import TRACE_HEADER
+from zipfcache.analytic import DAY
+from zipfcache.trace import TRACE_HEADER, SyntheticSpec, generate_trace, write_trace_file
 
 
 def _schema(name):
@@ -91,6 +92,20 @@ def test_generate_seed_changes_trace(tmp_path):
     main(["generate", "--objects", "200", "--requests", "3000", "--seed", "1", "-o", str(p1)])
     main(["generate", "--objects", "200", "--requests", "3000", "--seed", "2", "-o", str(p2)])
     assert p1.read_bytes() != p2.read_bytes()
+
+
+def test_generate_boundary_is_the_spec_boundary(tmp_path):
+    argv = ["generate", "--objects", "300", "--requests", "3000", "--duration-days", "20",
+            "--popular-lifetime-days", "1", "--unpopular-lifetime-days", "30", "--seed", "5"]
+    default, moved, want = tmp_path / "default.csv", tmp_path / "b7.csv", tmp_path / "want.csv"
+    assert main([*argv, "-o", str(default)]) == EXIT_OK
+    assert main([*argv, "--boundary", "7", "-o", str(moved)]) == EXIT_OK
+    write_trace_file(generate_trace(SyntheticSpec(
+        n_objects=300, alpha=0.8, request_rate=3000 / (20 * DAY), duration=20 * DAY,
+        popular_boundary=7, mu_p=1 / DAY, mu_u=1 / (30 * DAY), seed=5)), want)
+    assert moved.read_bytes() == want.read_bytes()
+    # the analytic boundary is another rank, so other documents change daily
+    assert moved.read_bytes() != default.read_bytes()
 
 
 @pytest.mark.parametrize("days", ["0", "-1", "nan", "inf"])
@@ -197,6 +212,20 @@ def test_analyze_hit_ratio_too_low_for_alpha_r_keeps_the_report(capsys):
     assert "must stay below h*K" in report["alpha_r_note"]
     assert report["alpha3"] < 0.0
     assert isinstance(report["delta_h"], float)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("t.csv", f"{TRACE_HEADER}\n"), ("t.csv", f"{TRACE_HEADER}\n0.0,M,a,100,1\n"),
+    ("access.log", "0.0 5 c TCP_MISS/404 400 GET http://a/x -\n"),
+], ids=["header-only", "one-modification", "squid-no-get-2xx"])
+def test_analyze_hit_ratio_without_requests_keeps_the_report(tmp_path, capsys, name, text):
+    # K = 0: delta_h is null with a note, as alpha_r and the alpha estimates are
+    (tmp_path / name).write_text(text)
+    source = ["--squid"] * (name == "access.log") + [str(tmp_path / name)]
+    report = _run_json(capsys, ["analyze", *source, "--hit-ratio", "0.5"])
+    _validate(report, _schema("analyze"))
+    assert report["total_requests"] == 0 and report["alpha_r"] is None
+    assert report["delta_h"] is None and "big_k must be > 0" in report["delta_h_note"]
 
 
 def test_analyze_csv_format(capsys):
@@ -480,7 +509,7 @@ def test_non_finite_timestamp_exit_3(tmp_path, squid):
     assert main(["simulate", flag, str(path), "--capacity", "1KB"]) == EXIT_IO
 
 
-def test_timestamp_beyond_daily_clock_exit_3(tmp_path, capsys):
+def test_timestamp_beyond_1e18_s_exit_3(tmp_path, capsys):
     # no trace holds a time beyond 1e18 s, so the line is a format error
     native = tmp_path / "t.csv"
     native.write_text(f"{TRACE_HEADER}\n0.0,R,a,100,1\n1e22,R,b,100,1\n")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from support import mod, randoms, req
 from zipfcache import simcore
 from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS
@@ -29,11 +30,11 @@ from zipfcache.trace import (MODIFICATION, REQUEST, SyntheticSpec, Trace, TraceE
 @st.composite
 def traces(draw, sizes="fixed"):
     """Time-ordered events over a few documents with ties, short gaps and
-    gaps of days, uncacheable requests and modifications, drawn from a
-    seeded `Random`.  With `sizes` "fixed" every event of a document
-    carries one size, with "modifications" a modification redraws it,
-    and with "events" each event draws its own."""
-    rnd = draw(st.randoms(use_true_random=True))
+    gaps of days, uncacheable requests and modifications.  With `sizes`
+    "fixed" every event of a document carries one size, with
+    "modifications" a modification redraws it, and with "events" each
+    event draws its own."""
+    rnd = draw(randoms())
     n_docs = rnd.choice((1, 3, 10, 40))
     mod_share = rnd.choice((0.0, 0.2, 0.5))
     doc_size = {}
@@ -48,7 +49,7 @@ def traces(draw, sizes="fixed"):
         elif sizes != "events":
             size = doc_size.setdefault(doc, size)
         events.append(TraceEvent(t, kind, doc, size, rnd.random() < 0.85))
-    return Trace.from_events(events)
+    return events
 
 
 def _byte_capacities(rnd, trace):
@@ -101,13 +102,14 @@ def _assert_columns_match_replays(trace, configs):
 
 
 def test_byte_mode_with_fixed_sizes_is_one_pass(replays):
-    @given(events=traces(), rnd=st.randoms(use_true_random=True))
+    @given(events=traces(), rnd=randoms())
     def check(events, rnd):
+        trace = Trace.from_events(events)
         replays.clear()
-        configs = _configs(_byte_capacities(rnd, events))
-        _assert_matches_replays(events, configs)
+        configs = _configs(_byte_capacities(rnd, trace))
+        _assert_matches_replays(trace, configs)
         assert replays == []
-        _assert_columns_match_replays(events, configs)
+        _assert_columns_match_replays(trace, configs)
 
     check()
 
@@ -117,21 +119,14 @@ def test_count_mode_with_modifications_is_one_pass(replays):
            caps=st.lists(st.sampled_from([1, 2, 3, 5, 2.5, 12, 40, math.inf]),
                          min_size=1, max_size=6))
     def check(events, caps):
+        trace = Trace.from_events(events)
         replays.clear()
         configs = _configs(caps, count_mode=True)
-        _assert_matches_replays(events, configs)
+        _assert_matches_replays(trace, configs)
         assert replays == []
-        _assert_columns_match_replays(events, configs)
+        _assert_columns_match_replays(trace, configs)
 
     check()
-
-
-def _req(t, obj, size=100, cacheable=True):
-    return TraceEvent(t, REQUEST, obj, size, cacheable)
-
-
-def _mod(t, obj, size=100):
-    return TraceEvent(t, MODIFICATION, obj, size)
 
 
 def _trace(*events):
@@ -141,8 +136,8 @@ def _trace(*events):
 def test_hand_walk_counts_stale_refetches_and_evictions(replays):
     # stack distances in count mode: a@2 is 2 (b above it), b@4 is 3
     # (a, c above it), a@5 is 3 (b, c above it); a was modified at 3
-    events = _trace(_req(0, "a"), _req(1, "b"), _req(2, "a"), _mod(3, "a"), _req(3, "c"),
-                    _req(4, "b"), _req(5, "a"), _req(6, "x", cacheable=False))
+    events = _trace(req(0, "a"), req(1, "b"), req(2, "a"), mod(3, "a"), req(3, "c"),
+                    req(4, "b"), req(5, "a"), req(6, "x", cacheable=False))
     two, three = _assert_matches_replays(events, _configs([2, 3], count_mode=True))
     assert (two.hits, two.stale_refetches, two.evictions) == (1, 0, 3)
     assert (three.hits, three.stale_refetches, three.evictions) == (2, 1, 0)
@@ -152,8 +147,8 @@ def test_hand_walk_counts_stale_refetches_and_evictions(replays):
 
 def test_document_that_changes_size_is_replayed(replays):
     # a is requested at 100 bytes, modified to 300 and requested again
-    events = _trace(_req(0, "a", 100), _req(1, "b", 50), _mod(2, "a", 300),
-                    _req(3, "a", 300), _req(4, "b", 50))
+    events = _trace(req(0, "a", 100), req(1, "b", 50), mod(2, "a", 300),
+                    req(3, "a", 300), req(4, "b", 50))
     _assert_matches_replays(events, _configs([350, 1000]))
     assert replays == [350, 1000]
     # count mode ignores sizes, so the same trace takes one pass
@@ -163,8 +158,8 @@ def test_document_that_changes_size_is_replayed(replays):
 
 
 def test_document_larger_than_a_capacity_is_replayed_at_it(replays):
-    events = _trace(_req(0, "a", 500), _req(1, "b", 100), _req(2, "a", 500),
-                    _req(3, "b", 100))
+    events = _trace(req(0, "a", 500), req(1, "b", 100), req(2, "a", 500),
+                    req(3, "b", 100))
     _assert_matches_replays(events, _configs([600, 400, 500]))
     assert replays == [400]
     # at 400 bytes LRU refuses a's copy, for which the pass has no code
@@ -176,14 +171,14 @@ def test_document_larger_than_a_capacity_is_replayed_at_it(replays):
 
 def test_negative_size_is_refused(replays):
     # a trace holds no size below 1, so no size can shrink a stack prefix
-    events = [_req(0, "a", -50), _req(1, "b", 100), _req(2, "a", -50), _req(3, "b", 100)]
+    events = [req(0, "a", -50), req(1, "b", 100), req(2, "a", -50), req(3, "b", 100)]
     with pytest.raises(ValueError, match="size must be >= 1, got -50"):
         simulate_many(Trace.from_events(events), _configs([100, 1000]))
     assert replays == []
 
 
 def test_count_mode_below_one_document_is_replayed(replays):
-    events = _trace(_req(0, "a"), _req(1, "a"), _req(2, "b"))
+    events = _trace(req(0, "a"), req(1, "a"), req(2, "b"))
     _assert_matches_replays(events, _configs([3, 0.5, 1], count_mode=True))
     assert replays == [0.5]
 
@@ -192,7 +187,7 @@ def test_count_mode_below_one_document_is_replayed(replays):
 def test_bad_timestamps_raise_what_simulate_raises(second, replays):
     # a time out of order, not finite or beyond 1e18 s is refused when the
     # trace is built, so neither entry point ever meets one
-    events = [_req(5.0, "a"), _req(second, "b")]
+    events = [req(5.0, "a"), req(second, "b")]
     with pytest.raises(ValueError) as expected:
         simulate(Trace.from_events(events), CacheConfig(policy_id="lru"))
     with pytest.raises(ValueError) as got:
@@ -203,20 +198,20 @@ def test_bad_timestamps_raise_what_simulate_raises(second, replays):
 
 def test_far_timestamps_take_one_pass(replays):
     # every time a trace holds is within the range of distinct daily ticks
-    events = _trace(_req(-1e18, "a"), _req(0.0, "b"), _req(1e18, "a"))
+    events = _trace(req(-1e18, "a"), req(0.0, "b"), req(1e18, "a"))
     _assert_matches_replays(events, _configs([100, 200]))
     assert replays == []
 
 
 def test_configs_are_checked_in_order(replays):
     with pytest.raises(ValueError, match="capacity must be > 0"):
-        simulate_many(_trace(_req(0, "a")), _configs([100, 0]))
+        simulate_many(_trace(req(0, "a")), _configs([100, 0]))
 
 
 @pytest.mark.parametrize("layers", [[], [None], [None, None, None]])
 def test_one_layer_per_config(layers, replays):
     with pytest.raises(ValueError, match=f"{len(layers)} prefetch layers for 2 configs"):
-        simulate_many(_trace(_req(0, "a")), _configs([100, 200]), layers)
+        simulate_many(_trace(req(0, "a")), _configs([100, 200]), layers)
     assert replays == []
 
 
@@ -227,9 +222,10 @@ LAYERS = (None, ("goodfetch", 0.3), ("lifetime",))
 def test_many_runs_equal_one_simulate_each():
     @given(events=st.sampled_from(["fixed", "modifications", "events"]).flatmap(
                lambda sizes: traces(sizes=sizes)),
-           rnd=st.randoms(use_true_random=True))
+           rnd=randoms())
     def check(events, rnd):
-        largest = int(events.size.max()) if len(events) else 1
+        trace = Trace.from_events(events)
+        largest = int(trace.size.max()) if len(trace) else 1
         runs = []
         for _ in range(rnd.randint(1, 6)):
             policy = rnd.choice(POLICY_IDS)
@@ -241,10 +237,10 @@ def test_many_runs_equal_one_simulate_each():
             runs.append((config, rnd.choice(LAYERS)))
         configs = [config for config, _ in runs]
         # a fresh layer for every run on each side
-        got = simulate_many(events, configs,
+        got = simulate_many(trace, configs,
                             [layer and PrefetchLayer(*layer) for _, layer in runs])
         assert [r.to_dict() for r in got] == [
-            simulate(events, config, layer and PrefetchLayer(*layer)).to_dict()
+            simulate(trace, config, layer and PrefetchLayer(*layer)).to_dict()
             for config, layer in runs]
 
     check()
@@ -261,10 +257,10 @@ def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
 
         monkeypatch.setattr(simcore, name, counting)
 
-    @given(events=traces(sizes="modifications"), rnd=st.randoms(use_true_random=True))
+    @given(events=traces(sizes="modifications"), rnd=randoms())
     def check(events, rnd):
-        end = float(events.t[-1]) if len(events) else 0.0
-        resized = _trace(*events, _req(end, "x", 20), _mod(end, "x", 90), _req(end, "x", 90))
+        end = events[-1].timestamp if events else 0.0
+        resized = _trace(*events, req(end, "x", 20), mod(end, "x", 90), req(end, "x", 90))
         calls.clear()
         _assert_matches_replays(resized, _configs(_byte_capacities(rnd, resized)))
         assert not _LRUCurve(resized, False).exact

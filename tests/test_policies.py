@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from support import mod, req
 from zipfcache.policies import (
     DAY,
     MAX_RETENTION,
@@ -16,18 +17,7 @@ from zipfcache.policies import (
 from zipfcache.simcore import (
     MISS, MODIFIED, NOT_CACHEABLE, REFUSED, STALE, CacheConfig, _Engine, simulate,
 )
-from zipfcache.trace import (
-    MODIFICATION,
-    REQUEST,
-    SyntheticSpec,
-    Trace,
-    TraceEvent,
-    generate_trace,
-)
-
-
-def _req(t, obj, size=100, cacheable=True):
-    return TraceEvent(t, REQUEST, obj, size, cacheable)
+from zipfcache.trace import SyntheticSpec, Trace, generate_trace
 
 
 # ---------------------------------------------------------------- baselines
@@ -35,7 +25,7 @@ def _req(t, obj, size=100, cacheable=True):
 
 def test_fifo_ignores_recency():
     # same stream as the LRU walk; FIFO keeps b and evicts a first
-    events = [_req(0, "a"), _req(1, "b"), _req(2, "a"), _req(3, "c"), _req(4, "b")]
+    events = [req(0, "a"), req(1, "b"), req(2, "a"), req(3, "c"), req(4, "b")]
     report = simulate(Trace.from_events(events),
                       CacheConfig(capacity_bytes=250, policy_id="fifo"))
     assert report.hits == 2
@@ -43,7 +33,7 @@ def test_fifo_ignores_recency():
 
 
 def test_lfu_evicts_rarest_then_oldest():
-    events = [_req(0, "a"), _req(1, "a"), _req(2, "b"), _req(3, "c"), _req(4, "b")]
+    events = [req(0, "a"), req(1, "a"), req(2, "b"), req(3, "c"), req(4, "b")]
     report = simulate(Trace.from_events(events),
                       CacheConfig(capacity_bytes=250, policy_id="lfu"))
     # c@3 evicts b (freq 1, older than c); b@4 then evicts c the same way
@@ -81,7 +71,7 @@ def _zbs(requests, capacity=1000, **kwargs):
     in time order, and `admit(obj, size, now)`: its on_miss_admit at the
     index of that request."""
     p = ZBSCache(capacity, **kwargs)
-    p.note_start(Trace.from_events([_req(t, obj) for t, obj in requests]))
+    p.note_start(Trace.from_events([req(t, obj) for t, obj in requests]))
     index = {request: i for i, request in enumerate(requests)}
     return p, lambda obj, size, now: p.on_miss_admit(obj, size, now, index[now, obj])
 
@@ -177,9 +167,9 @@ def test_modified_accessory_document_joins_kernel():
 def test_refetch_that_outgrows_the_kernel_is_dropped(policy_id):
     # a-d reach the kernel (cap 900); d's refetch at 950 B fits the whole
     # cache but not the kernel, so it goes alone and a-c stay cached
-    events = [_req(t, obj) for t, obj in enumerate("aabbccdd")]
-    events += [TraceEvent(8, MODIFICATION, "d", 950), _req(9, "d", 950),
-               _req(10, "a"), _req(11, "b"), _req(12, "c")]
+    events = [req(t, obj) for t, obj in enumerate("aabbccdd")]
+    events += [mod(8, "d", 950), req(9, "d", 950),
+               req(10, "a"), req(11, "b"), req(12, "c")]
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id=policy_id))
     report = eng.run(Trace.from_events(events))
     assert (report.hits, report.evictions, report.stale_refetches) == (7, 1, 1)
@@ -402,20 +392,20 @@ def _window(events, retention=MIN_RETENTION):
 def test_window_starts_on_the_day_holding_t_minus_retention():
     # the request at 31.5 days counts day 1 on, so the one at 1.0 days
     # and not the one at 0.99 days
-    events = [_req(0.99 * DAY, "a"), _req(1.0 * DAY, "a"), _req(31.5 * DAY, "a")]
+    events = [req(0.99 * DAY, "a"), req(1.0 * DAY, "a"), req(31.5 * DAY, "a")]
     assert _window(events) == [1, 2, 2]
 
 
 def test_window_at_negative_times():
     # day = t // 86400 rounds down: -0.5 days is day -1, and -30.5 days
     # day -31, the first day of the window at -0.5 days
-    events = [_req(-31.5 * DAY, "a"), _req(-30.5 * DAY, "a"), _req(-0.5 * DAY, "a")]
+    events = [req(-31.5 * DAY, "a"), req(-30.5 * DAY, "a"), req(-0.5 * DAY, "a")]
     assert _window(events) == [1, 2, 2]
 
 
 def test_window_counts_refused_and_skips_uncacheable_requests():
-    events = [_req(0.0, "a", 400), _req(1.0, "a", 10, cacheable=False), _req(2.0, "a", 10)]
-    assert _window(events + [TraceEvent(3.0, MODIFICATION, "a", 10), _req(4.0, "a", 10)]) \
+    events = [req(0.0, "a", 400), req(1.0, "a", 10, cacheable=False), req(2.0, "a", 10)]
+    assert _window(events + [mod(3.0, "a", 10), req(4.0, "a", 10)]) \
         == [1, 0, 2, 0, 3]
     # the first request outgrows the accessory area and is refused, yet
     # the third counts it and goes to the kernel
@@ -426,7 +416,7 @@ def test_window_counts_refused_and_skips_uncacheable_requests():
 
 
 def test_window_counts_equal_times_in_index_order():
-    events = [_req(5.0, "b"), _req(5.0, "a"), _req(5.0, "b"), _req(5.0, "a"), _req(5.0, "b")]
+    events = [req(5.0, "b"), req(5.0, "a"), req(5.0, "b"), req(5.0, "a"), req(5.0, "b")]
     assert _window(events) == [1, 1, 2, 2, 3]
 
 
@@ -445,8 +435,8 @@ def test_window_keys_past_int32():
 def test_dropped_demand_refetch_counts_as_a_request():
     # The stale request at 2 s refetches a copy that outgrew the kernel and
     # is dropped, yet it was a request: the readmission at 3 s counts three.
-    events = [_req(0.0, "a", 10), TraceEvent(1.0, MODIFICATION, "a", 2000),
-              _req(2.0, "a", 2000), _req(3.0, "a", 10)]
+    events = [req(0.0, "a", 10), mod(1.0, "a", 2000),
+              req(2.0, "a", 2000), req(3.0, "a", 10)]
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs"))
     eng.run(Trace.from_events(events))
     assert list(eng.outcome) == [MISS, MODIFIED, STALE, MISS]
@@ -454,7 +444,7 @@ def test_dropped_demand_refetch_counts_as_a_request():
 
 
 def test_window_of_a_trace_without_cacheable_requests():
-    events = [_req(0.0, "a", cacheable=False), TraceEvent(1.0, MODIFICATION, "a", 10)]
+    events = [req(0.0, "a", cacheable=False), mod(1.0, "a", 10)]
     assert _window(events) == [0, 0]
     assert _window([]) == []
     report = simulate(Trace.from_events(events), CacheConfig(capacity_bytes=1000, policy_id="zbs"))

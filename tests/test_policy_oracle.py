@@ -14,12 +14,11 @@ import math
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
-from zipfcache.analytic import DAY
+from support import configs, recording, traces
 from zipfcache.prefetch import PrefetchLayer
-from zipfcache.simcore import CacheConfig, _Engine
-from zipfcache.trace import MODIFICATION, REQUEST, Trace, TraceEvent
+from zipfcache.simcore import _Engine
+from zipfcache.trace import Trace
 
 ORDER = {  # policy id -> eviction key of an entry [size, admitted, accessed, freq]
     "fifo": lambda e: e[1],
@@ -76,17 +75,6 @@ class RefSingleArea:
         return victims
 
 
-def _recording(policy, log):
-    choose = policy.choose_victims
-
-    def choose_victims(now):
-        victims = choose(now)
-        log.append((now, victims))
-        return victims
-
-    policy.choose_victims = choose_victims
-
-
 def _replay_both(events, config, scheme):
     """(report, victim log) of the policy and of RefSingleArea on one trace."""
     trace = Trace.from_events(events)
@@ -96,40 +84,16 @@ def _replay_both(events, config, scheme):
         if reference:
             eng.policy = RefSingleArea(config.policy_id, config.capacity_bytes)
         log = []
-        _recording(eng.policy, log)
+        recording(eng.policy, log)
         out.append((eng.run(trace), log))
     return out
-
-
-@st.composite
-def traces(draw, sizes=(20, 50, 90, 150, 400, 700)):
-    """Time-ordered events over a handful of documents, with ties, short
-    gaps and gaps of up to two days, drawn from a seeded `Random`."""
-    rnd = draw(st.randoms(use_true_random=True))
-    n_docs = rnd.choice((2, 5, 10, 20))
-    mod_share = rnd.choice((0.1, 0.25, 0.5))
-    events, t = [], 0.0
-    for _ in range(rnd.randint(20, 120)):
-        t += rnd.choice((0.0, rnd.uniform(0.0, 600.0), rnd.uniform(0.0, 2 * DAY)))
-        kind = MODIFICATION if rnd.random() < mod_share else REQUEST
-        events.append(TraceEvent(t, kind, f"d{rnd.randrange(n_docs)}",
-                                 rnd.choice(sizes), rnd.random() < 0.9))
-    return events
-
-
-@st.composite
-def configs(draw, policy_id):
-    if draw(st.booleans()):
-        return CacheConfig(capacity_bytes=draw(st.sampled_from([2, 5, 1000])),
-                           policy_id=policy_id, object_count_mode=True)
-    return CacheConfig(capacity_bytes=draw(st.sampled_from([400, 1000, 2500, math.inf])),
-                       policy_id=policy_id)
 
 
 @pytest.mark.parametrize("scheme", [None, "lifetime", "goodfetch"])
 @pytest.mark.parametrize("policy_id", sorted(ORDER))
 def test_policy_matches_reference(policy_id, scheme):
-    @given(events=traces(), config=configs(policy_id))
+    @given(events=traces(mod_shares=(0.1, 0.25, 0.5)),
+           config=configs(policy_id, (400, 1000, 2500, math.inf)))
     def check(events, config):
         (report, victims), (ref_report, ref_victims) = _replay_both(events, config, scheme)
         assert victims == ref_victims

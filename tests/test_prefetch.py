@@ -6,16 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from support import mod, req
 from zipfcache.prefetch import PrefetchLayer, _good_fetch
 from zipfcache.simcore import CacheConfig, simulate
-from zipfcache.trace import (
-    MODIFICATION,
-    REQUEST,
-    SyntheticSpec,
-    Trace,
-    TraceEvent,
-    generate_trace,
-)
+from zipfcache.trace import SyntheticSpec, Trace, generate_trace
 
 DAY = 86400.0
 
@@ -65,12 +59,8 @@ def test_api_value_arithmetic():
     # a p_i l_i = r_i / m_i, whatever the times: 3 requests at the second
     # modification and 4 at the third; the first, at the start, scores 1
     # and is never selected
-    events = [
-        TraceEvent(0.0, REQUEST, "a", 100), TraceEvent(0.0, MODIFICATION, "a", 100),
-        TraceEvent(5.0, REQUEST, "b", 100), TraceEvent(9.0, REQUEST, "a", 100),
-        TraceEvent(10.0, REQUEST, "a", 100), TraceEvent(1e4, MODIFICATION, "a", 100),
-        TraceEvent(3e5, REQUEST, "a", 100), TraceEvent(4e5, MODIFICATION, "a", 100),
-    ]
+    events = [req(0.0, "a"), mod(0.0, "a"), req(5.0, "b"), req(9.0, "a"), req(10.0, "a"),
+              mod(1e4, "a"), req(3e5, "a"), mod(4e5, "a")]
     assert _selected(events, "api", 0.5) == [False, True, True]
     assert _selected(events, "api", 1.4) == [False, True, False]
     assert _selected(events, "api", 1.5) == [False, False, False]
@@ -80,9 +70,7 @@ def test_api_tie_is_not_selected():
     # r / m = 1 exactly, while (K / T)(r / K)(T / m) rounds to 1 + 2**-52
     # at K = 5 requests and T = 7 s: the rule is strict, so a threshold of
     # 1 refuses the copy and any lower one takes it
-    events = [TraceEvent(0.0, REQUEST, "a", 100),
-              *(TraceEvent(1.0, REQUEST, f"b{i}", 100) for i in range(4)),
-              TraceEvent(7.0, MODIFICATION, "a", 100)]
+    events = [req(0.0, "a"), *(req(1.0, f"b{i}") for i in range(4)), mod(7.0, "a")]
     assert (5 / 7) * (1 / 5) * (7 / 1) > 1.0
     for threshold, fetched in ((1.0, 0), (math.nextafter(1.0, 0.0), 1)):
         report = simulate(Trace.from_events(events), *_lru_with("api", threshold))
@@ -98,8 +86,7 @@ def test_lifetime_threshold_rule():
         days = [*range(1, 10), last]
         layer = PrefetchLayer("lifetime")
         layer.note_start(Trace.from_events(
-            [TraceEvent(0.0, REQUEST, "a", 100)]
-            + [TraceEvent(day * DAY, MODIFICATION, "a", 100) for day in days]))
+            [req(0.0, "a")] + [mod(day * DAY, "a") for day in days]))
         for k, day in enumerate(days):
             layer.on_modification("a", 100, day * DAY, k)
         assert layer.stale["a"][0] == tick * DAY
@@ -115,14 +102,8 @@ def _lru_with(scheme, threshold=-math.inf):
 
 
 def _events_single_doc():
-    return Trace.from_events([
-        TraceEvent(0.0, REQUEST, "a", 100),
-        TraceEvent(10.0, REQUEST, "a", 100),
-        TraceEvent(20.0, MODIFICATION, "a", 120),
-        TraceEvent(30.0, REQUEST, "a", 120),
-        TraceEvent(40.0, MODIFICATION, "a", 130),
-        TraceEvent(50.0, REQUEST, "a", 130),
-    ])
+    return Trace.from_events([req(0.0, "a"), req(10.0, "a"), mod(20.0, "a", 120),
+                              req(30.0, "a", 120), mod(40.0, "a", 130), req(50.0, "a", 130)])
 
 
 def test_goodfetch_layer_single_doc_walk():
@@ -170,12 +151,8 @@ def test_prefetch_all_converts_stale_misses_to_hits(seed):
 
 
 def test_lifetime_rule_fires_on_daily_tick():
-    events = Trace.from_events([
-        TraceEvent(0.0, REQUEST, "a", 100),
-        TraceEvent(1 * DAY, MODIFICATION, "a", 110),
-        TraceEvent(2 * DAY, MODIFICATION, "a", 120),
-        TraceEvent(5.5 * DAY, REQUEST, "a", 120),
-    ])
+    events = Trace.from_events([req(0.0, "a"), mod(1 * DAY, "a", 110), mod(2 * DAY, "a", 120),
+                                req(5.5 * DAY, "a", 120)])
     report = simulate(events, *_lru_with("lifetime"))
     # mean interval 5d/2 = 2.5 d; copy age 3 d crosses it at the day-5 tick
     # (day 4 compares 2 d against 2 d and must not fetch)
@@ -201,12 +178,8 @@ def test_config_carries_prefetch_settings():
 
 def test_layer_runs_once():
     # api score at the modification: 2 requests / 10 d x share 1 x 10 d = 2
-    events = Trace.from_events([
-        TraceEvent(0.0, REQUEST, "a", 100),
-        TraceEvent(1 * DAY, REQUEST, "a", 100),
-        TraceEvent(10 * DAY, MODIFICATION, "a", 120),
-        TraceEvent(11 * DAY, REQUEST, "a", 120),
-    ])
+    events = Trace.from_events([req(0.0, "a"), req(1 * DAY, "a"), mod(10 * DAY, "a", 120),
+                                req(11 * DAY, "a", 120)])
     config = CacheConfig(policy_id="lru")
     layer = PrefetchLayer("api", 1.0)
     assert simulate(events, config, layer).prefetch_fetches == 1

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from support import configs, mod, randoms, req, traces
 from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS, ZBSCache
 from zipfcache.prefetch import PrefetchLayer
@@ -194,40 +195,8 @@ def _assert_same(events, config, scheme, threshold=-math.inf):
     return report, log
 
 
-@st.composite
-def traces(draw, sizes=(20, 50, 90, 150, 400, 700), max_gap=2 * DAY, tiny=False):
-    """Time-ordered events over a handful of documents.  Gaps are ties,
-    seconds or up to `max_gap`, so daily ticks meet stale copies that
-    were modified a few times.  With `tiny`, the first few gaps are ties
-    or the least subnormal float, so that modifications just past the
-    start sit where any rule that divided by the elapsed time would meet
-    a 0 or an inf.  The events come from a seeded `Random`, which draws far faster
-    than Hypothesis' own data and shrinks less."""
-    rnd = draw(st.randoms(use_true_random=True))
-    n_docs = rnd.choice((2, 5, 10, 20))
-    mod_share = rnd.choice((0.25, 0.5, 0.75))
-    events, t = [], 0.0
-    near_start = rnd.randint(0, 20) if tiny else 0
-    for k in range(rnd.randint(20, 120)):
-        t += rnd.choice((0.0, 5e-324) if k < near_start else
-                        (0.0, rnd.uniform(0.0, 600.0), rnd.uniform(0.0, max_gap)))
-        kind = MODIFICATION if rnd.random() < mod_share else REQUEST
-        events.append(TraceEvent(t, kind, f"d{rnd.randrange(n_docs)}",
-                                 rnd.choice(sizes), rnd.random() < 0.9))
-    return events
-
-
 # thresholds besides the select-everything default; lifetime takes none
 THRESHOLDS = {"goodfetch": (0.3, math.inf), "api": (2.0, math.inf), "lifetime": ()}
-
-
-@st.composite
-def configs(draw, policy_id):
-    if draw(st.booleans()):
-        return CacheConfig(capacity_bytes=draw(st.sampled_from([2, 5, 1000])),
-                           policy_id=policy_id, object_count_mode=True)
-    return CacheConfig(capacity_bytes=draw(st.sampled_from([400, 1000, 2500])),
-                       policy_id=policy_id)
 
 
 @pytest.mark.parametrize("policy_id", ["lru", "zbs"])
@@ -242,7 +211,7 @@ def test_layer_matches_reference(scheme, policy_id):
 
 
 @pytest.mark.parametrize("policy_id", ["lru", "zbs"])
-def test_lifetime_jumps_match_reference_over_long_gaps(policy_id):
+def test_lifetime_matches_reference_over_long_gaps(policy_id):
     # gaps of up to 60 days, so days pass without a tick while copies
     # wait to come due
     @given(events=traces(max_gap=60 * DAY), config=configs(policy_id))
@@ -319,7 +288,7 @@ def test_inputs_match_a_count_by_brute_force():
     _assert_grouping_by_brute_force(np.full(5, 3, np.int32), [
         np.array([True, False, True, True, False]), np.zeros(5, bool), np.ones(5, bool)])
 
-    @given(events=traces(), rnd=st.randoms(use_true_random=True))
+    @given(events=traces(), rnd=randoms())
     def check(events, rnd):
         for _ in range(rnd.randint(0, 3)):
             i = rnd.randrange(len(events) + 1)
@@ -362,14 +331,6 @@ def test_select_all_equals_scoring_against_minus_inf(scheme):
 # ------------------------------------------------------------- edge cases
 
 
-def _req(t, obj, size=100):
-    return TraceEvent(t, REQUEST, obj, size)
-
-
-def _mod(t, obj, size=100):
-    return TraceEvent(t, MODIFICATION, obj, size)
-
-
 def _picks(log):
     return [(entry[1], entry[2]) for entry in log if entry[0] == "tick" and entry[2]]
 
@@ -377,9 +338,9 @@ def _picks(log):
 def test_lifetime_picks_in_admission_order():
     # b goes stale before a, but a was admitted first and is picked first.
     events = [
-        _req(0.0, "a"), _req(0.0, "b"),
-        _mod(3600.0, "b"), _mod(7200.0, "a"), _mod(10800.0, "b"), _mod(14400.0, "a"),
-        _req(1.5 * DAY, "c"),
+        req(0.0, "a"), req(0.0, "b"),
+        mod(3600.0, "b"), mod(7200.0, "a"), mod(10800.0, "b"), mod(14400.0, "a"),
+        req(1.5 * DAY, "c"),
     ]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(DAY, [("a", 100), ("b", 100)])]
@@ -387,9 +348,9 @@ def test_lifetime_picks_in_admission_order():
 
 def test_tied_timestamps():
     events = [
-        _req(0.0, "a"), _mod(0.0, "a"), _req(0.0, "a"), _req(0.0, "b"),
-        _mod(50.0, "b"), _mod(50.0, "a"), _req(50.0, "a"), _mod(50.0, "a"),
-        _req(2 * DAY, "b"), _mod(2 * DAY, "b"), _req(3 * DAY, "a"),
+        req(0.0, "a"), mod(0.0, "a"), req(0.0, "a"), req(0.0, "b"),
+        mod(50.0, "b"), mod(50.0, "a"), req(50.0, "a"), mod(50.0, "a"),
+        req(2 * DAY, "b"), mod(2 * DAY, "b"), req(3 * DAY, "a"),
     ]
     for scheme in ("lifetime", "goodfetch", "api"):
         _assert_same(events, CacheConfig(policy_id="lru", capacity_bytes=250), scheme)
@@ -399,7 +360,7 @@ def test_lifetime_indexes_a_copy_stale_at_the_first_timestamp():
     # The second modification of a lands on the resident copy at the trace
     # start, where nothing can be scored yet; the copy must still be
     # indexed, so the day-1 tick fetches it (age 1 d > interval 0.5 d).
-    events = [_mod(0.0, "a"), _req(0.0, "a"), _mod(0.0, "a"), _req(1.5 * DAY, "a")]
+    events = [mod(0.0, "a"), req(0.0, "a"), mod(0.0, "a"), req(1.5 * DAY, "a")]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(DAY, [("a", 100)])]
 
@@ -407,12 +368,12 @@ def test_lifetime_indexes_a_copy_stale_at_the_first_timestamp():
 def test_lifetime_fetches_at_the_first_tick_past_due_across_a_gap():
     # a comes due at 0.4 d and the next event is at 10.5 d: the day-1 tick
     # fetches a, and days 2-9 get no tick
-    events = [_req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a"), _req(10.5 * DAY, "b")]
+    events = [req(0.0, "a"), mod(0.1 * DAY, "a"), mod(0.2 * DAY, "a"), req(10.5 * DAY, "b")]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(DAY, [("a", 100)])]
 
 
-def test_clock_jump_stops_before_the_event_where_the_quotient_rounds_up():
+def test_fetch_tick_stays_after_the_event_where_the_quotient_rounds_up():
     # (now - t0) // DAY rounds up to 35 here, though tick 35 falls one ulp
     # after the request at `now`.  a's third modification makes it due at
     # `now` exactly, so its fetch tick is 35, not 36, and falls after the
@@ -420,8 +381,8 @@ def test_clock_jump_stops_before_the_event_where_the_quotient_rounds_up():
     t0, last, now = 795193.5655656967, 2811193.5655656965, 3819193.5655656965
     assert (now - t0) // DAY == 35 and t0 + 35 * DAY > now
     assert (3 * last - t0) / 2 == now
-    events = [_req(t0, "a"), _mod(t0 + 10, "a"), _mod(t0 + 20, "a"), _mod(last, "a"),
-              _req(now, "a")]
+    events = [req(t0, "a"), mod(t0 + 10, "a"), mod(t0 + 20, "a"), mod(last, "a"),
+              req(now, "a")]
     report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(t0 + DAY, [("a", 100)])]
     assert report.stale_refetches == 1
@@ -439,8 +400,8 @@ def test_lifetime_tick_at_a_modification_runs_before_it():
     # a comes due at 0.4 d, and its third modification falls on the day-1
     # tick, which runs first and fetches it at 200 bytes.  That
     # modification makes it due at 1.5 d: the day-2 tick fetches 300.
-    events = [_req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a", 200),
-              _mod(DAY, "a", 300), _req(2.5 * DAY, "a", 300)]
+    events = [req(0.0, "a"), mod(0.1 * DAY, "a"), mod(0.2 * DAY, "a", 200),
+              mod(DAY, "a", 300), req(2.5 * DAY, "a", 300)]
     report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(DAY, [("a", 200)]), (2 * DAY, [("a", 300)])]
     assert report.hits == 1
@@ -455,8 +416,8 @@ def test_lifetime_due_exactly_on_a_tick_waits_a_day(start, last, day):
     # compares equal and does not fetch it; the next tick does.
     tick = start + day * DAY
     assert 2 * last - start == tick
-    events = [_req(start, "a"), _mod(start + 10, "a"), _mod(last, "a"),
-              _req(tick + 0.5 * DAY, "b"), _req(tick + 1.5 * DAY, "a")]
+    events = [req(start, "a"), mod(start + 10, "a"), mod(last, "a"),
+              req(tick + 0.5 * DAY, "b"), req(tick + 1.5 * DAY, "a")]
     report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(tick + DAY, [("a", 100)])]
     assert report.hits == 1 and report.stale_refetches == 0
@@ -465,8 +426,8 @@ def test_lifetime_due_exactly_on_a_tick_waits_a_day(start, last, day):
 
 def test_lifetime_ticks_from_a_negative_start():
     start = -3.3 * DAY
-    events = [_req(start, "a"), _mod(start + 0.1 * DAY, "a"), _mod(start + 0.2 * DAY, "a"),
-              _req(start + 1.5 * DAY, "b"), _mod(-0.5 * DAY, "a"), _req(0.1 * DAY, "a")]
+    events = [req(start, "a"), mod(start + 0.1 * DAY, "a"), mod(start + 0.2 * DAY, "a"),
+              req(start + 1.5 * DAY, "b"), mod(-0.5 * DAY, "a"), req(0.1 * DAY, "a")]
     # a is due at start + 0.4 d, so tick 1 fetches it.  Modified a third
     # time, at start + 2.8 d, it is due at start + 4.2 d = 0.9 d, after the
     # request at 0.1 d, which finds it stale.
@@ -478,7 +439,7 @@ def test_lifetime_ticks_from_a_negative_start():
 
 def test_lifetime_fetch_day_past_uint8():
     # a comes due just after 2e9 s, at day 23,149 from the start at 0
-    events = [_req(0.0, "a"), _mod(1e9, "a"), _mod(1e9 + 1.0, "a"), _req(1e14, "b")]
+    events = [req(0.0, "a"), mod(1e9, "a"), mod(1e9 + 1.0, "a"), req(1e14, "b")]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(23149 * DAY, [("a", 100)])]
     column = _started(events).fetch_day
@@ -492,8 +453,8 @@ def test_lifetime_due_below_its_modification_waits_for_the_next_tick():
     start = 1e18 - 10 * DAY
     last = start + DAY
     assert (1197 * last - start) / 1196 < last
-    events = ([_mod(start, "a")] * 1196 + [_req(start, "a"), _mod(last, "a"),
-                                            _req(start + 1.5 * DAY, "a")])
+    events = ([mod(start, "a")] * 1196 + [req(start, "a"), mod(last, "a"),
+                                            req(start + 1.5 * DAY, "a")])
     report, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [] and report.stale_refetches == 1
     assert _started(events).fetch_day[-1] == 2
@@ -503,10 +464,10 @@ def test_stale_copy_evicted_and_readmitted():
     # a goes stale, is evicted by c, comes back fresh behind b and goes
     # stale again: it is picked after b, in its new admission order.
     events = [
-        _req(0.0, "a"), _mod(60.0, "a"), _mod(120.0, "a"),
-        _req(180.0, "b"), _req(240.0, "c"), _req(250.0, "b"), _req(300.0, "a"),
-        _mod(360.0, "b"), _mod(420.0, "b"), _mod(480.0, "a"),
-        _req(1.5 * DAY, "d"),
+        req(0.0, "a"), mod(60.0, "a"), mod(120.0, "a"),
+        req(180.0, "b"), req(240.0, "c"), req(250.0, "b"), req(300.0, "a"),
+        mod(360.0, "b"), mod(420.0, "b"), mod(480.0, "a"),
+        req(1.5 * DAY, "d"),
     ]
     _, log = _assert_same(events, CacheConfig(policy_id="lru", capacity_bytes=250), "lifetime")
     assert _picks(log) == [(DAY, [("b", 100), ("a", 100)])]
@@ -517,8 +478,8 @@ def test_stale_copy_modified_again_is_fetched_at_its_latest_modification():
     # at a new size, moves it due to 1.35 d, so the day-2 tick fetches it
     # at 300 bytes and the day-1 tick does not.
     events = [
-        _req(0.0, "a"), _mod(0.2 * DAY, "a"), _mod(0.4 * DAY, "a"),
-        _mod(0.9 * DAY, "a", 300), _req(2.5 * DAY, "b"),
+        req(0.0, "a"), mod(0.2 * DAY, "a"), mod(0.4 * DAY, "a"),
+        mod(0.9 * DAY, "a", 300), req(2.5 * DAY, "b"),
     ]
     _, log = _assert_same(events, CacheConfig(policy_id="lru"), "lifetime")
     assert _picks(log) == [(2 * DAY, [("a", 300)])]
@@ -530,9 +491,9 @@ def test_copy_modified_while_absent_then_readmitted_uses_its_last_modification()
     # between: the day-2 tick fetches it at 150 bytes (4 modifications,
     # due 1.2 d).  The entry of 0.2 d (due 0.4 d) would fetch 100 at day 1.
     events = [
-        _req(0.0, "a"), _mod(0.1 * DAY, "a"), _mod(0.2 * DAY, "a"),
-        _req(0.25 * DAY, "b"), _req(0.26 * DAY, "c"), _mod(0.3 * DAY, "a", 200),
-        _req(0.35 * DAY, "a", 200), _mod(0.9 * DAY, "a", 150), _req(2.5 * DAY, "d", 50),
+        req(0.0, "a"), mod(0.1 * DAY, "a"), mod(0.2 * DAY, "a"),
+        req(0.25 * DAY, "b"), req(0.26 * DAY, "c"), mod(0.3 * DAY, "a", 200),
+        req(0.35 * DAY, "a", 200), mod(0.9 * DAY, "a", 150), req(2.5 * DAY, "d", 50),
     ]
     _, log = _assert_same(events, CacheConfig(policy_id="lru", capacity_bytes=250),
                           "lifetime")
@@ -542,8 +503,8 @@ def test_copy_modified_while_absent_then_readmitted_uses_its_last_modification()
 @pytest.mark.parametrize("scheme", ["lifetime", "goodfetch"])
 def test_refetch_that_outgrows_the_cache_drops_the_copy(scheme):
     events = [
-        _req(0.0, "a"), _req(10.0, "b"), _mod(20.0, "a"), _mod(30.0, "a", 400),
-        _mod(40.0, "b"), _mod(50.0, "b"), _req(1.5 * DAY, "b"), _req(1.6 * DAY, "a", 400),
+        req(0.0, "a"), req(10.0, "b"), mod(20.0, "a"), mod(30.0, "a", 400),
+        mod(40.0, "b"), mod(50.0, "b"), req(1.5 * DAY, "b"), req(1.6 * DAY, "a", 400),
     ]
     report, _ = _assert_same(events, CacheConfig(policy_id="lru", capacity_bytes=300), scheme)
     assert report.evictions == 1  # the 400-byte refetch of a

@@ -8,26 +8,12 @@ import weakref
 import numpy as np
 import pytest
 
+from support import mod, req
 from zipfcache.analytic import DomainError
 from zipfcache.policies import DAY, POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine, simulate
-from zipfcache.trace import (
-    MODIFICATION,
-    REQUEST,
-    SyntheticSpec,
-    Trace,
-    TraceEvent,
-    generate_trace,
-)
-
-
-def _req(t, obj, size=100, cacheable=True):
-    return TraceEvent(t, REQUEST, obj, size, cacheable)
-
-
-def _mod(t, obj, size=100):
-    return TraceEvent(t, MODIFICATION, obj, size)
+from zipfcache.trace import SyntheticSpec, Trace, generate_trace
 
 
 def _lru(capacity=math.inf, **kw):
@@ -39,7 +25,7 @@ def _lru(capacity=math.inf, **kw):
 
 def test_lru_walk_exact_counters():
     events = [
-        _req(0, "a"), _req(1, "b"), _req(2, "a"), _req(3, "c"), _req(4, "b"),
+        req(0, "a"), req(1, "b"), req(2, "a"), req(3, "c"), req(4, "b"),
     ]
     report = simulate(Trace.from_events(events), _lru(250))
     assert report.requests == 5
@@ -56,11 +42,11 @@ def test_lru_walk_exact_counters():
 
 def test_stale_resident_is_miss_plus_inplace_refetch():
     events = [
-        _req(0, "a", 100),
-        _mod(1, "a", 120),
-        _mod(1.5, "ghost", 10),  # non-resident modification is a no-op
-        _req(2, "a", 120),
-        _req(3, "a", 120),
+        req(0, "a", 100),
+        mod(1, "a", 120),
+        mod(1.5, "ghost", 10),  # non-resident modification is a no-op
+        req(2, "a", 120),
+        req(3, "a", 120),
     ]
     report = simulate(Trace.from_events(events), _lru())
     assert report.hits == 1
@@ -72,7 +58,7 @@ def test_stale_resident_is_miss_plus_inplace_refetch():
 
 
 def test_non_cacheable_never_admitted():
-    events = [_req(0, "a", cacheable=False), _req(1, "a", cacheable=False)]
+    events = [req(0, "a", cacheable=False), req(1, "a", cacheable=False)]
     report = simulate(Trace.from_events(events), _lru())
     assert report.cacheable_requests == 0
     assert report.hits == 0
@@ -82,7 +68,7 @@ def test_non_cacheable_never_admitted():
 
 
 def test_byte_hit_ratio_weights_by_size():
-    events = [_req(0, "a", 100), _req(1, "b", 900), _req(2, "b", 900)]
+    events = [req(0, "a", 100), req(1, "b", 900), req(2, "b", 900)]
     report = simulate(Trace.from_events(events), _lru())
     assert report.hit_ratio == pytest.approx(1 / 3)
     assert report.byte_hit_ratio == pytest.approx(900 / 1900)
@@ -90,8 +76,8 @@ def test_byte_hit_ratio_weights_by_size():
 
 def test_object_count_mode_counts_documents():
     events = [
-        _req(0, "a", 1000), _req(1, "b", 2000), _req(2, "c", 3000),
-        _req(3, "b", 2000), _req(4, "a", 1000),
+        req(0, "a", 1000), req(1, "b", 2000), req(2, "c", 3000),
+        req(3, "b", 2000), req(4, "a", 1000),
     ]
     report = simulate(Trace.from_events(events), _lru(2, object_count_mode=True))
     assert report.hits == 1
@@ -101,7 +87,7 @@ def test_object_count_mode_counts_documents():
 
 
 def test_oversize_document_never_admitted():
-    report = simulate(Trace.from_events([_req(0, "big", 200), _req(1, "big", 200)]),
+    report = simulate(Trace.from_events([req(0, "big", 200), req(1, "big", 200)]),
                       _lru(150))
     assert report.hits == 0
     assert report.evictions == 0
@@ -118,7 +104,7 @@ DROP_CASES = [("lru", "entries"), ("fifo", "entries"), ("lfu", "entries"),
                          ids=[p if a == "entries" else f"{p}-{a}" for p, a in DROP_CASES])
 def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
     # a second request moves a zbs copy from the accessory area to the kernel
-    warm = [_req(0, "a", 100)] + [_req(1, "a", 100)] * (area == "kernel")
+    warm = [req(0, "a", 100)] + [req(1, "a", 100)] * (area == "kernel")
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     engine = _Engine(config)
     engine.run(Trace.from_events(warm))
@@ -132,7 +118,7 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
 
     engine._drain = drain
     report = engine.run(Trace.from_events(
-        warm + [_mod(2, "a", 1500), _req(3, "a", 1500), _req(4, "a", 1500)]))
+        warm + [mod(2, "a", 1500), req(3, "a", 1500), req(4, "a", 1500)]))
     assert report.hits == len(warm) - 1
     assert report.stale_refetches == 1
     assert report.evictions == 1
@@ -143,12 +129,12 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
 
 def test_unsorted_trace_rejected():
     with pytest.raises(ValueError, match="time-ordered"):
-        Trace.from_events([_req(5, "a"), _req(4, "b")])
+        Trace.from_events([req(5, "a"), req(4, "b")])
 
 
 @pytest.mark.parametrize("stamps", [(0, math.nan), (0, math.inf), (-math.inf,)])
 def test_non_finite_timestamp_rejected(stamps):
-    events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
+    events = [req(t, f"d{i}") for i, t in enumerate(stamps)]
     with pytest.raises(ValueError, match="non-finite"):
         Trace.from_events(events)
 
@@ -160,14 +146,14 @@ def test_large_time_gap_finishes(policy_id, scheme):
     # a, modified once, is stale but the lifetime rule can never fetch it
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     start = time.perf_counter()
-    report = simulate(Trace.from_events([_req(0.0, "a"), _mod(1.0, "a"), _req(1e15, "b")]),
+    report = simulate(Trace.from_events([req(0.0, "a"), mod(1.0, "a"), req(1e15, "b")]),
                       config, PrefetchLayer(scheme) if scheme else None)
     assert time.perf_counter() - start < 1.0
     assert report.requests == 2 and report.hits == 0
 
 
 def _twice_modified(t_mod, t_end):
-    return [_req(0.0, "a"), _mod(t_mod, "a"), _mod(t_mod + 1.0, "a"), _req(t_end, "b")]
+    return [req(0.0, "a"), mod(t_mod, "a"), mod(t_mod + 1.0, "a"), req(t_end, "b")]
 
 
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
@@ -193,15 +179,15 @@ def test_timestamp_beyond_daily_clock_rejected(policy_id, stamps):
     # beyond about 1e21 s a day is under half a float step and daily ticks
     # would not be distinct; no trace holds a time beyond 1e18 s, where a
     # day still spans over a hundred steps
-    events = [_req(t, f"d{i}") for i, t in enumerate(stamps)]
+    events = [req(t, f"d{i}") for i, t in enumerate(stamps)]
     with pytest.raises(ValueError, match=r"beyond 1e\+18 s"):
         simulate(Trace.from_events(events), CacheConfig(capacity_bytes=1000, policy_id=policy_id))
 
 
 @pytest.mark.parametrize("scheme", [None, "lifetime"])
 def test_timestamps_at_the_range_edges_are_replayed(scheme):
-    events = Trace.from_events([_req(-1e18, "a"), _mod(-1e18, "a"), _mod(1e18 - 1e6, "a"),
-                                _req(1e18, "a")])
+    events = Trace.from_events([req(-1e18, "a"), mod(-1e18, "a"), mod(1e18 - 1e6, "a"),
+                                req(1e18, "a")])
     report = simulate(events, _lru(), PrefetchLayer(scheme) if scheme else None)
     assert report.requests == 2 and report.hits + report.stale_refetches == 1
 
@@ -209,11 +195,11 @@ def test_timestamps_at_the_range_edges_are_replayed(scheme):
 def test_bad_timestamp_raises_after_earlier_events():
     # the error names the first bad event, whatever bad events follow it
     with pytest.raises(ValueError, match=r"time-ordered: 4\.0 after 5\.0"):
-        Trace.from_events([_req(1, "a"), _req(5, "a"), _req(4, "b"), _req(math.nan, "c")])
+        Trace.from_events([req(1, "a"), req(5, "a"), req(4, "b"), req(math.nan, "c")])
     with pytest.raises(ValueError, match="non-finite timestamp nan"):
-        Trace.from_events([_req(1, "a"), _req(math.nan, "c"), _req(0, "b")])
+        Trace.from_events([req(1, "a"), req(math.nan, "c"), req(0, "b")])
     with pytest.raises(ValueError, match="non-finite timestamp nan"):
-        Trace.from_events([_req(1, "a"), _req(math.nan, "c"), _req(1e19, "b")])
+        Trace.from_events([req(1, "a"), req(math.nan, "c"), req(1e19, "b")])
 
 
 def _ticks(events, scheme=None, policy_id="zbs"):
@@ -230,12 +216,12 @@ def _ticks(events, scheme=None, policy_id="zbs"):
     return ticks
 
 
-def test_daily_clock_jumps_over_empty_days():
+def test_ticks_only_at_the_fetch_ticks_the_layer_names():
     # The engine keeps no clock: it ticks only at the fetch ticks the layer
     # names, whole days from the start.
     t0 = 0.25
-    events = [_req(t0, "a"), _mod(t0 + 0.5 * DAY, "a"),
-              _req(t0 + 4.5 * DAY, "b"), _req(t0 + 5.5 * DAY, "b")]
+    events = [req(t0, "a"), mod(t0 + 0.5 * DAY, "a"),
+              req(t0 + 4.5 * DAY, "b"), req(t0 + 5.5 * DAY, "b")]
     # goodfetch and api fetch only at modifications, and a copy modified
     # once never comes due under the lifetime rule
     for scheme in (None, "goodfetch", "api", "lifetime"):
@@ -243,8 +229,8 @@ def test_daily_clock_jumps_over_empty_days():
     # modified twice, it comes due at t0 + 1 d, where the day-1 tick
     # compares equal, so the day-2 tick alone runs and fetches it (age
     # 1.5 d > interval 2 d / 2)
-    events = [_req(t0, "a"), _mod(t0 + 0.25 * DAY, "a"), _mod(t0 + 0.5 * DAY, "a"),
-              _req(t0 + 9.5 * DAY, "b")]
+    events = [req(t0, "a"), mod(t0 + 0.25 * DAY, "a"), mod(t0 + 0.5 * DAY, "a"),
+              req(t0 + 9.5 * DAY, "b")]
     assert _ticks(events, "lifetime") == [t0 + 2 * DAY]
     for scheme in ("goodfetch", "api"):
         assert _ticks(events, scheme) == []
@@ -332,7 +318,7 @@ def test_zero_byte_document_is_refused_before_the_byte_metric():
     # zbs-byte weighs a kernel copy by 1/(theta * size): a 0-byte copy
     # promoted there would divide by zero
     with pytest.raises(ValueError, match="size must be >= 1, got 0"):
-        simulate(Trace.from_events([_req(0, "a", 0), _req(1, "a", 0)]),
+        simulate(Trace.from_events([req(0, "a", 0), req(1, "a", 0)]),
                  CacheConfig(1000, "zbs-byte"))
 
 
@@ -340,7 +326,7 @@ def test_zero_byte_document_is_refused_before_the_byte_metric():
 
 
 def _one_stale_copy():
-    return Trace.from_events([_req(0, "a"), _mod(1, "a", 120), _req(2, "a", 120)])
+    return Trace.from_events([req(0, "a"), mod(1, "a", 120), req(2, "a", 120)])
 
 
 def test_simulate_runs_the_layer_it_is_passed():

@@ -7,6 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
+from support import req
 from zipfcache import analytic, trace
 from zipfcache.analytic import DAY, DomainError, ZipfLaw, special_points
 from zipfcache.simcore import CacheConfig, simulate, simulate_many
@@ -216,7 +217,7 @@ def test_generate_peak_memory_per_event():
 
 
 def test_trace_iterates_its_events():
-    rows = [_req(0.5, "a", 10), TraceEvent(1.0, MODIFICATION, "b", 20),
+    rows = [req(0.5, "a", 10), TraceEvent(1.0, MODIFICATION, "b", 20),
             TraceEvent(2.0, REQUEST, "a", 30, False)]
     tr = Trace.from_events(rows)
     assert len(tr) == 3 and tr.ids == ["a", "b"]
@@ -236,7 +237,7 @@ def test_trace_iterates_its_events():
 
 
 def test_trace_equality_compares_ids_not_codes():
-    a = Trace.from_events([_req(0, "x"), _req(1, "y")])
+    a = Trace.from_events([req(0, "x"), req(1, "y")])
     b = Trace([0.0, 1.0], [0, 0], [1, 0], [100, 100], [True, True], ["y", "x"])
     assert a == b
     assert a != Trace([0.0, 1.0], [0, 0], [0, 0], [100, 100], [True, True], ["y", "x"])
@@ -275,7 +276,7 @@ BAD_STREAMS = {
 
 
 def _two_events(t, size):
-    return [_req(when, obj, n) for when, obj, n in zip(t, "ab", size)]
+    return [req(when, obj, n) for when, obj, n in zip(t, "ab", size)]
 
 
 ENTRY_POINTS = {
@@ -306,14 +307,10 @@ def test_an_invalid_event_stream_is_refused(case, entry, tmp_path):
 # ------------------------------------------------------------- measurement
 
 
-def _req(t, obj, size=100):
-    return TraceEvent(t, REQUEST, obj, size)
-
-
 def test_popularity_histogram():
     events = [
-        _req(0, "a"), _req(1, "b"), _req(2, "a"), _req(3, "c"),
-        _req(4, "a"), _req(5, "b"),
+        req(0, "a"), req(1, "b"), req(2, "a"), req(3, "c"),
+        req(4, "a"), req(5, "b"),
         TraceEvent(6, MODIFICATION, "c", 50),
     ]
     hist = popularity_histogram(Trace.from_events(events))
@@ -327,7 +324,7 @@ def test_popularity_histogram():
 
 def test_lifetime_stats_micro():
     events = [
-        _req(0.0, "a"), _req(4.0, "b"), _req(10.0, "a"),
+        req(0.0, "a"), req(4.0, "b"), req(10.0, "a"),
         TraceEvent(20.0, MODIFICATION, "x", 10),
     ]
     stats = lifetime_stats(Trace.from_events(events))
@@ -338,7 +335,7 @@ def test_lifetime_stats_micro():
 
 def test_lifetime_stats_window_cut():
     events = [
-        _req(0.0, "a"), _req(4.0, "b"), _req(10.0, "a"),
+        req(0.0, "a"), req(4.0, "b"), req(10.0, "a"),
         TraceEvent(20.0, MODIFICATION, "x", 10),
     ]
     stats = lifetime_stats(Trace.from_events(events), window_seconds=5.0)
@@ -349,7 +346,7 @@ def test_lifetime_stats_window_cut():
 
 def test_lifetime_stats_edge_cases():
     assert lifetime_stats(Trace.from_events([])) == trace.LifetimeStats(None, None, 0, 0)
-    only_two = Trace.from_events([_req(0.0, "a"), _req(6.0, "a")])
+    only_two = Trace.from_events([req(0.0, "a"), req(6.0, "a")])
     stats = lifetime_stats(only_two)
     assert stats.t_u is None and stats.t_eff == pytest.approx(6.0)
     with pytest.raises(DomainError):
@@ -511,9 +508,9 @@ def test_write_refuses_ids_it_cannot_read_back(tmp_path, url):
     assert not out.exists()
     for bad in ("a\rb", "a\nb"):
         with pytest.raises(TraceFormatError, match="cannot be written"):
-            write_trace_file(Trace.from_events([_req(0.0, "ok"), _req(1.0, bad)]), out)
+            write_trace_file(Trace.from_events([req(0.0, "ok"), req(1.0, bad)]), out)
     # only the ids in use must be writable
-    tr = Trace.from_events([_req(0.0, "ok"), _req(1.0, "a,b")])
+    tr = Trace.from_events([req(0.0, "ok"), req(1.0, "a,b")])
     write_trace_file(Trace(tr.t[:1], tr.kind[:1], tr.obj[:1], tr.size[:1],
                            tr.cacheable[:1], tr.ids), out)
-    assert list(parse_trace_file(out)) == [_req(0.0, "ok", 100)]
+    assert list(parse_trace_file(out)) == [req(0.0, "ok", 100)]

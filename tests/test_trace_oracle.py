@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from support import randoms
 from zipfcache import trace
 from zipfcache.analytic import DomainError
 from zipfcache.trace import (
@@ -311,7 +312,7 @@ def test_histogram_and_lifetime_match_reference_on_generated(name):
 @st.composite
 def event_lists(draw):
     """Time-ordered events over a few ids, with ties in time and in counts."""
-    rnd = draw(st.randoms(use_true_random=True))
+    rnd = draw(randoms())
     names = rnd.choice((["a", "b"], ["d1", "d10", "d2", "x"], [f"u{i}" for i in range(30)]))
     events, t = [], rnd.uniform(-100.0, 100.0)
     for _ in range(rnd.randint(0, 80)):
@@ -378,8 +379,7 @@ def _write(path, lines, rnd, newline="\n"):
     path.write_bytes(text.encode("ascii"))
 
 
-@given(rnd=st.randoms(use_true_random=True), chunk=st.sampled_from(CHUNK_BYTES),
-       crlf=st.booleans())
+@given(rnd=randoms(), chunk=st.sampled_from(CHUNK_BYTES), crlf=st.booleans())
 def test_parse_matches_reference(tmp_path_factory, rnd, chunk, crlf):
     path = tmp_path_factory.mktemp("valid") / "t.csv"
     lines, _ = _valid_lines(rnd, rnd.choice((0, 1, 3, 40, 300)))
@@ -542,7 +542,7 @@ def _squid_lines(rnd, n):
     return lines
 
 
-@given(rnd=st.randoms(use_true_random=True), chunk=st.sampled_from(CHUNK_BYTES))
+@given(rnd=randoms(), chunk=st.sampled_from(CHUNK_BYTES))
 def test_proxy_log_matches_reference(tmp_path_factory, rnd, chunk):
     path = tmp_path_factory.mktemp("squid") / "access.log"
     path.write_text("\n".join(_squid_lines(rnd, rnd.choice((0, 5, 60, 400)))) + "\n")

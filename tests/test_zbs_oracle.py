@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import SIZES, randoms, recording
 from zipfcache.policies import DAY, MAX_RETENTION, MIN_RETENTION, POLICY_IDS
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine, simulate
@@ -100,21 +101,13 @@ class RefZBS:
         return victims
 
 
-def _recording(policy, log):
-    choose = policy.choose_victims
-
-    def choose_victims(now):
-        victims = choose(now)
-        log.append((now, victims))
-        return victims
-
-    policy.choose_victims = choose_victims
-
-
-def _replay_both(events, config, layer=None):
-    """(report, victim log, window count at each cacheable request) of
-    ZBSCache and of RefZBS on one trace, each over a new `PrefetchLayer`
-    of the arguments `layer` (None: none)."""
+def _assert_same(policy_id, events, capacity, retention, layer=None):
+    """ZBSCache and RefZBS choose the same victims, give the same report
+    and hold the same window count at each cacheable request on one
+    trace, each over a new `PrefetchLayer` of the arguments `layer`
+    (None: none)."""
+    config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
+                         stats_retention_seconds=retention)
     trace = Trace.from_events(events)
     counted = ((trace.kind == 0) & trace.cacheable).nonzero()[0].tolist()
     out = []
@@ -124,18 +117,21 @@ def _replay_both(events, config, layer=None):
             eng.policy = RefZBS(config.capacity_bytes, eng.policy.retention,
                                 eng.policy.byte_metric, config.accessory_fraction)
         log = []
-        _recording(eng.policy, log)
+        recording(eng.policy, log)
         report = eng.run(trace)
         count = eng.policy.count if reference else eng.policy.window.__getitem__
         out.append((report, log, [count(i) for i in counted]))
-    return out
+    (report, victims, window), (ref_report, ref_victims, ref_window) = out
+    assert victims == ref_victims
+    assert report == ref_report
+    assert window == ref_window
 
 
 @st.composite
 def traces(draw, gap, sizes, min_span=0.0, start=0.0):
     """Time-ordered events over a handful of documents from `start` on;
     `gap(rnd)` draws the time between two events."""
-    rnd = draw(st.randoms(use_true_random=False))
+    rnd = draw(randoms())
     n_docs = rnd.choice((2, 5, 10, 20))
     events, t = [], start
     for _ in range(rnd.randint(20, 120)):
@@ -155,10 +151,8 @@ def held_traces(draw):
     dense burst of new documents that evicts them.  Early documents come
     back in the burst, some on the last day the window still counts their
     old requests, so a window that ended a day early would change the
-    admission.
-    The events come from a seeded `Random`, which draws far faster than
-    Hypothesis' own data."""
-    rnd = draw(st.randoms(use_true_random=True))
+    admission."""
+    rnd = draw(randoms())
     events = []
 
     def add(t, obj):
@@ -179,7 +173,6 @@ def held_traces(draw):
     return events
 
 
-SIZES = (20, 50, 90, 150, 400, 700)
 CAPACITIES = st.sampled_from([400, 1000, 2500])
 CASES = {  # name -> (trace, capacity, retention)
     "float-times": (traces(lambda r: r.uniform(0.0, 5_000.0), SIZES), CAPACITIES,
@@ -211,13 +204,7 @@ def test_zbs_matches_reference(policy_id, case):
 
     @given(events=trace, capacity=capacities)
     def check(events, capacity):
-        config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
-                             stats_retention_seconds=retention)
-        (report, victims, window), (ref_report, ref_victims, ref_window) = \
-            _replay_both(events, config)
-        assert victims == ref_victims
-        assert report == ref_report
-        assert window == ref_window
+        _assert_same(policy_id, events, capacity, retention)
 
     check()
 
@@ -236,14 +223,7 @@ def test_zbs_matches_reference_with_prefetch(policy_id, scheme):
     @settings(max_examples=25)
     @given(case=st.one_of(cases))
     def check(case):
-        events, capacity, retention = case
-        config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
-                             stats_retention_seconds=retention)
-        (report, victims, window), (ref_report, ref_victims, ref_window) = \
-            _replay_both(events, config, LAYERS[scheme])
-        assert victims == ref_victims
-        assert report == ref_report
-        assert window == ref_window
+        _assert_same(policy_id, *case, LAYERS[scheme])
 
     check()
 
