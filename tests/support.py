@@ -10,42 +10,55 @@ from zipfcache.analytic import DAY
 from zipfcache.simcore import CacheConfig
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
 
-# Bytes drawn at a time.  Drawn lazily, a short input draws few chunks;
-# a fixed draw of some KiB would make the smallest input that large.
+# Bytes drawn at a time, lazily, so that a short input draws few.
 CHUNK = 256
 
 
-class DrawnRandom(random.Random):
-    """A `random.Random` whose bits are bytes that Hypothesis draws, so
-    that it shrinks them like any other data.  `getrandbits(k)` reads the
-    top k bits of the next whole bytes, `random()` 53 bits as
-    `random.Random` does, and every other method derives from these two.
-    Zero bytes, where shrinking ends, give 0.0, the first element of a
-    `choice` and the lower bound of a `randint`."""
+class _Stream:
+    """Bits read in order from bytes that Hypothesis draws `CHUNK` at a time."""
 
-    def __init__(self, draw):
-        self._draw = draw
-        self._bytes = b""
+    def __init__(self, draw, whole_bytes):
+        self._draw, self._whole_bytes = draw, whole_bytes
+        self._bytes, self._at = b"", 0  # the bytes drawn, and the bits read
+
+    def read(self, k):
+        n = 8 * ((k + 7) // 8) if self._whole_bytes else k
+        start, self._at = self._at, self._at + n
+        while 8 * len(self._bytes) < self._at:
+            self._bytes += self._draw(st.binary(min_size=CHUNK, max_size=CHUNK))
+        first, last = start // 8, (self._at + 7) // 8
+        bits = int.from_bytes(self._bytes[first:last], "big") >> (8 * last - self._at)
+        return (bits & ((1 << n) - 1)) >> (n - k)
+
+
+class DrawnRandom(random.Random):
+    """A `random.Random` over bytes that Hypothesis draws and shrinks.
+    `getrandbits(k)` and `random()` (53 bits) read a value's top 8 bits
+    from one stream and the rest from another: the first holds what
+    decides a choice or a comparison, and the shrinker can clear the
+    second's chunks whole.  With `whole_bytes` each read starts on a
+    byte, so that lowering a byte changes one value; without it the
+    longest generated files fit in what Hypothesis allows one test
+    case.  Zero bytes give 0.0, a `choice`'s first element and a
+    `randint`'s lower bound."""
+
+    def __init__(self, draw, whole_bytes=True):
+        self._high, self._low = _Stream(draw, whole_bytes), _Stream(draw, whole_bytes)
         super().__init__(0)
 
     def getrandbits(self, k):
-        n = (k + 7) // 8
-        while len(self._bytes) < n:
-            self._bytes += self._draw(st.binary(min_size=CHUNK, max_size=CHUNK))
-        head, self._bytes = self._bytes[:n], self._bytes[n:]
-        return int.from_bytes(head, "big") >> (8 * n - k)
+        if k <= 8:
+            return self._high.read(k)
+        return self._high.read(8) << (k - 8) | self._low.read(k - 8)
 
     def random(self):
         return self.getrandbits(53) * 2.0**-53
 
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
 
 @st.composite
-def randoms(draw):
+def randoms(draw, whole_bytes=True):
     """A `DrawnRandom` over the bytes of the test case."""
-    return DrawnRandom(draw)
+    return DrawnRandom(draw, whole_bytes)
 
 
 SIZES = (20, 50, 90, 150, 400, 700)

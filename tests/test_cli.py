@@ -61,6 +61,21 @@ def _run_json(capsys, argv):
     return json.loads(out)
 
 
+def _run_csv(capsys, argv):
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    return list(csv.reader(out.splitlines()))
+
+
+def _refused(capsys, argv):
+    """The error `main(argv)` prints when it refuses a setting, exit 4."""
+    assert main(argv) == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
 @pytest.fixture(scope="module")
 def small_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("traces") / "small.csv"
@@ -229,10 +244,7 @@ def test_analyze_hit_ratio_without_requests_keeps_the_report(tmp_path, capsys, n
 
 
 def test_analyze_csv_format(capsys):
-    rc = main(["analyze", "--format", "csv"])
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    rows = list(csv.reader(out.splitlines()))
+    rows = _run_csv(capsys, ["analyze", "--format", "csv"])
     assert all(len(r) == 2 for r in rows)
     keys = [r[0] for r in rows]
     assert "total_requests" in keys
@@ -253,10 +265,7 @@ def test_analyze_csv_format(capsys):
     ids=lambda argv: " ".join(argv),
 )
 def test_analyze_bad_setting_exit_4(argv, capsys):
-    assert main(["analyze", *argv]) == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be" in captured.err
+    assert "must be" in _refused(capsys, ["analyze", *argv])
 
 
 def test_analyze_missing_file_exit_3(tmp_path):
@@ -328,17 +337,11 @@ def test_predict_domain_error_exit_4(capsys):
     # --p-c is checked with or without --tch-days
     for argv in (["--p-c", "5"], ["--p-c", "0"], ["--p-c", "nan", "--format", "csv"],
                  ["--p-c", "5", "--tch-days", "30"]):
-        assert main(["predict", "--alpha", "0.8", *argv]) == EXIT_DOMAIN
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "p_c must be in (0, 1]" in captured.err
+        assert "p_c must be in (0, 1]" in _refused(capsys, ["predict", "--alpha", "0.8", *argv])
     # the renewal hit model refuses a non-finite universe or rate
     for universe, rate in (("inf", "5000"), ("1e6", "inf"), ("1e6", "nan")):
         argv = ["--universe", universe, "--rate", rate, "--tch-days", "30"]
-        assert main(["predict", "--alpha", "0.8", *argv]) == EXIT_DOMAIN
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "must be finite" in captured.err
+        assert "must be finite" in _refused(capsys, ["predict", "--alpha", "0.8", *argv])
 
 
 @pytest.mark.parametrize(
@@ -356,18 +359,13 @@ def test_predict_domain_error_exit_4(capsys):
     ids=lambda value: " ".join(value) if isinstance(value, list) else value,
 )
 def test_predict_refuses_a_flag_it_would_drop(argv, flag, capsys):
-    assert main(["predict", "--alpha", "0.8", *argv]) == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: {flag} has no effect without" in captured.err
+    err = _refused(capsys, ["predict", "--alpha", "0.8", *argv])
+    assert f"error: {flag} has no effect without" in err
 
 
 def test_report_never_holds_nan(capsys):
     # --p-c is echoed without --tch-days; JSON has no NaN, so the run fails
-    assert main(["predict", "--alpha", "0.8", "--p-c", "nan"]) == EXIT_DOMAIN
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err
+    assert "error:" in _refused(capsys, ["predict", "--alpha", "0.8", "--p-c", "nan"])
 
 
 # ---------------------------------------------------------------- simulate
@@ -416,13 +414,8 @@ def test_simulate_sweep_and_plot_data(small_trace, tmp_path, capsys):
 
 
 def test_simulate_sweep_csv_format(small_trace, capsys):
-    rc = main([
-        "simulate", "-t", str(small_trace), "--policy", "lru",
-        "--sweep", "50KB,100KB", "--format", "csv",
-    ])
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    rows = list(csv.reader(out.splitlines()))
+    rows = _run_csv(capsys, ["simulate", "-t", str(small_trace), "--policy", "lru",
+                             "--sweep", "50KB,100KB", "--format", "csv"])
     assert rows[0][0] == "capacity_bytes"
     assert "hit_ratio" in rows[0]
     assert len(rows) == 3
@@ -444,11 +437,9 @@ def test_lru_sweep_emits_the_capacity_runs(small_trace, tmp_path, capsys, monkey
     assert list(csv.reader(plot.read_text().splitlines())) == [
         [str(int(r["config"]["capacity_bytes"])), repr(r["hit_ratio"])] for r in singles]
 
-    assert main([*sweep, "--format", "csv"]) == EXIT_OK
-    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    header, *rows = _run_csv(capsys, [*sweep, "--format", "csv"])
     for size, row in zip(sizes, rows, strict=True):
-        assert main([*argv, "--capacity", size, "--format", "csv"]) == EXIT_OK
-        single = dict(csv.reader(capsys.readouterr().out.splitlines()))
+        single = dict(_run_csv(capsys, [*argv, "--capacity", size, "--format", "csv"]))
         assert row[0] == str(int(float(single["config.capacity_bytes"])))
         assert row[1:] == [single[key] for key in header[1:]]
 

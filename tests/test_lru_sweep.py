@@ -52,9 +52,11 @@ def traces(draw, sizes="fixed"):
     return events
 
 
-def _byte_capacities(rnd, trace):
+@st.composite
+def byte_capacities(draw, trace):
     """Capacities the pass is exact at: none below the largest cacheable
     size, some repeated, in no particular order."""
+    rnd = draw(randoms())
     sizes = trace.size[(trace.kind == 0) & trace.cacheable].tolist()
     low = max(sizes, default=1)
     pool = [low, low + 0.5, 2 * low, 3 * low + 7, sum(sizes) or low, 1e12, math.inf]
@@ -102,11 +104,11 @@ def _assert_columns_match_replays(trace, configs):
 
 
 def test_byte_mode_with_fixed_sizes_is_one_pass(replays):
-    @given(events=traces(), rnd=randoms())
-    def check(events, rnd):
+    @given(events=traces(), data=st.data())
+    def check(events, data):
         trace = Trace.from_events(events)
         replays.clear()
-        configs = _configs(_byte_capacities(rnd, trace))
+        configs = _configs(data.draw(byte_capacities(trace)))
         _assert_matches_replays(trace, configs)
         assert replays == []
         _assert_columns_match_replays(trace, configs)
@@ -219,22 +221,27 @@ def test_one_layer_per_config(layers, replays):
 LAYERS = (None, ("goodfetch", 0.3), ("lifetime",))
 
 
+@st.composite
+def run_lists(draw, largest):
+    """1 to 6 (config, layer arguments) pairs of any policy and mode."""
+    rnd, runs = draw(randoms()), []
+    for _ in range(rnd.randint(1, 6)):
+        policy = rnd.choice(POLICY_IDS)
+        count_mode = policy != "zbs-byte" and rnd.random() < 0.5
+        unit = 1 if count_mode else largest  # the largest size, 1 in count mode
+        capacity = rnd.choice((unit / 2, unit, 3 * unit + 7, 1e12))  # below and above it
+        runs.append((CacheConfig(capacity, policy, object_count_mode=count_mode),
+                     rnd.choice(LAYERS)))
+    return runs
+
+
 def test_many_runs_equal_one_simulate_each():
     @given(events=st.sampled_from(["fixed", "modifications", "events"]).flatmap(
                lambda sizes: traces(sizes=sizes)),
-           rnd=randoms())
-    def check(events, rnd):
+           data=st.data())
+    def check(events, data):
         trace = Trace.from_events(events)
-        largest = int(trace.size.max()) if len(trace) else 1
-        runs = []
-        for _ in range(rnd.randint(1, 6)):
-            policy = rnd.choice(POLICY_IDS)
-            count_mode = policy != "zbs-byte" and rnd.random() < 0.5
-            # below and above the largest size, which is 1 in count mode
-            unit = 1 if count_mode else largest
-            capacity = rnd.choice((unit / 2, unit, 3 * unit + 7, 1e12))
-            config = CacheConfig(capacity, policy, object_count_mode=count_mode)
-            runs.append((config, rnd.choice(LAYERS)))
+        runs = data.draw(run_lists(int(trace.size.max()) if len(trace) else 1))
         configs = [config for config, _ in runs]
         # a fresh layer for every run on each side
         got = simulate_many(trace, configs,
@@ -257,12 +264,12 @@ def test_byte_mode_refuses_a_changed_size_before_the_pass(monkeypatch):
 
         monkeypatch.setattr(simcore, name, counting)
 
-    @given(events=traces(sizes="modifications"), rnd=randoms())
-    def check(events, rnd):
+    @given(events=traces(sizes="modifications"), data=st.data())
+    def check(events, data):
         end = events[-1].timestamp if events else 0.0
         resized = _trace(*events, req(end, "x", 20), mod(end, "x", 90), req(end, "x", 90))
         calls.clear()
-        _assert_matches_replays(resized, _configs(_byte_capacities(rnd, resized)))
+        _assert_matches_replays(resized, _configs(data.draw(byte_capacities(resized))))
         assert not _LRUCurve(resized, False).exact
         assert calls == []
 

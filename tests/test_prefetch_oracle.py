@@ -277,6 +277,17 @@ def _assert_grouping_by_brute_force(doc: np.ndarray, marks) -> None:
             for p in range(len(codes))]
 
 
+@st.composite
+def traces_with_an_unrequested_document(draw):
+    """`traces()` and up to 3 ties of a document that is only modified."""
+    events, rnd = draw(traces()), draw(randoms())
+    for _ in range(rnd.randint(0, 3)):
+        i = rnd.randrange(len(events) + 1)
+        t = events[max(i - 1, 0)].timestamp  # a tie with a neighbour
+        events.insert(i, TraceEvent(t, MODIFICATION, "only-modified", 10))
+    return events
+
+
 def test_inputs_match_a_count_by_brute_force():
     """`_doc_order` and `_doc_running_counts` over the modifications and
     the cacheable requests, and what each layer derives from them, against
@@ -288,12 +299,8 @@ def test_inputs_match_a_count_by_brute_force():
     _assert_grouping_by_brute_force(np.full(5, 3, np.int32), [
         np.array([True, False, True, True, False]), np.zeros(5, bool), np.ones(5, bool)])
 
-    @given(events=traces(), rnd=randoms())
-    def check(events, rnd):
-        for _ in range(rnd.randint(0, 3)):
-            i = rnd.randrange(len(events) + 1)
-            t = events[max(i - 1, 0)].timestamp  # a tie with a neighbour
-            events.insert(i, TraceEvent(t, MODIFICATION, "only-modified", 10))
+    @given(events=traces_with_an_unrequested_document())
+    def check(events):
         trace = Trace.from_events(events)
         modified = trace.kind == 1
         picked = modified | ((trace.kind == 0) & trace.cacheable)

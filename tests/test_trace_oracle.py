@@ -9,6 +9,7 @@ line numbers) on random inputs, whichever parse chunk a line falls in.
 """
 
 import math
+import random
 import warnings
 from collections import Counter
 
@@ -372,18 +373,23 @@ def _valid_lines(rnd, n):
     return lines, times
 
 
-def _write(path, lines, rnd, newline="\n"):
-    text = newline.join([TRACE_HEADER, *lines])
-    if rnd is None or rnd.random() < 0.8:  # sometimes no newline after the last line
-        text += newline
-    path.write_bytes(text.encode("ascii"))
+def _write(path, lines):
+    path.write_bytes("\n".join([TRACE_HEADER, *lines, ""]).encode("ascii"))
 
 
-@given(rnd=randoms(), chunk=st.sampled_from(CHUNK_BYTES), crlf=st.booleans())
-def test_parse_matches_reference(tmp_path_factory, rnd, chunk, crlf):
-    path = tmp_path_factory.mktemp("valid") / "t.csv"
+@st.composite
+def trace_texts(draw):
+    """A valid trace file with either line end, sometimes none after its last line."""
+    rnd = draw(randoms(whole_bytes=False))
     lines, _ = _valid_lines(rnd, rnd.choice((0, 1, 3, 40, 300)))
-    _write(path, lines, rnd, "\r\n" if crlf else "\n")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([TRACE_HEADER, *lines]) + newline * (rnd.random() < 0.8)
+
+
+@given(text=trace_texts(), chunk=st.sampled_from(CHUNK_BYTES))
+def test_parse_matches_reference(tmp_path_factory, text, chunk):
+    path = tmp_path_factory.mktemp("valid") / "t.csv"
+    path.write_bytes(text.encode("ascii"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
         got = trace.parse_trace_file(path)
@@ -429,8 +435,6 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("where", ["first-chunk", "later-chunk", "last-line"])
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_parse_error_matches_reference(tmp_path, monkeypatch, name, where, chunk):
-    import random
-
     rnd = random.Random(f"{name}-{where}")
     lines, times = _valid_lines(rnd, 120)
     rows = [i for i, line in enumerate(lines) if line.strip()]
@@ -439,7 +443,7 @@ def test_parse_error_matches_reference(tmp_path, monkeypatch, name, where, chunk
     lines[at] = CORRUPTIONS[name](times[pick], times[pick - 1])
     lines.insert(at + 1, "not,even,a,row")  # a later error never wins
     path = tmp_path / "t.csv"
-    _write(path, lines, None)
+    _write(path, lines)
     monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
     want = _error(ref_parse_trace_file, path)
     assert f":{at + 2}:" in want
@@ -480,31 +484,29 @@ def test_parse_refuses_an_integer_read_through_float(tmp_path, monkeypatch):
         return loadtxt([line.replace(",1.5,", ",1,") for line in lines], **kwargs)
 
     path = tmp_path / "t.csv"
-    _write(path, ["0.0,R,a,100,1", "1.0,R,b,1.5,1"], None)
+    _write(path, ["0.0,R,a,100,1", "1.0,R,b,1.5,1"])
     monkeypatch.setattr(np, "loadtxt", old_loadtxt)
     assert _error(trace.parse_trace_file, path) == _error(ref_parse_trace_file, path)
 
 
 def test_parse_error_line_numbers_at_default_chunk(tmp_path):
-    import random
-
     rnd = random.Random(5)
     lines, times = _valid_lines(rnd, 50_000)
     path = tmp_path / "t.csv"
-    _write(path, lines, None)
+    _write(path, lines)
     assert path.stat().st_size > 4 * trace._PARSE_CHUNK_BYTES
     assert list(trace.parse_trace_file(path)) == ref_parse_trace_file(path)
     for at in (5, 25_000, len(lines) - 1):
         bad = list(lines)
         bad[at] = "1.0,R,a,100"
-        _write(path, bad, None)
+        _write(path, bad)
         want = _error(ref_parse_trace_file, path)
         assert _error(trace.parse_trace_file, path) == want == f"{path}:{at + 2}: expected 5 fields"
 
 
 def test_parse_rejects_size_beyond_int64(tmp_path):
     path = tmp_path / "t.csv"
-    _write(path, ["0.0,R,a,100,1", f"1.0,R,b,{2**63},1"], None)
+    _write(path, ["0.0,R,a,100,1", f"1.0,R,b,{2**63},1"])
     with pytest.raises(TraceFormatError, match=r":3: size must be < 2\*\*63"):
         trace.parse_trace_file(path)
 
@@ -542,10 +544,16 @@ def _squid_lines(rnd, n):
     return lines
 
 
-@given(rnd=randoms(), chunk=st.sampled_from(CHUNK_BYTES))
-def test_proxy_log_matches_reference(tmp_path_factory, rnd, chunk):
+@st.composite
+def squid_logs(draw):
+    rnd = draw(randoms(whole_bytes=False))
+    return _squid_lines(rnd, rnd.choice((0, 5, 60, 400)))
+
+
+@given(lines=squid_logs(), chunk=st.sampled_from(CHUNK_BYTES))
+def test_proxy_log_matches_reference(tmp_path_factory, lines, chunk):
     path = tmp_path_factory.mktemp("squid") / "access.log"
-    path.write_text("\n".join(_squid_lines(rnd, rnd.choice((0, 5, 60, 400)))) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
         result = trace.parse_proxy_log(path)
@@ -555,42 +563,38 @@ def test_proxy_log_matches_reference(tmp_path_factory, rnd, chunk):
     assert result.events.ids == _first_appearance(events)
 
 
+def _proxy_error_at_every_chunk(path, monkeypatch):
+    """The reference's error on `path`, which the reader gives at every chunk."""
+    want = _error(ref_parse_proxy_log, path)
+    for chunk in CHUNK_BYTES:
+        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
+        assert _error(trace.parse_proxy_log, path) == want
+    return want
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_proxy_log_non_finite_matches_reference(tmp_path, monkeypatch, bad):
-    import random
-
     lines = _squid_lines(random.Random(bad), 50)
     lines.insert(20, f"{bad} 0 c TCP_MISS/200 40 GET http://a/b")  # raises
     lines.insert(10, f"{bad} 0 c TCP_MISS/200 4x GET http://a/b")  # skipped
     path = tmp_path / "access.log"
     path.write_text("\n".join(lines) + "\n")
-    want = _error(ref_parse_proxy_log, path)
-    assert ":22: timestamp must be finite" in want
-    for chunk in CHUNK_BYTES:
-        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
-        assert _error(trace.parse_proxy_log, path) == want
+    assert ":22: timestamp must be finite" in _proxy_error_at_every_chunk(path, monkeypatch)
 
 
 @pytest.mark.parametrize("bad", ["1e19", "-2e18", "1e300"])
 def test_proxy_log_beyond_range_matches_reference(tmp_path, monkeypatch, bad):
-    import random
-
     lines = _squid_lines(random.Random(bad), 50)
     lines.insert(20, f"{bad} 0 c TCP_MISS/404 40 POST http://a/b")  # raises, unfiltered
     lines.insert(10, f"{bad} 0 c TCP_MISS/200 4x GET http://a/b")  # skipped
     path = tmp_path / "access.log"
     path.write_text("\n".join(lines) + "\n")
-    want = _error(ref_parse_proxy_log, path)
+    want = _proxy_error_at_every_chunk(path, monkeypatch)
     assert f":22: timestamp must be within +-1e+18 s, got '{bad}'" in want
-    for chunk in CHUNK_BYTES:
-        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
-        assert _error(trace.parse_proxy_log, path) == want
 
 
 def _oversize_log(path, status=200):
     """A random squid log whose line 11 is a GET of size 2**63 with `status`."""
-    import random
-
     lines = _squid_lines(random.Random(63), 50)
     lines.insert(10, f"1e9 0 c TCP_MISS/{status} {2**63} GET http://a/b")
     path.write_text("\n".join(lines) + "\n")
@@ -612,11 +616,8 @@ def test_proxy_log_later_time_error_wins_over_size(tmp_path, monkeypatch):
     lines = _oversize_log(path)
     lines.insert(40, "nan 0 c TCP_MISS/200 40 GET http://a/b")
     path.write_text("\n".join(lines) + "\n")
-    want = _error(ref_parse_proxy_log, path)
+    want = _proxy_error_at_every_chunk(path, monkeypatch)
     assert want == f"{path}:41: timestamp must be finite, got 'nan'"
-    for chunk in CHUNK_BYTES:
-        monkeypatch.setattr(trace, "_PARSE_CHUNK_BYTES", chunk)
-        assert _error(trace.parse_proxy_log, path) == want
 
 
 def test_proxy_log_size_beyond_int64_on_a_filtered_line(tmp_path, monkeypatch):
