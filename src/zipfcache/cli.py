@@ -283,10 +283,9 @@ def cmd_simulate(args) -> int:
     # Every setting is checked before the trace is read, a bad capacity first.
     sizes = args.sweep or [5e6 if args.capacity is None else args.capacity]
     configs = [_run_config(args, size) for size in sizes]
-    layers = [PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
-              for _ in configs]
+    layer = PrefetchLayer(args.prefetch, args.threshold) if args.prefetch else None
     events, meta = _load_events(args)
-    reports = simcore.simulate_many(events, configs, layers)
+    reports = simcore.simulate_many(events, configs, layer)
     runs = []
     for size, report in zip(sizes, reports):
         flat = report.to_dict()

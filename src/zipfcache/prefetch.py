@@ -74,8 +74,9 @@ class PrefetchLayer:
     while resident makes that copy stale again.  An entry whose copy was
     since evicted, refetched or re-admitted fresh is dropped at a tick.
 
-    A layer holds the state of one run: pass a new one to each
-    `simulate` call.
+    A layer is a rule: its decisions depend on the trace alone, and
+    `note_start` starts each run afresh, so one layer serves any number
+    of runs, one at a time.
     """
 
     def __init__(self, scheme: str, threshold: float = -math.inf):
@@ -89,18 +90,15 @@ class PrefetchLayer:
             raise ValueError("the lifetime scheme takes no threshold")
         self.scheme = scheme
         self.threshold = threshold
-        self.start: float | None = None
-        # The column the scheme reads, by modification ordinal; None if none.
+
+    def note_start(self, trace: Trace) -> None:
+        """Start a run at the first event of `trace`, a non-empty trace,
+        and derive what the scheme reads at each modification."""
+        self.start = start = float(trace.t[0])
+        # The column the scheme reads, by modification ordinal; the other is None.
         self.fetch_day = self.select = None
         self.stale: dict[str, tuple[float, int]] = {}
         self.next_tick = math.inf
-
-    def note_start(self, trace: Trace) -> None:
-        """Start the run at the first event of `trace`, a non-empty trace,
-        and derive what the scheme reads at each modification."""
-        if self.start is not None:
-            raise ValueError("a PrefetchLayer runs once; pass a new one to each simulate call")
-        self.start = start = float(trace.t[0])
         modified = trace.kind == 1
         if self.scheme != "lifetime":
             select = trace.t[modified] > start

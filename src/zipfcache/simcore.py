@@ -292,9 +292,9 @@ class _Engine:
 def simulate(trace: Trace, config: CacheConfig, prefetch_layer=None) -> SimReport:
     """Replay a trace against one cache configuration.
 
-    `prefetch_layer` is a new `prefetch.PrefetchLayer` for each call, or
-    None.  Identical inputs produce identical reports; there is no hidden
-    clock or nondeterministic state.
+    `prefetch_layer` is a `prefetch.PrefetchLayer`, which starts afresh
+    at each run, or None.  Identical inputs produce identical reports;
+    there is no hidden clock or nondeterministic state.
     """
     return _Engine(config, prefetch_layer).run(trace)
 
@@ -444,26 +444,23 @@ class _LRUCurve:
 
 
 def simulate_many(trace: Trace, configs: Sequence[CacheConfig],
-                  prefetch_layers: Sequence | None = None) -> list[SimReport]:
-    """`simulate(trace, config, layer)` for each config and its new layer
-    or None (None for every run by default), in order.
+                  prefetch_layer=None) -> list[SimReport]:
+    """`simulate(trace, config, prefetch_layer)` for each config, in
+    order: the one layer, or None, applies to every run.
 
     The LRU runs without a layer share one pass per mode (see `_LRUCurve`),
     read where it is exact: in count mode at a capacity of at least 1, in
     byte mode at a capacity of at least every cacheable size, with each
     document requested at one size.  Every other run is replayed.
     """
-    layers = [None] * len(configs) if prefetch_layers is None else prefetch_layers
-    if len(layers) != len(configs):
-        raise ValueError(f"{len(layers)} prefetch layers for {len(configs)} configs")
     curves: dict[bool, _LRUCurve] = {}
     reports = []
-    for config, layer in zip(configs, layers):
+    for config in configs:
         report = None
-        if config.policy_id == "lru" and layer is None:
+        if config.policy_id == "lru" and prefetch_layer is None:
             mode = config.object_count_mode
             if mode not in curves:
                 curves[mode] = _LRUCurve(trace, mode)
             report = curves[mode].report(config.capacity_bytes)
-        reports.append(report if report is not None else simulate(trace, config, layer))
+        reports.append(report if report is not None else simulate(trace, config, prefetch_layer))
     return reports

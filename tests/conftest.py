@@ -2,16 +2,19 @@
 
 Property tests run derandomized and without a per-example deadline, so the
 suite explores the same examples on every run and a slow host cannot turn
-a pass into a failure.
+a pass into a failure.  They skip Hypothesis's explain phase, which only
+annotates a failure already shrunk, with the lines that failing examples
+alone ran, and can take most of the time a failure needs to report.
 """
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from zipfcache.analytic import DAY
 from zipfcache.trace import SyntheticSpec, generate_trace
 
-settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None,
+                          phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("deterministic")
 
 

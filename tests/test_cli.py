@@ -543,7 +543,7 @@ def test_simulate_domain_error_exit_4(small_trace, capsys):
         assert "has no effect" in capsys.readouterr().err
 
 
-def test_each_simulate_call_gets_a_new_layer(small_trace, monkeypatch, capsys):
+def test_each_simulate_call_gets_the_one_layer(small_trace, monkeypatch, capsys):
     # the benchmark's tracer reads the layer as simulate's third positional
     # argument
     layers = []
@@ -551,15 +551,14 @@ def test_each_simulate_call_gets_a_new_layer(small_trace, monkeypatch, capsys):
 
     def recording(events, config, *args, **kwargs):
         assert not kwargs and len(args) == 1
-        assert args[0].start is None  # not yet run
         layers.append(args[0])
         return real(events, config, *args)
 
     monkeypatch.setattr(simcore, "simulate", recording)
     assert main(["simulate", "-t", str(small_trace), "--policy", "lru",
                  "--prefetch", "goodfetch", "--sweep", "50KB,100KB"]) == EXIT_OK
-    assert len(layers) == 2 and layers[0] is not layers[1]
-    assert all(isinstance(layer, PrefetchLayer) for layer in layers)
+    assert len(layers) == 2 and layers[0] is layers[1]
+    assert isinstance(layers[0], PrefetchLayer)
 
 
 def test_simulate_zbs_settings_echoed(small_trace, capsys):

@@ -210,29 +210,22 @@ def test_configs_are_checked_in_order(replays):
         simulate_many(_trace(req(0, "a")), _configs([100, 0]))
 
 
-@pytest.mark.parametrize("layers", [[], [None], [None, None, None]])
-def test_one_layer_per_config(layers, replays):
-    with pytest.raises(ValueError, match=f"{len(layers)} prefetch layers for 2 configs"):
-        simulate_many(_trace(req(0, "a")), _configs([100, 200]), layers)
-    assert replays == []
-
-
-# The `PrefetchLayer` arguments of a run, None for a run without one.
+# The `PrefetchLayer` arguments of the runs, None for runs without one.
 LAYERS = (None, ("goodfetch", 0.3), ("lifetime",))
 
 
 @st.composite
 def run_lists(draw, largest):
-    """1 to 6 (config, layer arguments) pairs of any policy and mode."""
-    rnd, runs = draw(randoms()), []
+    """1 to 6 configs of any policy and mode, and the layer arguments of
+    them all."""
+    rnd, configs = draw(randoms()), []
     for _ in range(rnd.randint(1, 6)):
         policy = rnd.choice(POLICY_IDS)
         count_mode = policy != "zbs-byte" and rnd.random() < 0.5
         unit = 1 if count_mode else largest  # the largest size, 1 in count mode
         capacity = rnd.choice((unit / 2, unit, 3 * unit + 7, 1e12))  # below and above it
-        runs.append((CacheConfig(capacity, policy, object_count_mode=count_mode),
-                     rnd.choice(LAYERS)))
-    return runs
+        configs.append(CacheConfig(capacity, policy, object_count_mode=count_mode))
+    return configs, rnd.choice(LAYERS)
 
 
 def test_many_runs_equal_one_simulate_each():
@@ -241,14 +234,12 @@ def test_many_runs_equal_one_simulate_each():
            data=st.data())
     def check(events, data):
         trace = Trace.from_events(events)
-        runs = data.draw(run_lists(int(trace.size.max()) if len(trace) else 1))
-        configs = [config for config, _ in runs]
-        # a fresh layer for every run on each side
-        got = simulate_many(trace, configs,
-                            [layer and PrefetchLayer(*layer) for _, layer in runs])
+        configs, layer = data.draw(run_lists(int(trace.size.max()) if len(trace) else 1))
+        # one layer for every run of simulate_many, a fresh one for each simulate
+        got = simulate_many(trace, configs, layer and PrefetchLayer(*layer))
         assert [r.to_dict() for r in got] == [
             simulate(trace, config, layer and PrefetchLayer(*layer)).to_dict()
-            for config, layer in runs]
+            for config in configs]
 
     check()
 

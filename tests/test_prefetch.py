@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from support import mod, req
+from support import configs, mod, req, traces
 from zipfcache.prefetch import PrefetchLayer, _good_fetch
 from zipfcache.simcore import CacheConfig, simulate
 from zipfcache.trace import SyntheticSpec, Trace, generate_trace
@@ -176,20 +178,31 @@ def test_config_carries_prefetch_settings():
         PrefetchLayer("lifetime", math.nan)
 
 
-def test_layer_runs_once():
-    # api score at the modification: 2 requests / 10 d x share 1 x 10 d = 2
-    events = Trace.from_events([req(0.0, "a"), req(1 * DAY, "a"), mod(10 * DAY, "a", 120),
-                                req(11 * DAY, "a", 120)])
-    config = CacheConfig(policy_id="lru")
-    layer = PrefetchLayer("api", 1.0)
-    assert simulate(events, config, layer).prefetch_fetches == 1
-    # a second run would start from the first one's counts and report 0
-    with pytest.raises(ValueError, match="runs once"):
-        simulate(events, config, layer)
-    # an empty trace does not start a layer
-    layer = PrefetchLayer("api", 1.0)
-    simulate(Trace.from_events([]), config, layer)
-    assert simulate(events, config, layer).prefetch_fetches == 1
+@pytest.mark.parametrize("scheme", ["goodfetch", "api", "lifetime"])
+def test_one_layer_serves_interleaved_runs(scheme):
+    # a layer decides from the trace alone and starts afresh at each run,
+    # so runs on traces A, B and A again at several configs each report
+    # what a fresh layer reports
+    thresholds = {"goodfetch": (0.3,), "api": (2.0,), "lifetime": ()}[scheme]
+
+    @given(a=traces(), b=traces(), threshold=st.sampled_from([-math.inf, *thresholds]),
+           runs=st.lists(st.sampled_from(["lru", "fifo", "zbs"]).flatmap(configs),
+                         min_size=1, max_size=3))
+    # lifetime: A ends with a's copy due at the tick of day 5, and B's
+    # modification of a, its first, names no tick; a request on day 6
+    # would hit if that tick were left over from A
+    @example(a=[req(0.0, "a"), mod(DAY, "a"), mod(2 * DAY, "a")],
+             b=[req(0.0, "a"), mod(DAY, "a"), req(6 * DAY, "a")],
+             threshold=-math.inf, runs=[CacheConfig(policy_id="lru")])
+    def check(a, b, threshold, runs):
+        layer = PrefetchLayer(scheme, threshold)
+        for events in (a, b, a):
+            trace = Trace.from_events(events)
+            for config in runs:
+                fresh = simulate(trace, config, PrefetchLayer(scheme, threshold))
+                assert simulate(trace, config, layer).to_dict() == fresh.to_dict()
+
+    check()
 
 
 # Peak tracemalloc bytes per event of one lru run at 20 MB under each

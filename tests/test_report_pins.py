@@ -19,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -122,8 +123,12 @@ def _cases():
         static_runs = [["simulate", "--policy", "lru", "--capacity", capacity, "-t", "static.csv"]
                        for capacity in ("10KB", "50KB", "200KB")]
         static_runs.append([*static_runs[1], "--format", "csv"])
-        with contextlib.chdir(tmp):  # the report echoes the trace path
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the report echoes the trace path
+        try:
             texts = [_cli(argv) for argv in static_runs]
+        finally:
+            os.chdir(cwd)
         for argv, text in zip(static_runs, texts):
             yield "cli/" + " ".join(argv), text
     cli_runs = [

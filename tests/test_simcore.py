@@ -175,7 +175,7 @@ def test_twice_modified_lifetime_gap_finishes(policy_id):
 
 @pytest.mark.parametrize("stamps", [(0.0, 1e22), (-1e22, 0.0), (1e30,)])
 @pytest.mark.parametrize("policy_id", POLICY_IDS)
-def test_timestamp_beyond_daily_clock_rejected(policy_id, stamps):
+def test_timestamp_beyond_1e18_s_rejected(policy_id, stamps):
     # beyond about 1e21 s a day is under half a float step and daily ticks
     # would not be distinct; no trace holds a time beyond 1e18 s, where a
     # day still spans over a hundred steps

@@ -250,7 +250,7 @@ def _assert_start_free(events, capacity, retention, delta):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_report_does_not_depend_on_tick_phase(case):
+def test_earlier_trace_start_moves_no_report(case):
     trace, capacities, retention = CASES[case]
 
     @settings(max_examples=25)
