@@ -10,8 +10,8 @@ interval for a bounded cache.
 
 All rates are per second and all sizes are bytes unless a name says
 otherwise.  Exponents close to the degenerate ends of ``(0, 1)`` are
-rejected rather than extrapolated.  SciPy is imported only inside
-`wolman_hit_ratio`, the one law integrated numerically.
+rejected rather than extrapolated.  `wolman_hit_ratio`, the one law
+integrated numerically, uses a fixed Gauss-Legendre rule in NumPy.
 """
 
 from __future__ import annotations
@@ -368,8 +368,11 @@ def wolman_hit_ratio(n: float, alpha: float, lambda_n: float, mu: float) -> floa
     with C the normalisation integral of x**-alpha over [1, n].  mu = 0
     collapses the multiplier to 1 and the integral to the normalised
     popularity mass, i.e. C_N = 1.  The integral is taken over u = ln x,
-    where the integrand stays smooth however large n is; on the linear
-    axis the adaptive rule misses the mass near x = 1 from n ~ 1e8 on.
+    where the integrand stays smooth however large n is, by a fixed
+    32-node Gauss-Legendre rule on each of 64 equal panels over
+    [0, ln n].  The multiplier falls from 1 to 0 around u* = -ln(r) / alpha,
+    where r = mu C / lambda_n; when mu > 0, panels also end at
+    u* +- 1, 2, 4 and 8 / alpha, where these fall inside [0, ln n].
     """
     _check_alpha(alpha)
     for name, value in (("n", n), ("lambda_n", lambda_n), ("mu", mu)):
@@ -380,19 +383,22 @@ def wolman_hit_ratio(n: float, alpha: float, lambda_n: float, mu: float) -> floa
     _check_positive(lambda_n=lambda_n)
     if mu < 0:
         raise DomainError(f"mu must be >= 0, got {mu!r}")
-    # Imported here so that no other path pays SciPy's start-up time and memory.
-    from scipy.integrate import quad
-
     c = (n ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
     ratio = mu * c / lambda_n
-
-    def integrand(u: float) -> float:
-        x = math.exp(u)
-        xa = x ** alpha
-        return x / (c * xa) / (1.0 + ratio * xa)  # dx = x du
-
-    value, _ = quad(integrand, 0.0, math.log(n), epsabs=0.0, epsrel=1e-8, limit=500)
-    return value
+    top = math.log(n)
+    edges = np.linspace(0.0, top, 64 + 1)
+    if ratio > 0:
+        step = -math.log(ratio) / alpha + np.array([-8, -4, -2, -1, 1, 2, 4, 8]) / alpha
+        edges = np.union1d(edges, np.clip(step, 0.0, top))
+    # numpy.polynomial loads here, not with the package: no other law needs it
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    half = np.diff(edges) / 2
+    u = (edges[:-1] + half)[:, None] + half[:, None] * nodes  # one row per panel
+    # dx = x du, so the integrand is x / (C x**alpha) / (1 + r x**alpha);
+    # r x**alpha overflows to inf near n = 1e300, where the term is 0
+    with np.errstate(over="ignore"):
+        values = np.exp((1.0 - alpha) * u) / c / (1.0 + ratio * np.exp(alpha * u))
+    return float(half @ (values @ weights))
 
 
 def renewal_alpha_r(m: float, h: float, big_k: float) -> float:

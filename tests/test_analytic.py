@@ -187,6 +187,38 @@ def _simpson(ys, h):
     return float(h / 3 * (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()))
 
 
+def _wolman_quad(n, alpha, lam, mu):
+    """`wolman_hit_ratio` as SciPy's adaptive `quad` integrates it over
+    u = ln x, to 1e-8 relative."""
+    c = (n ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
+    ratio = mu * c / lam
+
+    def integrand(u):
+        x = math.exp(u)
+        xa = x ** alpha
+        return x / (c * xa) / (1.0 + ratio * xa)  # dx = x du
+
+    value, _ = quad(integrand, 0.0, math.log(n), epsabs=0.0, epsrel=1e-8, limit=500)
+    return value
+
+
+@pytest.mark.parametrize("n", [1e1, 1e3, 1e6, 1e9, 1e30, 1e300])
+def test_wolman_against_quad_oracle(n):
+    # The fixed rule agrees with the adaptive one far inside quad's own
+    # tolerance.  Below the smallest normal float only an absolute bound
+    # means anything: at n = 1e300 and mu = 1e7 quad gives 0 or a
+    # subnormal value at four of these points.
+    for alpha in (0.02, 0.3, 0.72, 0.8, 0.998):
+        for lam in (1e-6, 1e-2, 1.0, 5e3, 1e6):
+            for mu in (0.0, 1e-7, 1e-3, 1.0, 1e7):
+                oracle = _wolman_quad(n, alpha, lam, mu)
+                val = analytic.wolman_hit_ratio(n, alpha, lam, mu)
+                if oracle >= np.finfo(float).tiny:
+                    assert val == pytest.approx(oracle, rel=1e-10, abs=0.0), (alpha, lam, mu)
+                else:
+                    assert abs(val - oracle) <= 1e-300, (alpha, lam, mu)
+
+
 def test_wolman_mu_zero_is_one():
     assert analytic.wolman_hit_ratio(1e6, 0.8, 10.0, 0.0) == pytest.approx(1.0, abs=1e-9)
 

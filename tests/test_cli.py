@@ -328,6 +328,13 @@ def test_predict_scaling_and_rate_model(capsys):
     assert report["max_kernel_docs"] > 0
 
 
+def test_predict_renewal_hit_ratio_matches_schema(capsys):
+    report = _run_json(capsys, ["predict", "--alpha", "0.8", "--universe", "1e6",
+                                "--rate", "5000", "--tch-days", "30"])
+    _validate(report, _schema("predict"))
+    assert report["wolman_hit_ratio"] == pytest.approx(0.9999228550741405, rel=1e-12)
+
+
 def test_predict_domain_error_exit_4(capsys):
     assert main(["predict", "--alpha", "1.5"]) == EXIT_DOMAIN
     assert "error:" in capsys.readouterr().err

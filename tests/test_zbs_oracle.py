@@ -164,7 +164,7 @@ def held_traces(draw):
         add(t, f"e{rnd.randrange(n_early)}")
     t, burst = 2 * DAY, MIN_RETENTION + rnd.uniform(-1.0, 1.0) * DAY
     while t < burst:
-        t += rnd.uniform(0.2, 1.5) * DAY
+        t += rnd.uniform(1.5, 0.2) * DAY  # shrinks toward the longest step
         add(t, "clock")
     for _ in range(rnd.randint(10, 80)):
         t += rnd.uniform(0.0, 0.15 * DAY)

@@ -30,10 +30,17 @@ import tempfile
 import time
 from pathlib import Path
 
-# A pytest plugin that loads a Hypothesis profile with no shrink phase.
+# A pytest plugin that loads the suite's `deterministic` Hypothesis profile
+# less its shrink phase.  It loads it at `pytest_configure`, which runs after
+# `tests/conftest.py` has loaded `deterministic`, not when pytest imports it.
 NO_SHRINK = """from hypothesis import Phase, settings
-settings.register_profile("no_shrink", phases=[p for p in Phase if p is not Phase.shrink])
-settings.load_profile("no_shrink")
+
+
+def pytest_configure(config):
+    parent = settings.get_profile("deterministic")
+    settings.register_profile("no_shrink", parent=parent,
+                              phases=[p for p in parent.phases if p is not Phase.shrink])
+    settings.load_profile("no_shrink")
 """
 
 # (name, file under src/zipfcache, old text, new text, oracle test file)
