@@ -1,29 +1,30 @@
 """Replacement policies for the simulation engine.
 
-A policy implements five operations the engine drives; `index` is the
+A policy implements four operations the engine drives; `index` is the
 request's position in the trace that `note_start` got:
 
     note_start(trace)                                       before the first event
     on_hit(object_id, now)
     on_miss_admit(object_id, size, now, index) -> bool      admitted
-    choose_victims(now) -> [ids]                            evicted
-    on_modification_fetched(object_id, size, now) -> bool   still resident
+    on_modification_fetched(object_id, size, now)
 
-The policy is the one ledger of resident bytes: it keeps each copy's size
-as the engine passes it (1 in count mode) and the totals `kernel_bytes`
-and `accessory_bytes` (0 for one-area policies).  It sets `over_limit`
-when an admission or a refetch takes an area over its cap; the engine
-then calls choose_victims, which evicts until every area is within its
-cap and clears the flag.  A refetch of a stale copy counts as one access;
-it returns False when the new size exceeds the area the copy would
-occupy, and the copy is then already dropped.
+The policy's `copies` maps each resident document to its record, and is
+the one resident set of a run.  A record is a list whose first two
+fields the engine and the prefetch layer read: the fresh flag, which the
+engine keeps, and the index of the admitting event.  The size the engine
+passes (1 in count mode) comes next, then the policy's own fields.  The
+policy keeps the totals `kernel_bytes` and `accessory_bytes` (0 for
+one-area policies) and counts `evictions`.  A call that takes an area
+over its cap evicts, before it returns, until every area is within its
+cap again.  A refetch of a stale copy counts as one access; a copy whose
+new size exceeds the area it would occupy is dropped, and that counts as
+an eviction.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .trace import Trace, _doc_order
 
 __all__ = [
     "POLICY_IDS",
+    "SimulationError",
     "LRUCache",
     "LFUCache",
     "FIFOCache",
@@ -45,68 +47,87 @@ MAX_RETENTION = 183 * DAY
 POLICY_IDS = ("zbs", "zbs-byte", "lru", "lfu", "fifo")
 
 
-class _SingleArea:
-    """Shared skeleton of the one-area baseline policies.
+class SimulationError(RuntimeError):
+    """The simulation cannot continue: a policy broke its capacity limits."""
 
-    `entries` maps each resident document to its size, next victim
-    first, and `kernel_bytes` is their sum.
-    """
+
+class _Policy:
+    """What every policy shares: the check that closes every eviction
+    round, against `kern_cap` and `acc_cap`, the caps of the two areas,
+    and `capacity`, that of the whole cache."""
 
     accessory_bytes = 0
-
-    def __init__(self, capacity: float):
-        self.capacity = capacity
-        self.entries: OrderedDict[str, int] = OrderedDict()
-        self.kernel_bytes = 0
-        self.over_limit = False
+    acc_cap = 0
 
     def note_start(self, trace: Trace) -> None:
         pass
+
+    def _evict(self, now: float) -> None:
+        """One eviction round: `_take_victims` until every area is within
+        its cap, which a round that leaves an area over breaks off."""
+        self._take_victims(now)
+        if (self.kernel_bytes > self.kern_cap or self.accessory_bytes > self.acc_cap
+                or self.kernel_bytes + self.accessory_bytes > self.capacity):
+            raise SimulationError("policy failed to restore capacity limits")
+
+    # No engine calls these; perfbench/tracing.py wraps them by name (ROADMAP item 3).
+    def choose_victims(self, now: float) -> list[str]:
+        return []
+
+    def on_expire_stats(self, now: float) -> None:
+        pass
+
+
+class _SingleArea(_Policy):
+    """Shared skeleton of the one-area baseline policies.
+
+    `copies` maps each resident document to [fresh, admitted, size], next
+    victim first, and `kernel_bytes` is the sum of their sizes.
+    """
+
+    def __init__(self, capacity: float):
+        self.capacity = self.kern_cap = capacity
+        self.copies: OrderedDict[str, list] = OrderedDict()
+        self.kernel_bytes = 0
+        self.evictions = 0
 
     def on_hit(self, obj: str, now: float) -> None:
         pass
 
     def on_miss_admit(self, obj: str, size: int, now: float, i: int) -> bool:
-        if size > self.capacity:
+        capacity = self.capacity
+        if size > capacity:
             return False
-        self.entries[obj] = size
-        self.kernel_bytes += size
-        self.over_limit = self.kernel_bytes > self.capacity
+        self.copies[obj] = [True, i, size]
+        self.kernel_bytes = held = self.kernel_bytes + size
+        if held > capacity:
+            self._evict(now)
         return True
 
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
+    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
         if size > self.capacity:
             self.kernel_bytes -= self._remove(obj)
-            return False
-        self.kernel_bytes += size - self._resize(obj, size)
-        self.over_limit = self.kernel_bytes > self.capacity
-        return True
+            self.evictions += 1
+            return
+        record = self._access(obj)
+        self.kernel_bytes += size - record[2]
+        record[2] = size
+        if self.kernel_bytes > self.capacity:
+            self._evict(now)
 
-    def _resize(self, obj: str, size: int) -> int:
-        """Store the refetched copy's size and return the old one."""
-        old = self.entries[obj]
-        self.entries[obj] = size
-        return old
+    def _access(self, obj: str) -> list:
+        """The record of `obj`, whose copy a refetch has just accessed."""
+        return self.copies[obj]
 
     def _remove(self, obj: str) -> int:
-        return self.entries.pop(obj)
+        return self.copies.pop(obj)[2]
 
-    def _pop_victim(self) -> tuple[str, int]:
-        return self.entries.popitem(last=False)
-
-    def choose_victims(self, now: float) -> list[str]:
-        victims: list[str] = []
-        # kernel_bytes sums the entries, so over the cap there is one to pop.
+    def _take_victims(self, now: float) -> None:
+        copies = self.copies
+        # kernel_bytes sums the copies, so over the cap there is one to pop.
         while self.kernel_bytes > self.capacity:
-            obj, size = self._pop_victim()
-            self.kernel_bytes -= size
-            victims.append(obj)
-        self.over_limit = False
-        return victims
-
-    # No engine calls it; perfbench/tracing.py wraps it by name (ROADMAP item 3).
-    def on_expire_stats(self, now: float) -> None:
-        pass
+            self.kernel_bytes -= copies.popitem(False)[1][2]  # the oldest
+            self.evictions += 1
 
 
 class FIFOCache(_SingleArea):
@@ -117,12 +138,11 @@ class LRUCache(_SingleArea):
     """Evict the least recently used document."""
 
     def on_hit(self, obj: str, now: float) -> None:
-        self.entries.move_to_end(obj)
+        self.copies.move_to_end(obj)
 
-    def _resize(self, obj: str, size: int) -> int:
-        old = self.entries.pop(obj)
-        self.entries[obj] = size  # to the most recent end
-        return old
+    def _access(self, obj: str) -> list:
+        self.copies.move_to_end(obj)
+        return self.copies[obj]
 
 
 class LFUCache(_SingleArea):
@@ -133,53 +153,54 @@ class LFUCache(_SingleArea):
 
     def __init__(self, capacity: float):
         super().__init__(capacity)
-        self.entries: dict[str, list] = {}  # obj -> [size, freq]
+        self.copies: dict[str, list] = {}  # obj -> [fresh, admitted, size, freq]
         # freq -> its documents, oldest access first; a lookup of a new
         # frequency makes its bucket.
         self.buckets: defaultdict[int, OrderedDict[str, None]] = defaultdict(OrderedDict)
         self.min_freq = 0  # at most the least frequency held; victims advance it
 
-    def _bump(self, obj: str) -> None:
-        entry = self.entries[obj]
-        freq = entry[1]
+    def _bump(self, obj: str, record: list) -> None:
+        freq = record[3]
         bucket = self.buckets[freq]
         del bucket[obj]
         if not bucket:
             del self.buckets[freq]
-        entry[1] = freq + 1
+        record[3] = freq + 1
         self.buckets[freq + 1][obj] = None
 
     def on_hit(self, obj: str, now: float) -> None:
-        self._bump(obj)
+        self._bump(obj, self.copies[obj])
 
     def on_miss_admit(self, obj: str, size: int, now: float, i: int) -> bool:
         if size > self.capacity:
             return False
-        self.entries[obj] = [size, 1]
+        self.copies[obj] = [True, i, size, 1]
         self.buckets[1][obj] = None
         self.min_freq = 1
         self.kernel_bytes += size
-        self.over_limit = self.kernel_bytes > self.capacity
+        if self.kernel_bytes > self.capacity:
+            self._evict(now)
         return True
 
-    def _resize(self, obj: str, size: int) -> int:
-        entry = self.entries[obj]
-        old = entry[0]
-        entry[0] = size
-        self._bump(obj)
-        return old
+    def _access(self, obj: str) -> list:
+        record = self.copies[obj]
+        self._bump(obj, record)
+        return record
 
-    def _pop_victim(self) -> tuple[str, int]:
-        while self.min_freq not in self.buckets:
-            self.min_freq += 1
-        bucket = self.buckets[self.min_freq]
-        obj, _ = bucket.popitem(last=False)
-        if not bucket:
-            del self.buckets[self.min_freq]
-        return obj, self.entries.pop(obj)[0]
+    def _take_victims(self, now: float) -> None:
+        buckets = self.buckets
+        while self.kernel_bytes > self.capacity:
+            while self.min_freq not in buckets:
+                self.min_freq += 1
+            bucket = buckets[self.min_freq]
+            obj, _ = bucket.popitem(last=False)
+            if not bucket:
+                del buckets[self.min_freq]
+            self.kernel_bytes -= self.copies.pop(obj)[2]
+            self.evictions += 1
 
     def _remove(self, obj: str) -> int:
-        size, freq = self.entries.pop(obj)
+        _, _, size, freq = self.copies.pop(obj)
         bucket = self.buckets[freq]
         del bucket[obj]
         if not bucket:
@@ -194,16 +215,7 @@ def _days_below(days: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
     return np.cumsum(below, out=below)[:-1]
 
 
-@dataclass(slots=True)
-class _KernelEntry:
-    theta: int
-    size: int
-    admitted_at: float
-    seq: int
-    slot: int
-
-
-class ZBSCache:
+class ZBSCache(_Policy):
     """Two-area policy driven by long-horizon Zipf request statistics.
 
     The cache splits into a kernel for documents requested at least
@@ -245,16 +257,19 @@ class ZBSCache:
         retention: float = MAX_RETENTION,
         byte_metric: bool = False,
     ):
+        self.capacity = capacity
         self.acc_cap = accessory_fraction * capacity
         self.kern_cap = capacity - self.acc_cap if math.isfinite(capacity) else math.inf
         self.retention = retention
         self.byte_metric = byte_metric
-        self.kernel: dict[str, _KernelEntry] = {}
-        self.accessory: OrderedDict[str, list] = OrderedDict()  # [size, admitted_at]
+        # obj -> [fresh, admitted, size, slot, theta, admitted_at, seq]; a
+        # copy in the accessory area has slot, theta and seq None.
+        self.copies: dict[str, list] = {}
+        self.accessory: OrderedDict[str, list] = OrderedDict()  # its records, oldest first
         self.window: memoryview | None = None  # by event index; see note_start
         self.kernel_bytes = 0
         self.accessory_bytes = 0
-        self.over_limit = False
+        self.evictions = 0
         self._seq = 0
         # Slot i holds lm and w of document _slot_obj[i]; a free slot holds
         # None and lm = inf, so it scores -inf.  _c is the score buffer.
@@ -302,19 +317,10 @@ class ZBSCache:
         column[counted] = in_order
         self.window = memoryview(column)
 
-    # No engine calls it; perfbench/tracing.py wraps it by name (ROADMAP item 3).
-    def on_expire_stats(self, now: float) -> None:
-        pass
-
     # -- kernel index -------------------------------------------------
 
-    def _weight(self, entry: _KernelEntry) -> float:
-        return 1.0 / (entry.theta * entry.size if self.byte_metric else entry.theta)
-
-    def _index(self, entry: _KernelEntry, last_modified: float) -> None:
-        i = entry.slot
-        self._lm[i] = last_modified
-        self._w[i] = self._weight(entry)
+    def _weight(self, record: list) -> float:
+        return 1.0 / (record[4] * record[2] if self.byte_metric else record[4])
 
     def _take_slot(self, obj: str) -> int:
         if self._free:
@@ -336,72 +342,83 @@ class ZBSCache:
 
     # -- placement ----------------------------------------------------
 
-    def _admit_kernel(self, obj: str, size: int, theta: int,
-                      last_modified: float, admitted_at: float) -> None:
+    def _to_kernel(self, obj: str, record: list, theta: int, last_modified: float,
+                   now: float) -> None:
+        """Place `record`, of a copy outside the kernel, in the kernel, and
+        evict if that takes the kernel over its cap."""
         self._seq += 1
-        entry = _KernelEntry(theta, size, admitted_at, self._seq, self._take_slot(obj))
-        self.kernel[obj] = entry
-        self._index(entry, last_modified)
-        self.kernel_bytes += size
+        record[3] = slot = self._take_slot(obj)
+        record[4] = theta
+        record[6] = self._seq
+        self._lm[slot] = last_modified
+        self._w[slot] = self._weight(record)
+        self.kernel_bytes += record[2]
         if self.kernel_bytes > self.kern_cap:
-            self.over_limit = True
+            self._evict(now)
 
     def on_miss_admit(self, obj: str, size: int, now: float, i: int) -> bool:
         theta = self.window[i]
         if theta >= 2:
             if size > self.kern_cap:
                 return False
-            self._admit_kernel(obj, size, theta, now, now)
+            record = self.copies[obj] = [True, i, size, None, None, now, None]
+            self._to_kernel(obj, record, theta, now, now)
         else:
             if size > self.acc_cap:
                 return False
-            self.accessory[obj] = [size, now]
+            self.copies[obj] = self.accessory[obj] = [True, i, size, None, None, now, None]
             self.accessory_bytes += size
             if self.accessory_bytes > self.acc_cap:
-                self.over_limit = True
+                self._evict(now)
         return True
 
     def on_hit(self, obj: str, now: float) -> None:
-        entry = self.kernel.get(obj)
-        if entry is not None:
-            entry.theta += 1
-            self._w[entry.slot] = self._weight(entry)
+        record = self.copies[obj]
+        slot = record[3]
+        if slot is not None:
+            record[4] += 1
+            self._w[slot] = self._weight(record)
             return
-        # A hit finds the copy resident: here, in the accessory area.
-        size, admitted_at = self.accessory.pop(obj)
-        self.accessory_bytes -= size
-        self._admit_kernel(obj, size, 2, admitted_at, admitted_at)
+        # The copy is in the accessory area; it joins the kernel.
+        del self.accessory[obj]
+        self.accessory_bytes -= record[2]
+        self._to_kernel(obj, record, 2, record[5], now)
 
-    def on_modification_fetched(self, obj: str, size: int, now: float) -> bool:
-        entry = self.kernel.get(obj)
+    def on_modification_fetched(self, obj: str, size: int, now: float) -> None:
+        record = self.copies[obj]
+        slot = record[3]
         if size > self.kern_cap:  # the copy no longer fits the kernel: drop it
-            if entry is None:
-                self.accessory_bytes -= self.accessory.pop(obj)[0]
+            del self.copies[obj]
+            if slot is None:
+                del self.accessory[obj]
+                self.accessory_bytes -= record[2]
             else:
-                self.kernel_bytes -= self.kernel.pop(obj).size
-                self._release_slot(entry.slot)
-            return False
-        if entry is not None:
-            self.kernel_bytes += size - entry.size
-            entry.size = size
-            entry.theta = 1
-            self._index(entry, now)
-        else:
-            size_was, admitted_at = self.accessory.pop(obj)
-            self.accessory_bytes -= size_was
-            self._admit_kernel(obj, size, 1, now, admitted_at)
+                self.kernel_bytes -= record[2]
+                self._release_slot(slot)
+            self.evictions += 1
+            return
+        if slot is None:
+            del self.accessory[obj]
+            self.accessory_bytes -= record[2]
+            record[2] = size
+            self._to_kernel(obj, record, 1, now, now)
+            return
+        self.kernel_bytes += size - record[2]
+        record[2] = size
+        record[4] = 1
+        self._lm[slot] = now
+        self._w[slot] = self._weight(record)
         if self.kernel_bytes > self.kern_cap:
-            self.over_limit = True
-        return True
+            self._evict(now)
 
     # -- eviction -----------------------------------------------------
 
-    def _evict_kernel(self, now: float, victims: list[str]) -> None:
+    def _evict_kernel(self, now: float) -> None:
         n = len(self._slot_obj)
         c = self._c[:n]
         np.subtract(now, self._lm[:n], out=c)
         c *= self._w[:n]
-        kernel = self.kernel
+        copies = self.copies
         slot_obj = self._slot_obj
         i = int(c.argmax())
         # Over the cap the kernel holds a copy, and a held copy scores at
@@ -416,28 +433,24 @@ class ZBSCache:
             if c.item(j) == best:
                 tied = np.flatnonzero(c == best).tolist()
                 tied.append(i)
-                victim = min(tied, key=lambda s: (kernel[slot_obj[s]].admitted_at,
-                                                  kernel[slot_obj[s]].seq))
+                victim = min(tied, key=lambda s: copies[slot_obj[s]][5:])
                 tied.remove(victim)
                 c[i] = best
                 c[victim] = -math.inf
                 i, j = victim, tied[0]
-            obj = slot_obj[i]
-            self.kernel_bytes -= kernel.pop(obj).size
+            self.kernel_bytes -= copies.pop(slot_obj[i])[2]
             self._release_slot(i)
-            victims.append(obj)
+            self.evictions += 1
             i = j
 
-    def choose_victims(self, now: float) -> list[str]:
-        victims: list[str] = []
+    def _take_victims(self, now: float) -> None:
         while self.accessory_bytes > self.acc_cap:
-            obj, (size, _) = self.accessory.popitem(last=False)
-            self.accessory_bytes -= size
-            victims.append(obj)
+            obj, record = self.accessory.popitem(last=False)
+            del self.copies[obj]
+            self.accessory_bytes -= record[2]
+            self.evictions += 1
         if self.kernel_bytes > self.kern_cap:
-            self._evict_kernel(now, victims)
-        self.over_limit = False
-        return victims
+            self._evict_kernel(now)
 
 
 def make_policy(config) -> object:

@@ -151,19 +151,20 @@ class PrefetchLayer:
                 self.next_tick = tick
         return False
 
-    def tick_refetches(self, now: float, resident: dict[str, list]) -> list[tuple[str, int]]:
-        """Stale copies in `resident` the lifetime rule fetches at the tick
-        `now`, in the engine's admission order."""
+    def tick_refetches(self, now: float, copies: dict[str, list]) -> list[tuple[str, int]]:
+        """Stale copies the lifetime rule fetches at the tick `now`, in
+        admission order; `copies` is the policy's copy table, whose
+        records start [fresh, admitting event index]."""
         keep = {}
         picks = []
         next_tick = math.inf
         for obj, stale in self.stale.items():
-            entry = resident.get(obj)
-            if entry is None or entry[0]:
+            record = copies.get(obj)
+            if record is None or record[0]:
                 continue  # evicted, refetched or re-admitted fresh
             tick, size = stale
             if tick <= now:
-                picks.append((entry[1], obj, size))
+                picks.append((record[1], obj, size))
             else:
                 keep[obj] = stale
                 if tick < next_tick:

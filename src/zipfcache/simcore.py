@@ -1,8 +1,8 @@
 """Trace-driven cache simulation engine.
 
-The engine owns residency and freshness; replacement decisions and the
-byte accounting of resident copies live in policy objects (see
-`policies`).  Semantics:
+The resident set of a run is its policy's copy table (see `policies`):
+the policy admits, evicts and accounts for the bytes of each copy, and
+the engine marks copies stale and fresh.  Semantics:
 
 * The events are a valid `Trace` (see `trace.Trace`); service and fetch
   latency are zero.
@@ -46,6 +46,7 @@ import numpy as np
 from .analytic import DomainError
 from .trace import _ROWS_PER_CHUNK, Trace, _doc_order
 from . import policies
+from .policies import SimulationError
 
 __all__ = [
     "SimulationError",
@@ -56,10 +57,6 @@ __all__ = [
 ]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-class SimulationError(RuntimeError):
-    """The simulation cannot continue: a policy broke its capacity limits."""
 
 
 @dataclass(frozen=True)
@@ -198,46 +195,26 @@ def _rows(trace: Trace):
 
 class _Engine:
     def __init__(self, config: CacheConfig, prefetch_layer=None):
-        self.capacity = config.capacity_bytes
         self.count_mode = config.object_count_mode
         self.policy = policies.make_policy(config)
         self.layer = prefetch_layer
-        # object_id -> [fresh, admitted]; `admitted` is the index of the
-        # admitting event, so it is unique and increasing in the dict's order.
-        self.resident: dict[str, list] = {}
-        self.evictions = 0
         self.prefetch_fetches = 0
         self.prefetch_bytes = 0
 
-    def _drain(self, now: float) -> None:
-        policy = self.policy
-        victims = policy.choose_victims(now)
-        for v in victims:
-            del self.resident[v]
-        self.evictions += len(victims)
-        if policy.over_limit or policy.kernel_bytes + policy.accessory_bytes > self.capacity:
-            raise SimulationError("policy failed to restore capacity limits")
-
-    def _refetch(self, obj: str, size: int, now: float) -> None:
-        """Re-fetch a stale resident copy in place at its current size; a
-        copy that no longer fits the cache at all is dropped."""
-        if self.policy.on_modification_fetched(obj, 1 if self.count_mode else size, now):
-            self.resident[obj][0] = True
-        else:
-            del self.resident[obj]
-            self.evictions += 1
-        if self.policy.over_limit:
-            self._drain(now)
-
-    def _prefetch(self, obj: str, size: int, now: float) -> None:
+    def _prefetch(self, record: list, obj: str, size: int, now: float) -> None:
+        """Re-fetch the stale resident copy of `obj`, whose record is
+        `record`, in place at `size`, as a stale request does."""
         self.prefetch_fetches += 1
         self.prefetch_bytes += size
-        self._refetch(obj, size, now)
+        record[0] = True
+        self.policy.on_modification_fetched(obj, 1 if self.count_mode else size, now)
 
     def run(self, trace: Trace) -> SimReport:
         policy = self.policy
         on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
-        resident = self.resident
+        refetch = policy.on_modification_fetched
+        copies = policy.copies
+        get = copies.get
         count_mode = self.count_mode
         layer = self.layer
         policy.note_start(trace)
@@ -249,41 +226,37 @@ class _Engine:
         self.outcome = outcome = bytearray(_codes(trace.kind, trace.cacheable))
         for i, now, code, obj, size in _rows(trace):
             while now >= next_tick:
-                for due, due_size in layer.tick_refetches(next_tick, resident):
-                    if due in resident:
-                        self._prefetch(due, due_size, next_tick)
+                for due, due_size in layer.tick_refetches(next_tick, copies):
+                    record = get(due)
+                    if record is not None:
+                        self._prefetch(record, due, due_size, next_tick)
                 next_tick = layer.next_tick
 
             if code == MISS:  # a cacheable request
-                entry = resident.get(obj)
-                if entry is not None:
-                    if entry[0]:
+                record = get(obj)
+                if record is not None:
+                    if record[0]:
                         outcome[i] = HIT
                         on_hit(obj, now)
-                        if policy.over_limit:
-                            self._drain(now)
                     else:
+                        # Re-fetched in place at its current size; the
+                        # policy drops a copy that no longer fits.
                         outcome[i] = STALE
-                        self._refetch(obj, size, now)
-                else:
-                    acct = 1 if count_mode else size
-                    if on_miss_admit(obj, acct, now, i):
-                        resident[obj] = [True, i]
-                        if policy.over_limit:
-                            self._drain(now)
-                    else:
-                        outcome[i] = REFUSED
+                        record[0] = True
+                        refetch(obj, 1 if count_mode else size, now)
+                elif not on_miss_admit(obj, 1 if count_mode else size, now, i):
+                    outcome[i] = REFUSED
             elif code == MODIFIED:
-                entry = resident.get(obj)
-                if entry is not None:
-                    entry[0] = False
+                record = get(obj)
+                if record is not None:
+                    record[0] = False
                     if layer is not None:
                         if layer.on_modification(obj, size, now, modified):
-                            self._prefetch(obj, size, now)
+                            self._prefetch(record, obj, size, now)
                         next_tick = layer.next_tick
                 modified += 1
         return _report(
-            trace, _request_totals(trace), np.asarray(outcome), evictions=self.evictions,
+            trace, _request_totals(trace), np.asarray(outcome), evictions=policy.evictions,
             prefetch_fetches=self.prefetch_fetches, prefetch_bytes=self.prefetch_bytes,
             kernel_bytes=policy.kernel_bytes, accessory_bytes=policy.accessory_bytes,
         )

@@ -1,6 +1,7 @@
 """What several test files share: `randoms()`, the one random source of
 every generated input, the traces and configurations of the policy and
-prefetch oracles, event builders and a victim recorder."""
+prefetch oracles, event builders, a victim recorder and the fields of a
+ZBS copy record."""
 
 import random
 
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 from zipfcache.analytic import DAY
 from zipfcache.simcore import CacheConfig
 from zipfcache.trace import MODIFICATION, REQUEST, TraceEvent
+
+# The fields of a record in `ZBSCache.copies`; slot, theta and seq are
+# None in the accessory area.
+FRESH, ADMITTED, SIZE, SLOT, THETA, ADMITTED_AT, SEQ = range(7)
 
 # Bytes drawn at a time, lazily, so that a short input draws few.
 CHUNK = 256
@@ -105,12 +110,23 @@ def mod(t, obj, size=100):
 
 
 def recording(policy, log):
-    """Append (now, victims) to `log` at each `choose_victims` of `policy`."""
-    choose = policy.choose_victims
+    """Append to `log` each document that leaves the copy table of
+    `policy`, evicted or dropped, in the order they leave; call it before
+    the run, which reads the table once."""
 
-    def choose_victims(now):
-        victims = choose(now)
-        log.append((now, victims))
-        return victims
+    class Recorded(type(policy.copies)):
+        def pop(self, key, *default):
+            if key in self:
+                log.append(key)
+            return super().pop(key, *default)
 
-    policy.choose_victims = choose_victims
+        def popitem(self, *args, **kwargs):
+            item = super().popitem(*args, **kwargs)
+            log.append(item[0])
+            return item
+
+        def __delitem__(self, key):
+            super().__delitem__(key)
+            log.append(key)
+
+    policy.copies = Recorded(policy.copies)

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from support import THETA
 from zipfcache import analytic, simcore
 from zipfcache.analytic import DAY, ZipfLaw, special_points
 from zipfcache.cli import main
@@ -177,8 +178,8 @@ def test_zbs_behavior(capsys, renewal_events, monkeypatch):
     rows, peak = simcore._rows, [0]
 
     def observed_rows(trace):
-        # the accessory area once each event has settled: an over-limit
-        # admission is drained within its event
+        # the accessory area once each event has settled: an admission
+        # that takes it over its cap evicts within its call
         for row in rows(trace):
             yield row
             peak[0] = max(peak[0], eng.policy.accessory_bytes)
@@ -194,9 +195,9 @@ def test_zbs_behavior(capsys, renewal_events, monkeypatch):
          TraceEvent(20.0, MODIFICATION, "doc", 100)]))
     micro.on_miss_admit("doc", 100, 0.0, 0)
     micro.on_hit("doc", 10.0)
-    assert micro.kernel["doc"].theta == 2
+    assert micro.copies["doc"][THETA] == 2
     micro.on_modification_fetched("doc", 100, 20.0)
-    theta_after = micro.kernel["doc"].theta
+    theta_after = micro.copies["doc"][THETA]
 
     ok = (
         zbs.hit_ratio >= lru.hit_ratio - 0.005

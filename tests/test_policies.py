@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from support import mod, req
+from support import ADMITTED_AT, SIZE, SLOT, THETA, mod, recording, req
 from zipfcache.policies import (
     DAY,
     MAX_RETENTION,
@@ -45,22 +45,26 @@ def test_lfu_frequency_does_not_survive_eviction():
     lfu = LFUCache(1000)
     lfu.on_miss_admit("a", 100, 0.0, 0)
     lfu.on_hit("a", 1.0)
-    assert lfu.entries["a"][1] == 2
-    assert not lfu.on_modification_fetched("a", 1001, 1.5)  # outgrew the cache
-    assert "a" not in lfu.entries and lfu.buckets == {} and lfu.kernel_bytes == 0
+    assert lfu.copies["a"][3] == 2  # the frequency, after the size
+    lfu.on_modification_fetched("a", 1001, 1.5)  # outgrew the cache
+    assert "a" not in lfu.copies and lfu.buckets == {} and lfu.kernel_bytes == 0
+    assert lfu.evictions == 1
     lfu.on_miss_admit("a", 100, 2.0, 2)
-    assert lfu.entries["a"][1] == 1
+    assert lfu.copies["a"][3] == 1
 
 
-def test_lru_choose_victims_batch():
-    lru = LRUCache(150)
-    for i, obj in enumerate("abcd"):
+def test_lru_evicts_a_batch_in_one_round():
+    lru = LRUCache(300)
+    log = []
+    recording(lru, log)
+    for i, obj in enumerate("abc"):
         lru.on_miss_admit(obj, 100, float(i), i)
-    assert lru.over_limit and lru.kernel_bytes == 400
-    assert lru.choose_victims(5.0) == ["a", "b", "c"]
-    assert list(lru.entries.items()) == [("d", 100)]
-    assert not lru.over_limit and lru.kernel_bytes == 100
-    assert lru.choose_victims(6.0) == []  # nothing over the cap
+    assert log == [] and lru.kernel_bytes == 300  # full, not over
+    # the admission that takes the cache over its cap evicts before it returns
+    assert lru.on_miss_admit("d", 300, 3.0, 3)
+    assert log == ["a", "b", "c"] and lru.evictions == 3
+    assert list(lru.copies.items()) == [("d", [True, 3, 300])]
+    assert lru.kernel_bytes == 300
 
 
 # ------------------------------------------------------------ ZBS placement
@@ -76,41 +80,45 @@ def _zbs(requests, capacity=1000, **kwargs):
     return p, lambda obj, size, now: p.on_miss_admit(obj, size, now, index[now, obj])
 
 
+def _kernel(p):
+    """The records of the documents in the kernel of `p`."""
+    return {obj: record for obj, record in p.copies.items() if record[SLOT] is not None}
+
+
 def _drop(p, obj, now):
     """Drop `obj` from either area: a prefetch of it outgrows the kernel."""
-    assert not p.on_modification_fetched(obj, p.kern_cap + 1, now)
-    assert obj not in p.kernel and obj not in p.accessory
+    p.on_modification_fetched(obj, p.kern_cap + 1, now)
+    assert obj not in p.copies and obj not in p.accessory
 
 
 def test_first_request_lands_in_accessory():
     p, admit = _zbs([(0.0, "a")])
     assert admit("a", 50, 0.0)
-    assert "a" in p.accessory and "a" not in p.kernel
+    assert p.accessory["a"] is p.copies["a"] and p.copies["a"][SLOT] is None
     assert p.accessory_bytes == 50 and p.kernel_bytes == 0
 
 
 def _lm(p, obj):
     """Fetch time of a kernel document, from its slot in the index."""
-    return float(p._lm[p.kernel[obj].slot])
+    return float(p._lm[p.copies[obj][SLOT]])
 
 
 def _metric(p, obj, now):
     """Staleness metric C = (now - lm) * w of a kernel document, from its
     slot's fetch time and weight."""
-    return float((now - _lm(p, obj)) * p._w[p.kernel[obj].slot])
+    return float((now - _lm(p, obj)) * p._w[p.copies[obj][SLOT]])
 
 
 def test_second_request_promotes_with_fetch_time():
     p, admit = _zbs([(0.0, "a"), (10.0, "a"), (30.0, "a")])
     admit("a", 50, 0.0)
     p.on_hit("a", 10.0)
-    assert "a" in p.kernel and "a" not in p.accessory
-    entry = p.kernel["a"]
-    assert entry.theta == 2
+    assert "a" in _kernel(p) and "a" not in p.accessory
+    assert p.copies["a"][THETA] == 2
     assert _lm(p, "a") == 0.0  # clock starts at the accessory fetch
     assert _metric(p, "a", 20.0) == pytest.approx(10.0)
     p.on_hit("a", 30.0)
-    assert p.kernel["a"].theta == 3
+    assert p.copies["a"][THETA] == 3
     assert _metric(p, "a", 30.0) == pytest.approx(10.0)
 
 
@@ -120,7 +128,7 @@ def test_statistics_survive_eviction_for_readmission():
     _drop(p, "b", 1.0)
     assert "b" not in p.accessory
     assert admit("b", 10, 5.0)
-    assert p.kernel["b"].theta == 2  # one prior request in the window
+    assert p.copies["b"][THETA] == 2  # one prior request in the window
 
 
 def test_readmission_uses_full_window_count():
@@ -129,7 +137,7 @@ def test_readmission_uses_full_window_count():
     p.on_hit("b", 3600.0)
     _drop(p, "b", 7200.0)
     admit("b", 10, 20 * DAY)
-    assert p.kernel["b"].theta == 3
+    assert p.copies["b"][THETA] == 3
 
 
 def test_window_pruning_resets_cold_documents():
@@ -138,7 +146,7 @@ def test_window_pruning_resets_cold_documents():
     p.on_hit("b", 3600.0)
     _drop(p, "b", 7200.0)
     admit("b", 10, 40 * DAY)  # both requests aged out
-    assert "b" in p.accessory and "b" not in p.kernel
+    assert "b" in p.accessory and "b" not in _kernel(p)
 
 
 def test_refetch_resets_theta_and_clock():
@@ -147,8 +155,8 @@ def test_refetch_resets_theta_and_clock():
     p.on_hit("a", 10.0)
     p.on_hit("a", 20.0)
     p.on_modification_fetched("a", 60, 40.0)
-    entry = p.kernel["a"]
-    assert (entry.theta, _lm(p, "a"), entry.size) == (1, 40.0, 60)
+    record = p.copies["a"]
+    assert (record[THETA], _lm(p, "a"), record[SIZE]) == (1, 40.0, 60)
     assert p.kernel_bytes == 60
     assert _metric(p, "a", 50.0) == pytest.approx(10.0)
 
@@ -158,8 +166,8 @@ def test_modified_accessory_document_joins_kernel():
     admit("c", 10, 0.0)
     p.on_modification_fetched("c", 12, 5.0)
     assert "c" not in p.accessory
-    entry = p.kernel["c"]
-    assert (entry.theta, _lm(p, "c"), entry.admitted_at) == (1, 5.0, 0.0)
+    record = p.copies["c"]
+    assert (record[THETA], _lm(p, "c"), record[ADMITTED_AT]) == (1, 5.0, 0.0)
     assert p.accessory_bytes == 0 and p.kernel_bytes == 12
 
 
@@ -173,14 +181,14 @@ def test_refetch_that_outgrows_the_kernel_is_dropped(policy_id):
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id=policy_id))
     report = eng.run(Trace.from_events(events))
     assert (report.hits, report.evictions, report.stale_refetches) == (7, 1, 1)
-    assert set(eng.policy.kernel) == set("abc") and eng.policy.kernel_bytes == 300
+    assert set(_kernel(eng.policy)) == set("abc") and eng.policy.kernel_bytes == 300
 
 
 def test_stats_recorded_even_when_admission_refused():
     p, admit = _zbs([(0.0, "x"), (1.0, "x")])  # accessory cap 100
     assert not admit("x", 400, 0.0)
     assert admit("x", 400, 1.0)  # prior request routes to kernel
-    assert p.kernel["x"].theta == 2
+    assert p.copies["x"][THETA] == 2
 
 
 # ------------------------------------------------------------- ZBS eviction
@@ -191,78 +199,89 @@ def _kernel_doc(admit, obj, t_refused, t_admitted, size=400):
     admit(obj, size, t_admitted)
 
 
+def _evicted(p):
+    """The list each eviction or drop of `p` appends its document to."""
+    log = []
+    recording(p, log)
+    return log
+
+
 def test_kernel_evicts_largest_metric():
     p, admit = _zbs([(0.0, "x"), (1.0, "x"), (2.0, "y"), (3.0, "y"),
                      (4.0, "z"), (5.0, "z")])  # kernel cap 900
+    evicted = _evicted(p)
     _kernel_doc(admit, "x", 0.0, 1.0)
     _kernel_doc(admit, "y", 2.0, 3.0)
+    assert evicted == []
+    # z takes the kernel over its cap at t=5; theta all 2: C is (5-lm)/2,
+    # largest for the oldest fetch
     _kernel_doc(admit, "z", 4.0, 5.0)
-    assert p.over_limit
-    # theta all 2: C at t=10 is (10-lm)/2, largest for the oldest fetch
-    assert p.choose_victims(10.0) == ["x"]
-    assert not p.over_limit and p.kernel_bytes == 800
+    assert evicted == ["x"] and p.kernel_bytes == 800 and p.evictions == 1
 
 
 def test_theta_divides_staleness():
     p, admit = _zbs([(0.0, "x"), (1.0, "x"), (2.0, "y"), (3.0, "y"), (6.0, "x"),
                      (7.0, "z"), (10.0, "z"), (15.0, "z"), (16.0, "w"), (20.0, "w")])
+    evicted = _evicted(p)
     _kernel_doc(admit, "x", 0.0, 1.0)
     _kernel_doc(admit, "y", 2.0, 3.0)
     p.on_hit("x", 6.0)  # theta 3 shields the older fetch
-    _kernel_doc(admit, "z", 7.0, 10.0)
-    assert p.choose_victims(12.0) == ["y"]
+    _kernel_doc(admit, "z", 7.0, 10.0)  # at 10: x 9/3, y 7/2
+    assert evicted == ["y"]
     # second round ranks a kernel whose entries changed theta since the first
     p.on_hit("z", 15.0)
-    _kernel_doc(admit, "w", 16.0, 20.0)
-    assert p.choose_victims(21.0) == ["x"]
+    _kernel_doc(admit, "w", 16.0, 20.0)  # at 20: x 19/3, z 10/3
+    assert evicted == ["y", "x"]
 
 
 def test_tie_breaks_by_admission_order():
     p, admit = _zbs([(0.0, "u"), (0.0, "v"), (2.0, "u"), (2.0, "v"), (3.0, "w"), (4.0, "w")])
+    evicted = _evicted(p)
     admit("u", 400, 0.0)
     admit("v", 400, 0.0)
     admit("u", 400, 2.0)
     admit("v", 400, 2.0)
-    _kernel_doc(admit, "w", 3.0, 4.0)
-    assert p.choose_victims(10.0) == ["u"]
+    _kernel_doc(admit, "w", 3.0, 4.0)  # at 4: u and v tie at 2/2
+    assert evicted == ["u"]
 
 
 def test_accessory_is_fifo_and_peak_is_settled():
     p, admit = _zbs([(0.0, "a"), (1.0, "b"), (2.0, "c")])  # accessory cap 100
+    evicted = _evicted(p)
     admit("a", 40, 0.0)
     admit("b", 40, 1.0)
     admit("c", 40, 2.0)
-    assert p.over_limit
-    assert p.choose_victims(3.0) == ["a"]
-    assert p.accessory_bytes == 80
-    assert not p.over_limit  # the transient 120 is settled
+    assert evicted == ["a"]
+    assert p.accessory_bytes == 80  # the transient 120 is settled in the call
+    assert list(p.accessory) == ["b", "c"]
 
 
 def test_byte_metric_divides_by_size():
     p, admit = _zbs([(0.0, "big"), (0.0, "small"), (1.0, "big"), (1.0, "small"),
-                     (2.0, "w"), (3.0, "w"), (4.0, "z"), (5.0, "z")],
+                     (2.0, "w"), (3.0, "w"), (10.0, "z"), (11.0, "z")],
                     byte_metric=True)  # kernel cap 900
+    evicted = _evicted(p)
     _kernel_doc(admit, "big", 0.0, 1.0, size=500)   # theta 2, lm 1.0
     admit("small", 100, 0.0)                        # accessory fetch at 0.0
     p.on_hit("small", 1.0)                          # theta 2, lm 0.0, size 100
     assert _metric(p, "small", 11.0) == pytest.approx(11 / 200)
     assert _metric(p, "big", 11.0) == pytest.approx(10 / 1000)
     _kernel_doc(admit, "w", 2.0, 3.0, size=400)     # theta 2, lm 3.0
-    assert p.over_limit
-    # small scores 0.055 against 0.010 for big and w despite being newest
-    assert p.choose_victims(11.0) == ["small"]
-    # big and w now tie at 0.010 (z scores 0.0075); earlier admission wins
-    _kernel_doc(admit, "z", 4.0, 5.0, size=400)
-    assert p.choose_victims(11.0) == ["big"]
+    # at 3, small scores 0.015 against 0.002 for big despite being newest
+    assert evicted == ["small"]
+    # at 11, big and w tie at 0.010 (z scores 0); earlier admission wins
+    _kernel_doc(admit, "z", 10.0, 11.0, size=400)
+    assert evicted == ["small", "big"]
     _assert_index_consistent(p)
 
 
 def _assert_index_consistent(p):
     """Every kernel entry owns one slot that maps back to it; free slots
     hold no document."""
-    slots = [e.slot for e in p.kernel.values()]
+    kernel = _kernel(p)
+    slots = [record[SLOT] for record in kernel.values()]
     assert len(set(slots)) == len(slots)
-    assert all(p._slot_obj[e.slot] == obj for obj, e in p.kernel.items())
+    assert all(p._slot_obj[record[SLOT]] == obj for obj, record in kernel.items())
     assert set(p._free).isdisjoint(slots)
     assert all(p._slot_obj[i] is None for i in p._free)
     assert len(slots) + len(p._free) == len(p._slot_obj)
@@ -293,14 +312,18 @@ def test_zbs_invariants_after_seeded_run():
         p = eng.policy
 
         assert report.hits > 0 and report.evictions > 0
-        assert p.kernel_bytes == sum(e.size for e in p.kernel.values())
-        assert p.accessory_bytes == sum(s for s, _ in p.accessory.values())
+        kernel = _kernel(p)
+        assert p.kernel_bytes == sum(record[SIZE] for record in kernel.values())
+        assert p.accessory_bytes == sum(record[SIZE] for record in p.accessory.values())
         assert p.kernel_bytes <= p.kern_cap
         assert p.accessory_bytes <= p.acc_cap
-        assert set(eng.resident) == set(p.kernel) | set(p.accessory)
+        # the accessory area orders the copy table's other records
+        assert all(p.copies[obj] is record for obj, record in p.accessory.items())
+        assert len(kernel) + len(p.accessory) == len(p.copies)
         assert report.kernel_occupancy_bytes == p.kernel_bytes
         assert report.accessory_occupancy_bytes == p.accessory_bytes
-        assert all(e.theta >= 1 for e in p.kernel.values())
+        assert report.evictions == p.evictions
+        assert all(record[THETA] >= 1 for record in kernel.values())
         _assert_index_consistent(p)
 
         last_t = float(events.t[-1])
@@ -351,7 +374,7 @@ def test_window_counts_whole_days():
     admit("a", 10, 0.1 * DAY)
     _drop(p, "a", 0.2 * DAY)
     admit("a", 10, 30.6 * DAY)
-    assert p.kernel["a"].theta == 2
+    assert p.copies["a"][THETA] == 2
 
 
 def test_window_forgets_a_request_of_a_resident_copy():
@@ -371,7 +394,7 @@ def test_window_column_widens_past_uint8():
     assert p.window[9_999] == 10_000 and p.window[10_000] == 10_001
     assert p.window.itemsize == 2
     admit("a", 10, DAY)
-    assert p.kernel["a"].theta == 10_001
+    assert p.copies["a"][THETA] == 10_001
 
 
 def test_window_starts_on_the_day_of_t_less_retention():
@@ -412,7 +435,7 @@ def test_window_counts_refused_and_skips_uncacheable_requests():
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs"))
     eng.run(Trace.from_events(events))
     assert list(eng.outcome) == [REFUSED, NOT_CACHEABLE, MISS]
-    assert eng.policy.kernel["a"].theta == 2
+    assert eng.policy.copies["a"][THETA] == 2
 
 
 def test_window_counts_equal_times_in_index_order():
@@ -440,7 +463,7 @@ def test_dropped_demand_refetch_counts_as_a_request():
     eng = _Engine(CacheConfig(capacity_bytes=1000, policy_id="zbs"))
     eng.run(Trace.from_events(events))
     assert list(eng.outcome) == [MISS, MODIFIED, STALE, MISS]
-    assert eng.policy.kernel["a"].theta == 3
+    assert eng.policy.copies["a"][THETA] == 3
 
 
 def test_window_of_a_trace_without_cacheable_requests():

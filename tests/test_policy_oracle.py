@@ -1,13 +1,13 @@
 """lru, fifo and lfu against a brute-force reference on small random traces.
 
-`RefSingleArea` keeps a plain dict of document -> [size, admission stamp,
-access stamp, frequency] and finds each victim by scanning it: fifo
-evicts the least admission stamp, lru the least access stamp, lfu the
-least (frequency, access stamp).  Frequency counts per residency.  A hit
-or a refetch is an access; fifo's order never looks at accesses.  The
-optimized policies must choose the same victims in the same order and
-produce the same `SimReport` on every trace, with and without a
-prefetch layer.
+`RefSingleArea` keeps a plain dict of document -> [fresh, admitting
+event, size, admission stamp, access stamp, frequency] and finds each
+victim by scanning it: fifo evicts the least admission stamp, lru the
+least access stamp, lfu the least (frequency, access stamp).  Frequency
+counts per residency.  A hit or a refetch is an access; fifo's order
+never looks at accesses.  The optimized policies must choose the same
+victims in the same order and produce the same `SimReport` on every
+trace, with and without a prefetch layer.
 """
 
 import math
@@ -20,28 +20,28 @@ from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import _Engine
 from zipfcache.trace import Trace
 
-ORDER = {  # policy id -> eviction key of an entry [size, admitted, accessed, freq]
-    "fifo": lambda e: e[1],
-    "lru": lambda e: e[2],
-    "lfu": lambda e: (e[3], e[2]),
+ORDER = {  # policy id -> eviction key of a copy [.., .., size, admitted, accessed, freq]
+    "fifo": lambda c: c[3],
+    "lru": lambda c: c[4],
+    "lfu": lambda c: (c[5], c[4]),
 }
 
 
 class RefSingleArea:
     accessory_bytes = 0
-    kernel_bytes = property(lambda self: sum(e[0] for e in self.entries.values()))
-    over_limit = property(lambda self: self.kernel_bytes > self.capacity)
+    kernel_bytes = property(lambda self: sum(c[2] for c in self.copies.values()))
 
     def __init__(self, policy_id, capacity):
         self.key = ORDER[policy_id]
         self.capacity = capacity
-        self.entries = {}
+        self.copies = {}
         self.clock = 0
+        self.evictions = 0
 
-    def _access(self, entry):
+    def _access(self, copy):
         self.clock += 1
-        entry[2] = self.clock
-        entry[3] += 1
+        copy[4] = self.clock
+        copy[5] += 1
 
     def note_start(self, trace):
         pass
@@ -50,33 +50,34 @@ class RefSingleArea:
         if size > self.capacity:
             return False
         self.clock += 1
-        self.entries[obj] = [size, self.clock, self.clock, 1]
+        self.copies[obj] = [True, i, size, self.clock, self.clock, 1]
+        self._evict()
         return True
 
     def on_hit(self, obj, now):
-        self._access(self.entries[obj])
+        self._access(self.copies[obj])
 
     def on_modification_fetched(self, obj, size, now):
         if size > self.capacity:
-            del self.entries[obj]
-            return False
-        entry = self.entries[obj]
-        entry[0] = size
-        self._access(entry)
-        return True
+            del self.copies[obj]
+            self.evictions += 1
+            return
+        copy = self.copies[obj]
+        copy[2] = size
+        self._access(copy)
+        self._evict()
 
-    def choose_victims(self, now):
-        victims = []
-        while self.over_limit:
-            if not self.entries:
+    def _evict(self):
+        while self.kernel_bytes > self.capacity:
+            if not self.copies:
                 raise AssertionError("over the cap with the cache empty")
-            victims.append(min(self.entries, key=lambda o: self.key(self.entries[o])))
-            del self.entries[victims[-1]]
-        return victims
+            del self.copies[min(self.copies, key=lambda o: self.key(self.copies[o]))]
+            self.evictions += 1
 
 
 def _replay_both(events, config, scheme):
-    """(report, victim log) of the policy and of RefSingleArea on one trace."""
+    """(report, the documents that left the cache, in order) of the policy
+    and of RefSingleArea on one trace."""
     trace = Trace.from_events(events)
     out = []
     for reference in (False, True):

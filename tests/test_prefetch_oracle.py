@@ -1,5 +1,5 @@
 """The prefetch layer against a brute-force reference on small random
-traces, and the policies' ledgers of resident bytes after every event,
+traces, and the policies' copy tables and byte totals after every event,
 under every policy with no layer and under each scheme.
 
 `RefPrefetchLayer` is the plain form of `PrefetchLayer`: it counts each
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import configs, mod, randoms, req, traces
+from support import ADMITTED, FRESH, SIZE, SLOT, configs, mod, randoms, req, traces
 from zipfcache.analytic import DAY
 from zipfcache.policies import POLICY_IDS, ZBSCache
 from zipfcache.prefetch import PrefetchLayer
@@ -142,17 +142,19 @@ class RefPrefetchLayer:
             return False  # the copy's age is 0, never above the interval
         return now > self.start and self.SCORERS[self.scheme](m) > self.threshold
 
-    def tick_refetches(self, now, resident):
+    def tick_refetches(self, now, copies):
         # the engine ticks where named, so never for goodfetch or api
         assert now == self.next_tick, "the engine skipped a tick"
         self.day += 1
         # each document's last modification the engine has passed: a tick
         # at `now` comes before the events at `now`
         last = {m.obj: m for m in self.modifications if m.t < now}
-        self.stale = {obj for obj, entry in resident.items()
-                      if not entry[0] and last[obj].mods >= 2}
-        return [(obj, last[obj].size) for obj, entry in resident.items()
-                if not entry[0] and lifetime_due(last[obj], self.start, now)]
+        self.stale = {obj for obj, copy in copies.items()
+                      if not copy[0] and last[obj].mods >= 2}
+        # a copy's record holds the index of its admitting event second
+        return [(obj, last[obj].size)
+                for obj, copy in sorted(copies.items(), key=lambda item: item[1][1])
+                if not copy[0] and lifetime_due(last[obj], self.start, now)]
 
 
 def _recording(layer, log):
@@ -163,8 +165,8 @@ def _recording(layer, log):
         log.append(("modification", now, obj, k, out))
         return out
 
-    def tick(now, resident):
-        out = tick_refetches(now, resident)
+    def tick(now, copies):
+        out = tick_refetches(now, copies)
         log.append(("tick", now, out))
         return out
 
@@ -522,35 +524,34 @@ def test_refetch_that_outgrows_the_cache_drops_the_copy(scheme):
 
 
 def _areas(policy):
-    """(total, {document: size}, cap) of each area of `policy`."""
+    """(total, {document: record}, cap) of each area of `policy`."""
     if isinstance(policy, ZBSCache):
-        return [(policy.kernel_bytes, {obj: e.size for obj, e in policy.kernel.items()},
-                 policy.kern_cap),
-                (policy.accessory_bytes, {obj: a[0] for obj, a in policy.accessory.items()},
-                 policy.acc_cap)]
-    sizes = {obj: e[0] if isinstance(e, list) else e  # lfu keeps [size, freq]
-             for obj, e in policy.entries.items()}
+        return [(policy.kernel_bytes, {obj: c for obj, c in policy.copies.items()
+                                       if c[SLOT] is not None}, policy.kern_cap),
+                (policy.accessory_bytes, dict(policy.accessory), policy.acc_cap)]
     assert policy.accessory_bytes == 0
-    return [(policy.kernel_bytes, sizes, policy.capacity)]
+    return [(policy.kernel_bytes, dict(policy.copies), policy.capacity)]
 
 
 def _check_ledger(engine, fetched, prefetched):
-    """The books between two events.  Each policy total is the sum of its
-    copies' sizes and within its area's cap; the policy holds exactly the
-    engine's resident copies, each at the size of its last fetch."""
+    """The books between two events.  Each area's total is the sum of its
+    copies' sizes and within its cap, and the areas hold every copy of
+    the policy's table once, each at the size of its last fetch.  No two
+    copies name one admitting event.  The prefetch counters count the
+    prefetches."""
     policy = engine.policy
-    assert not policy.over_limit
     held = {}
-    for total, sizes, cap in _areas(policy):
-        assert total == sum(sizes.values())
+    for total, copies, cap in _areas(policy):
+        assert total == sum(c[SIZE] for c in copies.values())
         assert total <= cap
-        assert held.keys().isdisjoint(sizes)
-        held.update(sizes)
-    assert held == {obj: fetched[obj] for obj in engine.resident}
-    assert policy.kernel_bytes + policy.accessory_bytes <= engine.capacity
-    # the lifetime layer picks copies in this order
-    admitted = [entry[1] for entry in engine.resident.values()]
-    assert admitted == sorted(set(admitted))
+        assert held.keys().isdisjoint(copies)
+        held.update(copies)
+    assert held == policy.copies
+    assert {obj: c[SIZE] for obj, c in held.items()} == {obj: fetched[obj] for obj in held}
+    assert policy.kernel_bytes + policy.accessory_bytes <= policy.capacity
+    # the lifetime layer picks copies in the order of these indices
+    admitted = [c[ADMITTED] for c in held.values()]
+    assert len(admitted) == len(set(admitted))
     assert engine.prefetch_bytes == sum(prefetched)
     assert engine.prefetch_fetches == len(prefetched)
 
@@ -594,11 +595,11 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             if ev.kind == MODIFICATION and scheme is not None:
                 # called, the copy was resident (see `recounted`); not
                 # called, it is absent, for a resident copy stays
-                resident = run["engine"].resident
+                copies = run["engine"].policy.copies
                 if run["called"] is None:
-                    assert obj not in resident
+                    assert obj not in copies
                 elif not run["called"]:  # kept, and stale
-                    assert not resident[obj][0]
+                    assert not copies[obj][FRESH]
             if ev.kind == REQUEST:
                 count["requests"] += 1
                 count["requested_bytes"] += ev.size_bytes
@@ -621,16 +622,21 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
         prefetched, fetched = [], {}
         run.update(engine=engine, events=events, count=count, prefetched=prefetched,
                    fetched=fetched)
-        refetch, policy = engine._refetch, engine.policy
+        prefetch, policy = engine._prefetch, engine.policy
         on_hit, on_miss_admit = policy.on_hit, policy.on_miss_admit
+        refetch = policy.on_modification_fetched
+
+        def recording_prefetch(record, obj, size, now):
+            assert run["prefetching"]
+            prefetched.append(size)
+            prefetch(record, obj, size, now)
 
         def recording_refetch(obj, size, now):
-            if run["prefetching"]:
-                prefetched.append(size)
-            else:
+            assert policy.copies[obj][FRESH]  # the engine marks the refetch fresh
+            if not run["prefetching"]:
                 count["stale"] += 1
                 run["code"] = STALE
-            fetched[obj] = 1 if config.object_count_mode else size
+            fetched[obj] = size
             refetch(obj, size, now)
 
         def recording_hit(obj, now):
@@ -645,14 +651,15 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
             run["code"] = MISS if admitted else REFUSED
             return admitted
 
-        engine._refetch = recording_refetch
+        engine._prefetch = recording_prefetch
         policy.on_hit, policy.on_miss_admit = recording_hit, recording_admit
+        policy.on_modification_fetched = recording_refetch
         if scheme is not None:
             layer = engine.layer
             on_modification, tick_refetches = layer.on_modification, layer.tick_refetches
 
             def recounted(obj, size, now, k):
-                assert run["called"] is None and obj in engine.resident
+                assert run["called"] is None and obj in policy.copies
                 assert k == run["ordinal"]
                 docs = count["docs"]
                 m = Modification(now, obj, size, count["doc_mods"][obj], docs.get(obj, 0),
@@ -670,8 +677,8 @@ def test_engine_ledger_after_every_event(scheme, monkeypatch):
                 run["called"] = run["prefetching"] = on_modification(obj, size, now, k)
                 return run["prefetching"]
 
-            def picking(now, resident):
-                for pick in tick_refetches(now, resident):
+            def picking(now, copies):
+                for pick in tick_refetches(now, copies):
                     run["prefetching"] = True
                     yield pick
                     run["prefetching"] = False

@@ -8,9 +8,10 @@ import weakref
 import numpy as np
 import pytest
 
-from support import mod, req
+from support import SLOT, mod, req
 from zipfcache.analytic import DomainError
-from zipfcache.policies import DAY, POLICY_IDS
+from zipfcache import policies
+from zipfcache.policies import DAY, POLICY_IDS, SimulationError
 from zipfcache.prefetch import PrefetchLayer
 from zipfcache.simcore import CacheConfig, _Engine, simulate
 from zipfcache.trace import SyntheticSpec, Trace, generate_trace
@@ -95,28 +96,30 @@ def test_oversize_document_never_admitted():
     assert report.kernel_occupancy_bytes == 0
 
 
-DROP_CASES = [("lru", "entries"), ("fifo", "entries"), ("lfu", "entries"),
+DROP_CASES = [("lru", None), ("fifo", None), ("lfu", None),
               ("zbs", "accessory"), ("zbs", "kernel"),
               ("zbs-byte", "accessory"), ("zbs-byte", "kernel")]
 
 
 @pytest.mark.parametrize("policy_id, area", DROP_CASES,
-                         ids=[p if a == "entries" else f"{p}-{a}" for p, a in DROP_CASES])
+                         ids=[p if a is None else f"{p}-{a}" for p, a in DROP_CASES])
 def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
     # a second request moves a zbs copy from the accessory area to the kernel
     warm = [req(0, "a", 100)] + [req(1, "a", 100)] * (area == "kernel")
     config = CacheConfig(capacity_bytes=1000, policy_id=policy_id)
     engine = _Engine(config)
     engine.run(Trace.from_events(warm))
-    assert "a" in getattr(engine.policy, area)
+    if area is not None:  # zbs: the copy's slot marks the kernel
+        assert ("a" in engine.policy.accessory) == (area == "accessory")
+        assert (engine.policy.copies["a"][SLOT] is not None) == (area == "kernel")
     # the refetch outgrows the whole cache, and the next request is refused;
     # the policy drops the copy itself, with no eviction round
     engine = _Engine(config)
 
-    def drain(now):
+    def evict(now):
         raise AssertionError("the copy went through an eviction round")
 
-    engine._drain = drain
+    engine.policy._evict = evict
     report = engine.run(Trace.from_events(
         warm + [mod(2, "a", 1500), req(3, "a", 1500), req(4, "a", 1500)]))
     assert report.hits == len(warm) - 1
@@ -124,7 +127,55 @@ def test_oversize_growth_on_refetch_drops_copy(policy_id, area):
     assert report.evictions == 1
     assert report.demand_bytes == 100 + 2 * 1500
     assert report.kernel_occupancy_bytes == report.accessory_occupancy_bytes == 0
-    assert engine.resident == {}
+    assert engine.policy.copies == {}
+
+
+def _one_victim_short(cls, cap, step):
+    """`cls` whose eviction rounds run with its attribute `cap` raised by
+    `step`, the size of each victim: every round stops one victim early."""
+
+    class Short(cls):
+        def _take_victims(self, now):
+            setattr(self, cap, getattr(self, cap) + step)
+            try:
+                super()._take_victims(now)
+            finally:
+                setattr(self, cap, getattr(self, cap) - step)
+
+    return Short
+
+
+# case -> (policy id, the attribute that caps the overfilled area, the size
+# of each victim, a trace whose last event is the first that needs two
+# victims, the documents left after one)
+SHORT_ROUNDS = {
+    "lru": ("lru", "capacity", 100,
+            [req(0, "a"), req(1, "b"), req(2, "c"), req(3, "d", 200)], ["b", "c", "d"]),
+    # the first request of each 300-byte document outgrows the accessory
+    # area (cap 100) and is refused; the second goes to the kernel (cap 900)
+    "zbs-kernel": ("zbs", "kern_cap", 300,
+                   [req(t, obj, 300 * (1 + (obj == "d"))) for t, obj in enumerate("aabbccdd")],
+                   ["b", "c", "d"]),
+    "zbs-accessory": ("zbs", "acc_cap", 50,
+                      [req(0, "a", 50), req(1, "b", 50), req(2, "c", 100)], ["b", "c"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_ROUNDS))
+def test_round_that_leaves_an_area_over_its_cap_raises(case, monkeypatch):
+    policy_id, cap, step, events, left = SHORT_ROUNDS[case]
+    config = CacheConfig(capacity_bytes=300 if policy_id == "lru" else 1000,
+                         policy_id=policy_id)
+    assert simulate(Trace.from_events(events), config).evictions == 2
+    policy = policies.make_policy(config)
+    policy.__class__ = _one_victim_short(type(policy), cap, step)
+    monkeypatch.setattr(policies, "make_policy", lambda config: policy)
+    # the events after the round would admit e and f, and evict enough
+    events = events + [req(10, "e", 2 * step), req(11, "f", 2 * step)]
+    with pytest.raises(SimulationError, match="policy failed to restore capacity limits"):
+        simulate(Trace.from_events(events), config)
+    # the run stopped at the round: one victim taken, none of the later events seen
+    assert list(policy.copies) == left and policy.evictions == 1
 
 
 def test_unsorted_trace_rejected():

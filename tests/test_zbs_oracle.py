@@ -26,14 +26,16 @@ class RefZBS:
         self.acc_cap = accessory_fraction * capacity
         self.kern_cap = capacity - self.acc_cap
         self.retention, self.byte_metric = retention, byte_metric
-        self.kernel = {}  # obj -> [theta, last_modified, size, admitted_at, seq]
-        self.accessory = {}  # obj -> [size, admitted_at], oldest first
+        # obj -> [fresh, admitted, size, in the kernel, theta, last_modified,
+        # admitted_at, seq], in admission order: the accessory area's oldest
+        # copy is its first
+        self.copies = {}
         self.seq = 0
+        self.evictions = 0
 
-    kernel_bytes = property(lambda self: sum(e[2] for e in self.kernel.values()))
-    accessory_bytes = property(lambda self: sum(a[0] for a in self.accessory.values()))
-    over_limit = property(lambda self: self.kernel_bytes > self.kern_cap
-                          or self.accessory_bytes > self.acc_cap)
+    kernel_bytes = property(lambda self: sum(c[2] for c in self.copies.values() if c[3]))
+    accessory_bytes = property(lambda self: sum(c[2] for c in self.copies.values()
+                                                if not c[3]))
 
     def note_start(self, trace):
         # (time, document, a cacheable request?) of each event
@@ -48,62 +50,67 @@ class RefZBS:
         return sum(1 for t, o, counted in self.events[:i + 1]
                    if counted and o == obj and t // DAY >= first)
 
-    def _admit_kernel(self, obj, size, theta, last_modified, admitted_at):
+    def _to_kernel(self, copy, theta, last_modified):
         self.seq += 1
-        self.kernel[obj] = [theta, last_modified, size, admitted_at, self.seq]
+        copy[3:6] = [True, theta, last_modified]
+        copy[7] = self.seq
 
     def on_miss_admit(self, obj, size, now, i):
         prior = self.count(i) - 1
         if prior:
             if size > self.kern_cap:
                 return False
-            self._admit_kernel(obj, size, prior + 1, now, now)
+            self.copies[obj] = copy = [True, i, size, False, None, None, now, None]
+            self._to_kernel(copy, prior + 1, now)
         elif size > self.acc_cap:
             return False
         else:
-            self.accessory[obj] = [size, now]
+            self.copies[obj] = [True, i, size, False, None, None, now, None]
+        self._evict(now)
         return True
 
     def on_hit(self, obj, now):
-        if obj in self.kernel:
-            self.kernel[obj][0] += 1
+        copy = self.copies[obj]
+        if copy[3]:
+            copy[4] += 1
             return
-        size, admitted_at = self.accessory.pop(obj)
-        self._admit_kernel(obj, size, 2, admitted_at, admitted_at)
+        self._to_kernel(copy, 2, copy[6])
+        self._evict(now)
 
     def on_modification_fetched(self, obj, size, now):
         if size > self.kern_cap:  # dropped
-            if self.kernel.pop(obj, None) is None:
-                del self.accessory[obj]
-            return False
-        if obj in self.kernel:
-            self.kernel[obj][:3] = [1, now, size]
+            del self.copies[obj]
+            self.evictions += 1
+            return
+        copy = self.copies[obj]
+        copy[2] = size
+        if copy[3]:
+            copy[4:6] = [1, now]
         else:
-            self._admit_kernel(obj, size, 1, now, self.accessory.pop(obj)[1])
-        return True
+            self._to_kernel(copy, 1, now)
+        self._evict(now)
 
     def metric(self, obj, now):
         # The same float expression as the policy, so ties are exact ties.
-        theta, lm, size = self.kernel[obj][:3]
+        _, _, size, _, theta, lm = self.copies[obj][:6]
         return (now - lm) * (1.0 / (theta * size if self.byte_metric else theta))
 
-    def choose_victims(self, now):
-        victims = []
+    def _evict(self, now):
         while self.accessory_bytes > self.acc_cap:
-            victims.append(next(iter(self.accessory)))
-            del self.accessory[victims[-1]]
+            del self.copies[next(o for o, c in self.copies.items() if not c[3])]
+            self.evictions += 1
         while self.kernel_bytes > self.kern_cap:
-            if not self.kernel:
+            kernel = [o for o, c in self.copies.items() if c[3]]
+            if not kernel:
                 raise AssertionError("over the kernel cap with the kernel empty")
-            victims.append(max(self.kernel, key=lambda o: (
-                self.metric(o, now), -self.kernel[o][3], -self.kernel[o][4])))
-            del self.kernel[victims[-1]]
-        return victims
+            del self.copies[max(kernel, key=lambda o: (
+                self.metric(o, now), -self.copies[o][6], -self.copies[o][7]))]
+            self.evictions += 1
 
 
 def _assert_same(policy_id, events, capacity, retention, layer=None):
-    """ZBSCache and RefZBS choose the same victims, give the same report
-    and hold the same window count at each cacheable request on one
+    """ZBSCache and RefZBS evict and drop the same documents in the same
+    order, give the same report and hold the same window count at each cacheable request on one
     trace, each over a new `PrefetchLayer` of the arguments `layer`
     (None: none)."""
     config = CacheConfig(capacity_bytes=capacity, policy_id=policy_id,
